@@ -3,10 +3,8 @@
 from .branch import (BifurcationCurve, BranchPoint, ShootError, intersection_count,
                      shoot_regular, trace_curve, turning_points)
 from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, PsiKernel,
-                        eta_derivative, forcing_m, forcing_m1, phi_m, phi_m1,
-                        picard_solve, psi_apply, rho_remainder)
-from .equivalence import (EquivalenceTrace, equivalence_report, miyamoto_profile,
-                          x_star, y_star)
+                        eta_derivative, phi_m, phi_m1, picard_solve)
+from .equivalence import EquivalenceTrace, equivalence_report, miyamoto_profile, x_star, y_star
 from .expansions import (ExpansionReport, expansion_grad_m, expansion_grad_m1,
                          expansion_w_m, expansion_w_m1, residual_order)
 from .singular import (DescentError, SingularSolution, assemble_w, build_singular,

@@ -28,6 +28,8 @@ from .transform import LogProfile, RadialProfile
 # descent budget: refuse shots whose log-variable start would need more work
 # than roughly a million steps
 T1_BUDGET = 2.0e5
+# sampling step in tau = -ln r when scanning for profile intersections
+TAU_STEP = 0.02
 
 
 class ShootError(RuntimeError):
@@ -85,7 +87,6 @@ class BifurcationCurve:
 
     points: list
     turning: list
-    lambda_star_ref: float | None = None
 
     @property
     def rho(self):
@@ -327,18 +328,16 @@ def _finish(n, m, rho, ln_R, segs_a, segs_b, L, keep_profile):
                        profile=profile, log_profile=log_profile, dense=dense)
 
 
-def trace_curve(n, m, rho_grid, lambda_star=None, keep_profiles=False,
-                rtol=1e-11, atol=1e-13):
+def trace_curve(n, m, rho_grid, rtol=1e-11, atol=1e-13):
     """Shoot the branch over an increasing rho grid and annotate turning points."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     if rho_grid.ndim != 1 or len(rho_grid) == 0:
         raise ValueError("rho grid must be a non-empty 1-d array")
     if np.any(rho_grid <= 0) or not np.all(np.diff(rho_grid) > 0):
         raise ValueError("rho grid must be positive and strictly increasing")
-    points = [shoot_regular(n, m, rho, rtol=rtol, atol=atol,
-                            keep_profile=keep_profiles)
+    points = [shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=False)
               for rho in rho_grid]
-    curve = BifurcationCurve(points=points, turning=[], lambda_star_ref=lambda_star)
+    curve = BifurcationCurve(points=points, turning=[])
     curve.turning = turning_points(curve)
     return curve
 
@@ -387,15 +386,16 @@ def turning_points(curve, min_delta=None):
     return out
 
 
-def intersection_count(point, singular, tau_step=0.02, noise_tol=None):
+def intersection_count(point, singular):
     """Number of crossings between the regular and singular boundary-normalized profiles.
 
     Both are compared as functions of tau = -ln r on their shared range,
-    i.e. u_rho(r) = w_b(t_zero + tau) against u*(r) = w*(t_star + tau).
-    A sign change only counts once the difference has cleared noise_tol on
-    both sides (the regular solution tracks the singular one to rounding
-    level deep in the overlap, where raw sign flips are meaningless), and
-    each counted crossing is confirmed by bisection on the interpolants.
+    i.e. u_rho(r) = w_b(t_zero + tau) against u*(r) = w*(t_star + tau),
+    sampled every TAU_STEP.  A sign change only counts once the difference
+    has cleared a noise tolerance on both sides (the regular solution tracks
+    the singular one to rounding level deep in the overlap, where raw sign
+    flips are meaningless), and each counted crossing is confirmed by
+    bisection on the interpolants.
     """
     if point.log_profile is None:
         raise ValueError("branch point must carry its profile")
@@ -405,20 +405,18 @@ def intersection_count(point, singular, tau_step=0.02, noise_tol=None):
                  singular.profile.t_max - t_star)
     if tau_hi <= 0:
         raise ValueError("profiles do not overlap")
-    tau = np.arange(1e-6, tau_hi, tau_step)
-    sing_eval = getattr(singular, "eval_w_dense", singular.profile.eval_w)
+    tau = np.arange(1e-6, tau_hi, TAU_STEP)
     branch_eval = point.dense.eval_w if point.dense is not None \
         else point.log_profile.eval_w
 
     def diff(tv):
-        return branch_eval(t_zero + tv) - sing_eval(t_star + tv)
+        return branch_eval(t_zero + tv) - singular.eval_w_dense(t_star + tv)
 
     d = diff(tau)
     scale = max(1.0, float(np.max(np.abs(singular.profile.w))))
-    if noise_tol is None:
-        # evaluation noise sits near 1e-12 of scale when both sides come from
-        # dense representations; crossings must clear it comfortably
-        noise_tol = 1e-10 * scale
+    # evaluation noise sits near 1e-12 of scale when both sides come from
+    # dense representations; crossings must clear it comfortably
+    noise_tol = 1e-10 * scale
     # the degeneracy threshold allows for the interpolation seam of sampled
     # profiles at their grid junctions
     if np.max(np.abs(d)) < 1e-5 * scale:

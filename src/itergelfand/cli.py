@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,7 +22,7 @@ from . import branch as br
 from . import equivalence as eq
 from . import expansions as ex
 from . import towers as tw
-from .corrector import EtaSpaceConfig, PicardConvergenceError, picard_solve
+from .corrector import EtaSpaceConfig, PicardConvergenceError, phi_m
 from .numerics import atomic_write_text, fmt, write_csv
 from .singular import DescentError, SingularSolution, build_singular, ode_residual
 from .transform import log_to_radial, read_profile_csv, write_profile_csv
@@ -33,6 +34,17 @@ EXIT_NUMERIC = 2
 
 class UsageError(Exception):
     pass
+
+
+@dataclass
+class Check:
+    """One verification check; its fields are the columns of verify_<suite>.csv."""
+
+    label: str
+    value: float
+    bound: float
+    passed: bool
+    gating: bool = True
 
 
 @dataclass
@@ -48,10 +60,13 @@ class RunConfig:
     rho_max: float = 4.8
     rho_step: float = 0.02
     outdir: str = "."
-    seed: int = 0
     singular_ref: str | None = None
 
     def validate(self):
+        for name, cast in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if cast is float and value is not None and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite")
         if int(self.n) != self.n or self.n < 3:
             raise UsageError("dimension n must be an integer >= 3")
         if int(self.m) != self.m or self.m < 1:
@@ -76,6 +91,12 @@ class RunConfig:
         return out
 
 
+# declared type of each RunConfig field with an optional None stripped; it
+# casts config-file values and selects the fields that must be finite
+_FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+                for name, hint in typing.get_type_hints(RunConfig).items()}
+
+
 def _load_config_file(path):
     values = {}
     with open(path) as fh:
@@ -93,19 +114,14 @@ def _load_config_file(path):
 def _build_runconfig(args):
     cfg = RunConfig()
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    casts = {f.name: f for f in fields(RunConfig)}
     for key, val in file_values.items():
-        if key not in casts:
+        if key not in _FIELD_TYPES:
             raise UsageError(f"unknown config key: {key}")
-        cur = getattr(cfg, key)
-        if key in ("oracle",):
-            setattr(cfg, key, val.lower() in ("1", "true", "yes"))
-        elif key in ("n", "m", "seed"):
-            setattr(cfg, key, int(val))
-        elif key in ("outdir", "singular_ref"):
-            setattr(cfg, key, val)
-        else:
-            setattr(cfg, key, float(val))
+        cast = _FIELD_TYPES[key]
+        try:
+            setattr(cfg, key, val.lower() in ("1", "true", "yes") if cast is bool else cast(val))
+        except ValueError as exc:
+            raise UsageError(f"bad value for config key {key}: {val}") from exc
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -175,11 +191,9 @@ def cmd_bifurcation(cfg):
     if len(grid) < 3:
         raise UsageError("rho grid has fewer than 3 points")
     reference = None
-    lam_star = None
     if cfg.singular_ref:
         reference = _load_singular_reference(cfg.singular_ref, cfg.n, cfg.m_effective)
-        lam_star = reference.lambda_star
-    curve = br.trace_curve(cfg.n, cfg.m_effective, grid, lambda_star=lam_star)
+    curve = br.trace_curve(cfg.n, cfg.m_effective, grid)
     rho = curve.rho
     lam = curve.lam
     turning_rho = np.array([p[0] for p in curve.turning])
@@ -191,39 +205,31 @@ def cmd_bifurcation(cfg):
               [rho, lam, np.array([p.R for p in curve.points]), flags])
     tp_cols = [turning_rho, np.array([p[1] for p in curve.turning])]
     tp_hdr = ["rho", "lambda"]
-    if lam_star is not None:
+    if reference is not None:
         tp_hdr.append("lambda_minus_lambda_star")
-        tp_cols.append(tp_cols[1] - lam_star)
+        tp_cols.append(tp_cols[1] - reference.lambda_star)
     write_csv(os.path.join(cfg.outdir, "turning_points.csv"), tp_hdr, tp_cols)
     results = {"points": len(rho), "turning_points": len(curve.turning)}
     if reference is not None:
-        rows = []
-        for rho_q in sorted({2.0, 4.0, 6.0} & set(np.round(rho, 9))) or []:
-            point = br.shoot_regular(cfg.n, cfg.m_effective, float(rho_q))
-            rows.append((rho_q, br.intersection_count(point, reference)))
-        if rows:
-            write_csv(os.path.join(cfg.outdir, "intersections.csv"),
-                      ["rho", "count"],
-                      [np.array([r[0] for r in rows]),
-                       np.array([r[1] for r in rows], dtype=int)])
-            results["intersection_rhos"] = ";".join(fmt(r[0]) for r in rows)
+        rhos = sorted({2.0, 4.0, 6.0} & set(np.round(rho, 9)))
+        counts = [br.intersection_count(br.shoot_regular(cfg.n, cfg.m_effective, float(r)),
+                                        reference) for r in rhos]
+        if rhos:
+            write_csv(os.path.join(cfg.outdir, "intersections.csv"), ["rho", "count"],
+                      [rhos, counts])
+            results["intersection_rhos"] = ";".join(fmt(r) for r in rhos)
     _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
     print(f"traced {len(rho)} points, {len(curve.turning)} turning points")
     return EXIT_OK
 
 
 def _suite_iterexp(cfg):
-    rows = []
-
-    def add(label, value, bound, gating=True):
-        rows.append({"label": label, "value": float(value), "bound": float(bound),
-                     "passed": bool(value <= bound), "gating": gating})
-
+    rows = []   # (label, value, bound): each passes when value <= bound
     # upper ends keep G_m(y) representable
     for m, y_hi in ((1, 3.0), (2, 1.8), (3, 1.4)):
         ys = np.linspace(-2.0, y_hi, 41)
         err = max(abs(tw.h_tower(m, tw.g_tower(m, y)) - y) for y in ys)
-        add(f"roundtrip_m{m}", err, 1e-12)
+        rows.append((f"roundtrip_m{m}", err, 1e-12))
     for m in (1, 2, 3):
         ts = np.geomspace(max(tw.tower_domain_lower(m), 0.5) + 4.0, 1e3, 25)
         worst = 0.0
@@ -234,33 +240,29 @@ def _suite_iterexp(cfg):
                       2: (tw.h_deriv(m, 1, t + h) - tw.h_deriv(m, 1, t - h)) / (2 * h),
                       3: (tw.h_deriv(m, 2, t + h) - tw.h_deriv(m, 2, t - h)) / (2 * h)}[k]
                 worst = max(worst, abs(tw.h_deriv(m, k, t) - fd) / max(abs(fd), 1e-300))
-        add(f"h_deriv_fd_m{m}", worst, 1e-5)
+        rows.append((f"h_deriv_fd_m{m}", worst, 1e-5))
     for m in (1, 2, 3):
         ts = np.geomspace(10.0 + tw.g_tower(min(m, 2), 1.0), 1e6, 40)
         for k in (1, 2, 3):
             vals = np.abs(tw.h_deriv(m, k, ts)) * ts ** k * np.log(ts)
-            add(f"decay_bound_m{m}_k{k}", np.max(vals), 50.0)
+            rows.append((f"decay_bound_m{m}_k{k}", np.max(vals), 50.0))
     try:
         from scipy.integrate import quad
         v, _ = quad(lambda s: math.exp(-math.exp(s)), 0.0, 40.0)
-        add("f_tail_zero_vs_quadrature", abs(tw.f_tail(0.0) - v), 1e-10)
+        rows.append(("f_tail_zero_vs_quadrature", abs(tw.f_tail(0.0) - v), 1e-10))
     except Exception:
-        add("f_tail_zero_vs_quadrature", 1.0, 1e-10)
-    add("f_tail_fflim_t5", abs(tw.f_tail(5.0) * math.exp(5.0 + math.exp(5.0)) - 0.9933510653),
-        1e-6)
-    add("f_tail_inverse_roundtrip", abs(tw.f_tail_inverse(tw.f_tail(1.0)) - 1.0), 1e-10)
-    return rows
+        rows.append(("f_tail_zero_vs_quadrature", 1.0, 1e-10))
+    rows.append(("f_tail_fflim_t5",
+                 abs(tw.f_tail(5.0) * math.exp(5.0 + math.exp(5.0)) - 0.9933510653), 1e-6))
+    rows.append(("f_tail_inverse_roundtrip",
+                 abs(tw.f_tail_inverse(tw.f_tail(1.0)) - 1.0), 1e-10))
+    return [Check(label, float(value), bound, value <= bound) for label, value, bound in rows]
 
 
-def _write_expansion_reports(outdir, reports):
-    write_csv(os.path.join(outdir, "expansion_reports.csv"),
-              ["label", "t_lo", "t_hi", "order", "weighted_sup", "empirical_slope"],
-              [np.array([r.label for r in reports], dtype=object),
-               np.array([r.t_lo for r in reports]),
-               np.array([r.t_hi for r in reports]),
-               np.array([r.order for r in reports]),
-               np.array([r.weighted_sup for r in reports]),
-               np.array([r.empirical_slope for r in reports])])
+def _write_records(path, records):
+    """CSV with one column per dataclass field and one row per record."""
+    header = [f.name for f in fields(records[0])]
+    write_csv(path, header, [[getattr(r, key) for r in records] for key in header])
 
 
 def _suite_asymptotics(cfg):
@@ -277,57 +279,43 @@ def _suite_asymptotics(cfg):
         r2 = ex.residual_order(sol.profile, lambda t: ex.expansion_w_m1(n, t, "ansatz"),
                                2.0, win2)
         r2.label = "profile_vs_ansatz_doubled"
-        rows.append({"label": "profile_vs_ansatz_weighted_sup", "value": r2.weighted_sup,
-                     "bound": 10.0 * sol.eta.M, "passed": r2.weighted_sup <= 10.0 * sol.eta.M,
-                     "gating": True})
+        rows.append(Check("profile_vs_ansatz_weighted_sup", r2.weighted_sup,
+                          10.0 * sol.eta.M, r2.weighted_sup <= 10.0 * sol.eta.M))
         stable = r2.weighted_sup <= 3.0 * max(r1.weighted_sup, 1e-300)
-        rows.append({"label": "window_doubling_stable", "value": r2.weighted_sup /
-                     max(r1.weighted_sup, 1e-300), "bound": 3.0, "passed": stable,
-                     "gating": True})
+        rows.append(Check("window_doubling_stable",
+                          r2.weighted_sup / max(r1.weighted_sup, 1e-300), 3.0, stable))
         r4 = ex.residual_order(sol.profile, lambda t: ex.expansion_w_m1(n, t, "four_term"),
                                2.0, win2)
         r4.label = "profile_vs_four_term"
-        rows.append({"label": "four_term_slope", "value": r4.empirical_slope,
-                     "bound": 0.3, "passed": abs(r4.empirical_slope + 2.0) <= 0.3,
-                     "gating": True})
+        rows.append(Check("four_term_slope", r4.empirical_slope, 0.3,
+                          abs(r4.empirical_slope + 2.0) <= 0.3))
         c1 = ex.gradient_residual_constant(sol, win1)
         c2 = ex.gradient_residual_constant(sol, win2)
-        rows.append({"label": "gradient_constant_stable", "value": c2 /
-                     max(c1, 1e-300), "bound": 3.0, "passed": c2 <= 3.0 * max(c1, 1e-300),
-                     "gating": True})
+        rows.append(Check("gradient_constant_stable", c2 / max(c1, 1e-300), 3.0,
+                          c2 <= 3.0 * max(c1, 1e-300)))
         if cfg.outdir:
-            _write_expansion_reports(cfg.outdir, [r1, r2, r4])
+            _write_records(os.path.join(cfg.outdir, "expansion_reports.csv"), [r1, r2, r4])
     else:
         sel = (sol.profile.t >= win2[0]) & (sol.profile.t <= win2[1])
         t = sol.profile.t[sel]
+        phi, _, _ = phi_m(n, m, t)
         bound_vals = t ** 2 * np.abs(sol.profile.w_t[sel]
-                                     - 2.0 * _hm_prime_shifted(n, m, t))
-        rows.append({"label": "wt_vs_2Hm_prime_weighted_sup",
-                     "value": float(np.max(bound_vals)), "bound": 10.0 * sol.eta.M,
-                     "passed": float(np.max(bound_vals)) <= 10.0 * sol.eta.M,
-                     "gating": True})
+                                     - 2.0 * tw.h_deriv(m, 1, 2.0 * t + phi))
+        rows.append(Check("wt_vs_2Hm_prime_weighted_sup", float(np.max(bound_vals)),
+                          10.0 * sol.eta.M, float(np.max(bound_vals)) <= 10.0 * sol.eta.M))
         diff = np.abs(sol.profile.w[sel] - ex.expansion_w_m(n, m, t))
         half = t <= math.sqrt(win2[0] * win2[1])
         trend = float(np.max(diff[~half])) <= float(np.max(diff[half]))
-        rows.append({"label": "expansion_residual_decays", "value": float(np.max(diff[~half])),
-                     "bound": float(np.max(diff[half])), "passed": trend, "gating": False})
+        rows.append(Check("expansion_residual_decays", float(np.max(diff[~half])),
+                          float(np.max(diff[half])), trend, gating=False))
     return rows
-
-
-def _hm_prime_shifted(n, m, t):
-    from .corrector import phi_m
-    from .towers import h_deriv
-    phi, _, _ = phi_m(n, m, t)
-    return h_deriv(m, 1, 2.0 * t + phi)
 
 
 def _suite_miyamoto(cfg):
     sol = build_singular(cfg.n, 1, cfg.eta_config())
     rep = eq.equivalence_report(sol)
-    rows = [{"label": "tail_sup", "value": rep.tail_sup, "bound": 0.05,
-             "passed": rep.tail_sup < 0.05, "gating": True},
-            {"label": "traces_decreasing", "value": float(rep.decreasing), "bound": 1.0,
-             "passed": rep.decreasing, "gating": True}]
+    rows = [Check("tail_sup", rep.tail_sup, 0.05, rep.tail_sup < 0.05),
+            Check("traces_decreasing", float(rep.decreasing), 1.0, rep.decreasing)]
     if cfg.outdir:
         write_csv(os.path.join(cfg.outdir, "equivalence_trace.csv"),
                   ["t", "x_star", "y_star"], [rep.t, rep.x_star, rep.y_star])
@@ -342,43 +330,31 @@ def cmd_verify(cfg, suite):
     any_fail = False
     for name in names:
         rows = suites[name](cfg)
-        gates = [r for r in rows if r["gating"]]
-        ok = all(r["passed"] for r in gates)
+        gates = [r for r in rows if r.gating]
+        ok = all(r.passed for r in gates)
         any_fail |= not ok
         print(json.dumps({"suite": name, "passed": ok,
                           "checks": len(rows), "failed":
-                          [r["label"] for r in gates if not r["passed"]]}))
-        write_csv(os.path.join(cfg.outdir, f"verify_{name}.csv"),
-                  ["label", "value", "bound", "passed", "gating"],
-                  [np.array([r["label"] for r in rows], dtype=object),
-                   np.array([r["value"] for r in rows]),
-                   np.array([r["bound"] for r in rows]),
-                   np.array([int(r["passed"]) for r in rows]),
-                   np.array([int(r["gating"]) for r in rows])])
+                          [r.label for r in gates if not r.passed]}))
+        _write_records(os.path.join(cfg.outdir, f"verify_{name}.csv"), rows)
     return EXIT_NUMERIC if any_fail else EXIT_OK
 
 
+# `iterexp eval --kind` choices and the tower primitive each one evaluates
+_EVAL_KINDS = {
+    "g": lambda a: tw.g_tower(a.m, a.at),
+    "h": lambda a: tw.h_tower(a.m, a.at),
+    "gderiv": lambda a: tw.g_deriv(a.m, a.k, a.at),
+    "hderiv": lambda a: tw.h_deriv(a.m, a.k, a.at),
+    "ftail": lambda a: tw.f_tail(a.at),
+    "ftail-log": lambda a: tw.f_tail_log(a.at),
+    "ftail-inv": lambda a: tw.f_tail_inverse(a.at),
+}
+
+
 def cmd_iterexp_eval(args):
-    m = args.m
-    kind = args.kind
-    y = args.at
     try:
-        if kind == "g":
-            val = tw.g_tower(m, y)
-        elif kind == "h":
-            val = tw.h_tower(m, y)
-        elif kind == "gderiv":
-            val = tw.g_deriv(m, args.k, y)
-        elif kind == "hderiv":
-            val = tw.h_deriv(m, args.k, y)
-        elif kind == "ftail":
-            val = tw.f_tail(y)
-        elif kind == "ftail-log":
-            val = tw.f_tail_log(y)
-        elif kind == "ftail-inv":
-            val = tw.f_tail_inverse(y)
-        else:
-            raise UsageError(f"unknown function kind: {kind}")
+        val = _EVAL_KINDS[args.kind](args)
     except (tw.TowerOverflowError, tw.TowerDomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
@@ -395,7 +371,6 @@ def _add_common(p):
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--M", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--outdir", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
                    help="key = value config file (flags take precedence)")
@@ -416,9 +391,7 @@ def make_parser():
     ie_sub = p_ie.add_subparsers(dest="subcommand", required=True)
     p_eval = ie_sub.add_parser("eval", help="evaluate a tower primitive")
     p_eval.add_argument("--m", type=int, default=1)
-    p_eval.add_argument("--kind", required=True,
-                        choices=["g", "h", "gderiv", "hderiv", "ftail",
-                                 "ftail-log", "ftail-inv"])
+    p_eval.add_argument("--kind", required=True, choices=list(_EVAL_KINDS))
     p_eval.add_argument("--k", type=int, default=1, help="derivative order")
     p_eval.add_argument("--at", type=float, required=True, help="evaluation point")
 
@@ -456,9 +429,7 @@ def main(argv=None):
             return cmd_singular(cfg)
         if args.command == "bifurcation":
             return cmd_bifurcation(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, args.suite)
-        raise UsageError(f"unknown command {args.command}")
+        return cmd_verify(cfg, args.suite)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

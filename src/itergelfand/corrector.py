@@ -4,12 +4,20 @@ The singular ansatz needs a correction eta solving
 
     eta_tt - (n-2) eta_t + 2(n-2) eta + F(t, eta) = 0,  eta = O(1/t^2),
 
-obtained as the fixed point of an integral operator Psi built from the
-variation-of-constants kernel of the left-hand side.  For 3 <= n <= 9 the
-characteristic roots are (n-2)/2 +/- i sqrt((n-2)(10-n))/2, so the kernel
-oscillates; for n >= 10 both roots are real and the kernel is a difference
-of decaying exponentials.  Picard iteration from eta = 0 converges because
-the weighted Lipschitz constant of F decays at the left endpoint T.
+obtained as the fixed point eta = Psi[eta] of the variation-of-constants
+operator of the left-hand side.  Its characteristic roots
+
+    lam_pm = (n-2)/2 +/- sqrt((n-2)(n-10))/2
+
+are a complex pair for 3 <= n <= 9 (the kernel oscillates), a double root at
+n = 10 and two real roots for n >= 11.  One formula covers all three:
+Psi[F](t) = Re[(J(lam_+) - J(lam_-)) / (lam_+ - lam_-)] with
+J(lam)(t) = integral_t^tmax e^{-lam (s-t)} F(s) ds, and every J comes from
+the same right-to-left sweep over the grid.  A complex pair needs one sweep,
+since J(lam_-) is the conjugate of J(lam_+); the double root takes the limit
+d J / d lam instead.  The same sweep at lam = n-2 gives eta_t.  Picard
+iteration from eta = 0 converges because the weighted Lipschitz constant of
+F decays at the left endpoint T.
 
 All forcing evaluations keep the nonlinearity in factored form built from
 expm1/log1p, never forming exp(-2t + e^w) as a difference of large numbers.
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .numerics import atomic_write_text, fmt, panel_nodes, subdivide
+from .numerics import atomic_write_text, fmt, panel_nodes, scalar_or_array, subdivide
 from .towers import _h_derivative_chains
 
 
@@ -33,23 +41,24 @@ class PicardConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PsiKernel:
-    """Variation-of-constants kernel data for a given dimension."""
+    """Characteristic roots lam_pm of the corrector operator and the panel width they allow."""
 
     n: int
-    mu: float | None = None            # sqrt((n-2)(10-n)), oscillatory range only
-    root_pair: tuple | None = None     # real roots of s^2-(n-2)s+2(n-2), n >= 10
+    lam_plus: complex | float
+    lam_minus: complex | float
+    h_cap: float
 
     @classmethod
     def for_dimension(cls, n):
         if n < 3:
             raise ValueError("dimension must be >= 3")
-        disc = (n - 2) * (n - 10)
         if n <= 9:
-            return cls(n=n, mu=math.sqrt((n - 2) * (10 - n)))
-        d = math.sqrt(disc)
-        lam_minus = 0.5 * ((n - 2) - d)
-        lam_plus = 0.5 * ((n - 2) + d)
-        return cls(n=n, root_pair=(lam_minus, lam_plus))
+            a, b = 0.5 * (n - 2), 0.5 * math.sqrt((n - 2) * (10 - n))
+            # panels also stay under an eighth of the oscillation period 2 pi / b
+            return cls(n, complex(a, b), complex(a, -b),
+                       min(1.0, 2.0 / (n - 2), math.pi / (4.0 * b)))
+        d = math.sqrt((n - 2) * (n - 10))
+        return cls(n, 0.5 * ((n - 2) + d), 0.5 * ((n - 2) - d), 2.0 / (n - 2))
 
     @property
     def damping(self):
@@ -57,15 +66,20 @@ class PsiKernel:
 
     @property
     def freq(self):
-        # the roots are (n-2)/2 +/- i mu/2, so the sine runs at half of mu
-        return 0.5 * self.mu
+        """Imaginary part of lam_+; zero for n >= 10."""
+        return self.lam_plus.imag
 
     @property
     def tail_constant(self):
         """C with |integral tail| <= C * sup s^2|F| / t_max^2."""
-        if self.mu is not None:
+        if self.freq:
             return 1.0 / (self.damping * self.freq)
         return 1.0 / (2.0 * (self.n - 2))
+
+
+def _node_count(T, t_max):
+    """Default grid size for the corrector window [T, t_max]."""
+    return max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
 
 
 @dataclass
@@ -90,7 +104,7 @@ class EtaSpaceConfig:
             raise ValueError("tol must be positive")
         if self.M is not None and self.M <= 0:
             raise ValueError("M must be positive")
-        n_nodes = self.n_nodes or max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
+        n_nodes = self.n_nodes or _node_count(T, t_max)
         return T, t_max, n_nodes
 
     def pad(self, n):
@@ -143,9 +157,7 @@ def phi_m1(n, t):
     num = (4.0 * t + 1.0 + lnt) * (2.0 * t + 2.0 * lnt - 1.0) \
         - 2.0 * (t + 1.0) * (2.0 * t + lnt)
     phi_tt = num / (t ** 2 * (2.0 * t + lnt) ** 2)
-    if np.isscalar(phi) or phi.ndim == 0:
-        return float(phi), float(phi_t), float(phi_tt)
-    return phi, phi_t, phi_tt
+    return scalar_or_array(phi), scalar_or_array(phi_t), scalar_or_array(phi_tt)
 
 
 def phi_m(n, m, t):
@@ -166,9 +178,7 @@ def phi_m(n, m, t):
         phi = phi - np.log(H[j])
         phi_t = phi_t - 2.0 * q
         phi_tt = phi_tt + 4.0 * (q * q - Hpp[j] / H[j])
-    if phi.ndim == 0:
-        return float(phi), float(phi_t), float(phi_tt)
-    return phi, phi_t, phi_tt
+    return scalar_or_array(phi), scalar_or_array(phi_t), scalar_or_array(phi_tt)
 
 
 class _ForcingM1:
@@ -179,8 +189,6 @@ class _ForcingM1:
 
     def __init__(self, n, t):
         t = np.asarray(t, dtype=float)
-        self.n = n
-        self.t = t
         phi, phi_t, phi_tt = phi_m1(n, t)
         lnt = np.log(t)
         self.z = 2.0 * t + phi
@@ -188,7 +196,6 @@ class _ForcingM1:
         self.ephi = (n - 2) / t * (1.0 + lnt / (2.0 * t))
         f_t = (2.0 + phi_t) / self.z
         f_tt = phi_tt / self.z - f_t * f_t
-        self.f_t = f_t
         self.F0 = self.ephi + f_tt - (n - 2) * f_t
         self.F1 = self.ephi * self.z - 2.0 * (n - 2)
 
@@ -215,9 +222,7 @@ class _ForcingM:
 
     def __init__(self, n, m, t):
         t = np.asarray(t, dtype=float)
-        self.n = n
         self.m = m
-        self.t = t
         phi, phi_t, phi_tt = phi_m(n, m, t)
         self.z = 2.0 * t + phi
         H2t, _, _, _ = _h_derivative_chains(m, 2.0 * t)
@@ -231,14 +236,12 @@ class _ForcingM:
         for j in range(1, m):
             r = np.log1p(r / H2t[j])
             total = total + r
-        self.ratio_em1 = np.expm1(total)
-        self.F1 = 2.0 * (n - 2) * self.ratio_em1
-        self.F0 = (2.0 * (n - 2) * Hzp[m] * self.ratio_em1
+        ratio_em1 = np.expm1(total)
+        self.F1 = 2.0 * (n - 2) * ratio_em1
+        self.F0 = (2.0 * (n - 2) * Hzp[m] * ratio_em1
                    - (n - 2) * phi_t * Hzp[m]
                    + Hzpp[m] * (2.0 + phi_t) ** 2
                    + Hzp[m] * phi_tt)
-        self.Hzp_m = Hzp[m]
-        self.phi_t = phi_t
 
     def _taylor_increment(self, eta):
         """D = G_m(H_m(z) + eta) - z via the level recursion; G_j(H_m(z)) = H_{m-j}(z)."""
@@ -271,196 +274,100 @@ def make_forcing(n, m, t):
     raise ValueError("forcing requires tower height >= 1")
 
 
-def forcing_m1(n, t, eta):
-    """F(t, eta) = F_0 + F_1 eta + F_2 + F_3 at tower height 1."""
-    out = _ForcingM1(n, t).total(eta)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def forcing_m(n, m, t, eta):
-    """F(t, eta) = F_0 + F_1 eta + F_2 at tower height m >= 2."""
-    out = _ForcingM(n, m, t).total(eta)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def rho_remainder(n, m, t, eta):
-    """Taylor remainder rho(eta) = G_m(H_m(z)+eta) - z - G'_m(H_m(z)) eta, z = 2t+phi."""
-    out = _ForcingM(n, m, t).rho(eta)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 class _QuadPlan:
     """Panelized Gauss rule on a grid with kernel factors anchored at interval left ends."""
 
     def __init__(self, grid, kernel):
         self.grid = np.asarray(grid, dtype=float)
-        a = kernel.damping
-        if kernel.mu is not None:
-            h_cap = min(1.0, math.pi / (4.0 * kernel.freq), 2.0 / max(a, 0.5))
-        else:
-            rate = max(kernel.root_pair)
-            h_cap = min(1.0, 2.0 / max(rate, 1.0))
-        h_cap = min(h_cap, 2.0 / max(kernel.n - 2, 1))
-        edges, owner = subdivide(self.grid, h_cap)
-        self.owner = owner
-        self.nodes, self.weights = panel_nodes(edges)
-        self.tau = self.nodes - self.grid[owner][:, None]
-        self.n_intervals = len(self.grid) - 1
         self.kernel = kernel
-        decay = np.exp(-a * self.tau)
-        if kernel.mu is not None:
-            b = kernel.freq
-            self.K = {
-                "sin": decay * np.sin(b * self.tau),
-                "cos": decay * np.cos(b * self.tau),
-            }
-        elif kernel.root_pair[0] == kernel.root_pair[1]:
-            lam = kernel.root_pair[0]
-            e = np.exp(-lam * self.tau)
-            self.K = {"lin": -self.tau * e, "exp": e}
-        else:
-            lm, lp = kernel.root_pair
-            self.K = {"plus": np.exp(-lp * self.tau), "minus": np.exp(-lm * self.tau)}
-        self.K["gexp"] = np.exp(-(kernel.n - 2) * self.tau)
+        edges, self.owner = subdivide(self.grid, kernel.h_cap)
+        self.nodes, self.weights = panel_nodes(edges)
+        self.tau = self.nodes - self.grid[self.owner][:, None]
+        self.h = np.diff(self.grid)
+        self.K = {lam: np.exp(-lam * self.tau)
+                  for lam in (kernel.lam_plus, kernel.lam_minus, kernel.n - 2)}
 
-    def interval_integrals(self, name, Fq):
-        vals = np.sum(self.weights * self.K[name] * Fq, axis=1)
-        return np.bincount(self.owner, weights=vals, minlength=self.n_intervals)
+    def interval_integrals(self, K, Fq):
+        """integral over each grid interval of K(s) Fq(s), K real or complex."""
+        vals = np.sum(self.weights * K * Fq, axis=1)
+        out = np.bincount(self.owner, weights=vals.real, minlength=len(self.h))
+        if np.iscomplexobj(vals):
+            out = out + 1j * np.bincount(self.owner, weights=vals.imag, minlength=len(self.h))
+        return out
+
+    def sweep(self, lam, Fq):
+        """J_i = P_i + e^{-lam h_i} J_{i+1}: integral_{t_i}^{t_max} e^{-lam (s - t_i)} F(s) ds."""
+        P = self.interval_integrals(self.K[lam], Fq).tolist()
+        decay = np.exp(-lam * self.h).tolist()
+        J = [0.0] * len(self.grid)
+        for i in range(len(self.h) - 1, -1, -1):
+            J[i] = P[i] + decay[i] * J[i + 1]
+        return np.array(J)
 
     def apply_psi(self, Fq):
         """Psi[eta] on the grid given forcing values Fq at the quadrature nodes."""
-        g = self.grid
-        h = np.diff(g)
         k = self.kernel
-        a = k.damping
-        N = len(g)
-        out = np.zeros(N)
-        if k.mu is not None:
-            b = k.freq
-            Ps = self.interval_integrals("sin", Fq)
-            Pc = self.interval_integrals("cos", Fq)
-            Js = np.zeros(N)
-            Jc = np.zeros(N)
-            eh = np.exp(-a * h)
-            ch = np.cos(b * h)
-            sh = np.sin(b * h)
-            for i in range(N - 2, -1, -1):
-                Js[i] = Ps[i] + eh[i] * (ch[i] * Js[i + 1] + sh[i] * Jc[i + 1])
-                Jc[i] = Pc[i] + eh[i] * (ch[i] * Jc[i + 1] - sh[i] * Js[i + 1])
-            out = -Js / b
-        elif k.root_pair[0] == k.root_pair[1]:
-            lam = k.root_pair[0]
-            Pl = self.interval_integrals("lin", Fq)
-            Pe = self.interval_integrals("exp", Fq)
-            Jl = np.zeros(N)
-            Je = np.zeros(N)
-            eh = np.exp(-lam * h)
-            for i in range(N - 2, -1, -1):
-                Je[i] = Pe[i] + eh[i] * Je[i + 1]
-                Jl[i] = Pl[i] + eh[i] * (Jl[i + 1] - h[i] * Je[i + 1])
-            out = Jl
-        else:
-            lm, lp = k.root_pair
-            Pp = self.interval_integrals("plus", Fq)
-            Pm = self.interval_integrals("minus", Fq)
-            Jp = np.zeros(N)
-            Jm = np.zeros(N)
-            ehp = np.exp(-lp * h)
-            ehm = np.exp(-lm * h)
-            for i in range(N - 2, -1, -1):
-                Jp[i] = Pp[i] + ehp[i] * Jp[i + 1]
-                Jm[i] = Pm[i] + ehm[i] * Jm[i + 1]
-            out = (Jp - Jm) / (lp - lm)
-        return out
+        if k.lam_plus == k.lam_minus:
+            # n = 10: the difference quotient becomes dJ/dlam, kernel -tau e^{-lam tau}
+            lam = k.lam_plus
+            J = self.sweep(lam, Fq).tolist()
+            P = self.interval_integrals(-self.tau * self.K[lam], Fq).tolist()
+            h = self.h.tolist()
+            decay = np.exp(-lam * self.h).tolist()
+            dJ = [0.0] * len(self.grid)
+            for i in range(len(h) - 1, -1, -1):
+                dJ[i] = P[i] + decay[i] * (dJ[i + 1] - h[i] * J[i + 1])
+            return np.array(dJ)
+        J_plus = self.sweep(k.lam_plus, Fq)
+        J_minus = J_plus.conj() if k.freq else self.sweep(k.lam_minus, Fq)
+        return ((J_plus - J_minus) / (k.lam_plus - k.lam_minus)).real
 
     def apply_gkernel(self, Gq):
         """-(integral of e^{(n-2)(t-s)} g(s) ds) on the grid: the eta_t representation."""
-        c = self.kernel.n - 2
-        Pg = self.interval_integrals("gexp", Gq)
-        N = len(self.grid)
-        J = np.zeros(N)
-        eh = np.exp(-c * np.diff(self.grid))
-        for i in range(N - 2, -1, -1):
-            J[i] = Pg[i] + eh[i] * J[i + 1]
-        return -J
+        return -self.sweep(self.kernel.n - 2, Gq)
 
 
-def psi_apply(kernel, forcing, t, t_max, tol=None, tail_scale=None):
-    """Evaluate Psi[eta](t) for a forcing map s -> F(s, eta(s)) truncated at t_max.
-
-    `forcing` is any callable accepting an ndarray of s values.  When
-    tail_scale (an estimate of sup s^2 |F|) is given, the analytic tail bound
-    beyond t_max is computed and checked against tol if provided.
-    """
-    if t >= t_max:
-        raise ValueError("need t < t_max")
-    a = kernel.damping
-    if kernel.mu is not None:
-        h_cap = min(1.0, math.pi / (4.0 * kernel.freq), 2.0 / max(a, 0.5))
-    else:
-        h_cap = min(1.0, 2.0 / max(max(kernel.root_pair), 1.0))
-    n_panels = max(4, int(math.ceil((t_max - t) / h_cap)))
-    edges = np.linspace(t, t_max, n_panels + 1)
-    nodes, weights = panel_nodes(edges)
-    tau = nodes - t
-    F = forcing(nodes)
-    if kernel.mu is not None:
-        b = kernel.freq
-        val = -np.sum(weights * np.exp(-a * tau) * np.sin(b * tau) * F) / b
-    elif kernel.root_pair[0] == kernel.root_pair[1]:
-        lam = kernel.root_pair[0]
-        val = np.sum(weights * (-tau) * np.exp(-lam * tau) * F)
-    else:
-        lm, lp = kernel.root_pair
-        val = np.sum(weights * (np.exp(-lp * tau) - np.exp(-lm * tau)) * F) / (lp - lm)
-    if tail_scale is not None:
-        bound = tail_scale * kernel.tail_constant / t_max ** 2 * math.exp(-a * (t_max - t))
-        if tol is not None and bound > tol:
-            raise PicardConvergenceError(
-                f"truncation tail bound {bound:.3e} exceeds tolerance {tol:.3e}")
-    return float(val)
-
-
-def _solve_on_grid(n, m, T, t_max, n_nodes, M_user, tol, max_iter):
+def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
+    """Picard iteration on one geometric grid; returns (EtaSolution or None, defects)."""
     grid = np.geomspace(T, t_max, n_nodes)
     grid[0], grid[-1] = T, t_max
     kernel = PsiKernel.for_dimension(n)
     plan = _QuadPlan(grid, kernel)
     forcing = make_forcing(n, m, plan.nodes)
-    F0_nodes = forcing.total(np.zeros_like(plan.nodes))
-    M = M_user if M_user is not None else 2.0 * float(np.max(plan.nodes ** 2 * np.abs(F0_nodes)))
+    Fq = forcing.total(np.zeros_like(plan.nodes))
+    M = cfg.M if cfg.M is not None else 2.0 * float(np.max(plan.nodes ** 2 * np.abs(Fq)))
     eta = np.zeros_like(grid)
     defects = []
     ratios = []
-    converged = False
-    for it in range(1, max_iter + 1):
-        if it == 1:
-            Fq = F0_nodes
-        else:
-            eta_q = CubicSpline(grid, eta)(plan.nodes)
-            Fq = forcing.total(eta_q)
+    for _ in range(cfg.max_iter):
         eta_new = plan.apply_psi(Fq)
         defect = float(np.max(grid ** 2 * np.abs(eta_new - eta)))
         if defects:
             ratios.append(defect / defects[-1])
         defects.append(defect)
         eta = eta_new
-        if defect <= tol:
-            converged = True
-            break
+        # F at the current iterate: the next iteration's forcing, or the
+        # tail bound once converged
+        Fq = forcing.total(CubicSpline(grid, eta)(plan.nodes))
+        if defect <= cfg.tol:
+            sup_w = float(np.max(grid ** 2 * np.abs(eta)))
+            if sup_w > M:
+                raise PicardConvergenceError(
+                    f"converged iterate left the ball: sup t^2|eta| = {sup_w:.3e} > M = {M:.3e}")
+            sup_f = float(np.max(plan.nodes ** 2 * np.abs(Fq)))
+            sol = EtaSolution(
+                n=n, m=m, config=cfg, grid=grid, eta=eta, eta_t=None,
+                iterations=len(defects), final_defect=defect, defects=defects,
+                T=T, t_max=t_max, t_usable=t_usable, M=M,
+                tail_bound=sup_f * kernel.tail_constant / t_max ** 2,
+                contraction_ratios=ratios)
+            sol.eta_t = eta_derivative(sol)
+            return sol, defects
         if len(ratios) >= 3 and min(ratios[-3:]) >= 0.995:
             break
         if defect > 50.0 * defects[0]:
             break
-    if not converged:
-        return None, M, defects, ratios, None, None, None
-    eta_q = CubicSpline(grid, eta)(plan.nodes)
-    Fq = forcing.total(eta_q)
-    g_q = -2.0 * (n - 2) * eta_q - Fq
-    eta_t = plan.apply_gkernel(g_q)
-    sup_f = float(np.max(plan.nodes ** 2 * np.abs(Fq)))
-    tail_bound = sup_f * kernel.tail_constant / t_max ** 2
-    return eta, M, defects, ratios, grid, eta_t, tail_bound
+    return None, defects
 
 
 def picard_solve(n, m, cfg=None):
@@ -478,44 +385,29 @@ def picard_solve(n, m, cfg=None):
     cfg = cfg if cfg is not None else EtaSpaceConfig()
     T, t_usable, n_nodes = cfg.resolved(m)
     pad = cfg.pad(n)
-    last_defects = None
-    for escalation in range(5):
+    for _ in range(5):
         t_max = t_usable + pad
         n_solve = max(n_nodes, int(math.ceil(n_nodes * math.log(t_max / T)
                                              / math.log(t_usable / T))))
-        eta, M, defects, ratios, grid, eta_t, tail_bound = _solve_on_grid(
-            n, m, T, t_max, n_solve, cfg.M, cfg.tol, cfg.max_iter)
-        if eta is not None:
-            sup_w = float(np.max(grid ** 2 * np.abs(eta)))
-            if sup_w > M:
-                raise PicardConvergenceError(
-                    f"converged iterate left the ball: sup t^2|eta| = {sup_w:.3e} > M = {M:.3e}")
-            return EtaSolution(
-                n=n, m=m, config=cfg, grid=grid, eta=eta, eta_t=eta_t,
-                iterations=len(defects), final_defect=defects[-1], defects=defects,
-                T=T, t_max=t_max, t_usable=t_usable, M=M, tail_bound=tail_bound,
-                contraction_ratios=ratios)
-        last_defects = defects
+        sol, defects = _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_solve)
+        if sol is not None:
+            return sol
         T *= 2.0
         t_usable = max(4.0 * T, t_usable)
-        n_nodes = max(320, int(math.ceil(T * math.log(t_usable / T) / 0.16)))
+        n_nodes = _node_count(T, t_usable)
     raise PicardConvergenceError(
-        f"no contraction after T escalation (n={n}, m={m}); defects={last_defects}")
+        f"no contraction after T escalation (n={n}, m={m}); defects={defects}")
 
 
-def eta_derivative(sol, n=None, m=None):
+def eta_derivative(sol):
     """Corrector derivative via its first-order integral representation.
 
     eta_t(t) = -integral_t^tmax e^{(n-2)(t-s)} g(s) ds with
     g = -2(n-2) eta - F(t, eta); matches the truncated fixed point exactly.
     """
-    n = n if n is not None else sol.n
-    m = m if m is not None else sol.m
-    kernel = PsiKernel.for_dimension(n)
-    plan = _QuadPlan(sol.grid, kernel)
-    forcing = make_forcing(n, m, plan.nodes)
+    plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(sol.n))
     eta_q = CubicSpline(sol.grid, sol.eta)(plan.nodes)
-    g_q = -2.0 * (n - 2) * eta_q - forcing.total(eta_q)
+    g_q = -2.0 * (sol.n - 2) * eta_q - make_forcing(sol.n, sol.m, plan.nodes).total(eta_q)
     return plan.apply_gkernel(g_q)
 
 

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .corrector import phi_m1
+from .numerics import scalar_or_array
 from .towers import f_tail_inverse_log, f_tail_log
 
 
@@ -42,8 +41,7 @@ def x_star(n, t, w_star):
     """
     t = np.asarray(t, dtype=float)
     w = np.asarray(w_star(t), dtype=float)
-    out = 2.0 * (n - 2) * np.exp(2.0 * t + f_tail_log(w)) - 1.0
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(2.0 * (n - 2) * np.exp(2.0 * t + f_tail_log(w)) - 1.0)
 
 
 def y_star(n, t, w_star, w_star_t):
@@ -57,39 +55,7 @@ def y_star(n, t, w_star, w_star_t):
     wt = np.asarray(w_star_t(t), dtype=float)
     term1 = 4.0 * (n - 2) * np.exp(2.0 * t + f_tail_log(w))
     term2 = 2.0 * (n - 2) * wt * np.exp(2.0 * t - np.exp(w))
-    out = term1 - term2
-    return float(out) if out.ndim == 0 else out
-
-
-def x_star_factored(n, t, eta_sol):
-    """x* evaluated through the factored ansatz pieces instead of exp(w*).
-
-    Uses e^{w*} = (2t + phi) e^eta and w* = ln(2t + phi) + eta so the
-    exponent 2t - e^{w*} - w* + log-series never subtracts large numbers.
-    """
-    t = np.asarray(t, dtype=float)
-    phi, _, _ = phi_m1(n, t)
-    z = 2.0 * t + phi
-    eta = PchipInterpolator(eta_sol.grid, eta_sol.eta)(t)
-    ew = z * np.exp(eta)
-    # log F(w*) = -e^{w*} - w* + log S(e^{w*}) with the asymptotic series S
-    logS = f_tail_log(np.log(ew)) + ew + np.log(ew)
-    expo = -phi - z * np.expm1(eta) - np.log(z) - eta + logS
-    out = 2.0 * (n - 2) * np.exp(expo) - 1.0
-    return float(out) if out.ndim == 0 else out
-
-
-def y_star_factored(n, t, eta_sol):
-    """y* through the factored ansatz pieces; companion to x_star_factored."""
-    t = np.asarray(t, dtype=float)
-    phi, phi_t, _ = phi_m1(n, t)
-    z = 2.0 * t + phi
-    eta = PchipInterpolator(eta_sol.grid, eta_sol.eta)(t)
-    eta_t = PchipInterpolator(eta_sol.grid, eta_sol.eta_t)(t)
-    wt = (2.0 + phi_t) / z + eta_t
-    term2 = 2.0 * (n - 2) * wt * np.exp(-phi - z * np.expm1(eta))
-    out = 2.0 * (x_star_factored(n, t, eta_sol) + 1.0) - term2
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(term1 - term2)
 
 
 def equivalence_report(sol, eps=0.5):
@@ -112,9 +78,8 @@ def equivalence_report(sol, eps=0.5):
         raise ValueError("corrector window too thin to judge the tail")
     w_val = sol.profile.w[sel]
     wt_val = sol.profile.w_t[sel]
-    xs = 2.0 * (n2 := sol.n - 2) * np.exp(2.0 * t + f_tail_log(w_val)) - 1.0
-    ys = (4.0 * n2 * np.exp(2.0 * t + f_tail_log(w_val))
-          - 2.0 * n2 * wt_val * np.exp(2.0 * t - np.exp(w_val)))
+    xs = x_star(sol.n, t, lambda _: w_val)
+    ys = y_star(sol.n, t, lambda _: w_val, lambda _: wt_val)
     tail_lo = math.sqrt(t_lo * t_hi)
     tail = t >= tail_lo
     combined = np.abs(xs) + np.abs(ys)
@@ -137,6 +102,4 @@ def miyamoto_profile(n, r):
     if np.any(r <= 0):
         raise ValueError("radius must be positive")
     log_x = 2.0 * np.log(r) - math.log(2.0 * (n - 2))
-    if log_x.ndim == 0:
-        return f_tail_inverse_log(float(log_x))
-    return np.array([f_tail_inverse_log(float(v)) for v in log_x])
+    return scalar_or_array(np.vectorize(f_tail_inverse_log, otypes=[float])(log_x))

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import phi_m1
-from .numerics import envelope_slope
-from .towers import _h_derivative_chains, h_deriv, h_tower
+from .numerics import envelope_slope, scalar_or_array
+from .towers import _h_derivative_chains, h_deriv
 
 
 @dataclass
@@ -47,7 +47,7 @@ def expansion_w_m1(n, t, depth="four_term"):
                - lnt ** 2 / (8.0 * t ** 2) + lnt / (4.0 * t ** 2))
     else:
         raise ValueError("depth must be 'ansatz' or 'four_term'")
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def expansion_grad_m1(n, r):
@@ -57,7 +57,7 @@ def expansion_grad_m1(n, r):
         raise ValueError("radius must satisfy 0 < r < 1/e")
     L = -np.log(r)
     out = 1.0 / (r * L) + np.log(L) / (2.0 * r * L ** 2)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def expansion_w_m(n, m, rho):
@@ -73,7 +73,7 @@ def expansion_w_m(n, m, rho):
     tower_sum = sum(H[j] for j in range(1, m + 1))
     out = (H[m] + Hp[m] * (math.log(2.0 * (n - 2)) - tower_sum)
            - Hp[m] * np.log(rho) ** 2 / (4.0 * rho))
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def expansion_grad_m(n, m, r):
@@ -83,10 +83,10 @@ def expansion_grad_m(n, m, r):
         raise ValueError("radius must lie in (0, 1)")
     L = -np.log(r)
     out = 2.0 * h_deriv(m, 1, 2.0 * L) / r
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(out)
 
 
-def residual_order(profile, expansion, order, window, nbins=8):
+def residual_order(profile, expansion, order, window):
     """Measure how fast a profile approaches an expansion.
 
     expansion is a callable t -> value; the report carries
@@ -105,7 +105,7 @@ def residual_order(profile, expansion, order, window, nbins=8):
     if np.all(diff == 0.0):
         slope = 0.0
     else:
-        slope = envelope_slope(t, diff, nbins=nbins)
+        slope = envelope_slope(t, diff)
     return ExpansionReport(label="", t_lo=float(t_lo), t_hi=float(t_hi),
                            order=float(order), weighted_sup=weighted,
                            empirical_slope=slope)

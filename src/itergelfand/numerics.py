@@ -12,6 +12,15 @@ _GAUSS_N = 12
 _GAUSS_X, _GAUSS_W = roots_legendre(_GAUSS_N)
 
 
+def scalar_or_array(out):
+    """The package's return rule: a 0-d result becomes a float, arrays pass through.
+
+    Reads the ``ndim`` attribute directly because np.ndim costs a microsecond
+    on the scalar tower evaluations of the shooting right-hand sides.
+    """
+    return out if getattr(out, "ndim", 0) else float(out)
+
+
 def panel_nodes(edges):
     """Gauss-Legendre nodes/weights for the panels defined by ``edges``.
 
@@ -96,13 +105,14 @@ def differentiate(t, y, order=1, stencil=7):
     return out
 
 
-def envelope_slope(t, diff, nbins=8):
+def envelope_slope(t, diff):
     """Empirical decay order of |diff| vs t from a log-log envelope fit.
 
     Bins the window in log t, takes the max of |diff| per bin, and fits a
     line through the (log t, log max) pairs; robust to interior sign
     changes of diff.
     """
+    nbins = 8
     t = np.asarray(t, dtype=float)
     d = np.abs(np.asarray(diff, dtype=float))
     mask = d > 0

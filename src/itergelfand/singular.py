@@ -20,9 +20,15 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .corrector import EtaSolution, EtaSpaceConfig, phi_m1, phi_m, picard_solve
-from .numerics import differentiate
+from .numerics import differentiate, scalar_or_array
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
 from .transform import LogProfile
+
+
+# the descent starts this far above the left end of the corrector window
+HANDOFF_OFFSET = 5.0
+# spacing of the descent samples kept below the handoff
+SAMPLE_STEP = 0.01
 
 
 class DescentError(RuntimeError):
@@ -54,9 +60,8 @@ class SingularSolution:
         orders of magnitude smaller than the profile itself; below the
         handoff the densely sampled descent profile is queried instead.
         """
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t).astype(float)
+        shape = np.shape(t)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t)
         hi = (t >= self.handoff_t) & (t <= self.eta.grid[-1]) if self.eta is not None \
             else np.zeros(t.shape, dtype=bool)
@@ -68,14 +73,14 @@ class SingularSolution:
             out[hi] = f + self._eta_interp(t[hi])
         if np.any(~hi):
             out[~hi] = self.profile.eval_w(t[~hi])
-        return float(out[0]) if scalar else out
+        return scalar_or_array(out.reshape(shape))
 
 
 def log_force(n, m, t, w):
     """exp(G_m(w) - 2t) with the exponent formed before exponentiation."""
     expo = g_tower(m, w) - 2.0 * np.asarray(t, dtype=float)
     out = np.where(expo > -745.0, np.exp(np.minimum(expo, MAX_EXP_ARG)), 0.0)
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(out)
 
 
 def _zero_eta(n, m, T, t_max):
@@ -115,21 +120,24 @@ def assemble_w(n, m, eta_sol):
     return LogProfile(t, f + eta_sol.eta[sel], f_t + eta_sol.eta_t[sel])
 
 
-def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14,
-                   handoff_offset=5.0, sample_step=0.01):
+def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
     """Integrate the profile equation downward to the first zero of w.
 
-    Starts at the first profile node past t_min + handoff_offset (interior of
-    the corrector's validity range) and returns (t_star, extended profile)
-    where the extension carries integrator samples below the handoff and the
-    original samples above it.
+    Starts at the first profile node past t_min + HANDOFF_OFFSET (interior
+    of the corrector's validity range) and returns (t_star, extended
+    profile) where the extension carries integrator samples, SAMPLE_STEP
+    apart, below the handoff and the original samples above it.
     """
-    t_hand_target = profile.t_min + handoff_offset
+    t_hand_target = profile.t_min + HANDOFF_OFFSET
     idx = int(np.searchsorted(profile.t, t_hand_target))
     if idx >= len(profile.t):
         raise ValueError("profile too short for the requested handoff")
     t_hand = float(profile.t[idx])
     y0 = [float(profile.w[idx]), float(profile.w_t[idx])]
+    if y0[0] <= 0.0:
+        raise DescentError(
+            f"w = {y0[0]:.6g} <= 0 at the handoff t = {t_hand:.6g}; the descent "
+            f"to the first zero of w needs w > 0 where it starts")
 
     def rhs(t, y):
         return [y[1], (n - 2) * y[1] - log_force(n, m, t, y[0])]
@@ -153,7 +161,7 @@ def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14,
     else:
         t_star = t_event
 
-    ts = np.arange(t_star, t_hand, sample_step)
+    ts = np.arange(t_star, t_hand, SAMPLE_STEP)
     ts[0] = t_star
     states = sol.sol(ts)
     keep = profile.t > t_hand + 1e-12
@@ -188,7 +196,7 @@ def build_singular(n, m, cfg=None):
     monotone = bool(np.all(extended.w_t[extended.t > t_star + 1e-9] > 0.0))
     return SingularSolution(n=n, m=m, t_star=t_star, lambda_star=lam,
                             profile=extended, eta=eta_sol,
-                            handoff_t=prof.t_min + 5.0, monotone=monotone)
+                            handoff_t=prof.t_min + HANDOFF_OFFSET, monotone=monotone)
 
 
 def ode_residual(profile, n, m):

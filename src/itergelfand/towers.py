@@ -16,6 +16,8 @@ import math
 import numpy as np
 from scipy.special import exp1
 
+from .numerics import scalar_or_array
+
 # exp overflows doubles just above this argument
 MAX_EXP_ARG = 709.78
 # switch point between scipy's E1 and the log-domain asymptotic series
@@ -56,7 +58,7 @@ def g_tower(m, y):
         if np.any(v > MAX_EXP_ARG):
             raise TowerOverflowError(j)
         v = np.exp(v)
-    return float(v) if np.isscalar(y) or v.ndim == 0 else v
+    return scalar_or_array(v)
 
 
 def _h_chain(m, y):
@@ -75,7 +77,7 @@ def h_tower(m, y):
     if m < 0:
         raise ValueError("tower height must be >= 0")
     v = _h_chain(m, y)[-1]
-    return float(v) if np.isscalar(y) or v.ndim == 0 else v
+    return scalar_or_array(v)
 
 
 def _h_derivative_chains(m, t):
@@ -112,7 +114,7 @@ def h_deriv(m, k, t):
         raise ValueError("tower height must be >= 0")
     _, Hp, Hpp, Hppp = _h_derivative_chains(m, t)
     v = (Hp, Hpp, Hppp)[k - 1][m]
-    return float(v) if np.isscalar(t) or v.ndim == 0 else v
+    return scalar_or_array(v)
 
 
 def g_deriv(m, k, y):
@@ -139,7 +141,7 @@ def g_deriv(m, k, y):
         Gppp_new = Gpp_new * Gp + 2.0 * Gp_new * Gpp + Gj * Gppp
         G, Gp, Gpp, Gppp = Gj, Gp_new, Gpp_new, Gppp_new
     out = (Gp, Gpp, Gppp)[k - 1]
-    return float(out) if np.isscalar(y) or out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def g_diff(m, y0, dy):
@@ -157,7 +159,7 @@ def g_diff(m, y0, dy):
             raise TowerOverflowError(j)
         base = np.exp(base)
         d = base * np.expm1(d)
-    return float(d) if np.isscalar(dy) and np.isscalar(y0) else d
+    return scalar_or_array(d)
 
 
 def _e1_log_series(x):
@@ -177,9 +179,7 @@ def _e1_log_series(x):
 
 def f_tail_log(t):
     """log F(t) = log E_1(e^t), valid far past the underflow point of F."""
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    ts = np.atleast_1d(ts)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(ts)
     big = ts > MAX_EXP_ARG
     out[big] = -np.inf
@@ -190,21 +190,19 @@ def f_tail_log(t):
     lowmask = ~big & ~mid
     if np.any(lowmask):
         out[lowmask] = np.log(exp1(np.exp(ts[lowmask])))
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out.reshape(np.shape(t)))
 
 
 def f_tail(t):
     """F(t) = integral_t^inf exp(-e^s) ds; underflows smoothly to 0 for large t."""
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    ts = np.atleast_1d(ts)
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
     out = np.empty_like(ts)
     low = ts <= math.log(_E1_ASYMPTOTIC_CUT)
     if np.any(low):
         out[low] = exp1(np.exp(ts[low]))
     if np.any(~low):
         out[~low] = np.exp(f_tail_log(ts[~low]))
-    return float(out[0]) if scalar else out
+    return scalar_or_array(out.reshape(np.shape(t)))
 
 
 def f_tail_inverse_log(log_x):

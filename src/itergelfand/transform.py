@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .numerics import atomic_write_text, fmt
+from .numerics import scalar_or_array, write_csv
 
 
 @dataclass
@@ -112,23 +112,17 @@ def gradient_magnitude(p: LogProfile, lam: float, r):
         raise ValueError("radius outside the profile's covered range")
     wt = p.eval_wt(t)
     out = np.abs(wt) / r
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def write_profile_csv(path, profile):
     """Profile CSV: `t,w,w_t` rows for LogProfile, `r,u,u_r` for RadialProfile."""
     if isinstance(profile, LogProfile):
-        header = "t,w,w_t"
-        cols = (profile.t, profile.w, profile.w_t)
+        write_csv(path, ["t", "w", "w_t"], [profile.t, profile.w, profile.w_t])
     elif isinstance(profile, RadialProfile):
-        header = "r,u,u_r"
-        cols = (profile.r, profile.u, profile.u_r)
+        write_csv(path, ["r", "u", "u_r"], [profile.r, profile.u, profile.u_r])
     else:
         raise TypeError("unsupported profile type")
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_profile_csv(path, lam=None):

@@ -117,3 +117,18 @@ def test_deterministic_outputs(tmp_path):
                         "--oracle-gelfand", "--outdir", str(out)]) == 0
     assert (a / "profile_log.csv").read_bytes() == (b / "profile_log.csv").read_bytes()
     assert (a / "profile_radial.csv").read_bytes() == (b / "profile_radial.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args,config", [
+    (["singular", "construct", "--tol", "nan"], None),
+    (["singular", "construct", "--T", "inf"], None),
+    (["bifurcation", "trace", "--rho-step", "nan"], None),
+    (["singular", "construct"], "tol = abc\n"),
+])
+def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, config):
+    args = args + ["--outdir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        args += ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("usage error:")

@@ -7,8 +7,8 @@ from scipy.integrate import quad
 
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
                                    _ForcingM, _ForcingM1, _QuadPlan, eta_derivative,
-                                   forcing_m, forcing_m1, make_forcing, phi_m, phi_m1,
-                                   picard_solve, psi_apply, rho_remainder)
+                                   make_forcing, phi_m, phi_m1, picard_solve)
+from oracles import forcing_m, forcing_m1, psi_apply, rho_remainder
 from itergelfand.numerics import differentiate
 from itergelfand.towers import g_deriv, h_tower
 
@@ -169,6 +169,18 @@ def test_psi_apply_tail_guard():
     k = PsiKernel.for_dimension(3)
     with pytest.raises(PicardConvergenceError):
         psi_apply(k, lambda s: 1.0 / s ** 2, 99.0, 100.0, tol=1e-12, tail_scale=1.0)
+
+
+@pytest.mark.parametrize("n", [3, 10, 12])
+def test_kernel_sweep_matches_direct_quadrature(n):
+    # one sweep per root family (complex pair, double root, real pair)
+    # against per-point quadrature of the explicit kernel
+    grid = np.geomspace(30.0, 200.0, 300)
+    plan = _QuadPlan(grid, PsiKernel.for_dimension(n))
+    swept = plan.apply_psi(1.0 / plan.nodes ** 2)
+    for i in range(0, 290, 17):
+        direct = psi_apply(plan.kernel, lambda s: 1.0 / s ** 2, float(grid[i]), 200.0)
+        assert swept[i] == pytest.approx(direct, rel=1e-8)
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (5, 1), (9, 1), (3, 2), (6, 2),

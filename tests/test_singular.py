@@ -104,6 +104,15 @@ def test_descent_error_when_no_crossing():
         integrate_down(prof, 3, 0, t_floor=35.0)
 
 
+def test_descent_error_when_handoff_not_positive():
+    # an assembled profile that is negative at the handoff (as for m = 4)
+    # is refused before any integration, naming the handoff
+    t = np.linspace(60.0, 80.0, 50)
+    prof = LogProfile(t, np.full_like(t, -0.79), np.full_like(t, 0.01))
+    with pytest.raises(DescentError, match="handoff"):
+        integrate_down(prof, 3, 4)
+
+
 def test_build_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_singular(2, 1)

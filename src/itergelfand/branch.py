@@ -9,8 +9,7 @@ rescaled inner variables s = r exp(G_m(rho)/2), where the nonlinearity is
 exp(G_m(v) - G_m(rho)) and the center layer has unit scale; once the
 rescaled force has died (or s has grown past a fixed cap) the descent
 continues in log variables (t, w) where the remaining range is
-logarithmically compressed.  Dead stretches where the force underflows are
-crossed with the exact force-free solution instead of steps.
+logarithmically compressed.
 """
 
 from __future__ import annotations
@@ -20,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
+from .singular import descend
 from .towers import TowerOverflowError, g_tower
 from .transform import LogProfile, RadialProfile
 
@@ -33,7 +32,7 @@ TAU_STEP = 0.02
 
 
 class ShootError(RuntimeError):
-    """Center shooting failed (overflow range, no zero, or budget exceeded)."""
+    """The inner phase of a shot is refused: tower out of range or budget exceeded."""
 
 
 @dataclass
@@ -149,7 +148,11 @@ def _log_grad_gm(m, rho):
 
 
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
-    """Integrate the center problem to the first zero; lambda(rho) = R^2."""
+    """Integrate the center problem to the first zero; lambda(rho) = R^2.
+
+    Raises ShootError when the inner phase is refused and
+    singular.DescentError when the log-variable descent finds no zero.
+    """
     if n < 3:
         raise ValueError("dimension must be >= 3")
     if rho <= 0:
@@ -201,72 +204,8 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         raise ShootError(
             f"rho = {rho} puts the log-variable start at t = {t1:.3g}, beyond the "
             f"practical descent budget {T1_BUDGET:.0e}")
-    w, w_t, t = v1, -s1 * p1, t1
-    margin = 50.0 + math.log1p(max(t1, 0.0))
-    c = n - 2
-
-    def rhs_w(tt, y):
-        expo = g_tower(m, y[0]) - 2.0 * tt
-        f = math.exp(expo) if expo > -745.0 else 0.0
-        return [y[1], c * y[1] - f]
-
-    def ev_cross(tt, y):
-        return y[0]
-    ev_cross.terminal = True
-
-    def ev_dead(tt, y):
-        return (g_tower(m, y[0]) - 2.0 * tt) + margin + 5.0
-    ev_dead.terminal = True
-    ev_dead.direction = -1.0
-
-    segs_b = []
-    t_floor = -10.0
-    t_zero = None
-    for _ in range(10000):
-        # cross force-dead stretches with the exact linear solution
-        jumped = True
-        while jumped:
-            jumped = False
-            expo = g_tower(m, w) - 2.0 * t
-            if expo <= -margin:
-                if w_t > 0.0:
-                    arg = 1.0 - c * w / w_t
-                    if 0.0 < arg < 1.0:
-                        t_cross = t + math.log(arg) / c
-                        target = 0.5 * (g_tower(m, w) + margin)
-                        if t_cross > target:
-                            # crossing happens inside the dead stretch: exact
-                            t_zero = t_cross
-                            break
-                target = 0.5 * (g_tower(m, w) + margin)
-                if target < t - 1.0:
-                    e = math.exp(c * (target - t))
-                    w = w + w_t / c * (e - 1.0)
-                    w_t = w_t * e
-                    t = target
-                    jumped = True
-        if t_zero is not None:
-            break
-        sol_b = solve_ivp(rhs_w, (t, t_floor), [w, w_t], method="DOP853",
-                          rtol=rtol, atol=atol, dense_output=True,
-                          events=[ev_cross, ev_dead])
-        segs_b.append(sol_b)
-        if len(sol_b.t_events[0]):
-            t_event = float(sol_b.t_events[0][0])
-            span = max(1e-8, 1e-6 * abs(t1 - t_event))
-            wfun = lambda tt: float(sol_b.sol(tt)[0])
-            lo, hi = t_event - span, t_event + span
-            t_zero = brentq(wfun, lo, hi, xtol=1e-13, rtol=8.9e-16) \
-                if wfun(lo) * wfun(hi) < 0 else t_event
-            break
-        if len(sol_b.t_events[1]):
-            t = float(sol_b.t_events[1][0])
-            w, w_t = (float(v) for v in sol_b.y_events[1][0])
-            continue
-        raise ShootError(f"descent stalled at t = {sol_b.t[-1]} (rho={rho})")
-    if t_zero is None:
-        raise ShootError(f"no zero crossing found (rho={rho})")
-    return _finish(n, m, rho, -t_zero, [seg_a], segs_b, L, keep_profile)
+    t_zero, sol_b = descend(n, m, t1, v1, -s1 * p1, rtol, atol)
+    return _finish(n, m, rho, -t_zero, [seg_a], [sol_b], L, keep_profile)
 
 
 def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
@@ -394,8 +333,7 @@ def intersection_count(point, singular):
     sampled every TAU_STEP.  A sign change only counts once the difference
     has cleared a noise tolerance on both sides (the regular solution tracks
     the singular one to rounding level deep in the overlap, where raw sign
-    flips are meaningless), and each counted crossing is confirmed by
-    bisection on the interpolants.
+    flips are meaningless).
     """
     if point.log_profile is None:
         raise ValueError("branch point must carry its profile")
@@ -409,10 +347,7 @@ def intersection_count(point, singular):
     branch_eval = point.dense.eval_w if point.dense is not None \
         else point.log_profile.eval_w
 
-    def diff(tv):
-        return branch_eval(t_zero + tv) - singular.eval_w_dense(t_star + tv)
-
-    d = diff(tau)
+    d = branch_eval(t_zero + tau) - singular.eval_w_dense(t_star + tau)
     scale = max(1.0, float(np.max(np.abs(singular.profile.w))))
     # evaluation noise sits near 1e-12 of scale when both sides come from
     # dense representations; crossings must clear it comfortably
@@ -421,26 +356,6 @@ def intersection_count(point, singular):
     # profiles at their grid junctions
     if np.max(np.abs(d)) < 1e-5 * scale:
         raise ValueError("profiles coincide; intersection count undefined")
-    count = 0
-    last_sign = 0
-    last_idx = 0
-    for i in range(len(tau)):
-        if abs(d[i]) < noise_tol:
-            continue
-        sign = 1 if d[i] > 0 else -1
-        if last_sign != 0 and sign != last_sign:
-            lo, hi = tau[last_idx], tau[i]
-            flo = d[last_idx]
-            for _ in range(40):
-                mid = 0.5 * (lo + hi)
-                fm = float(diff(np.array([mid]))[0])
-                if fm == 0.0:
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            count += 1
-        last_sign = sign
-        last_idx = i
-    return count
+    # count sign changes between consecutive samples that clear the noise
+    positive = d[np.abs(d) >= noise_tol] > 0.0
+    return int(np.count_nonzero(positive[1:] != positive[:-1]))

@@ -97,6 +97,10 @@ _FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is n
                 for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
+# the spellings a boolean config value may take, case ignored
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _load_config_file(path):
     values = {}
     with open(path) as fh:
@@ -119,8 +123,8 @@ def _build_runconfig(args):
             raise UsageError(f"unknown config key: {key}")
         cast = _FIELD_TYPES[key]
         try:
-            setattr(cfg, key, val.lower() in ("1", "true", "yes") if cast is bool else cast(val))
-        except ValueError as exc:
+            setattr(cfg, key, _BOOL_WORDS[val.lower()] if cast is bool else cast(val))
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"bad value for config key {key}: {val}") from exc
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -233,12 +237,12 @@ def _suite_iterexp(cfg):
     for m in (1, 2, 3):
         ts = np.geomspace(max(tw.tower_domain_lower(m), 0.5) + 4.0, 1e3, 25)
         worst = 0.0
+        h = 1e-3
         for k in (1, 2, 3):
-            h = 1e-3
+            # central difference of the (k-1)-th derivative of H_m
+            lower = (lambda x: tw.h_tower(m, x)) if k == 1 else (lambda x: tw.h_deriv(m, k - 1, x))
             for t in ts:
-                fd = {1: (tw.h_tower(m, t + h) - tw.h_tower(m, t - h)) / (2 * h),
-                      2: (tw.h_deriv(m, 1, t + h) - tw.h_deriv(m, 1, t - h)) / (2 * h),
-                      3: (tw.h_deriv(m, 2, t + h) - tw.h_deriv(m, 2, t - h)) / (2 * h)}[k]
+                fd = (lower(t + h) - lower(t - h)) / (2 * h)
                 worst = max(worst, abs(tw.h_deriv(m, k, t) - fd) / max(abs(fd), 1e-300))
         rows.append((f"h_deriv_fd_m{m}", worst, 1e-5))
     for m in (1, 2, 3):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .numerics import atomic_write_text, fmt, panel_nodes, scalar_or_array, subdivide
+from .numerics import panel_nodes, scalar_or_array, subdivide
 from .towers import _h_derivative_chains
 
 
@@ -410,24 +410,3 @@ def eta_derivative(sol):
     g_q = -2.0 * (sol.n - 2) * eta_q - make_forcing(sol.n, sol.m, plan.nodes).total(eta_q)
     return plan.apply_gkernel(g_q)
 
-
-def export_eta(sol, csv_path, meta_path):
-    """CSV `t,eta,eta_t` plus a key=value run-metadata record."""
-    lines = ["t,eta,eta_t"]
-    for t, e, et in zip(sol.grid, sol.eta, sol.eta_t):
-        lines.append(f"{fmt(t)},{fmt(e)},{fmt(et)}")
-    atomic_write_text(csv_path, "\n".join(lines) + "\n")
-    meta = [
-        f"n = {sol.n}",
-        f"m = {sol.m}",
-        f"T = {fmt(sol.T)}",
-        f"t_max = {fmt(sol.t_max)}",
-        f"M = {fmt(sol.M)}",
-        f"tol = {fmt(sol.config.tol)}",
-        f"iterations = {sol.iterations}",
-        f"final_defect = {fmt(sol.final_defect)}",
-        f"defects = {';'.join(fmt(d) for d in sol.defects)}",
-        f"sup_weighted = {fmt(sol.sup_weighted)}",
-        f"tail_bound = {fmt(sol.tail_bound)}",
-    ]
-    atomic_write_text(meta_path, "\n".join(meta) + "\n")

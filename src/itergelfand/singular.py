@@ -6,7 +6,8 @@ The profile equation in log variables is
 
 with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
-an adaptive Runge-Kutta descent locates the crossing.
+an adaptive Runge-Kutta descent locates the crossing.  The same descent
+finishes every regular branch shot (branch.shoot_regular).
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ class SingularSolution:
     eta: EtaSolution | None
     handoff_t: float
     monotone: bool
-
-    def u_star(self, r):
-        """Boundary-normalized solution u*(r) = w*(t_star - ln r) on (0, 1]."""
-        r = np.asarray(r, dtype=float)
-        return self.profile.eval_w(self.t_star - np.log(r))
 
     def eval_w_dense(self, t):
         """w*(t) with the closed-form ansatz evaluated exactly above the handoff.
@@ -120,6 +116,39 @@ def assemble_w(n, m, eta_sol):
     return LogProfile(t, f + eta_sol.eta[sel], f_t + eta_sol.eta_t[sel])
 
 
+def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0):
+    """Integrate the profile equation from (t, w, w_t) down to the first zero of w.
+
+    One DOP853 pass towards t_floor with dense output and a terminal zero
+    event; the event time is polished by Brent on the dense output.  Returns
+    (t_zero, sol).  integrate_down and the log-variable phase of
+    branch.shoot_regular both run through it.
+    """
+    c = n - 2
+
+    def rhs(tt, y):
+        expo = g_tower(m, y[0]) - 2.0 * tt
+        f = math.exp(expo) if expo > -745.0 else 0.0
+        return [y[1], c * y[1] - f]
+
+    def crossing(tt, y):
+        return y[0]
+    crossing.terminal = True
+
+    sol = solve_ivp(rhs, (t, t_floor), [w, w_t], method="DOP853",
+                    rtol=rtol, atol=atol, dense_output=True, events=crossing)
+    if len(sol.t_events[0]) == 0:
+        raise DescentError(f"no zero of w above t = {t_floor} on the descent "
+                           f"from t = {t:.6g} ({sol.message})")
+    t_event = float(sol.t_events[0][0])
+    span = max(1e-8, 1e-6 * abs(t - t_event))
+    lo, hi = t_event - span, t_event + span
+    wfun = lambda tt: float(sol.sol(tt)[0])
+    if wfun(lo) * wfun(hi) < 0:
+        return brentq(wfun, lo, hi, xtol=1e-13, rtol=8.9e-16), sol
+    return t_event, sol
+
+
 def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
     """Integrate the profile equation downward to the first zero of w.
 
@@ -139,27 +168,7 @@ def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
             f"w = {y0[0]:.6g} <= 0 at the handoff t = {t_hand:.6g}; the descent "
             f"to the first zero of w needs w > 0 where it starts")
 
-    def rhs(t, y):
-        return [y[1], (n - 2) * y[1] - log_force(n, m, t, y[0])]
-
-    def crossing(t, y):
-        return y[0]
-    crossing.terminal = True
-
-    sol = solve_ivp(rhs, (t_hand, t_floor), y0, method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=crossing)
-    if sol.status != 1 or len(sol.t_events[0]) == 0:
-        raise DescentError(
-            f"no zero crossing above t = {t_floor}; corrector inconsistent? ({sol.message})")
-    t_event = float(sol.t_events[0][0])
-    # Brent polish on the dense output around the located event
-    span = max(1e-6, 1e-3 * abs(t_hand - t_event))
-    lo, hi = t_event - span, t_event + span
-    wfun = lambda t: float(sol.sol(t)[0])
-    if wfun(lo) * wfun(hi) < 0:
-        t_star = brentq(wfun, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    else:
-        t_star = t_event
+    t_star, sol = descend(n, m, t_hand, y0[0], y0[1], rtol, atol, t_floor)
 
     ts = np.arange(t_star, t_hand, SAMPLE_STEP)
     ts[0] = t_star

@@ -124,6 +124,7 @@ def test_deterministic_outputs(tmp_path):
     (["singular", "construct", "--T", "inf"], None),
     (["bifurcation", "trace", "--rho-step", "nan"], None),
     (["singular", "construct"], "tol = abc\n"),
+    (["singular", "construct"], "oracle = ture\n"),
 ])
 def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, config):
     args = args + ["--outdir", str(tmp_path / "out")]

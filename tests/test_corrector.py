@@ -305,19 +305,6 @@ def test_config_validation():
         EtaSpaceConfig(tol=-1.0).resolved(1)
 
 
-def test_eta_export(tmp_path, eta_n3m1):
-    from itergelfand.corrector import export_eta
-    csv_path = tmp_path / "eta.csv"
-    meta_path = tmp_path / "eta_meta.txt"
-    export_eta(eta_n3m1, csv_path, meta_path)
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    assert data.shape == (len(eta_n3m1.grid), 3)
-    assert np.array_equal(data[:, 1], eta_n3m1.eta)
-    meta = dict(line.split(" = ") for line in meta_path.read_text().splitlines())
-    assert int(meta["iterations"]) == eta_n3m1.iterations
-    assert float(meta["final_defect"]) == eta_n3m1.final_defect
-
-
 def test_picard_escalation_exhaustion_raises():
     # an unreachable tolerance exhausts the T escalation ladder
     with pytest.raises(PicardConvergenceError):

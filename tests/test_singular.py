@@ -62,7 +62,7 @@ def test_descent_tolerance_refinement(eta_n3m1):
 def test_build_singular_quality(sol_n3m1):
     res = ode_residual(sol_n3m1.profile, 3, 1)
     assert res <= 1e-7
-    assert abs(float(sol_n3m1.u_star(1.0))) < 1e-12
+    assert abs(float(sol_n3m1.profile.eval_w(sol_n3m1.t_star))) < 1e-12
     assert sol_n3m1.lambda_star == pytest.approx(math.exp(-2.0 * sol_n3m1.t_star),
                                                  rel=1e-15)
 

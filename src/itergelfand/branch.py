@@ -52,16 +52,15 @@ class BranchPoint:
 class _DenseBranch:
     """Evaluate w(t) straight from the shooting segments' dense output."""
 
-    def __init__(self, segs_b, segs_a, L):
+    def __init__(self, sol_b, sol_a, L):
         self.L = L
         self.entries = []
-        for sb in segs_b or []:
-            lo, hi = sorted((float(sb.t[0]), float(sb.t[-1])))
-            self.entries.append(("t", lo, hi, sb.sol))
-        for sa in segs_a or []:
-            slo, shi = sorted((float(sa.t[0]), float(sa.t[-1])))
-            self.entries.append(("s", 0.5 * L - math.log(shi),
-                                 0.5 * L - math.log(slo), sa.sol))
+        if sol_b is not None:
+            lo, hi = sorted((float(sol_b.t[0]), float(sol_b.t[-1])))
+            self.entries.append(("t", lo, hi, sol_b.sol))
+        slo, shi = sorted((float(sol_a.t[0]), float(sol_a.t[-1])))
+        self.entries.append(("s", 0.5 * L - math.log(shi),
+                             0.5 * L - math.log(slo), sol_a.sol))
 
     def eval_w(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
@@ -187,11 +186,10 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     sol_a = solve_ivp(rhs_inner, (s0, 100.0), [v0, p0], method="DOP853",
                       rtol=rtol, atol=atol, dense_output=keep_profile,
                       events=[ev_zero, ev_switch])
-    seg_a = sol_a
     if len(sol_a.t_events[0]):
         s_zero = float(sol_a.t_events[0][0])
         ln_R = math.log(s_zero) - 0.5 * L
-        return _finish(n, m, rho, ln_R, [seg_a], None, L, keep_profile)
+        return _finish(n, m, rho, ln_R, sol_a, None, L, keep_profile)
     if len(sol_a.t_events[1]):
         s1 = float(sol_a.t_events[1][0])
         v1, p1 = (float(v) for v in sol_a.y_events[1][0])
@@ -204,8 +202,9 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         raise ShootError(
             f"rho = {rho} puts the log-variable start at t = {t1:.3g}, beyond the "
             f"practical descent budget {T1_BUDGET:.0e}")
-    t_zero, sol_b = descend(n, m, t1, v1, -s1 * p1, rtol, atol)
-    return _finish(n, m, rho, -t_zero, [seg_a], [sol_b], L, keep_profile)
+    t_zero, sol_b = descend(n, m, t1, v1, -s1 * p1, rtol, atol,
+                            dense_output=keep_profile)
+    return _finish(n, m, rho, -t_zero, sol_a, sol_b, L, keep_profile)
 
 
 def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
@@ -219,7 +218,8 @@ def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
     return out[(out >= tlo) & (out <= thi)]
 
 
-def _finish(n, m, rho, ln_R, segs_a, segs_b, L, keep_profile):
+def _finish(n, m, rho, ln_R, sol_a, sol_b, L, keep_profile):
+    """BranchPoint of a shot from its inner solve sol_a and its descent sol_b (or None)."""
     R = math.exp(ln_R)
     lam = math.exp(2.0 * ln_R)
     log_profile = None
@@ -228,25 +228,23 @@ def _finish(n, m, rho, ln_R, segs_a, segs_b, L, keep_profile):
         t_zero = -ln_R
         focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
         ts, ws, wts = [], [], []
-        if segs_b:
-            for sb in segs_b:
-                tlo, thi = float(min(sb.t[0], sb.t[-1])), float(max(sb.t[0], sb.t[-1]))
-                tt = _segment_times(tlo, thi, focus_lo, focus_hi)
-                yy = sb.sol(tt)
-                ts.append(tt)
-                ws.append(yy[0])
-                wts.append(yy[1])
-        for sa in segs_a:
-            # s -> t = L/2 - ln s, w = v, w_t = -s v'
-            t_of_s = 0.5 * L - np.log(np.array([sa.t[0], sa.t[-1]]))
-            tlo, thi = float(np.min(t_of_s)), float(np.max(t_of_s))
+        if sol_b is not None:
+            tlo, thi = sorted((float(sol_b.t[0]), float(sol_b.t[-1])))
             tt = _segment_times(tlo, thi, focus_lo, focus_hi)
-            ss = np.exp(0.5 * L - tt)
-            ss = np.clip(ss, min(sa.t[0], sa.t[-1]), max(sa.t[0], sa.t[-1]))
-            yy = sa.sol(ss)
+            yy = sol_b.sol(tt)
             ts.append(tt)
             ws.append(yy[0])
-            wts.append(-ss * yy[1])
+            wts.append(yy[1])
+        # s -> t = L/2 - ln s, w = v, w_t = -s v'
+        t_of_s = 0.5 * L - np.log(np.array([sol_a.t[0], sol_a.t[-1]]))
+        tlo, thi = float(np.min(t_of_s)), float(np.max(t_of_s))
+        tt = _segment_times(tlo, thi, focus_lo, focus_hi)
+        ss = np.exp(0.5 * L - tt)
+        ss = np.clip(ss, min(sol_a.t[0], sol_a.t[-1]), max(sol_a.t[0], sol_a.t[-1]))
+        yy = sol_a.sol(ss)
+        ts.append(tt)
+        ws.append(yy[0])
+        wts.append(-ss * yy[1])
         t_all = np.concatenate(ts)
         w_all = np.concatenate(ws)
         wt_all = np.concatenate(wts)
@@ -262,7 +260,7 @@ def _finish(n, m, rho, ln_R, segs_a, segs_b, L, keep_profile):
             r = np.exp(-log_profile.t[tsel])
             profile = RadialProfile(lam, r, log_profile.w[tsel],
                                     -log_profile.w_t[tsel] / r)
-    dense = _DenseBranch(segs_b, segs_a, L) if keep_profile else None
+    dense = _DenseBranch(sol_b, sol_a, L) if keep_profile else None
     return BranchPoint(rho=rho, R=R, lam=lam, n=n, m=m,
                        profile=profile, log_profile=log_profile, dense=dense)
 

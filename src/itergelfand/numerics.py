@@ -15,8 +15,10 @@ _GAUSS_X, _GAUSS_W = roots_legendre(_GAUSS_N)
 def scalar_or_array(out):
     """The package's return rule: a 0-d result becomes a float, arrays pass through.
 
-    Reads the ``ndim`` attribute directly because np.ndim costs a microsecond
-    on the scalar tower evaluations of the shooting right-hand sides.
+    Reads the ``ndim`` attribute directly (plain Python numbers have none and
+    count as 0-d) instead of calling np.ndim, which goes through numpy's
+    function dispatch; scalar callers such as the Newton loop of
+    towers.f_tail_inverse_log pay that on every call.
     """
     return out if getattr(out, "ndim", 0) else float(out)
 
@@ -57,52 +59,44 @@ def subdivide(grid, h_cap):
     return np.asarray(edges), np.asarray(owner, dtype=int)
 
 
-def fd_weights(x, x0, order):
-    """Fornberg weights for the ``order``-th derivative at x0 on nodes x."""
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if order >= n:
-        raise ValueError("stencil too short for requested derivative order")
-    w = np.zeros((order + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((c4 * w[k, j] - k * w[k - 1, j]) / c3)
-            w[0, j] = c4 * w[0, j] / c3
-        c1 = c2
-    return w[order]
-
-
 def differentiate(t, y, order=1, stencil=7):
     """Derivative of sampled data on a (possibly nonuniform) grid.
 
-    Uses sliding Fornberg stencils; purely data-driven, no model assumed.
+    Uses sliding stencils centred where the grid allows; purely data-driven,
+    no model assumed.  The weights are Fornberg's (1988) recurrence, run for
+    all samples at once: w[k, i, j] is the weight of node j of sample i's
+    stencil in the k-th derivative.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(t)
     if n < stencil:
         stencil = n if n % 2 == 1 else n - 1
-    half = stencil // 2
-    out = np.empty(n)
-    for i in range(n):
-        lo = min(max(0, i - half), n - stencil)
-        sl = slice(lo, lo + stencil)
-        out[i] = fd_weights(t[sl], t[i], order) @ y[sl]
-    return out
+    if order >= stencil:
+        raise ValueError("stencil too short for requested derivative order")
+    lo = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
+    idx = lo[:, None] + np.arange(stencil)
+    x = t[idx]                 # stencil nodes of each sample, shape (n, stencil)
+    dx = x - t[:, None]        # their offsets from the sample
+    w = np.zeros((order + 1, n, stencil))
+    w[0, :, 0] = 1.0
+    c1 = np.ones(n)
+    for i in range(1, stencil):
+        c2 = np.ones(n)
+        for j in range(i):
+            c3 = x[:, i] - x[:, j]
+            c2 = c2 * c3
+            if j == i - 1:
+                prev = w[:, :, i - 1]
+                for k in range(min(i, order), 0, -1):
+                    w[k, :, i] = c1 * (k * prev[k - 1] - dx[:, i - 1] * prev[k]) / c2
+                w[0, :, i] = -c1 * dx[:, i - 1] * prev[0] / c2
+            col = w[:, :, j]   # a view: the updates below write into w
+            for k in range(min(i, order), 0, -1):
+                col[k] = (dx[:, i] * col[k] - k * col[k - 1]) / c3
+            col[0] = dx[:, i] * col[0] / c3
+        c1 = c2
+    return np.einsum("ij,ij->i", w[order], y[idx])
 
 
 def envelope_slope(t, diff):

@@ -6,8 +6,8 @@ The profile equation in log variables is
 
 with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
-an adaptive Runge-Kutta descent locates the crossing.  The same descent
-finishes every regular branch shot (branch.shoot_regular).
+an adaptive Runge-Kutta descent locates the crossing as a terminal event.
+The same descent finishes every regular branch shot (branch.shoot_regular).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .corrector import EtaSolution, EtaSpaceConfig, phi_m1, phi_m, picard_solve
 from .numerics import differentiate, scalar_or_array
@@ -116,13 +115,15 @@ def assemble_w(n, m, eta_sol):
     return LogProfile(t, f + eta_sol.eta[sel], f_t + eta_sol.eta_t[sel])
 
 
-def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0):
+def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output):
     """Integrate the profile equation from (t, w, w_t) down to the first zero of w.
 
-    One DOP853 pass towards t_floor with dense output and a terminal zero
-    event; the event time is polished by Brent on the dense output.  Returns
-    (t_zero, sol).  integrate_down and the log-variable phase of
-    branch.shoot_regular both run through it.
+    One DOP853 pass towards t_floor with a terminal zero event, which
+    solve_ivp locates by Brent's method on the interpolant of the step that
+    contains it.  Returns (t_zero, sol); sol.sol is the dense output only
+    when dense_output is set.  integrate_down and the log-variable phase of
+    branch.shoot_regular both run through it.  A step that leaves the double
+    range raises DescentError.
     """
     c = n - 2
 
@@ -135,18 +136,16 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0):
         return y[0]
     crossing.terminal = True
 
-    sol = solve_ivp(rhs, (t, t_floor), [w, w_t], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=crossing)
+    try:
+        sol = solve_ivp(rhs, (t, t_floor), [w, w_t], method="DOP853", rtol=rtol,
+                        atol=atol, dense_output=dense_output, events=crossing)
+    except OverflowError as exc:
+        raise DescentError(f"the descent from t = {t:.6g} left the double range "
+                           f"({exc})") from exc
     if len(sol.t_events[0]) == 0:
         raise DescentError(f"no zero of w above t = {t_floor} on the descent "
                            f"from t = {t:.6g} ({sol.message})")
-    t_event = float(sol.t_events[0][0])
-    span = max(1e-8, 1e-6 * abs(t - t_event))
-    lo, hi = t_event - span, t_event + span
-    wfun = lambda tt: float(sol.sol(tt)[0])
-    if wfun(lo) * wfun(hi) < 0:
-        return brentq(wfun, lo, hi, xtol=1e-13, rtol=8.9e-16), sol
-    return t_event, sol
+    return float(sol.t_events[0][0]), sol
 
 
 def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
@@ -168,7 +167,8 @@ def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
             f"w = {y0[0]:.6g} <= 0 at the handoff t = {t_hand:.6g}; the descent "
             f"to the first zero of w needs w > 0 where it starts")
 
-    t_star, sol = descend(n, m, t_hand, y0[0], y0[1], rtol, atol, t_floor)
+    t_star, sol = descend(n, m, t_hand, y0[0], y0[1], rtol, atol, t_floor,
+                          dense_output=True)
 
     ts = np.arange(t_star, t_hand, SAMPLE_STEP)
     ts[0] = t_star

@@ -50,9 +50,21 @@ def tower_domain_lower(m):
 
 
 def g_tower(m, y):
-    """G_m(y): m-fold iterated exponential of y."""
+    """G_m(y): m-fold iterated exponential of y.
+
+    A float y (np.float64 included) is evaluated with math.exp and gives a
+    float: the shooting right-hand sides call this on every evaluation,
+    where numpy's per-call overhead on a 0-d array would dominate.
+    """
     if m < 0:
         raise ValueError("tower height must be >= 0")
+    if isinstance(y, float):
+        v = float(y)
+        for j in range(1, m + 1):
+            if v > MAX_EXP_ARG:
+                raise TowerOverflowError(j)
+            v = math.exp(v)
+        return v
     v = np.asarray(y, dtype=float)
     for j in range(1, m + 1):
         if np.any(v > MAX_EXP_ARG):

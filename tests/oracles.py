@@ -3,8 +3,9 @@
 Each oracle takes a different route from the production code it checks:
 whole-function forcing evaluation instead of the per-node pieces of the
 Picard loop, direct per-point quadrature of the explicit kernel of each root
-family instead of the grid sweep, and the factored ansatz pieces instead of
-the sampled profile for the tail-integral traces.
+family instead of the grid sweep, the factored ansatz pieces instead of
+the sampled profile for the tail-integral traces, and Fornberg's recurrence
+one stencil at a time instead of batched over all samples.
 """
 
 import math
@@ -92,3 +93,32 @@ def y_star_factored(n, t, eta_sol):
     wt = (2.0 + phi_t) / z + eta_t
     term2 = 2.0 * (n - 2) * wt * np.exp(-phi - z * np.expm1(eta))
     return scalar_or_array(2.0 * (x_star_factored(n, t, eta_sol) + 1.0) - term2)
+
+
+def fd_weights(x, x0, order):
+    """Fornberg weights for the ``order``-th derivative at x0 on nodes x."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    if order >= n:
+        raise ValueError("stencil too short for requested derivative order")
+    w = np.zeros((order + 1, n))
+    w[0, 0] = 1.0
+    c1 = 1.0
+    c4 = x[0] - x0
+    for i in range(1, n):
+        mn = min(i, order)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - x0
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
+                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                w[k, j] = ((c4 * w[k, j] - k * w[k - 1, j]) / c3)
+            w[0, j] = c4 * w[0, j] / c3
+        c1 = c2
+    return w[order]

@@ -6,7 +6,7 @@ from scipy.integrate import solve_ivp
 
 from itergelfand.branch import (BifurcationCurve, ShootError, intersection_count,
                                 shoot_regular, trace_curve, turning_points)
-from itergelfand.singular import ode_residual
+from itergelfand.singular import DescentError, ode_residual
 from itergelfand.towers import g_tower
 
 
@@ -165,3 +165,9 @@ def test_shoot_rejects_unrepresentable_tower():
         shoot_regular(3, 1, 705.0, keep_profile=False)
     with pytest.raises(ShootError):
         shoot_regular(3, 2, 7.0, keep_profile=False)
+
+
+def test_descent_overflow_is_descent_error():
+    # a trial step of the m = 3 descent overflows exp(G_3(w) - 2t)
+    with pytest.raises(DescentError, match="left the double range"):
+        shoot_regular(3, 3, 0.894)

@@ -133,3 +133,11 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, config):
         args += ["--config", str(tmp_path / "run.cfg")]
     assert run_cli(args) == 1
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+def test_descent_overflow_is_numeric_failure(tmp_path, capsys):
+    code = run_cli(["bifurcation", "trace", "--n", "3", "--m", "3", "--rho-min", "0.85",
+                    "--rho-max", "0.95", "--rho-step", "0.02", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "Traceback" not in err

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from itergelfand.towers import (TowerDomainError, TowerOverflowError, f_tail,
@@ -169,3 +171,27 @@ def test_g_diff_matches_subtraction():
             for dy in (1e-8, 1e-4, 0.2):
                 direct = g_tower(m, y0 + dy) - g_tower(m, y0)
                 assert g_diff(m, y0, dy) == pytest.approx(direct, rel=1e-7)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(min_value=0, max_value=3),
+       y=st.floats(allow_nan=False, allow_infinity=False))
+def test_scalar_tower_matches_array_tower(m, y):
+    try:
+        ref = g_tower(m, np.array([y]))[0]
+    except TowerOverflowError as exc:
+        with pytest.raises(TowerOverflowError) as scalar_exc:
+            g_tower(m, y)
+        assert scalar_exc.value.level == exc.level
+        return
+    got = g_tower(m, y)
+    assert type(got) is float
+    # each path rounds every level to within one ulp of the exact exp of its
+    # own input; an input difference d grows to G_j expm1(d) at level j
+    chain = [y]
+    for _ in range(m):
+        chain.append(math.exp(chain[-1]))
+    bound = 0.0
+    for v in chain[1:]:
+        bound = v * math.expm1(bound) + 2.0 * math.ulp(v)
+    assert abs(got - ref) <= bound

@@ -18,8 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from .rk import solve_ivp
 from .singular import descend
 from .towers import TowerOverflowError, g_tower
 from .transform import LogProfile, RadialProfile
@@ -32,7 +32,7 @@ TAU_STEP = 0.02
 
 
 class ShootError(RuntimeError):
-    """The inner phase of a shot is refused: tower out of range or budget exceeded."""
+    """The inner phase of a shot is refused (tower out of range, budget exceeded) or fails."""
 
 
 @dataclass
@@ -50,32 +50,30 @@ class BranchPoint:
 
 
 class _DenseBranch:
-    """Evaluate w(t) straight from the shooting segments' dense output."""
+    """Evaluate w(t) straight from a shot's dense output.
 
-    def __init__(self, sol_b, sol_a, L):
-        self.L = L
-        self.entries = []
+    The descent (when the shot has one) covers the lower t-range in log
+    variables, the inner phase the upper one through s = exp(L/2 - t).
+    """
+
+    def __init__(self, sol_a, sol_b, L):
+        self.inner, self.descent, self.L = sol_a, sol_b, L
+        s_lo, s_hi = sorted((float(sol_a.t[0]), float(sol_a.t[-1])))
+        self.inner_range = (0.5 * L - math.log(s_hi), 0.5 * L - math.log(s_lo))
         if sol_b is not None:
-            lo, hi = sorted((float(sol_b.t[0]), float(sol_b.t[-1])))
-            self.entries.append(("t", lo, hi, sol_b.sol))
-        slo, shi = sorted((float(sol_a.t[0]), float(sol_a.t[-1])))
-        self.entries.append(("s", 0.5 * L - math.log(shi),
-                             0.5 * L - math.log(slo), sol_a.sol))
+            self.descent_range = tuple(sorted((float(sol_b.t[0]), float(sol_b.t[-1]))))
 
     def eval_w(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.full(t.shape, np.nan)
-        done = np.zeros(t.shape, dtype=bool)
-        for kind, lo, hi, solfn in self.entries:
-            mask = ~done & (t >= lo - 1e-12) & (t <= hi + 1e-12)
-            if not np.any(mask):
-                continue
-            tt = np.clip(t[mask], lo, hi)
-            if kind == "t":
-                out[mask] = solfn(tt)[0]
-            else:
-                out[mask] = solfn(np.exp(0.5 * self.L - tt))[0]
-            done |= mask
+        lo, hi = self.inner_range
+        inner = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+        if self.descent is not None:
+            dlo, dhi = self.descent_range
+            below = (t >= dlo - 1e-12) & (t <= dhi + 1e-12)
+            out[below] = self.descent.sol(np.clip(t[below], dlo, dhi))[0]
+            inner &= ~below
+        out[inner] = self.inner.sol(np.exp(0.5 * self.L - np.clip(t[inner], lo, hi)))[0]
         return out
 
 
@@ -149,7 +147,7 @@ def _log_grad_gm(m, rho):
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     """Integrate the center problem to the first zero; lambda(rho) = R^2.
 
-    Raises ShootError when the inner phase is refused and
+    Raises ShootError when the inner phase is refused or fails and
     singular.DescentError when the log-variable descent finds no zero.
     """
     if n < 3:
@@ -183,13 +181,15 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     ev_switch.terminal = True
     ev_switch.direction = -1.0
 
-    sol_a = solve_ivp(rhs_inner, (s0, 100.0), [v0, p0], method="DOP853",
-                      rtol=rtol, atol=atol, dense_output=keep_profile,
+    sol_a = solve_ivp(rhs_inner, (s0, 100.0), [v0, p0], rtol=rtol,
+                      atol=atol, dense_output=keep_profile,
                       events=[ev_zero, ev_switch])
     if len(sol_a.t_events[0]):
         s_zero = float(sol_a.t_events[0][0])
         ln_R = math.log(s_zero) - 0.5 * L
         return _finish(n, m, rho, ln_R, sol_a, None, L, keep_profile)
+    if sol_a.status < 0:
+        raise ShootError(f"the inner phase at rho = {rho} failed: {sol_a.message}")
     if len(sol_a.t_events[1]):
         s1 = float(sol_a.t_events[1][0])
         v1, p1 = (float(v) for v in sol_a.y_events[1][0])
@@ -260,7 +260,7 @@ def _finish(n, m, rho, ln_R, sol_a, sol_b, L, keep_profile):
             r = np.exp(-log_profile.t[tsel])
             profile = RadialProfile(lam, r, log_profile.w[tsel],
                                     -log_profile.w_t[tsel] / r)
-    dense = _DenseBranch(sol_b, sol_a, L) if keep_profile else None
+    dense = _DenseBranch(sol_a, sol_b, L) if keep_profile else None
     return BranchPoint(rho=rho, R=R, lam=lam, n=n, m=m,
                        profile=profile, log_profile=log_profile, dense=dense)
 

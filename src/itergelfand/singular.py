@@ -6,8 +6,9 @@ The profile equation in log variables is
 
 with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
-an adaptive Runge-Kutta descent locates the crossing as a terminal event.
-The same descent finishes every regular branch shot (branch.shoot_regular).
+a DOP853 descent with the package's own solve_ivp (itergelfand.rk) locates
+the crossing as a terminal event.  The same descent finishes every regular
+branch shot (branch.shoot_regular).
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 
 from .corrector import EtaSolution, EtaSpaceConfig, phi_m1, phi_m, picard_solve
 from .numerics import differentiate, scalar_or_array
+from .rk import solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
 from .transform import LogProfile
 
@@ -32,7 +33,8 @@ SAMPLE_STEP = 0.01
 
 
 class DescentError(RuntimeError):
-    """Downward integration failed to produce a zero crossing."""
+    """The profile equation has no usable solution: no zero crossing on the
+    descent, or a force exp(G_m(w) - 2t) outside the double range."""
 
 
 @dataclass
@@ -72,10 +74,19 @@ class SingularSolution:
 
 
 def log_force(n, m, t, w):
-    """exp(G_m(w) - 2t) with the exponent formed before exponentiation."""
-    expo = g_tower(m, w) - 2.0 * np.asarray(t, dtype=float)
-    out = np.where(expo > -745.0, np.exp(np.minimum(expo, MAX_EXP_ARG)), 0.0)
-    return scalar_or_array(out)
+    """exp(G_m(w) - 2t) on sample arrays, with the exponent formed before exponentiation.
+
+    Raises DescentError naming the first t where the exponent exceeds
+    MAX_EXP_ARG, where the force is not a double.
+    """
+    t = np.asarray(t, dtype=float)
+    expo = g_tower(m, w) - 2.0 * t
+    over = np.flatnonzero(expo > MAX_EXP_ARG)
+    if len(over):
+        i = over[0]
+        raise DescentError(f"exp(G_m(w) - 2t) overflows at t = {t[i]:.6g}: "
+                           f"the exponent is {expo[i]:.6g} > {MAX_EXP_ARG}")
+    return np.where(expo > -745.0, np.exp(expo), 0.0)
 
 
 def _zero_eta(n, m, T, t_max):
@@ -118,12 +129,13 @@ def assemble_w(n, m, eta_sol):
 def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output):
     """Integrate the profile equation from (t, w, w_t) down to the first zero of w.
 
-    One DOP853 pass towards t_floor with a terminal zero event, which
-    solve_ivp locates by Brent's method on the interpolant of the step that
-    contains it.  Returns (t_zero, sol); sol.sol is the dense output only
-    when dense_output is set.  integrate_down and the log-variable phase of
-    branch.shoot_regular both run through it.  A step that leaves the double
-    range raises DescentError.
+    One DOP853 pass towards t_floor with a terminal zero event, which the
+    package's solve_ivp (itergelfand.rk) locates by Brent's method on the
+    interpolant of the step that contains it.  Returns (t_zero, sol); sol.sol
+    is the dense output only when dense_output is set.  integrate_down and
+    the log-variable phase of branch.shoot_regular both run through it.  A
+    trial step whose force exp(G_m(w) - 2t) leaves the double range raises
+    DescentError.
     """
     c = n - 2
 
@@ -137,8 +149,8 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output):
     crossing.terminal = True
 
     try:
-        sol = solve_ivp(rhs, (t, t_floor), [w, w_t], method="DOP853", rtol=rtol,
-                        atol=atol, dense_output=dense_output, events=crossing)
+        sol = solve_ivp(rhs, (t, t_floor), [w, w_t], rtol=rtol, atol=atol,
+                        dense_output=dense_output, events=crossing)
     except OverflowError as exc:
         raise DescentError(f"the descent from t = {t:.6g} left the double range "
                            f"({exc})") from exc

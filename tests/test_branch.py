@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import itergelfand.branch as br
 from itergelfand.branch import (BifurcationCurve, ShootError, intersection_count,
                                 shoot_regular, trace_curve, turning_points)
 from itergelfand.singular import DescentError, ode_residual
@@ -130,6 +132,7 @@ def test_intersection_counts(sol_n3m1):
     assert counts[0.5] == 0
     assert counts[2.0] >= 1
     assert counts[2.0] <= counts[4.0] <= counts[6.0]
+    assert (counts[2.0], counts[4.0], counts[6.0]) == (2, 12, 13)
 
 
 def test_intersection_guards(sol_n3m1):
@@ -171,3 +174,27 @@ def test_descent_overflow_is_descent_error():
     # a trial step of the m = 3 descent overflows exp(G_3(w) - 2t)
     with pytest.raises(DescentError, match="left the double range"):
         shoot_regular(3, 3, 0.894)
+
+
+def test_failed_inner_phase_is_shoot_error(monkeypatch):
+    # an inner solve that ends in a step-size underflow must not be taken as
+    # having reached the s = 100 cap
+    real = br.solve_ivp
+
+    def failing(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        return replace(sol, status=-1, message="step size underflow",
+                       t_events=[np.empty(0) for _ in sol.t_events])
+
+    monkeypatch.setattr(br, "solve_ivp", failing)
+    with pytest.raises(ShootError, match="step size underflow"):
+        shoot_regular(3, 1, 2.0)
+
+
+def test_dense_branch_matches_sampled_profile():
+    # the dense evaluation of a two-phase shot agrees with its sampled profile
+    point = shoot_regular(3, 1, 4.0)
+    t = np.linspace(point.log_profile.t_min, point.log_profile.t_max, 2000)
+    assert point.dense.descent is not None
+    assert np.max(np.abs(point.dense.eval_w(t) - point.log_profile.eval_w(t))) < 1e-6
+    assert np.isnan(point.dense.eval_w([point.log_profile.t_min - 1.0]))[0]

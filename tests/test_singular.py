@@ -113,6 +113,14 @@ def test_descent_error_when_handoff_not_positive():
         integrate_down(prof, 3, 4)
 
 
+def test_residual_refuses_force_beyond_double_range():
+    # exp(w - 2t) = e^800 at t = 0 is not a double: no clamp, an error naming t
+    t = np.linspace(0.0, 1.0, 20)
+    prof = LogProfile(t, 800.0 - t, np.full_like(t, -1.0))
+    with pytest.raises(DescentError, match="at t = 0:"):
+        ode_residual(prof, 3, 0)
+
+
 def test_build_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_singular(2, 1)

@@ -9,7 +9,8 @@ rescaled inner variables s = r exp(G_m(rho)/2), where the nonlinearity is
 exp(G_m(v) - G_m(rho)) and the center layer has unit scale; once the
 rescaled force has died (or s has grown past a fixed cap) the descent
 continues in log variables (t, w) where the remaining range is
-logarithmically compressed.
+logarithmically compressed.  A shot that keeps its profile keeps the dense
+output of both solves and is evaluated from it directly; it is never sampled.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .rk import solve_ivp
 from .singular import descend
 from .towers import TowerOverflowError, g_tower
-from .transform import LogProfile, RadialProfile
 
 # descent budget: refuse shots whose log-variable start would need more work
 # than roughly a million steps
@@ -37,39 +37,41 @@ class ShootError(RuntimeError):
 
 @dataclass
 class BranchPoint:
-    """One point of the regular branch: rho, first zero R, lambda = R^2."""
+    """One point of the regular branch: rho, first zero R, lambda = R^2.
+
+    A shot that keeps its profile also holds the dense solutions of its
+    inner phase (in s = exp(L/2 - t), L = G_m(rho)) and of its log-variable
+    descent (None when the inner phase reaches the zero itself).
+    """
 
     rho: float
     R: float
     lam: float
     n: int
     m: int
-    profile: RadialProfile | None = None
-    log_profile: LogProfile | None = field(default=None, repr=False)
-    dense: object = field(default=None, repr=False)
+    inner: object = field(default=None, repr=False)
+    descent: object = field(default=None, repr=False)
+    L: float | None = None
 
+    def _inner_range(self):
+        if self.inner is None:
+            raise ValueError("branch point must carry its profile")
+        s_lo, s_hi = sorted((float(self.inner.t[0]), float(self.inner.t[-1])))
+        return 0.5 * self.L - math.log(s_hi), 0.5 * self.L - math.log(s_lo)
 
-class _DenseBranch:
-    """Evaluate w(t) straight from a shot's dense output.
-
-    The descent (when the shot has one) covers the lower t-range in log
-    variables, the inner phase the upper one through s = exp(L/2 - t).
-    """
-
-    def __init__(self, sol_a, sol_b, L):
-        self.inner, self.descent, self.L = sol_a, sol_b, L
-        s_lo, s_hi = sorted((float(sol_a.t[0]), float(sol_a.t[-1])))
-        self.inner_range = (0.5 * L - math.log(s_hi), 0.5 * L - math.log(s_lo))
-        if sol_b is not None:
-            self.descent_range = tuple(sorted((float(sol_b.t[0]), float(sol_b.t[-1]))))
+    @property
+    def t_max(self):
+        """Top of the kept t-range: the start of the inner phase."""
+        return self._inner_range()[1]
 
     def eval_w(self, t):
+        """w(t) from the kept dense solutions; NaN outside their t-range."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.full(t.shape, np.nan)
-        lo, hi = self.inner_range
+        lo, hi = self._inner_range()
         inner = (t >= lo - 1e-12) & (t <= hi + 1e-12)
         if self.descent is not None:
-            dlo, dhi = self.descent_range
+            dlo, dhi = sorted((float(self.descent.t[0]), float(self.descent.t[-1])))
             below = (t >= dlo - 1e-12) & (t <= dhi + 1e-12)
             out[below] = self.descent.sol(np.clip(t[below], dlo, dhi))[0]
             inner &= ~below
@@ -207,62 +209,10 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     return _finish(n, m, rho, -t_zero, sol_a, sol_b, L, keep_profile)
 
 
-def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
-    """Sample times for a segment: fine inside the focus window, coarse outside."""
-    pts = [np.arange(tlo, thi, coarse)]
-    flo, fhi = max(tlo, focus_lo), min(thi, focus_hi)
-    if fhi > flo:
-        pts.append(np.arange(flo, fhi, fine))
-    pts.append(np.array([thi]))
-    out = np.unique(np.concatenate(pts))
-    return out[(out >= tlo) & (out <= thi)]
-
-
 def _finish(n, m, rho, ln_R, sol_a, sol_b, L, keep_profile):
     """BranchPoint of a shot from its inner solve sol_a and its descent sol_b (or None)."""
-    R = math.exp(ln_R)
-    lam = math.exp(2.0 * ln_R)
-    log_profile = None
-    profile = None
-    if keep_profile:
-        t_zero = -ln_R
-        focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
-        ts, ws, wts = [], [], []
-        if sol_b is not None:
-            tlo, thi = sorted((float(sol_b.t[0]), float(sol_b.t[-1])))
-            tt = _segment_times(tlo, thi, focus_lo, focus_hi)
-            yy = sol_b.sol(tt)
-            ts.append(tt)
-            ws.append(yy[0])
-            wts.append(yy[1])
-        # s -> t = L/2 - ln s, w = v, w_t = -s v'
-        t_of_s = 0.5 * L - np.log(np.array([sol_a.t[0], sol_a.t[-1]]))
-        tlo, thi = float(np.min(t_of_s)), float(np.max(t_of_s))
-        tt = _segment_times(tlo, thi, focus_lo, focus_hi)
-        ss = np.exp(0.5 * L - tt)
-        ss = np.clip(ss, min(sol_a.t[0], sol_a.t[-1]), max(sol_a.t[0], sol_a.t[-1]))
-        yy = sol_a.sol(ss)
-        ts.append(tt)
-        ws.append(yy[0])
-        wts.append(-ss * yy[1])
-        t_all = np.concatenate(ts)
-        w_all = np.concatenate(ws)
-        wt_all = np.concatenate(wts)
-        order = np.argsort(t_all)
-        t_all, w_all, wt_all = t_all[order], w_all[order], wt_all[order]
-        keep = np.concatenate([[True], np.diff(t_all) > 1e-12])
-        above = t_all >= -ln_R - 1e-12
-        sel = keep & above
-        log_profile = LogProfile(t_all[sel], w_all[sel], wt_all[sel])
-        # radial samples where the radius is representable
-        tsel = log_profile.t <= 700.0
-        if np.any(tsel):
-            r = np.exp(-log_profile.t[tsel])
-            profile = RadialProfile(lam, r, log_profile.w[tsel],
-                                    -log_profile.w_t[tsel] / r)
-    dense = _DenseBranch(sol_a, sol_b, L) if keep_profile else None
-    return BranchPoint(rho=rho, R=R, lam=lam, n=n, m=m,
-                       profile=profile, log_profile=log_profile, dense=dense)
+    kept = {"inner": sol_a, "descent": sol_b, "L": L} if keep_profile else {}
+    return BranchPoint(rho=rho, R=math.exp(ln_R), lam=math.exp(2.0 * ln_R), n=n, m=m, **kept)
 
 
 def trace_curve(n, m, rho_grid, rtol=1e-11, atol=1e-13):
@@ -274,22 +224,21 @@ def trace_curve(n, m, rho_grid, rtol=1e-11, atol=1e-13):
         raise ValueError("rho grid must be positive and strictly increasing")
     points = [shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=False)
               for rho in rho_grid]
-    curve = BifurcationCurve(points=points, turning=[])
-    curve.turning = turning_points(curve)
-    return curve
+    lam = np.array([p.lam for p in points])
+    return BifurcationCurve(points=points, turning=turning_points(rho_grid, lam))
 
 
-def turning_points(curve, min_delta=None):
-    """Sign changes of dlambda/drho, each refined by a local quadratic.
+def turning_points(rho, lam, min_delta=None):
+    """Sign changes of dlambda/drho on branch samples, each refined by a local quadratic.
 
-    Returns a list of (rho, lambda) vertices.  Sign changes whose local
-    lambda variation stays below min_delta (default 1e-9 of the curve's
-    lambda scale) are treated as integrator noise and dropped; without the
-    filter the flat tail of the branch, where lambda has converged to the
-    singular value within rounding, sheds spurious detections.
+    rho (increasing) and lam are the sample arrays; returns a list of
+    (rho, lambda) vertices.  Sign changes whose local lambda variation stays
+    below min_delta (default 1e-9 of the curve's lambda scale) are treated
+    as integrator noise and dropped; without the filter the flat tail of the
+    branch, where lambda has converged to the singular value within
+    rounding, sheds spurious detections.
     """
-    rho = curve.rho if isinstance(curve, BifurcationCurve) else np.asarray(curve[0])
-    lam = curve.lam if isinstance(curve, BifurcationCurve) else np.asarray(curve[1])
+    rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
     if len(rho) < 3:
         raise ValueError("need at least 3 branch points")
     if min_delta is None:
@@ -331,27 +280,24 @@ def intersection_count(point, singular):
     sampled every TAU_STEP.  A sign change only counts once the difference
     has cleared a noise tolerance on both sides (the regular solution tracks
     the singular one to rounding level deep in the overlap, where raw sign
-    flips are meaningless).
+    flips are meaningless).  Raises ValueError for a point shot without its
+    profile.
     """
-    if point.log_profile is None:
-        raise ValueError("branch point must carry its profile")
     t_zero = -math.log(point.R)
     t_star = singular.t_star
-    tau_hi = min(point.log_profile.t_max - t_zero,
-                 singular.profile.t_max - t_star)
+    tau_hi = min(point.t_max - t_zero, singular.profile.t_max - t_star)
     if tau_hi <= 0:
         raise ValueError("profiles do not overlap")
     tau = np.arange(1e-6, tau_hi, TAU_STEP)
-    branch_eval = point.dense.eval_w if point.dense is not None \
-        else point.log_profile.eval_w
-
-    d = branch_eval(t_zero + tau) - singular.eval_w_dense(t_star + tau)
+    d = point.eval_w(t_zero + tau) - singular.eval_w_dense(t_star + tau)
     scale = max(1.0, float(np.max(np.abs(singular.profile.w))))
-    # evaluation noise sits near 1e-12 of scale when both sides come from
-    # dense representations; crossings must clear it comfortably
+    # the branch side is the shot's own dense output and the singular side
+    # the exact ansatz plus an interpolated corrector above its handoff, so
+    # evaluation noise sits near 1e-12 of scale; crossings must clear it
+    # comfortably
     noise_tol = 1e-10 * scale
-    # the degeneracy threshold allows for the interpolation seam of sampled
-    # profiles at their grid junctions
+    # the degeneracy threshold allows for the seam of the singular side at
+    # its handoff, where the ansatz gives way to the sampled descent profile
     if np.max(np.abs(d)) < 1e-5 * scale:
         raise ValueError("profiles coincide; intersection count undefined")
     # count sign changes between consecutive samples that clear the noise

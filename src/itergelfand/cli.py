@@ -62,7 +62,9 @@ class RunConfig:
     outdir: str = "."
     singular_ref: str | None = None
 
-    def validate(self):
+    def validate(self, heights=()):
+        """Refuse bad values; the corrector fields (T, t_max, M, tol) are checked
+        by the corrector's own rules at each tower height in `heights`."""
         for name, cast in _FIELD_TYPES.items():
             value = getattr(self, name)
             if cast is float and value is not None and not math.isfinite(value):
@@ -71,10 +73,11 @@ class RunConfig:
             raise UsageError("dimension n must be an integer >= 3")
         if int(self.m) != self.m or self.m < 1:
             raise UsageError("tower height m must be an integer >= 1")
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
-        if self.T is not None and self.T < 1:
-            raise UsageError("T must be >= 1")
+        for m in heights:
+            try:
+                self.eta_config().resolved(m)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
 
     @property
     def m_effective(self):
@@ -101,18 +104,35 @@ _FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is n
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+def _read_text(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _load_config_file(path):
     values = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"bad config line: {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
+    for raw in _read_text(path, "config file").splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"bad config line: {raw.rstrip()}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        values[key] = val
     return values
+
+
+def _corrector_heights(args, cfg):
+    """Tower heights at which the command solves the corrector (none for a trace)."""
+    if args.command == "singular":
+        return (cfg.m_effective,)
+    if args.command == "bifurcation":
+        return ()
+    by_suite = {"iterexp": (), "asymptotics": (max(cfg.m_effective, 1),), "miyamoto": (1,)}
+    return by_suite[args.suite] if args.suite != "all" else sum(by_suite.values(), ())
 
 
 def _build_runconfig(args):
@@ -130,7 +150,7 @@ def _build_runconfig(args):
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(cfg, f.name, flag)
-    cfg.validate()
+    cfg.validate(_corrector_heights(args, cfg))
     return cfg
 
 
@@ -142,7 +162,6 @@ def _write_meta(path, cfg, results):
 
 
 def cmd_singular(cfg):
-    os.makedirs(cfg.outdir, exist_ok=True)
     sol = build_singular(cfg.n, cfg.m_effective, cfg.eta_config())
     res = ode_residual(sol.profile, cfg.n, cfg.m_effective)
     write_profile_csv(os.path.join(cfg.outdir, "profile_log.csv"), sol.profile)
@@ -167,36 +186,53 @@ def cmd_singular(cfg):
     return EXIT_OK
 
 
-def _load_singular_reference(path, n, m):
+def _read_meta(path):
+    """{section: {key: value string}} of a meta.txt written by _write_meta."""
+    sections, current = {}, {}
+    for line in _read_text(path, "singular reference").splitlines():
+        line = line.strip()
+        if line.startswith("[") and line.endswith("]"):
+            current = sections.setdefault(line[1:-1], {})
+        elif "=" in line:
+            key, val = (s.strip() for s in line.split("=", 1))
+            current[key] = val
+    return sections
+
+
+def _load_singular_reference(path, cfg):
     """Reconstruct a singular reference from a `singular construct` output directory."""
     meta_path = os.path.join(path, "meta.txt") if os.path.isdir(path) else path
-    base = os.path.dirname(meta_path)
-    lam = None
-    in_results = False
-    with open(meta_path) as fh:
-        for line in fh:
-            if line.strip() == "[results]":
-                in_results = True
-            elif in_results and line.split("=")[0].strip() == "lambda_star":
-                lam = float(line.split("=", 1)[1])
-    if lam is None:
-        raise UsageError(f"no lambda_star entry found in {meta_path}")
-    profile = read_profile_csv(os.path.join(base, "profile_log.csv"))
-    return SingularSolution(n=n, m=m, t_star=-0.5 * math.log(lam),
+    meta = _read_meta(meta_path)
+    built = meta.get("config", {})
+    for key in ("n", "m", "oracle"):
+        if built.get(key) != str(getattr(cfg, key)):
+            raise UsageError(f"singular reference {meta_path} has {key} = {built.get(key)}, "
+                             f"the trace has {key} = {getattr(cfg, key)}")
+    try:
+        lam = float(meta.get("results", {})["lambda_star"])
+    except (KeyError, ValueError):
+        raise UsageError(f"no numeric lambda_star entry in {meta_path}") from None
+    if not (math.isfinite(lam) and lam > 0):
+        raise UsageError(f"lambda_star = {lam} in {meta_path} is not a positive number")
+    profile_path = os.path.join(os.path.dirname(meta_path), "profile_log.csv")
+    try:
+        profile = read_profile_csv(profile_path)
+    except (OSError, ValueError) as exc:   # ValueError includes a bad encoding
+        raise UsageError(f"cannot read singular reference {profile_path}: {exc}") from exc
+    return SingularSolution(n=cfg.n, m=cfg.m_effective, t_star=-0.5 * math.log(lam),
                             lambda_star=lam, profile=profile, eta=None,
                             handoff_t=profile.t_min, monotone=True)
 
 
 def cmd_bifurcation(cfg):
-    os.makedirs(cfg.outdir, exist_ok=True)
-    if cfg.rho_max <= cfg.rho_min or cfg.rho_step <= 0:
-        raise UsageError("need rho_min < rho_max and rho_step > 0")
+    if not 0 < cfg.rho_min < cfg.rho_max or cfg.rho_step <= 0:
+        raise UsageError("need 0 < rho_min < rho_max and rho_step > 0")
     grid = np.arange(cfg.rho_min, cfg.rho_max + 0.5 * cfg.rho_step, cfg.rho_step)
     if len(grid) < 3:
         raise UsageError("rho grid has fewer than 3 points")
     reference = None
     if cfg.singular_ref:
-        reference = _load_singular_reference(cfg.singular_ref, cfg.n, cfg.m_effective)
+        reference = _load_singular_reference(cfg.singular_ref, cfg)
     curve = br.trace_curve(cfg.n, cfg.m_effective, grid)
     rho = curve.rho
     lam = curve.lam
@@ -327,7 +363,6 @@ def _suite_miyamoto(cfg):
 
 
 def cmd_verify(cfg, suite):
-    os.makedirs(cfg.outdir, exist_ok=True)
     suites = {"iterexp": _suite_iterexp, "asymptotics": _suite_asymptotics,
               "miyamoto": _suite_miyamoto}
     names = list(suites) if suite == "all" else [suite]
@@ -429,6 +464,10 @@ def main(argv=None):
         if args.command == "iterexp":
             return cmd_iterexp_eval(args)
         cfg = _build_runconfig(args)
+        try:
+            os.makedirs(cfg.outdir, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {cfg.outdir}: {exc}") from exc
         if args.command == "singular":
             return cmd_singular(cfg)
         if args.command == "bifurcation":

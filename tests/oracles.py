@@ -4,8 +4,9 @@ Each oracle takes a different route from the production code it checks:
 whole-function forcing evaluation instead of the per-node pieces of the
 Picard loop, direct per-point quadrature of the explicit kernel of each root
 family instead of the grid sweep, the factored ansatz pieces instead of
-the sampled profile for the tail-integral traces, and Fornberg's recurrence
-one stencil at a time instead of batched over all samples.
+the sampled profile for the tail-integral traces, Fornberg's recurrence
+one stencil at a time instead of batched over all samples, and a sampled,
+Pchip-interpolated copy of a branch shot instead of its dense output.
 """
 
 import math
@@ -16,6 +17,7 @@ from scipy.interpolate import PchipInterpolator
 from itergelfand.corrector import PicardConvergenceError, _ForcingM, _ForcingM1, phi_m1
 from itergelfand.numerics import panel_nodes, scalar_or_array
 from itergelfand.towers import f_tail_log
+from itergelfand.transform import LogProfile, RadialProfile
 
 
 def forcing_m1(n, t, eta):
@@ -122,3 +124,53 @@ def fd_weights(x, x0, order):
             w[0, j] = c4 * w[0, j] / c3
         c1 = c2
     return w[order]
+
+
+def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
+    """Sample times for a segment: fine inside the focus window, coarse outside."""
+    pts = [np.arange(tlo, thi, coarse)]
+    flo, fhi = max(tlo, focus_lo), min(thi, focus_hi)
+    if fhi > flo:
+        pts.append(np.arange(flo, fhi, fine))
+    pts.append(np.array([thi]))
+    out = np.unique(np.concatenate(pts))
+    return out[(out >= tlo) & (out <= thi)]
+
+
+def sampled_branch(point):
+    """(LogProfile, RadialProfile) samples of a kept branch shot.
+
+    The descent and the inner phase are sampled from their dense output,
+    every 0.02 in t from just below the zero to 260 above it and every 0.5
+    elsewhere, mapped through s -> t = L/2 - ln s, w = v, w_t = -s v', and
+    cut at the zero; the radial copy keeps the samples with t <= 700.
+    """
+    t_zero = -math.log(point.R)
+    focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
+    ts, ws, wts = [], [], []
+    if point.descent is not None:
+        sol_b = point.descent
+        tlo, thi = sorted((float(sol_b.t[0]), float(sol_b.t[-1])))
+        tt = _segment_times(tlo, thi, focus_lo, focus_hi)
+        yy = sol_b.sol(tt)
+        ts.append(tt)
+        ws.append(yy[0])
+        wts.append(yy[1])
+    sol_a, L = point.inner, point.L
+    t_of_s = 0.5 * L - np.log(np.array([sol_a.t[0], sol_a.t[-1]]))
+    tt = _segment_times(float(np.min(t_of_s)), float(np.max(t_of_s)), focus_lo, focus_hi)
+    ss = np.clip(np.exp(0.5 * L - tt), min(sol_a.t[0], sol_a.t[-1]),
+                 max(sol_a.t[0], sol_a.t[-1]))
+    yy = sol_a.sol(ss)
+    ts.append(tt)
+    ws.append(yy[0])
+    wts.append(-ss * yy[1])
+    t_all, w_all, wt_all = (np.concatenate(a) for a in (ts, ws, wts))
+    order = np.argsort(t_all)
+    t_all, w_all, wt_all = t_all[order], w_all[order], wt_all[order]
+    keep = np.concatenate([[True], np.diff(t_all) > 1e-12]) & (t_all >= t_zero - 1e-12)
+    log_profile = LogProfile(t_all[keep], w_all[keep], wt_all[keep])
+    tsel = log_profile.t <= 700.0
+    r = np.exp(-log_profile.t[tsel])
+    radial = RadialProfile(point.lam, r, log_profile.w[tsel], -log_profile.w_t[tsel] / r)
+    return log_profile, radial

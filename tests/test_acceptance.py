@@ -10,7 +10,7 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from itergelfand.branch import intersection_count, shoot_regular, turning_points
+from itergelfand.branch import intersection_count, shoot_regular
 from itergelfand.corrector import EtaSpaceConfig, phi_m, picard_solve
 from itergelfand.equivalence import equivalence_report
 from itergelfand.expansions import (expansion_w_m1, expansion_w_m,
@@ -93,7 +93,7 @@ def test_criterion_4_profile_and_gradient_expansions(sol_n3m1):
 
 def test_criterion_5_turning_points_and_intersections(sol_n3m1, curve_n3m1,
                                                       curve_n11m1):
-    tps = turning_points(curve_n3m1)
+    tps = curve_n3m1.turning
     deltas = [lam - sol_n3m1.lambda_star for _, lam in tps]
     signs = np.sign(deltas)
     mags = np.abs(deltas)
@@ -102,7 +102,7 @@ def test_criterion_5_turning_points_and_intersections(sol_n3m1, curve_n3m1,
     counts = [intersection_count(shoot_regular(3, 1, rho), sol_n3m1)
               for rho in (2.0, 4.0, 6.0)]
     nondecr = counts[0] <= counts[1] <= counts[2]
-    n11 = len(turning_points(curve_n11m1))
+    n11 = len(curve_n11m1.turning)
     ok = len(tps) >= 2 and alternate and decreasing and nondecr
     _report(5, ok, f"{len(tps)} turning points (alternating={alternate}, "
                    f"decreasing={decreasing}), intersection counts {counts}; "

@@ -6,10 +6,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import itergelfand.branch as br
-from itergelfand.branch import (BifurcationCurve, ShootError, intersection_count,
-                                shoot_regular, trace_curve, turning_points)
+from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
+                                trace_curve, turning_points)
 from itergelfand.singular import DescentError, ode_residual
 from itergelfand.towers import g_tower
+from oracles import sampled_branch
 
 
 def naive_radial_shoot(n, m, rho):
@@ -71,9 +72,10 @@ def test_budget_guard():
 
 def test_profile_invariants():
     p = shoot_regular(3, 1, 2.0)
-    assert np.all(p.profile.u_r < 0.0)       # strictly decreasing in r
+    log_profile, radial = sampled_branch(p)
+    assert np.all(radial.u_r < 0.0)       # strictly decreasing in r
     assert p.lam == pytest.approx(p.R ** 2, rel=1e-15)
-    assert ode_residual(p.log_profile, 3, 1) < 1e-7
+    assert ode_residual(log_profile, 3, 1) < 1e-7
 
 
 def test_trace_curve_validation():
@@ -93,16 +95,14 @@ def test_curve_continuity(curve_n3m1):
 
 def test_turning_points_monotone_curve_empty():
     rho = np.linspace(0.1, 2.0, 40)
-    curve = BifurcationCurve(points=[], turning=[])
-    lam = rho ** 2
-    assert turning_points((rho, lam)) == []
+    assert turning_points(rho, rho ** 2) == []
 
 
 def test_turning_points_synthetic_oracle():
     # lambda = lambda* + e^-rho sin(rho) has extrema at rho = pi/4 + k pi
     rho = np.linspace(0.2, 10.0, 2000)
     lam = 0.7 + np.exp(-rho) * np.sin(rho)
-    found = turning_points((rho, lam), min_delta=1e-9)
+    found = turning_points(rho, lam, min_delta=1e-9)
     expected = [math.pi / 4 + k * math.pi for k in range(3)]
     assert len(found) >= 3
     for want, (got, _) in zip(expected, found):
@@ -110,7 +110,8 @@ def test_turning_points_synthetic_oracle():
 
 
 def test_turning_points_alternate_around_lambda_star(curve_n3m1, sol_n3m1):
-    tps = turning_points(curve_n3m1)
+    tps = turning_points(curve_n3m1.rho, curve_n3m1.lam)
+    assert tps == curve_n3m1.turning
     assert len(tps) >= 2
     deltas = [lam - sol_n3m1.lambda_star for _, lam in tps]
     signs = np.sign(deltas)
@@ -120,7 +121,8 @@ def test_turning_points_alternate_around_lambda_star(curve_n3m1, sol_n3m1):
 
 
 def test_no_turning_points_in_high_dimension(curve_n11m1):
-    assert turning_points(curve_n11m1) == []
+    assert turning_points(curve_n11m1.rho, curve_n11m1.lam) == []
+    assert curve_n11m1.turning == []
 
 
 def test_intersection_counts(sol_n3m1):
@@ -136,12 +138,30 @@ def test_intersection_counts(sol_n3m1):
 
 
 def test_intersection_guards(sol_n3m1):
-    class Degenerate:
-        log_profile = sol_n3m1.profile
-        dense = None
-        R = math.exp(-sol_n3m1.t_star)
-    with pytest.raises(ValueError):
-        intersection_count(Degenerate(), sol_n3m1)
+    # a point whose inner solution is w* itself (L = 0, so t = -ln s)
+    class SingularAsInner:
+        t = np.exp(-np.array([sol_n3m1.t_star, sol_n3m1.profile.t_max]))
+
+        @staticmethod
+        def sol(s):
+            return np.atleast_2d(sol_n3m1.eval_w_dense(-np.log(s)))
+
+    degenerate = BranchPoint(rho=1.0, R=math.exp(-sol_n3m1.t_star),
+                             lam=sol_n3m1.lambda_star, n=3, m=1,
+                             inner=SingularAsInner(), L=0.0)
+    with pytest.raises(ValueError, match="coincide"):
+        intersection_count(degenerate, sol_n3m1)
+    beyond = BranchPoint(rho=1.0, R=math.exp(-sol_n3m1.profile.t_max - 1.0),
+                         lam=1.0, n=3, m=1, inner=SingularAsInner(), L=0.0)
+    with pytest.raises(ValueError, match="do not overlap"):
+        intersection_count(beyond, sol_n3m1)
+
+
+def test_intersection_needs_kept_profile(sol_n3m1):
+    point = shoot_regular(3, 1, 2.0, keep_profile=False)
+    assert point.inner is None and point.descent is None
+    with pytest.raises(ValueError, match="carry its profile"):
+        intersection_count(point, sol_n3m1)
 
 
 def test_shoot_rejects_bad_input():
@@ -155,8 +175,7 @@ def test_gelfand_oracle_oscillation():
     # plain-exponential branch at n = 3: turning values alternate around
     # 2(n-2) = 2 with shrinking amplitude
     grid = np.arange(0.5, 12.0, 0.05)
-    curve = trace_curve(3, 0, grid)
-    tps = turning_points(curve)
+    tps = trace_curve(3, 0, grid).turning
     assert len(tps) >= 2
     deltas = np.array([lam - 2.0 for _, lam in tps])
     assert np.all(np.sign(deltas[1:]) * np.sign(deltas[:-1]) < 0)
@@ -194,7 +213,9 @@ def test_failed_inner_phase_is_shoot_error(monkeypatch):
 def test_dense_branch_matches_sampled_profile():
     # the dense evaluation of a two-phase shot agrees with its sampled profile
     point = shoot_regular(3, 1, 4.0)
-    t = np.linspace(point.log_profile.t_min, point.log_profile.t_max, 2000)
-    assert point.dense.descent is not None
-    assert np.max(np.abs(point.dense.eval_w(t) - point.log_profile.eval_w(t))) < 1e-6
-    assert np.isnan(point.dense.eval_w([point.log_profile.t_min - 1.0]))[0]
+    log_profile, _ = sampled_branch(point)
+    t = np.linspace(log_profile.t_min, log_profile.t_max, 2000)
+    assert point.descent is not None
+    assert log_profile.t_max == pytest.approx(point.t_max, abs=1e-12)
+    assert np.max(np.abs(point.eval_w(t) - log_profile.eval_w(t))) < 1e-6
+    assert np.isnan(point.eval_w([log_profile.t_min - 1.0]))[0]

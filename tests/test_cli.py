@@ -141,3 +141,69 @@ def test_descent_overflow_is_numeric_failure(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and "Traceback" not in err
+
+
+def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True):
+    """A hand-written `singular construct` output directory."""
+    ref.mkdir()
+    if meta:
+        (ref / "meta.txt").write_text(
+            f"[config]\nn = {n}\nm = 1\noracle = False\n\n[results]\nlambda_star = {lam}\n")
+    if profile:
+        (ref / "profile_log.csv").write_text("t,w,w_t\n0.0,0.0,1.0\n1.0,1.0,1.0\n")
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """A directory holding every malformed input of the usage-error cases."""
+    (tmp_path / "latin1.cfg").write_bytes(b"n = 3 # \xe9\n")
+    (tmp_path / "file").write_text("x")
+    _write_reference(tmp_path / "ref")
+    _write_reference(tmp_path / "ref-no-meta", meta=False)
+    _write_reference(tmp_path / "ref-no-profile", profile=False)
+    _write_reference(tmp_path / "ref-n5", n=5)
+    for lam in ("nan", "inf", "0", "-0.5"):
+        _write_reference(tmp_path / f"ref-lam{lam}", lam=lam)
+    return tmp_path
+
+
+TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
+         "--rho-min", "0.1", "--rho-max", "0.2", "--rho-step", "0.02"]
+
+
+# {tmp} stands for the bad_inputs directory; `named` is a path the message must name
+@pytest.mark.parametrize("args,named", [
+    (["singular", "construct", "--config", "{tmp}/missing.cfg"], "{tmp}/missing.cfg"),
+    (["singular", "construct", "--config", "{tmp}/latin1.cfg"], "{tmp}/latin1.cfg"),
+    (TRACE + ["--lambda-star", "{tmp}/nowhere"], "{tmp}/nowhere"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-no-meta"], "{tmp}/ref-no-meta/meta.txt"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-no-profile"], "{tmp}/ref-no-profile/profile_log.csv"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-lamnan"], "{tmp}/ref-lamnan/meta.txt"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-laminf"], "{tmp}/ref-laminf/meta.txt"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-lam0"], "{tmp}/ref-lam0/meta.txt"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-lam-0.5"], "{tmp}/ref-lam-0.5/meta.txt"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-n5"], "{tmp}/ref-n5/meta.txt"),
+    (TRACE + ["--oracle-gelfand", "--lambda-star", "{tmp}/ref"], "{tmp}/ref/meta.txt"),
+    (["singular", "construct", "--outdir", "{tmp}/file"], "{tmp}/file"),
+    (["bifurcation", "trace", "--rho-min", "-0.1"], None),
+    (["bifurcation", "trace", "--rho-min", "0"], None),
+    (["singular", "construct", "--t-max", "100"], None),
+    (["singular", "construct", "--M", "0"], None),
+    (["singular", "construct", "--T", "0.5"], None),
+    (["singular", "construct", "--tol", "-1"], None),
+    (["verify", "all", "--m", "2", "--t-max", "200"], None),
+])
+def test_bad_input_is_usage_error(bad_inputs, capsys, args, named):
+    args = [a.format(tmp=bad_inputs) for a in args]
+    if "--outdir" not in args:
+        args += ["--outdir", str(bad_inputs / "out")]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    if named is not None:
+        assert named.format(tmp=bad_inputs) in err
+
+
+def test_trace_ignores_corrector_fields(tmp_path):
+    # the corrector's rules apply only to commands that solve it
+    assert run_cli(TRACE + ["--t-max", "100", "--M", "0", "--outdir", str(tmp_path)]) == 0

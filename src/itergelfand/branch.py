@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import scalar_or_array
 from .rk import solve_ivp
 from .singular import descend
 from .towers import TowerOverflowError, g_tower
@@ -66,6 +67,7 @@ class BranchPoint:
 
     def eval_w(self, t):
         """w(t) from the kept dense solutions; NaN outside their t-range."""
+        shape = np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.full(t.shape, np.nan)
         lo, hi = self._inner_range()
@@ -76,7 +78,7 @@ class BranchPoint:
             out[below] = self.descent.sol(np.clip(t[below], dlo, dhi))[0]
             inner &= ~below
         out[inner] = self.inner.sol(np.exp(0.5 * self.L - np.clip(t[inner], lo, hi)))[0]
-        return out
+        return scalar_or_array(out.reshape(shape))
 
 
 @dataclass
@@ -289,15 +291,13 @@ def intersection_count(point, singular):
     if tau_hi <= 0:
         raise ValueError("profiles do not overlap")
     tau = np.arange(1e-6, tau_hi, TAU_STEP)
-    d = point.eval_w(t_zero + tau) - singular.eval_w_dense(t_star + tau)
+    d = point.eval_w(t_zero + tau) - singular.profile.eval_w(t_star + tau)
     scale = max(1.0, float(np.max(np.abs(singular.profile.w))))
     # the branch side is the shot's own dense output and the singular side
-    # the exact ansatz plus an interpolated corrector above its handoff, so
-    # evaluation noise sits near 1e-12 of scale; crossings must clear it
-    # comfortably
+    # the cubic Hermite of its (w, w_t) samples, so evaluation noise stays
+    # below 1e-11 of scale; crossings must clear it comfortably
     noise_tol = 1e-10 * scale
-    # the degeneracy threshold allows for the seam of the singular side at
-    # its handoff, where the ansatz gives way to the sampled descent profile
+    # profiles closer than this everywhere are taken to be the same solution
     if np.max(np.abs(d)) < 1e-5 * scale:
         raise ValueError("profiles coincide; intersection count undefined")
     # count sign changes between consecutive samples that clear the noise

@@ -135,7 +135,6 @@ class EtaSolution:
     t_max: float
     t_usable: float
     M: float
-    tail_bound: float
     contraction_ratios: list = field(default_factory=list)
 
     @property
@@ -346,23 +345,19 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
             ratios.append(defect / defects[-1])
         defects.append(defect)
         eta = eta_new
-        # F at the current iterate: the next iteration's forcing, or the
-        # tail bound once converged
-        Fq = forcing.total(CubicSpline(grid, eta)(plan.nodes))
         if defect <= cfg.tol:
             sup_w = float(np.max(grid ** 2 * np.abs(eta)))
             if sup_w > M:
                 raise PicardConvergenceError(
                     f"converged iterate left the ball: sup t^2|eta| = {sup_w:.3e} > M = {M:.3e}")
-            sup_f = float(np.max(plan.nodes ** 2 * np.abs(Fq)))
             sol = EtaSolution(
                 n=n, m=m, config=cfg, grid=grid, eta=eta, eta_t=None,
                 iterations=len(defects), final_defect=defect, defects=defects,
-                T=T, t_max=t_max, t_usable=t_usable, M=M,
-                tail_bound=sup_f * kernel.tail_constant / t_max ** 2,
-                contraction_ratios=ratios)
+                T=T, t_max=t_max, t_usable=t_usable, M=M, contraction_ratios=ratios)
             sol.eta_t = eta_derivative(sol)
             return sol, defects
+        # F at the current iterate: the next iteration's forcing
+        Fq = forcing.total(CubicSpline(grid, eta)(plan.nodes))
         if len(ratios) >= 3 and min(ratios[-3:]) >= 0.995:
             break
         if defect > 50.0 * defects[0]:

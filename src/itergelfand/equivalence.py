@@ -26,7 +26,6 @@ class EquivalenceTrace:
     t: np.ndarray
     x_star: np.ndarray
     y_star: np.ndarray
-    eps_window: float
     tail_lo: float
     tail_sup: float
     decreasing: bool
@@ -58,7 +57,7 @@ def y_star(n, t, w_star, w_star_t):
     return scalar_or_array(term1 - term2)
 
 
-def equivalence_report(sol, eps=0.5):
+def equivalence_report(sol):
     """Membership check of (x*, y*) in the smallness ball for an exp(e^u) solution.
 
     Samples the traces over the corrector window, gates on
@@ -90,10 +89,9 @@ def equivalence_report(sol, eps=0.5):
     k = max(4, len(tt) // 5)
     dec = bool(np.mean(np.abs(xs[tail][-k:])) < np.mean(np.abs(xs[tail][:k]))
                and np.mean(np.abs(ys[tail][-k:])) < np.mean(np.abs(ys[tail][:k])))
-    passed = tail_sup < 0.05 and tail_sup < eps and dec
-    return EquivalenceTrace(t=t, x_star=xs, y_star=ys, eps_window=eps,
-                            tail_lo=tail_lo, tail_sup=tail_sup,
-                            decreasing=dec, passed=passed)
+    return EquivalenceTrace(t=t, x_star=xs, y_star=ys, tail_lo=tail_lo,
+                            tail_sup=tail_sup, decreasing=dec,
+                            passed=tail_sup < 0.05 and dec)
 
 
 def miyamoto_profile(n, r):

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .corrector import EtaSolution, EtaSpaceConfig, phi_m1, phi_m, picard_solve
-from .numerics import differentiate, scalar_or_array
+from .numerics import differentiate
 from .rk import solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
 from .transform import LogProfile
@@ -50,28 +49,6 @@ class SingularSolution:
     handoff_t: float
     monotone: bool
 
-    def eval_w_dense(self, t):
-        """w*(t) with the closed-form ansatz evaluated exactly above the handoff.
-
-        Interpolation error then only enters through the corrector, which is
-        orders of magnitude smaller than the profile itself; below the
-        handoff the densely sampled descent profile is queried instead.
-        """
-        shape = np.shape(t)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty_like(t)
-        hi = (t >= self.handoff_t) & (t <= self.eta.grid[-1]) if self.eta is not None \
-            else np.zeros(t.shape, dtype=bool)
-        if np.any(hi):
-            if not hasattr(self, "_eta_interp"):
-                self._eta_interp = PchipInterpolator(self.eta.grid, self.eta.eta,
-                                                     extrapolate=False)
-            f, _ = ansatz_terms(self.n, self.m, t[hi])
-            out[hi] = f + self._eta_interp(t[hi])
-        if np.any(~hi):
-            out[~hi] = self.profile.eval_w(t[~hi])
-        return scalar_or_array(out.reshape(shape))
-
 
 def log_force(n, m, t, w):
     """exp(G_m(w) - 2t) on sample arrays, with the exponent formed before exponentiation.
@@ -95,7 +72,7 @@ def _zero_eta(n, m, T, t_max):
     return EtaSolution(n=n, m=m, config=EtaSpaceConfig(T=T, t_max=t_max),
                        grid=grid, eta=z, eta_t=z.copy(), iterations=0,
                        final_defect=0.0, defects=[0.0], T=T, t_max=t_max,
-                       t_usable=t_max, M=1.0, tail_bound=0.0)
+                       t_usable=t_max, M=1.0)
 
 
 def ansatz_terms(n, m, t):

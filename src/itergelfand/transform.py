@@ -9,23 +9,25 @@ differencing positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .numerics import scalar_or_array, write_csv
 
 
 @dataclass
 class LogProfile:
-    """Solution samples in (t, w) coordinates, t strictly increasing."""
+    """Solution samples in (t, w) coordinates, t strictly increasing.
+
+    Between samples w is the cubic Hermite interpolant of the carried
+    (w, w_t) pairs; eval_w gives it and eval_wt its derivative, NaN outside
+    [t_min, t_max].
+    """
 
     t: np.ndarray
     w: np.ndarray
     w_t: np.ndarray
-    _w_interp: object = field(default=None, repr=False, compare=False)
-    _wt_interp: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -46,15 +48,27 @@ class LogProfile:
     def t_max(self):
         return float(self.t[-1])
 
+    def _hermite(self, t, derivative):
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
+        h = self.t[i + 1] - self.t[i]
+        s = (t - self.t[i]) / h
+        w0, w1 = self.w[i], self.w[i + 1]
+        d0, d1 = h * self.w_t[i], h * self.w_t[i + 1]
+        if derivative:
+            out = (6.0 * s * (1.0 - s) * (w1 - w0) + (1.0 - s) * (1.0 - 3.0 * s) * d0
+                   + s * (3.0 * s - 2.0) * d1) / h
+        else:
+            out = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * w0 + s * (1.0 - s) ** 2 * d0
+                   + s * s * (3.0 - 2.0 * s) * w1 + s * s * (s - 1.0) * d1)
+        inside = (t >= self.t[0]) & (t <= self.t[-1])
+        return scalar_or_array(np.where(inside, out, np.nan))
+
     def eval_w(self, t):
-        if self._w_interp is None:
-            self._w_interp = PchipInterpolator(self.t, self.w, extrapolate=False)
-        return self._w_interp(t)
+        return self._hermite(t, derivative=False)
 
     def eval_wt(self, t):
-        if self._wt_interp is None:
-            self._wt_interp = PchipInterpolator(self.t, self.w_t, extrapolate=False)
-        return self._wt_interp(t)
+        return self._hermite(t, derivative=True)
 
 
 @dataclass

@@ -5,8 +5,8 @@ whole-function forcing evaluation instead of the per-node pieces of the
 Picard loop, direct per-point quadrature of the explicit kernel of each root
 family instead of the grid sweep, the factored ansatz pieces instead of
 the sampled profile for the tail-integral traces, Fornberg's recurrence
-one stencil at a time instead of batched over all samples, and a sampled,
-Pchip-interpolated copy of a branch shot instead of its dense output.
+one stencil at a time instead of batched over all samples, and a sampled
+copy of a branch shot instead of its dense output.
 """
 
 import math

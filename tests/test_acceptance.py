@@ -110,7 +110,7 @@ def test_criterion_5_turning_points_and_intersections(sol_n3m1, curve_n3m1,
 
 
 def test_criterion_6_equivalence(sol_n3m1):
-    rep = equivalence_report(sol_n3m1, eps=0.5)
+    rep = equivalence_report(sol_n3m1)
     t = np.geomspace(30.0, 280.0, 500)
 
     class NoPhi:

@@ -144,7 +144,7 @@ def test_intersection_guards(sol_n3m1):
 
         @staticmethod
         def sol(s):
-            return np.atleast_2d(sol_n3m1.eval_w_dense(-np.log(s)))
+            return np.atleast_2d(sol_n3m1.profile.eval_w(-np.log(s)))
 
     degenerate = BranchPoint(rho=1.0, R=math.exp(-sol_n3m1.t_star),
                              lam=sol_n3m1.lambda_star, n=3, m=1,
@@ -219,3 +219,4 @@ def test_dense_branch_matches_sampled_profile():
     assert log_profile.t_max == pytest.approx(point.t_max, abs=1e-12)
     assert np.max(np.abs(point.eval_w(t) - log_profile.eval_w(t))) < 1e-6
     assert np.isnan(point.eval_w([log_profile.t_min - 1.0]))[0]
+    assert type(point.eval_w(float(t[1000]))) is float

@@ -76,6 +76,21 @@ def test_bifurcation_trace_artifacts(tmp_path):
     assert len(inter) == 2                    # only rho = 2 within range
 
 
+def test_intersections_from_written_reference(tmp_path):
+    # the counts against a reference read back from profile_log.csv are the
+    # library's against the solution it was written from
+    sing = tmp_path / "sing"
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--t-max", "280",
+                    "--outdir", str(sing)]) == 0
+    out = tmp_path / "bif"
+    assert run_cli(["bifurcation", "trace", "--n", "3", "--m", "1", "--rho-min", "2",
+                    "--rho-max", "6", "--rho-step", "2", "--lambda-star", str(sing),
+                    "--outdir", str(out)]) == 0
+    inter = np.loadtxt(out / "intersections.csv", delimiter=",", skiprows=1)
+    assert inter[:, 0].tolist() == [2.0, 4.0, 6.0]
+    assert inter[:, 1].tolist() == [2.0, 12.0, 13.0]
+
+
 def test_bifurcation_empty_grid_usage_error(tmp_path):
     assert run_cli(["bifurcation", "trace", "--n", "3", "--m", "1",
                     "--rho-min", "2.0", "--rho-max", "1.0",
@@ -192,8 +207,18 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--T", "0.5"], None),
     (["singular", "construct", "--tol", "-1"], None),
     (["verify", "all", "--m", "2", "--t-max", "200"], None),
+    (["bifurcation", "trace", "--rho-step", "1e-300"], None),
+    (["bifurcation", "trace", "--rho-step", "1e-9"], None),
 ])
-def test_bad_input_is_usage_error(bad_inputs, capsys, args, named):
+def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
+    real_arange = np.arange
+
+    def arange(*a, **kw):
+        # a refused rho grid must be refused before it is allocated
+        if len(a) == 3:
+            assert (a[1] - a[0]) / a[2] <= 2e6, "np.arange asked for an oversized grid"
+        return real_arange(*a, **kw)
+    monkeypatch.setattr(np, "arange", arange)
     args = [a.format(tmp=bad_inputs) for a in args]
     if "--outdir" not in args:
         args += ["--outdir", str(bad_inputs / "out")]

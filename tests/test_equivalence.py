@@ -14,16 +14,16 @@ def test_x_star_definition_vs_high_precision(sol_n3m1):
     # 2(n-2) e^{2t} F(w*) - 1 against a 40-digit evaluation at a moderate t
     mpmath.mp.dps = 40
     t = 20.0
-    w = float(sol_n3m1.eval_w_dense(t))
+    w = float(sol_n3m1.profile.eval_w(t))
     oracle = float(2 * (3 - 2) * mpmath.exp(2 * t) * mpmath.e1(mpmath.exp(w)) - 1)
-    got = x_star(3, t, lambda tt: sol_n3m1.eval_w_dense(tt))
+    got = x_star(3, t, lambda tt: sol_n3m1.profile.eval_w(tt))
     assert got == pytest.approx(oracle, rel=1e-11)
 
 
 def test_x_star_tends_to_zero(sol_n3m1):
     prof = sol_n3m1.profile
     ts = np.array([50.0, 100.0, 250.0])
-    vals = np.abs(x_star(3, ts, lambda t: sol_n3m1.eval_w_dense(t)))
+    vals = np.abs(x_star(3, ts, lambda t: sol_n3m1.profile.eval_w(t)))
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] < 5e-3
 
@@ -31,7 +31,7 @@ def test_x_star_tends_to_zero(sol_n3m1):
 def test_substitution_limit(sol_n3m1):
     # e^{-2t} exp(w* + e^{w*}) -> 2(n-2), assembled in the exponent
     for t, tol in ((60.0, 0.1), (200.0, 0.03)):
-        w = float(sol_n3m1.eval_w_dense(t))
+        w = float(sol_n3m1.profile.eval_w(t))
         val = math.exp(-2.0 * t + w + math.exp(w))
         assert val == pytest.approx(2.0, rel=tol)
 
@@ -39,7 +39,7 @@ def test_substitution_limit(sol_n3m1):
 def test_y_star_identity(sol_n3m1):
     # y* = 2(x* + 1) - 2(n-2) e^{2t} w*_t / exp(e^{w*})
     t = np.array([60.0, 120.0])
-    w_fun = lambda tt: sol_n3m1.eval_w_dense(tt)
+    w_fun = lambda tt: sol_n3m1.profile.eval_w(tt)
     wt_fun = lambda tt: sol_n3m1.profile.eval_wt(tt)
     ys = y_star(3, t, w_fun, wt_fun)
     alt = (2.0 * (x_star(3, t, w_fun) + 1.0)
@@ -61,7 +61,7 @@ def test_two_route_agreement(sol_n3m1):
     # direct log-domain formula vs factored-ansatz substitution
     t = sol_n3m1.eta.grid[(sol_n3m1.eta.grid >= 40.0)
                           & (sol_n3m1.eta.grid <= sol_n3m1.eta.t_usable)][::10]
-    w_fun = lambda tt: sol_n3m1.eval_w_dense(tt)
+    w_fun = lambda tt: sol_n3m1.profile.eval_w(tt)
     wt_fun = lambda tt: sol_n3m1.profile.eval_wt(tt)
     xa = x_star(3, t, w_fun)
     xb = x_star_factored(3, t, sol_n3m1.eta)
@@ -72,7 +72,7 @@ def test_two_route_agreement(sol_n3m1):
 
 
 def test_equivalence_report_passes(sol_n3m1):
-    rep = equivalence_report(sol_n3m1, eps=0.5)
+    rep = equivalence_report(sol_n3m1)
     assert rep.passed
     assert rep.tail_sup < 0.05
     assert rep.decreasing
@@ -130,7 +130,7 @@ def test_miyamoto_matches_constructed_near_origin(sol_n3m1):
     diffs = []
     for t in ts:
         U = miyamoto_profile(3, math.exp(-t))
-        diffs.append(abs(U - float(sol_n3m1.eval_w_dense(t))))
+        diffs.append(abs(U - float(sol_n3m1.profile.eval_w(t))))
     assert diffs[1] < diffs[0] and diffs[2] < diffs[1]
     assert diffs[-1] < 1e-4
 

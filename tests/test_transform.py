@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from itergelfand.numerics import differentiate
 from itergelfand.transform import (LogProfile, RadialProfile, gradient_magnitude,
@@ -122,3 +124,33 @@ def test_validation_errors():
         LogProfile(np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
         gradient_magnitude(radial_to_log(gelfand_radial(3)), 2.0, 1e-9)
+
+
+@settings(max_examples=400, deadline=None)
+@given(t0=st.floats(min_value=-10.0, max_value=10.0),
+       gaps=st.lists(st.floats(min_value=0.01, max_value=2.0), min_size=1, max_size=12),
+       coef=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=4, max_size=4),
+       frac=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=20),
+       outside=st.floats(min_value=1e-9, max_value=10.0))
+def test_hermite_reproduces_cubics(t0, gaps, coef, frac, outside):
+    # eval_w / eval_wt are the cubic Hermite of (w, w_t), exact on cubic data
+    a, b, c, d = coef
+    t = t0 + np.concatenate([[0.0], np.cumsum(gaps)])
+    prof = LogProfile(t, a + t * (b + t * (c + t * d)), b + t * (2.0 * c + 3.0 * d * t))
+    q = np.clip(t[0] + np.array(frac) * (t[-1] - t[0]), t[0], t[-1])
+    # rounding of the samples, amplified by 1/h in the derivative
+    eps = np.finfo(float).eps
+    big = float(np.max(np.abs(t)))
+    scale_w = abs(a) + abs(b) * big + abs(c) * big ** 2 + abs(d) * big ** 3
+    scale_wt = abs(b) + 2.0 * abs(c) * big + 3.0 * abs(d) * big ** 2
+    tol_w = 64.0 * eps * (scale_w + scale_wt)
+    tol_wt = 64.0 * eps * (scale_w / min(gaps) + scale_wt)
+    w_exact = a + q * (b + q * (c + q * d))
+    wt_exact = b + q * (2.0 * c + 3.0 * d * q)
+    assert np.max(np.abs(prof.eval_w(q) - w_exact)) <= tol_w
+    assert np.max(np.abs(prof.eval_wt(q) - wt_exact)) <= tol_wt
+    assert type(prof.eval_w(float(q[0]))) is float
+    assert type(prof.eval_wt(float(q[0]))) is float
+    beyond = np.array([t[0] - outside, t[-1] + outside])
+    assert np.all(np.isnan(prof.eval_w(beyond)))
+    assert np.all(np.isnan(prof.eval_wt(beyond)))

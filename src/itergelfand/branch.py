@@ -9,20 +9,34 @@ rescaled inner variables s = r exp(G_m(rho)/2), where the nonlinearity is
 exp(G_m(v) - G_m(rho)) and the center layer has unit scale; once the
 rescaled force has died (or s has grown past a fixed cap) the descent
 continues in log variables (t, w) where the remaining range is
-logarithmically compressed.  A shot that keeps its profile keeps the dense
-output of both solves and is evaluated from it directly; it is never sampled.
+logarithmically compressed.
+
+A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
+picture: the rescaled inner solution glued onto u*) first descends only
+to t_match = t1 - MATCH_DEPTH.  Below t1 its deviation from w* decays like
+e^{-(n-2)(t1-t)/2}; if at t_match it is so small that, decaying further
+down to t_star, it could not move the zero by rounding, the shot returns
+lambda* of the default build_singular(n, m) (computed once per process).
+Otherwise, or when that build fails, the descent goes on to the zero.
+
+A shot that keeps its profile keeps the dense output of its solves and is
+evaluated from it directly; it is never sampled.  A matched shot integrates
+the rest of its descent below t_match only when its profile is first asked
+for there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .corrector import EtaSpaceConfig, PicardConvergenceError
 from .numerics import scalar_or_array
-from .rk import solve_ivp
-from .singular import descend
+from .rk import EPS, solve_ivp
+from .singular import DescentError, build_singular, descend, singular_state
 from .towers import TowerOverflowError, g_tower
 
 # descent budget: refuse shots whose log-variable start would need more work
@@ -30,6 +44,12 @@ from .towers import TowerOverflowError, g_tower
 T1_BUDGET = 2.0e5
 # sampling step in tau = -ln r when scanning for profile intersections
 TAU_STEP = 0.02
+# a deep shot is compared with w* this far below its log-variable start
+MATCH_DEPTH = 40.0
+# larger deviations from w* at t_match are not taken as linear perturbations
+MATCH_TOL_CAP = 1e-8
+# (n, m) -> lambda* of the default build_singular(n, m), or None when it fails
+_LAMBDA_STAR = {}
 
 
 class ShootError(RuntimeError):
@@ -40,9 +60,13 @@ class ShootError(RuntimeError):
 class BranchPoint:
     """One point of the regular branch: rho, first zero R, lambda = R^2.
 
-    A shot that keeps its profile also holds the dense solutions of its
-    inner phase (in s = exp(L/2 - t), L = G_m(rho)) and of its log-variable
-    descent (None when the inner phase reaches the zero itself).
+    t_match is where a matched shot left its descent for w* (lambda is then
+    lambda*); None for a shot that descended to its own zero.  A shot that
+    keeps its profile also holds the dense solutions of its inner phase
+    (in s = exp(L/2 - t), L = G_m(rho)) and the list of its log-variable
+    descent solves, top first (empty when the inner phase reaches the zero
+    itself).  A matched shot holds the descent above t_match and, in resume,
+    the call that integrates the rest.
     """
 
     rho: float
@@ -51,8 +75,10 @@ class BranchPoint:
     n: int
     m: int
     inner: object = field(default=None, repr=False)
-    descent: object = field(default=None, repr=False)
+    descent: list | None = field(default=None, repr=False)
     L: float | None = None
+    t_match: float | None = None
+    resume: object = field(default=None, repr=False)
 
     def _inner_range(self):
         if self.inner is None:
@@ -65,6 +91,17 @@ class BranchPoint:
         """Top of the kept t-range: the start of the inner phase."""
         return self._inner_range()[1]
 
+    def descents(self, t_lo=-math.inf):
+        """The kept descent solves, top first, once they reach down to t_lo.
+
+        A matched shot integrates its descent below t_match here, the first
+        time t_lo lies below it.
+        """
+        if self.resume is not None and t_lo < self.t_match:
+            self.descent.append(self.resume()[1])
+            self.resume = None
+        return self.descent or []
+
     def eval_w(self, t):
         """w(t) from the kept dense solutions; NaN outside their t-range."""
         shape = np.shape(t)
@@ -72,10 +109,11 @@ class BranchPoint:
         out = np.full(t.shape, np.nan)
         lo, hi = self._inner_range()
         inner = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-        if self.descent is not None:
-            dlo, dhi = sorted((float(self.descent.t[0]), float(self.descent.t[-1])))
-            below = (t >= dlo - 1e-12) & (t <= dhi + 1e-12)
-            out[below] = self.descent.sol(np.clip(t[below], dlo, dhi))[0]
+        for sol in self.descents(float(np.min(t, initial=math.inf))):
+            dlo, dhi = sorted((float(sol.t[0]), float(sol.t[-1])))
+            # an earlier (higher) solve keeps the t it shares with this one
+            below = (t >= dlo - 1e-12) & (t <= dhi + 1e-12) & np.isnan(out)
+            out[below] = sol.sol(np.clip(t[below], dlo, dhi))[0]
             inner &= ~below
         out[inner] = self.inner.sol(np.exp(0.5 * self.L - np.clip(t[inner], lo, hi)))[0]
         return scalar_or_array(out.reshape(shape))
@@ -163,11 +201,11 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
 
     # series start: v = rho - s^2/(2n) + G'_m(rho) s^4/(8n(n+2)); keep s0 well
     # inside the series radius ~ 1/sqrt(G'_m(rho))
-    ln_gp = _log_grad_gm(m, rho) if m >= 1 else 0.0
+    ln_gp = _log_grad_gm(m, rho)
     ln_s0 = math.log(1e-4) - 0.5 * max(0.0, ln_gp - math.log(2.0 * n))
     s0 = math.exp(ln_s0)
-    quart = math.exp(min(ln_gp + 4.0 * ln_s0, 700.0)) / (8.0 * n * (n + 2)) if m >= 1 else \
-        s0 ** 4 / (8.0 * n * (n + 2))
+    # ln_gp + 4 ln_s0 <= ln(2n) - 36.8 < 0 by the choice of s0
+    quart = math.exp(ln_gp + 4.0 * ln_s0) / (8.0 * n * (n + 2))
     v0 = rho - s0 * s0 / (2.0 * n) + quart
     p0 = -s0 / n + 4.0 * quart / s0
 
@@ -191,7 +229,7 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     if len(sol_a.t_events[0]):
         s_zero = float(sol_a.t_events[0][0])
         ln_R = math.log(s_zero) - 0.5 * L
-        return _finish(n, m, rho, ln_R, sol_a, None, L, keep_profile)
+        return _finish(n, m, rho, ln_R, sol_a, [], L, keep_profile)
     if sol_a.status < 0:
         raise ShootError(f"the inner phase at rho = {rho} failed: {sol_a.message}")
     if len(sol_a.t_events[1]):
@@ -201,19 +239,64 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         s1 = float(sol_a.t[-1])
         v1, p1 = float(sol_a.y[0, -1]), float(sol_a.y[1, -1])
 
-    t1 = 0.5 * L - math.log(s1)
+    t1, y1 = 0.5 * L - math.log(s1), (v1, -s1 * p1)
     if t1 > T1_BUDGET:
         raise ShootError(
             f"rho = {rho} puts the log-variable start at t = {t1:.3g}, beyond the "
             f"practical descent budget {T1_BUDGET:.0e}")
-    t_zero, sol_b = descend(n, m, t1, v1, -s1 * p1, rtol, atol,
-                            dense_output=keep_profile)
-    return _finish(n, m, rho, -t_zero, sol_a, sol_b, L, keep_profile)
+    descents = []
+    t_match = t1 - MATCH_DEPTH
+    if t_match >= EtaSpaceConfig().resolved(m)[0]:
+        t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, t_match,
+                                dense_output=keep_profile, stop_at_floor=True)
+        descents.append(sol_b)
+        if t_zero is not None:
+            return _finish(n, m, rho, -t_zero, sol_a, descents, L, keep_profile)
+        # stop at t_match when the shot sits on w*, else go on from there
+        t1, y1 = t_match, (float(sol_b.y[0, -1]), float(sol_b.y[1, -1]))
+        lam_star = _matched_lambda(n, m, t1, *y1)
+        if lam_star is not None:
+            kept = {}
+            if keep_profile:
+                kept = {"inner": sol_a, "descent": descents, "L": L,
+                        "resume": partial(descend, n, m, t1, *y1, rtol, atol, dense_output=True)}
+            return BranchPoint(rho=rho, R=math.sqrt(lam_star), lam=lam_star, n=n, m=m,
+                               t_match=t_match, **kept)
+    t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, dense_output=keep_profile)
+    descents.append(sol_b)
+    return _finish(n, m, rho, -t_zero, sol_a, descents, L, keep_profile)
 
 
-def _finish(n, m, rho, ln_R, sol_a, sol_b, L, keep_profile):
-    """BranchPoint of a shot from its inner solve sol_a and its descent sol_b (or None)."""
-    kept = {"inner": sol_a, "descent": sol_b, "L": L} if keep_profile else {}
+def _singular_lambda(n, m):
+    """lambda* of the default build_singular(n, m), built once per process; None if it fails."""
+    if (n, m) not in _LAMBDA_STAR:
+        try:
+            _LAMBDA_STAR[(n, m)] = build_singular(n, m).lambda_star
+        except (PicardConvergenceError, DescentError, ValueError, OverflowError):
+            _LAMBDA_STAR[(n, m)] = None
+    return _LAMBDA_STAR[(n, m)]
+
+
+def _matched_lambda(n, m, t, w, w_t):
+    """lambda* when the descent state (w, w_t) at t sits on w*, else None.
+
+    The deviation from w*(t) decays like e^{-(n-2)(t-s)/2} on the way down
+    to s = t_star and moves t_star, and so ln(lambda) / 2, by about that
+    much; it matches when that effect is below eps / 2 and the deviation
+    itself below MATCH_TOL_CAP.
+    """
+    lam_star = _singular_lambda(n, m)
+    star = singular_state(n, m, t) if lam_star is not None else None
+    if star is None:
+        return None
+    dev = max(abs(w - star[0]), abs(w_t - star[1]))
+    decay = math.exp(-0.5 * (n - 2) * (t + 0.5 * math.log(lam_star)))
+    return lam_star if dev < MATCH_TOL_CAP and dev * decay < 0.5 * EPS else None
+
+
+def _finish(n, m, rho, ln_R, sol_a, descents, L, keep_profile):
+    """BranchPoint of a shot from its inner solve sol_a and its descent solves."""
+    kept = {"inner": sol_a, "descent": descents, "L": L} if keep_profile else {}
     return BranchPoint(rho=rho, R=math.exp(ln_R), lam=math.exp(2.0 * ln_R), n=n, m=m, **kept)
 
 

@@ -256,7 +256,9 @@ def cmd_bifurcation(cfg):
         tp_hdr.append("lambda_minus_lambda_star")
         tp_cols.append(tp_cols[1] - reference.lambda_star)
     write_csv(os.path.join(cfg.outdir, "turning_points.csv"), tp_hdr, tp_cols)
-    results = {"points": len(rho), "turning_points": len(curve.turning)}
+    # shots of the curve that returned lambda* once their descent sat on w*
+    results = {"points": len(rho), "turning_points": len(curve.turning),
+               "matched_shots": sum(p.t_match is not None for p in curve.points)}
     if reference is not None:
         rhos = sorted({2.0, 4.0, 6.0} & set(np.round(rho, 9)))
         counts = [br.intersection_count(br.shoot_regular(cfg.n, cfg.m_effective, float(r)),

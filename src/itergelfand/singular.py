@@ -8,7 +8,8 @@ with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
 a DOP853 descent with the package's own solve_ivp (itergelfand.rk) locates
 the crossing as a terminal event.  The same descent finishes every regular
-branch shot (branch.shoot_regular).
+branch shot (branch.shoot_regular), and singular_state gives the (w*, w*_t)
+that a deep shot is matched against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import EtaSolution, EtaSpaceConfig, phi_m1, phi_m, picard_solve
+from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
+                        phi_m1, phi_m, picard_solve)
 from .numerics import differentiate
 from .rk import solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
@@ -29,6 +31,8 @@ from .transform import LogProfile
 HANDOFF_OFFSET = 5.0
 # spacing of the descent samples kept below the handoff
 SAMPLE_STEP = 0.01
+# corrector grid size of the short-window solve of singular_state
+STATE_NODES = 128
 
 
 class DescentError(RuntimeError):
@@ -103,7 +107,7 @@ def assemble_w(n, m, eta_sol):
     return LogProfile(t, f + eta_sol.eta[sel], f_t + eta_sol.eta_t[sel])
 
 
-def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output):
+def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at_floor=False):
     """Integrate the profile equation from (t, w, w_t) down to the first zero of w.
 
     One DOP853 pass towards t_floor with a terminal zero event, which the
@@ -112,7 +116,8 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output):
     is the dense output only when dense_output is set.  integrate_down and
     the log-variable phase of branch.shoot_regular both run through it.  A
     trial step whose force exp(G_m(w) - 2t) leaves the double range raises
-    DescentError.
+    DescentError; so does reaching t_floor without a zero, unless
+    stop_at_floor is set, which returns (None, sol) then.
     """
     c = n - 2
 
@@ -132,9 +137,33 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output):
         raise DescentError(f"the descent from t = {t:.6g} left the double range "
                            f"({exc})") from exc
     if len(sol.t_events[0]) == 0:
+        if stop_at_floor and sol.status == 0:
+            return None, sol
         raise DescentError(f"no zero of w above t = {t_floor} on the descent "
                            f"from t = {t:.6g} ({sol.message})")
     return float(sol.t_events[0][0]), sol
+
+
+def singular_state(n, m, t):
+    """(w*, w*_t)(t) for t at or above the default corrector T, or None.
+
+    The corrector eta(t) depends only on the forcing on [t, t_max], so one
+    Picard solve on the short window [t, t + HANDOFF_OFFSET + pad] gives it
+    without building w* over the whole height.  None when the iteration
+    does not contract there.
+    """
+    f, f_t = (float(v) for v in ansatz_terms(n, m, t))
+    if m == 0:
+        return f, f_t
+    cfg = EtaSpaceConfig()
+    t_usable = t + HANDOFF_OFFSET
+    try:
+        eta_sol, _ = _solve_on_grid(n, m, cfg, t, t_usable, t_usable + cfg.pad(n), STATE_NODES)
+    except PicardConvergenceError:
+        return None
+    if eta_sol is None:
+        return None
+    return f + float(eta_sol.eta[0]), f_t + float(eta_sol.eta_t[0])
 
 
 def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):

@@ -5,8 +5,9 @@ whole-function forcing evaluation instead of the per-node pieces of the
 Picard loop, direct per-point quadrature of the explicit kernel of each root
 family instead of the grid sweep, the factored ansatz pieces instead of
 the sampled profile for the tail-integral traces, Fornberg's recurrence
-one stencil at a time instead of batched over all samples, and a sampled
-copy of a branch shot instead of its dense output.
+one stencil at a time instead of batched over all samples, a sampled
+copy of a branch shot instead of its dense output, and a branch shot whose
+descent runs all the way to its zero instead of being matched to w*.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
+import itergelfand.branch as br
 from itergelfand.corrector import PicardConvergenceError, _ForcingM, _ForcingM1, phi_m1
 from itergelfand.numerics import panel_nodes, scalar_or_array
 from itergelfand.towers import f_tail_log
@@ -148,8 +150,7 @@ def sampled_branch(point):
     t_zero = -math.log(point.R)
     focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
     ts, ws, wts = [], [], []
-    if point.descent is not None:
-        sol_b = point.descent
+    for sol_b in point.descents():
         tlo, thi = sorted((float(sol_b.t[0]), float(sol_b.t[-1])))
         tt = _segment_times(tlo, thi, focus_lo, focus_hi)
         yy = sol_b.sol(tt)
@@ -174,3 +175,12 @@ def sampled_branch(point):
     r = np.exp(-log_profile.t[tsel])
     radial = RadialProfile(point.lam, r, log_profile.w[tsel], -log_profile.w_t[tsel] / r)
     return log_profile, radial
+
+
+def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13):
+    """shoot_regular without matching: its descent always runs on to the zero of w."""
+    saved, br.MATCH_DEPTH = br.MATCH_DEPTH, math.inf
+    try:
+        return br.shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=False)
+    finally:
+        br.MATCH_DEPTH = saved

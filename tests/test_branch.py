@@ -10,7 +10,7 @@ from itergelfand.branch import (BranchPoint, ShootError, intersection_count, sho
                                 trace_curve, turning_points)
 from itergelfand.singular import DescentError, ode_residual
 from itergelfand.towers import g_tower
-from oracles import sampled_branch
+from oracles import full_descent_shot, sampled_branch
 
 
 def naive_radial_shoot(n, m, rho):
@@ -60,9 +60,13 @@ def test_shoot_refinement():
 
 def test_beyond_direct_range_converges_to_singular(sol_n3m1):
     # exp(G_1(rho)) overflows past rho ~ 6.56; the rescaled phases carry on
-    # and lambda(rho) has saturated at lambda* there
+    # and lambda(rho) has saturated at lambda* there.  The shot is matched to
+    # w* and returns lambda*, so the full descent checks it too
     p = shoot_regular(3, 1, 8.0, keep_profile=False)
     assert abs(p.lam - sol_n3m1.lambda_star) / sol_n3m1.lambda_star < 1e-9
+    full = full_descent_shot(3, 1, 8.0)
+    assert abs(full.lam - sol_n3m1.lambda_star) / sol_n3m1.lambda_star < 1e-9
+    assert abs(p.lam - full.lam) / full.lam < 1e-10
 
 
 def test_budget_guard():
@@ -190,9 +194,15 @@ def test_shoot_rejects_unrepresentable_tower():
 
 
 def test_descent_overflow_is_descent_error():
-    # a trial step of the m = 3 descent overflows exp(G_3(w) - 2t)
+    # a trial step of the m = 3 descent overflows exp(G_3(w) - 2t) near
+    # t = 38 000, below the matching point of this shot: the shot returns
+    # lambda*, and the overflow shows once its profile is asked for there
     with pytest.raises(DescentError, match="left the double range"):
-        shoot_regular(3, 3, 0.894)
+        full_descent_shot(3, 3, 0.894)
+    point = shoot_regular(3, 3, 0.894)
+    assert point.t_match is not None
+    with pytest.raises(DescentError, match="left the double range"):
+        point.eval_w(point.t_match - 20000.0)
 
 
 def test_failed_inner_phase_is_shoot_error(monkeypatch):
@@ -220,3 +230,32 @@ def test_dense_branch_matches_sampled_profile():
     assert np.max(np.abs(point.eval_w(t) - log_profile.eval_w(t))) < 1e-6
     assert np.isnan(point.eval_w([log_profile.t_min - 1.0]))[0]
     assert type(point.eval_w(float(t[1000]))) is float
+
+
+@pytest.mark.parametrize("n, m, rho", [(3, 1, 9.0), (3, 1, 6.0), (3, 2, 2.0)])
+def test_matched_shot_matches_full_descent(n, m, rho):
+    p = shoot_regular(n, m, rho, keep_profile=False)
+    assert p.t_match is not None
+    assert abs(p.lam - full_descent_shot(n, m, rho).lam) / p.lam < 1e-10
+
+
+def test_matching_only_far_up_the_branch(curve_n3m1):
+    # the default (3, 1) grid ends at rho = 4.8, where t_match lies below T = 30
+    assert all(p.t_match is None for p in curve_n3m1.points)
+    for n, m, rho in ((5, 1, 9.0), (7, 2, 2.3), (3, 1, 8.0)):
+        assert shoot_regular(n, m, rho, keep_profile=False).t_match is not None
+
+
+def test_matched_profile_continues_below_t_match():
+    point = shoot_regular(3, 1, 6.0)
+    t_match = point.t_match
+    assert t_match is not None and len(point.descent) == 1
+    above = point.eval_w([t_match, t_match + 1.0])
+    assert len(point.descent) == 1           # nothing below t_match asked yet
+    below = point.eval_w(np.array([t_match - 1e-9, t_match - 1.0]))
+    assert len(point.descent) == 2 and point.resume is None
+    assert abs(below[0] - above[0]) < 1e-10
+    t_zero = -math.log(point.R)
+    assert abs(point.eval_w(t_zero + 1e-6)) < 1e-5
+    assert np.isnan(point.eval_w(t_zero - 1.0))
+    assert point.t_max > t_match + 39.0

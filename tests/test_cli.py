@@ -89,6 +89,8 @@ def test_intersections_from_written_reference(tmp_path):
     inter = np.loadtxt(out / "intersections.csv", delimiter=",", skiprows=1)
     assert inter[:, 0].tolist() == [2.0, 4.0, 6.0]
     assert inter[:, 1].tolist() == [2.0, 12.0, 13.0]
+    # the rho = 6 shot of the curve is matched to w*; rho = 2 and 4 are not
+    assert "matched_shots = 1" in (out / "meta.txt").read_text().splitlines()
 
 
 def test_bifurcation_empty_grid_usage_error(tmp_path):
@@ -232,3 +234,4 @@ def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
 def test_trace_ignores_corrector_fields(tmp_path):
     # the corrector's rules apply only to commands that solve it
     assert run_cli(TRACE + ["--t-max", "100", "--M", "0", "--outdir", str(tmp_path)]) == 0
+    assert "matched_shots = 0" in (tmp_path / "meta.txt").read_text().splitlines()

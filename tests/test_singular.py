@@ -138,9 +138,15 @@ def test_m2_descent(sol_n3m2):
 def test_branch_accumulates_at_singular_lambda():
     # completely independent route to lambda*: center shooting far along the
     # branch, where lambda(rho) has converged to the singular value, must
-    # agree with the corrector-plus-descent pipeline
+    # agree with the corrector-plus-descent pipeline.  These shots are
+    # matched to w* and return lambda* itself, so the full descent to the
+    # zero is the independent route
     from itergelfand.branch import shoot_regular
+    from oracles import full_descent_shot
     for n, m, rho in ((5, 1, 9.0), (7, 2, 2.3)):
         sol = build_singular(n, m)
         point = shoot_regular(n, m, rho, keep_profile=False)
         assert abs(point.lam - sol.lambda_star) / sol.lambda_star < 1e-9
+        full = full_descent_shot(n, m, rho)
+        assert abs(full.lam - sol.lambda_star) / sol.lambda_star < 1e-9
+        assert abs(point.lam - full.lam) / full.lam < 1e-10

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -11,6 +12,8 @@ from itergelfand.towers import (TowerDomainError, TowerOverflowError, f_tail,
                                 f_tail_inverse, f_tail_inverse_log, f_tail_log,
                                 g_deriv, g_diff, g_tower, h_deriv, h_tower,
                                 tower_domain_lower)
+
+EPS = sys.float_info.epsilon
 
 # safe grids: G_m(y) stays representable
 SAFE_Y = {1: np.linspace(-2.0, 3.0, 41),
@@ -195,3 +198,40 @@ def test_scalar_tower_matches_array_tower(m, y):
     for v in chain[1:]:
         bound = v * math.expm1(bound) + 2.0 * math.ulp(v)
     assert abs(got - ref) <= bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(min_value=0, max_value=3),
+       y=st.floats(min_value=-30.0, max_value=710.0))
+def test_tower_roundtrip_property(m, y):
+    try:
+        g = g_tower(m, y)
+    except TowerOverflowError:
+        return
+    back = h_tower(m, g)
+    # every exp and log rounds within one ulp of its result; an error e at
+    # level j moves y by e / (G_1 ... G_j), so with both directions the
+    # round trip stays within 2 sum_j ulp(G_j) / (G_1 ... G_j).  2e5 random
+    # cases used at most 0.33 of that bound
+    bound, prod = 0.0, 1.0
+    v = y
+    for j in range(m + 1):
+        if j:
+            v = math.exp(v)
+            prod *= v
+        bound += math.ulp(v) / prod
+    assert abs(back - y) <= 2.0 * bound
+
+
+@settings(max_examples=400, deadline=None)
+@given(t=st.floats(min_value=-700.0, max_value=6.5))
+def test_f_tail_inverse_roundtrip_property(t):
+    back = f_tail_inverse(f_tail(t))
+    # F(t) carries a relative error of a few ulps of 1 + |ln F| (exp1, or the
+    # log-domain series then exp), which moves the root by that times
+    # F / |F'| = exp(ln F + e^t); the bracketed Newton stops within a few
+    # ulps of t.  4e4 random cases used at most 0.23 of the bound
+    log_f = f_tail_log(t)
+    spread = math.exp(log_f + math.exp(t))
+    bound = 16.0 * (math.ulp(t) + EPS * (1.0 + abs(log_f)) * spread)
+    assert abs(back - t) <= bound

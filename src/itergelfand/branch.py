@@ -33,10 +33,13 @@ from functools import partial
 
 import numpy as np
 
-from .corrector import EtaSpaceConfig, PicardConvergenceError
 from .numerics import scalar_or_array
 from .rk import EPS, solve_ivp
-from .singular import DescentError, build_singular, descend, singular_state
+# EtaSpaceConfig and PicardConvergenceError come through singular: importing
+# corrector here, ahead of rk, put scipy.interpolate before scipy.integrate
+# and made `import itergelfand` about 0.16 s slower
+from .singular import (DescentError, EtaSpaceConfig, PicardConvergenceError, build_singular,
+                       descend, singular_state)
 from .towers import TowerOverflowError, g_tower
 
 # descent budget: refuse shots whose log-variable start would need more work

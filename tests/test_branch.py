@@ -259,3 +259,37 @@ def test_matched_profile_continues_below_t_match():
     assert abs(point.eval_w(t_zero + 1e-6)) < 1e-5
     assert np.isnan(point.eval_w(t_zero - 1.0))
     assert point.t_max > t_match + 39.0
+
+
+def test_match_rule():
+    # a deviation d from w* at t matches when d e^{-(n-2)(t - t_star)/2} is
+    # below eps / 2: at t = 30 (n = 3) the factor is 3.4e-7, at t = 150 it is 4e-33
+    from itergelfand.singular import singular_state
+    lam_star = br._singular_lambda(3, 1)
+    for t, d, matched in ((30.0, 1e-12, True), (30.0, 1e-9, False),
+                          (150.0, 1e-9, True), (150.0, 1e-7, False)):
+        w, w_t = singular_state(3, 1, t)
+        got = br._matched_lambda(3, 1, t, w + d, w_t)
+        assert got == (lam_star if matched else None)
+
+
+def test_failed_singular_build_falls_back_to_full_descent(monkeypatch):
+    # a build_singular failure is cached per (n, m); the shot then goes on
+    # from t_match to its own zero
+    calls = []
+
+    def failing(n, m):
+        calls.append((n, m))
+        raise DescentError("no zero")
+    monkeypatch.setattr(br, "build_singular", failing)
+    monkeypatch.setattr(br, "_LAMBDA_STAR", {})
+    points = [shoot_regular(3, 1, rho) for rho in (8.0, 8.5)]
+    assert calls == [(3, 1)]
+    full = full_descent_shot(3, 1, 8.0)
+    p = points[0]
+    assert p.t_match is None and len(p.descent) == 2
+    assert abs(p.lam - full.lam) / full.lam < 1e-10
+    t_split = float(p.descent[0].t[-1])
+    w = p.eval_w([t_split + 1e-9, t_split - 1e-9])
+    assert abs(w[0] - w[1]) < 1e-10
+    assert abs(p.eval_w(-math.log(p.R))) < 1e-12

@@ -263,7 +263,8 @@ def test_matched_profile_continues_below_t_match():
 
 def test_match_rule():
     # a deviation d from w* at t matches when d e^{-(n-2)(t - t_star)/2} is
-    # below eps / 2: at t = 30 (n = 3) the factor is 3.4e-7, at t = 150 it is 4e-33
+    # below eps / 2 and d below 1e-8: at t = 30 (n = 3) the factor is 3.4e-7,
+    # at t = 150 it is 3e-33
     from itergelfand.singular import singular_state
     lam_star = br._singular_lambda(3, 1)
     for t, d, matched in ((30.0, 1e-12, True), (30.0, 1e-9, False),

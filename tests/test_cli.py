@@ -160,6 +160,17 @@ def test_descent_overflow_is_numeric_failure(tmp_path, capsys):
     assert err.startswith("numeric failure:") and "Traceback" not in err
 
 
+def test_negative_handoff_is_numeric_failure(tmp_path, capsys):
+    # at m = 4 the assembled profile is negative where the descent starts;
+    # the rho 0.85..0.93 shots of the test above are matched to w* and no
+    # longer reach the descent overflow, so this keeps a DescentError in view
+    code = run_cli(["singular", "construct", "--n", "3", "--m", "4", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "at the handoff" in err
+    assert "Traceback" not in err
+
+
 def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True):
     """A hand-written `singular construct` output directory."""
     ref.mkdir()

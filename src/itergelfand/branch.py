@@ -14,10 +14,13 @@ logarithmically compressed.
 A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
 picture: the rescaled inner solution glued onto u*) first descends only
 to t_match = t1 - MATCH_DEPTH.  Below t1 its deviation from w* decays like
-e^{-(n-2)(t1-t)/2}; if at t_match it is so small that, decaying further
-down to t_star, it could not move the zero by rounding, the shot returns
-lambda* of the default build_singular(n, m) (computed once per process).
-Otherwise, or when that build fails, the descent goes on to the zero.
+e^{-r (t1-t)}, with r = Re lam_- the slower root of the linearized equation
+((n-2)/2 for n <= 10, tending to 2 as n grows).  If at t_match the
+deviation is below MATCH_TOL_CAP (the bound that binds for n >= 4) and so
+small that, decaying further down to t_star, it could not move the zero
+by rounding, the shot returns lambda* of the default build_singular(n, m)
+(computed once per process).  Otherwise, or when that build fails, the
+descent goes on to the zero.
 
 A shot that keeps its profile keeps the dense output of its solves and is
 evaluated from it directly; it is never sampled.  A matched shot integrates
@@ -35,11 +38,11 @@ import numpy as np
 
 from .numerics import scalar_or_array
 from .rk import EPS, solve_ivp
-# EtaSpaceConfig and PicardConvergenceError come through singular: importing
-# corrector here, ahead of rk, put scipy.interpolate before scipy.integrate
-# and made `import itergelfand` about 0.16 s slower
-from .singular import (DescentError, EtaSpaceConfig, PicardConvergenceError, build_singular,
-                       descend, singular_state)
+# EtaSpaceConfig, PicardConvergenceError and PsiKernel come through singular:
+# importing corrector here, ahead of rk, put scipy.interpolate before
+# scipy.integrate and made `import itergelfand` about 0.16 s slower
+from .singular import (DescentError, EtaSpaceConfig, PicardConvergenceError, PsiKernel,
+                       build_singular, descend, singular_state)
 from .towers import TowerOverflowError, g_tower
 
 # descent budget: refuse shots whose log-variable start would need more work
@@ -112,7 +115,9 @@ class BranchPoint:
         out = np.full(t.shape, np.nan)
         lo, hi = self._inner_range()
         inner = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-        for sol in self.descents(float(np.min(t, initial=math.inf))):
+        # a NaN in t must not hide the finite t below t_match from the resume
+        t_lo = float(np.min(t, initial=math.inf, where=~np.isnan(t)))
+        for sol in self.descents(t_lo):
             dlo, dhi = sorted((float(sol.t[0]), float(sol.t[-1])))
             # an earlier (higher) solve keeps the t it shares with this one
             below = (t >= dlo - 1e-12) & (t <= dhi + 1e-12) & np.isnan(out)
@@ -283,17 +288,20 @@ def _singular_lambda(n, m):
 def _matched_lambda(n, m, t, w, w_t):
     """lambda* when the descent state (w, w_t) at t sits on w*, else None.
 
-    The deviation from w*(t) decays like e^{-(n-2)(t-s)/2} on the way down
-    to s = t_star and moves t_star, and so ln(lambda) / 2, by about that
-    much; it matches when that effect is below eps / 2 and the deviation
-    itself below MATCH_TOL_CAP.
+    The deviation from w*(t) decays like e^{-r (t-s)} on the way down to
+    s = t_star, with r = Re lam_- of PsiKernel ((n-2)/2 for n <= 10, the
+    real slower root for n >= 11), and moves t_star, and so ln(lambda) / 2,
+    by about that much; it matches when that effect is below eps / 2 and
+    the deviation itself below MATCH_TOL_CAP.  With t >= 30 the cap is the
+    bound that binds for every n >= 4.
     """
     lam_star = _singular_lambda(n, m)
     star = singular_state(n, m, t) if lam_star is not None else None
     if star is None:
         return None
     dev = max(abs(w - star[0]), abs(w_t - star[1]))
-    decay = math.exp(-0.5 * (n - 2) * (t + 0.5 * math.log(lam_star)))
+    rate = PsiKernel.for_dimension(n).lam_minus.real
+    decay = math.exp(-rate * (t + 0.5 * math.log(lam_star)))
     return lam_star if dev < MATCH_TOL_CAP and dev * decay < 0.5 * EPS else None
 
 

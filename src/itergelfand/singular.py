@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
-                        phi_m1, phi_m, picard_solve)
+from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, PsiKernel,
+                        _solve_on_grid, phi_m1, phi_m, picard_solve)
 from .numerics import differentiate
 from .rk import solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower

@@ -225,7 +225,7 @@ def test_dense_branch_matches_sampled_profile():
     point = shoot_regular(3, 1, 4.0)
     log_profile, _ = sampled_branch(point)
     t = np.linspace(log_profile.t_min, log_profile.t_max, 2000)
-    assert point.descent is not None
+    assert point.t_match is None and len(point.descent) == 1
     assert log_profile.t_max == pytest.approx(point.t_max, abs=1e-12)
     assert np.max(np.abs(point.eval_w(t) - log_profile.eval_w(t))) < 1e-6
     assert np.isnan(point.eval_w([log_profile.t_min - 1.0]))[0]
@@ -259,6 +259,15 @@ def test_matched_profile_continues_below_t_match():
     assert abs(point.eval_w(t_zero + 1e-6)) < 1e-5
     assert np.isnan(point.eval_w(t_zero - 1.0))
     assert point.t_max > t_match + 39.0
+
+
+def test_matched_profile_resumes_past_nan():
+    # a NaN among the t asked for does not keep the part below t_match away
+    t = shoot_regular(3, 1, 6.0).t_match - 1.0
+    point = shoot_regular(3, 1, 6.0)
+    w = point.eval_w([math.nan, t])
+    assert np.isnan(w[0]) and len(point.descent) == 2
+    assert w[1] == shoot_regular(3, 1, 6.0).eval_w(t)
 
 
 def test_match_rule():

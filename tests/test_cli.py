@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from itergelfand import branch as br
 from itergelfand.cli import main
+from itergelfand.singular import DescentError
 
 
 def run_cli(args):
@@ -152,18 +154,24 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, config):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_descent_overflow_is_numeric_failure(tmp_path, capsys):
+def test_descent_overflow_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    # the m = 3 shots at rho 0.87..0.93 return lambda* once matched to w*;
+    # with the singular build failing they descend to their own zero, and
+    # the descent of rho = 0.87 overflows on the way
+    def failing(n, m):
+        raise DescentError("no zero")
+    monkeypatch.setattr(br, "build_singular", failing)
+    monkeypatch.setattr(br, "_LAMBDA_STAR", {})
     code = run_cli(["bifurcation", "trace", "--n", "3", "--m", "3", "--rho-min", "0.85",
                     "--rho-max", "0.95", "--rho-step", "0.02", "--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure:") and "Traceback" not in err
+    assert err.startswith("numeric failure:") and "left the double range" in err
+    assert "Traceback" not in err
 
 
 def test_negative_handoff_is_numeric_failure(tmp_path, capsys):
-    # at m = 4 the assembled profile is negative where the descent starts;
-    # the rho 0.85..0.93 shots of the test above are matched to w* and no
-    # longer reach the descent overflow, so this keeps a DescentError in view
+    # at m = 4 the assembled profile is negative where the descent starts
     code = run_cli(["singular", "construct", "--n", "3", "--m", "4", "--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err

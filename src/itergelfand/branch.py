@@ -36,13 +36,10 @@ from functools import partial
 
 import numpy as np
 
+from .corrector import EtaSpaceConfig, PicardConvergenceError, PsiKernel
 from .numerics import scalar_or_array
 from .rk import EPS, solve_ivp
-# EtaSpaceConfig, PicardConvergenceError and PsiKernel come through singular:
-# importing corrector here, ahead of rk, put scipy.interpolate before
-# scipy.integrate and made `import itergelfand` about 0.16 s slower
-from .singular import (DescentError, EtaSpaceConfig, PicardConvergenceError, PsiKernel,
-                       build_singular, descend, singular_state)
+from .singular import DescentError, build_singular, descend, singular_state
 from .towers import TowerOverflowError, g_tower
 
 # descent budget: refuse shots whose log-variable start would need more work

@@ -17,7 +17,6 @@ import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import branch as br
 from . import equivalence as eq
@@ -295,6 +294,9 @@ def _suite_iterexp(cfg):
         for k in (1, 2, 3):
             vals = np.abs(tw.h_deriv(m, k, ts)) * ts ** k * np.log(ts)
             rows.append((f"decay_bound_m{m}_k{k}", np.max(vals), 50.0))
+    # the one scipy integrator the package uses: imported here so that only
+    # this suite pays for loading scipy.integrate
+    from scipy.integrate import quad
     v, _ = quad(lambda s: math.exp(-math.exp(s)), 0.0, 40.0)
     rows.append(("f_tail_zero_vs_quadrature", abs(tw.f_tail(0.0) - v), 1e-10))
     rows.append(("f_tail_fflim_t5",

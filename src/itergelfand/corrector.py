@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .numerics import panel_nodes, scalar_or_array, subdivide
 from .towers import _h_derivative_chains
@@ -274,7 +273,12 @@ def make_forcing(n, m, t):
 
 
 class _QuadPlan:
-    """Panelized Gauss rule on a grid with kernel factors anchored at interval left ends."""
+    """Panelized Gauss rule on a grid with kernel factors anchored at interval left ends.
+
+    It also interpolates grid values to the quadrature nodes with the
+    not-a-knot cubic spline (scipy's CubicSpline default), whose slope
+    system is factored here once per grid.
+    """
 
     def __init__(self, grid, kernel):
         self.grid = np.asarray(grid, dtype=float)
@@ -285,6 +289,60 @@ class _QuadPlan:
         self.h = np.diff(self.grid)
         self.K = {lam: np.exp(-lam * self.tau)
                   for lam in (kernel.lam_plus, kernel.lam_minus, kernel.n - 2)}
+        self._factor_spline()
+
+    def _factor_spline(self):
+        """Thomas factors of the tridiagonal slope system of the not-a-knot spline.
+
+        Row i (0 < i < N-1) makes the spline's first derivative continuous:
+        h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = rhs_i; the end
+        rows make the third derivative continuous across the second and the
+        second-to-last node.  Elimination runs without pivoting: the interior
+        rows are diagonally dominant, and the two end rows leave pivots of
+        the order of the grid spacing.
+        """
+        h = self.h.tolist()
+        n = len(self.grid)
+        lower = [0.0] + h[1:] + [h[-1] + h[-2]]
+        diag = [h[1]] + [2.0 * (a + b) for a, b in zip(h[:-1], h[1:])] + [h[-2]]
+        upper = [h[0] + h[1]] + h[:-1]
+        inv = [1.0 / diag[0]]
+        mult = [0.0]
+        for i in range(1, n):
+            m = lower[i] * inv[-1]
+            mult.append(m)
+            inv.append(1.0 / (diag[i] - m * upper[i - 1]))
+        self._mult = mult
+        self._inv = np.array(inv)
+        self._upper_inv = [u * p for u, p in zip(upper, inv)]
+
+    def spline_at_nodes(self, y):
+        """The not-a-knot cubic spline through (grid, y), at the quadrature nodes."""
+        y = np.asarray(y, dtype=float)
+        h = self.h
+        slope = np.diff(y) / h
+        rhs = np.empty_like(y)
+        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
+        d = h[0] + h[1]
+        rhs[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
+        d = h[-1] + h[-2]
+        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
+        # forward pass z_i = rhs_i - mult_i z_{i-1}, then the back pass
+        # s_i = (z_i - upper_i s_{i+1}) / pivot_i
+        z = rhs.tolist()
+        mult = self._mult
+        for i in range(1, len(z)):
+            z[i] -= mult[i] * z[i - 1]
+        s = (np.array(z) * self._inv).tolist()
+        upper_inv = self._upper_inv
+        for i in range(len(s) - 2, -1, -1):
+            s[i] -= upper_inv[i] * s[i + 1]
+        s = np.array(s)
+        # power-basis coefficients of each interval, as in scipy's CubicHermiteSpline
+        t = (s[:-1] + s[1:] - 2.0 * slope) / h
+        c = np.stack([t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]])[:, self.owner, None]
+        tau = self.tau
+        return ((c[0] * tau + c[1]) * tau + c[2]) * tau + c[3]
 
     def interval_integrals(self, K, Fq):
         """integral over each grid interval of K(s) Fq(s), K real or complex."""
@@ -357,7 +415,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
             sol.eta_t = eta_derivative(sol)
             return sol, defects
         # F at the current iterate: the next iteration's forcing
-        Fq = forcing.total(CubicSpline(grid, eta)(plan.nodes))
+        Fq = forcing.total(plan.spline_at_nodes(eta))
         if len(ratios) >= 3 and min(ratios[-3:]) >= 0.995:
             break
         if defect > 50.0 * defects[0]:
@@ -401,7 +459,7 @@ def eta_derivative(sol):
     g = -2(n-2) eta - F(t, eta); matches the truncated fixed point exactly.
     """
     plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(sol.n))
-    eta_q = CubicSpline(sol.grid, sol.eta)(plan.nodes)
+    eta_q = plan.spline_at_nodes(sol.eta)
     g_q = -2.0 * (sol.n - 2) * eta_q - make_forcing(sol.n, sol.m, plan.nodes).total(eta_q)
     return plan.apply_gkernel(g_q)
 

@@ -6,10 +6,10 @@ import os
 import tempfile
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 _GAUSS_N = 12
-_GAUSS_X, _GAUSS_W = roots_legendre(_GAUSS_N)
+_GAUSS_X, _GAUSS_W = leggauss(_GAUSS_N)
 
 
 def scalar_or_array(out):

@@ -6,13 +6,16 @@ On such small systems scipy.integrate.solve_ivp spends most of its time in
 numpy calls on 2-vectors, not in the right-hand side.  solve_ivp below runs
 the same method by the same rules on plain floats:
 
-* the Dormand-Prince 8(5,3) tableau is read from scipy.integrate.DOP853;
+* the Dormand-Prince 8(5,3) tableau is scipy's: its module
+  scipy/integrate/_ivp/dop853_coefficients.py needs only numpy, so it is
+  loaded from its file location and the scipy.integrate package (with
+  scipy.optimize behind it) is never imported;
 * scipy's initial-step rule, error norm and step-size controller are
   reproduced (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.5);
 * every event is terminal: a sign change of an event function over a step
-  (in its `direction`, if set) is located by Brent's method with
-  xtol = rtol = 4 eps on the interpolant of that step, and the earliest one
-  ends the integration;
+  (in its `direction`, if set) is located on the interpolant of that step
+  by `brent`, the algorithm of scipy's brentq in plain floats, with
+  xtol = rtol = 4 eps, and the earliest one ends the integration;
 * the dense output of all steps is kept in one flat array('d') buffer and
   evaluated vectorised.
 
@@ -24,22 +27,42 @@ of raising.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 import sys
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import DOP853
-from scipy.optimize import brentq
 
+
+def _load_tableau():
+    """scipy's dop853_coefficients module, executed from its file location."""
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("itergelfand.rk reads the DOP853 tableau from scipy, "
+                          "which is not installed")
+    path = os.path.join(scipy.submodule_search_locations[0],
+                        "integrate", "_ivp", "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_TABLEAU = _load_tableau()
 EPS = sys.float_info.epsilon
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
-ERROR_EXPONENT = -1.0 / (DOP853.error_estimator_order + 1)
-N_STAGES = DOP853.n_stages
+# DOP853's error estimator has order 7
+ERROR_EXPONENT = -1.0 / 8.0
+N_STAGES = _TABLEAU.N_STAGES
 SQRT2 = math.sqrt(2.0)
+# brent's xtol = rtol (the smallest rtol brentq accepts) and iteration cap
+BRENT_TOL = 4.0 * EPS
+BRENT_MAXITER = 100
 
 
 def _nonzero(row):
@@ -47,15 +70,16 @@ def _nonzero(row):
 
 
 # stage s combines the earlier stages j < s with the nonzero A[s, j]
-_A = tuple(_nonzero(row[:s]) for s, row in enumerate(DOP853.A))
-_C = tuple(float(c) for c in DOP853.C)
-_B = _nonzero(DOP853.B)
-_E5 = _nonzero(DOP853.E5)
-_E3 = _nonzero(DOP853.E3)
+_A = tuple(_nonzero(_TABLEAU.A[s, :s]) for s in range(N_STAGES))
+_C = tuple(float(c) for c in _TABLEAU.C[:N_STAGES])
+_B = _nonzero(_TABLEAU.B)
+_E5 = _nonzero(_TABLEAU.E5)
+_E3 = _nonzero(_TABLEAU.E3)
 # the three extra stages of the dense output, then its four upper coefficients
-_A_EXTRA = tuple(_nonzero(row[:N_STAGES + 1 + i]) for i, row in enumerate(DOP853.A_EXTRA))
-_C_EXTRA = tuple(float(c) for c in DOP853.C_EXTRA)
-_D = tuple(_nonzero(row) for row in DOP853.D)
+_A_EXTRA = tuple(_nonzero(_TABLEAU.A[s, :s])
+                 for s in range(N_STAGES + 1, _TABLEAU.N_STAGES_EXTENDED))
+_C_EXTRA = tuple(float(c) for c in _TABLEAU.C[N_STAGES + 1:])
+_D = tuple(_nonzero(row) for row in _TABLEAU.D)
 # doubles per step in the dense buffer: t_old, h, y_old (2), then 7 coefficients
 # of the first component and 7 of the second
 _STRIDE = 18
@@ -177,6 +201,55 @@ def _interpolant(t_old, h, y0, y1, c0, c1):
     return at
 
 
+def brent(f, a, b):
+    """A root of f in [a, b] by Brent's method, step for step as scipy's brentq.
+
+    f(a) and f(b) must not have the same sign; the root is located to
+    BRENT_TOL (1 + |x|).  Raises ValueError for a bracket without a sign
+    change and RuntimeError when BRENT_MAXITER iterations do not converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        # fpre is never 0 here; a zero fcur returns below either way
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
+
+
 def _crossed(g, g_new, direction):
     up = g <= 0.0 <= g_new
     down = g >= 0.0 >= g_new
@@ -282,8 +355,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
                     coef = _dense_coefficients(fun, t_old, o0, o1, y0, y1, h, k0, k1)
                     nfev += 3
                 at = _interpolant(t_old, h, o0, o1, *coef)
-                roots = [brentq(lambda tt, ev=events[i]: ev(tt, at(tt)), t_old, t,
-                                xtol=4 * EPS, rtol=4 * EPS) for i in active]
+                roots = [brent(lambda tt, ev=events[i]: ev(tt, at(tt)), t_old, t)
+                         for i in active]
                 first = min(range(len(active)), key=lambda i: direction * roots[i])
                 t = roots[first]
                 y0, y1 = at(t)

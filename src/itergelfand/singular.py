@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, PsiKernel,
-                        _solve_on_grid, phi_m1, phi_m, picard_solve)
+from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
+                        phi_m1, phi_m, picard_solve)
 from .numerics import differentiate
 from .rk import solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
@@ -114,31 +114,46 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
     package's solve_ivp (itergelfand.rk) locates by Brent's method on the
     interpolant of the step that contains it.  Returns (t_zero, sol); sol.sol
     is the dense output only when dense_output is set.  integrate_down and
-    the log-variable phase of branch.shoot_regular both run through it.  A
-    trial step whose force exp(G_m(w) - 2t) leaves the double range raises
-    DescentError; so does reaching t_floor without a zero, unless
-    stop_at_floor is set, which returns (None, sol) then.
+    the log-variable phase of branch.shoot_regular both run through it.
+
+    A trial step whose force exp(G_m(w) - 2t) leaves the double range gets
+    an infinite force, which solve_ivp rejects as it does any step with an
+    inf error norm, retrying a smaller one.  DescentError is raised when the
+    force is past the double range at the start or at an accepted state,
+    where no smaller step helps, and when the descent reaches t_floor
+    without a zero, unless stop_at_floor is set, which returns (None, sol)
+    then.
     """
     c = n - 2
 
     def rhs(tt, y):
-        expo = g_tower(m, y[0]) - 2.0 * tt
-        f = math.exp(expo) if expo > -745.0 else 0.0
+        try:
+            expo = g_tower(m, y[0]) - 2.0 * tt
+            f = math.exp(expo) if expo > -745.0 else 0.0
+        except OverflowError:
+            f = math.inf
         return [y[1], c * y[1] - f]
 
     def crossing(tt, y):
         return y[0]
     crossing.terminal = True
 
-    try:
-        sol = solve_ivp(rhs, (t, t_floor), [w, w_t], rtol=rtol, atol=atol,
-                        dense_output=dense_output, events=crossing)
-    except OverflowError as exc:
-        raise DescentError(f"the descent from t = {t:.6g} left the double range "
-                           f"({exc})") from exc
+    def out_of_range(tt, ww):
+        return rhs(tt, (ww, 0.0))[1] == -math.inf
+
+    if out_of_range(t, w):
+        raise DescentError(f"the descent from t = {t:.6g} left the double range: "
+                           f"exp(G_m(w) - 2t) overflows at its start, w = {w:.6g}")
+    sol = solve_ivp(rhs, (t, t_floor), [w, w_t], rtol=rtol, atol=atol,
+                    dense_output=dense_output, events=crossing)
     if len(sol.t_events[0]) == 0:
         if stop_at_floor and sol.status == 0:
             return None, sol
+        t_end, w_end = float(sol.t[-1]), float(sol.y[0, -1])
+        if sol.status == -1 and out_of_range(t_end, w_end):
+            raise DescentError(f"the descent from t = {t:.6g} left the double range: "
+                               f"exp(G_m(w) - 2t) overflows at t = {t_end:.6g}, "
+                               f"w = {w_end:.6g}")
         raise DescentError(f"no zero of w above t = {t_floor} on the descent "
                            f"from t = {t:.6g} ({sol.message})")
     return float(sol.t_events[0][0]), sol

@@ -6,7 +6,8 @@ H_0(y) = y, H_m(y) = ln(H_{m-1}(y)).  The tail integral
     F(t) = integral_t^inf exp(-e^s) ds = E_1(e^t)
 
 is evaluated through the exponential integral, with a log-domain asymptotic
-series once E_1 underflows.  Everything here is pure and reentrant.
+series once E_1 underflows.  Only the E_1 branch imports scipy (scipy.special),
+and only when it runs.  Everything here is pure and reentrant.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import exp1
 
 from .numerics import scalar_or_array
 
@@ -156,24 +156,6 @@ def g_deriv(m, k, y):
     return scalar_or_array(out)
 
 
-def g_diff(m, y0, dy):
-    """G_m(y0 + dy) - G_m(y0) without forming the near-cancelling difference.
-
-    Uses the level recursion D_j = G_j(y0) * expm1(D_{j-1}), D_0 = dy.
-    Requires every G_j(y0) representable.
-    """
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
-    d = np.asarray(dy, dtype=float)
-    base = np.asarray(y0, dtype=float)
-    for j in range(1, m + 1):
-        if np.any(base > MAX_EXP_ARG):
-            raise TowerOverflowError(j)
-        base = np.exp(base)
-        d = base * np.expm1(d)
-    return scalar_or_array(d)
-
-
 def _e1_log_series(x):
     """log(E_1(x)) for large x via the asymptotic series e^-x/x sum (-1)^k k!/x^k."""
     x = np.asarray(x, dtype=float)
@@ -201,6 +183,7 @@ def f_tail_log(t):
         out[mid] = -x - ts[mid] + (_e1_log_series(x) + x + np.log(x))
     lowmask = ~big & ~mid
     if np.any(lowmask):
+        from scipy.special import exp1
         out[lowmask] = np.log(exp1(np.exp(ts[lowmask])))
     return scalar_or_array(out.reshape(np.shape(t)))
 
@@ -211,6 +194,7 @@ def f_tail(t):
     out = np.empty_like(ts)
     low = ts <= math.log(_E1_ASYMPTOTIC_CUT)
     if np.any(low):
+        from scipy.special import exp1
         out[low] = exp1(np.exp(ts[low]))
     if np.any(~low):
         out[~low] = np.exp(f_tail_log(ts[~low]))

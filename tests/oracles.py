@@ -8,6 +8,8 @@ the sampled profile for the tail-integral traces, Fornberg's recurrence
 one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, and a branch shot whose
 descent runs all the way to its zero instead of being matched to w*.
+g_diff, the tower difference by its level recursion, is checked against
+plain subtraction.
 """
 
 import math
@@ -18,7 +20,7 @@ from scipy.interpolate import PchipInterpolator
 import itergelfand.branch as br
 from itergelfand.corrector import PicardConvergenceError, _ForcingM, _ForcingM1, phi_m1
 from itergelfand.numerics import panel_nodes, scalar_or_array
-from itergelfand.towers import f_tail_log
+from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_log
 from itergelfand.transform import LogProfile, RadialProfile
 
 
@@ -35,6 +37,24 @@ def forcing_m(n, m, t, eta):
 def rho_remainder(n, m, t, eta):
     """Taylor remainder rho(eta) = G_m(H_m(z)+eta) - z - G'_m(H_m(z)) eta, z = 2t+phi."""
     return scalar_or_array(_ForcingM(n, m, t).rho(eta))
+
+
+def g_diff(m, y0, dy):
+    """G_m(y0 + dy) - G_m(y0) without forming the near-cancelling difference.
+
+    Uses the level recursion D_j = G_j(y0) * expm1(D_{j-1}), D_0 = dy.
+    Requires every G_j(y0) representable.
+    """
+    if m < 0:
+        raise ValueError("tower height must be >= 0")
+    d = np.asarray(dy, dtype=float)
+    base = np.asarray(y0, dtype=float)
+    for j in range(1, m + 1):
+        if np.any(base > MAX_EXP_ARG):
+            raise TowerOverflowError(j)
+        base = np.exp(base)
+        d = base * np.expm1(d)
+    return scalar_or_array(d)
 
 
 def psi_apply(kernel, forcing, t, t_max, tol=None, tail_scale=None):

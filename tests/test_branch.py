@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 import itergelfand.branch as br
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
-from itergelfand.singular import DescentError, ode_residual
+from itergelfand.singular import DescentError, descend, ode_residual
 from itergelfand.towers import g_tower
 from oracles import full_descent_shot, sampled_branch
 
@@ -194,15 +194,17 @@ def test_shoot_rejects_unrepresentable_tower():
 
 
 def test_descent_overflow_is_descent_error():
-    # a trial step of the m = 3 descent overflows exp(G_3(w) - 2t) near
-    # t = 38 000, below the matching point of this shot: the shot returns
-    # lambda*, and the overflow shows once its profile is asked for there
+    # a force exp(G_m(w) - 2t) already past the double range where the
+    # descent starts cannot be stepped around: G_3(2) = exp(exp(e^2)) overflows
     with pytest.raises(DescentError, match="left the double range"):
-        full_descent_shot(3, 3, 0.894)
+        descend(3, 3, 100.0, 2.0, 0.0, 1e-11, 1e-13, dense_output=False)
+    # trial steps of the m = 3 descent overflow near t = 38 000: they are
+    # rejected and retried smaller, so the full descent reaches lambda*, and
+    # the kept profile of the matched shot can be evaluated down there
     point = shoot_regular(3, 3, 0.894)
     assert point.t_match is not None
-    with pytest.raises(DescentError, match="left the double range"):
-        point.eval_w(point.t_match - 20000.0)
+    assert full_descent_shot(3, 3, 0.894).lam == pytest.approx(point.lam, rel=1e-12)
+    assert math.isfinite(point.eval_w(point.t_match - 20000.0))
 
 
 def test_failed_inner_phase_is_shoot_error(monkeypatch):

@@ -1,13 +1,17 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import itergelfand
 from itergelfand import branch as br
 from itergelfand.cli import main
-from itergelfand.singular import DescentError
+from itergelfand.singular import DescentError, build_singular
 
 
 def run_cli(args):
@@ -154,20 +158,53 @@ def test_bad_numeric_input_is_usage_error(tmp_path, capsys, args, config):
     assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_descent_overflow_is_numeric_failure(tmp_path, capsys, monkeypatch):
-    # the m = 3 shots at rho 0.87..0.93 return lambda* once matched to w*;
+def test_overflowing_trial_steps_are_not_a_numeric_failure(tmp_path, capsys, monkeypatch):
+    # the m = 3 shots at rho 0.85..0.87 return lambda* once matched to w*;
     # with the singular build failing they descend to their own zero, and
-    # the descent of rho = 0.87 overflows on the way
+    # the trial steps of those descents that overflow exp(G_3(w) - 2t) are
+    # rejected and retried smaller, so each shot reaches lambda* itself
+    lam_star = build_singular(3, 3).lambda_star
+
     def failing(n, m):
         raise DescentError("no zero")
     monkeypatch.setattr(br, "build_singular", failing)
     monkeypatch.setattr(br, "_LAMBDA_STAR", {})
     code = run_cli(["bifurcation", "trace", "--n", "3", "--m", "3", "--rho-min", "0.85",
-                    "--rho-max", "0.95", "--rho-step", "0.02", "--outdir", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure:") and "left the double range" in err
-    assert "Traceback" not in err
+                    "--rho-max", "0.87", "--rho-step", "0.01", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    curve = np.loadtxt(tmp_path / "curve.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert len(curve) == 3
+    assert np.max(np.abs(curve[:, 1] / lam_star - 1.0)) < 1e-12
+
+
+def test_construct_and_trace_load_no_scipy(tmp_path):
+    # scipy is needed only by verify and iterexp eval ftail*: a fresh
+    # interpreter that imports the CLI, constructs and traces never loads it
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+
+        def scipy_modules():
+            return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+
+        import itergelfand.cli as cli
+        loaded = {"import": scipy_modules()}
+        for name, argv in json.loads(sys.argv[1]).items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            loaded[name] = [code, scipy_modules()]
+        print(json.dumps(loaded))
+    """)
+    runs = {"construct": ["singular", "construct", "--n", "3", "--m", "1",
+                          "--outdir", str(tmp_path / "construct")],
+            "trace": ["bifurcation", "trace", "--n", "3", "--m", "1", "--rho-min", "0.5",
+                      "--rho-max", "1", "--rho-step", "0.1", "--outdir", str(tmp_path / "trace")]}
+    src = os.path.dirname(os.path.dirname(itergelfand.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    loaded = json.loads(done.stdout)
+    assert loaded == {"import": [], "construct": [0, []], "trace": [0, []]}
 
 
 def test_negative_handoff_is_numeric_failure(tmp_path, capsys):

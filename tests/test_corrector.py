@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
                                    _ForcingM, _ForcingM1, _QuadPlan, eta_derivative,
@@ -231,9 +232,21 @@ def test_picard_first_iterate_is_psi_of_zero(eta_n3m1):
         assert float(first[i]) == pytest.approx(direct, rel=1e-8)
 
 
+@pytest.mark.parametrize("n, m", [(3, 1), (9, 2)])
+def test_spline_matches_scipy_cubic_spline(n, m):
+    # the plan's not-a-knot spline against scipy's CubicSpline on the grid
+    # and quadrature nodes of the Picard solve
+    sol = picard_solve(n, m)
+    plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(n))
+    for y in (sol.eta, sol.eta_t, np.sin(sol.grid)):
+        ref = CubicSpline(sol.grid, y)(plan.nodes)
+        got = plan.spline_at_nodes(y)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_truncation_stability(eta_n3m1):
     # doubling t_max changes eta on [T, 2T] below the solve tolerance
-    from scipy.interpolate import CubicSpline
     base = eta_n3m1
     wide = picard_solve(3, 1, EtaSpaceConfig(T=30.0, t_max=400.0))
     sel = base.grid <= 2.0 * base.T

@@ -1,13 +1,17 @@
-"""itergelfand.rk.solve_ivp against scipy's solve_ivp(method="DOP853") as the oracle."""
+"""itergelfand.rk against scipy as the oracle: solve_ivp(method="DOP853"), its
+tableau, and brentq for the event roots."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.optimize import brentq
 
 import itergelfand.branch as br
+import itergelfand.rk as rk
 import itergelfand.singular as sg
 from itergelfand.rk import solve_ivp
 from itergelfand.singular import assemble_w, integrate_down
@@ -75,6 +79,46 @@ def test_matches_scipy_dop853(problems, name):
     tt = np.linspace(lo, hi, 200)
     scale = float(np.max(np.abs(ref.y)))
     assert np.max(np.abs(ours.sol(tt) - ref.sol(tt))) <= 1e-12 * scale
+
+
+def test_tableau_is_scipy_dop853():
+    # the tableau read from scipy's coefficient file, bit for bit as
+    # scipy.integrate.DOP853 holds it
+    nz = rk._nonzero
+    assert rk.N_STAGES == DOP853.n_stages
+    assert rk.ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
+    assert rk._A == tuple(nz(row[:s]) for s, row in enumerate(DOP853.A))
+    assert rk._C == tuple(float(c) for c in DOP853.C)
+    assert (rk._B, rk._E3, rk._E5) == (nz(DOP853.B), nz(DOP853.E3), nz(DOP853.E5))
+    assert rk._A_EXTRA == tuple(nz(row[:DOP853.n_stages + 1 + i])
+                                for i, row in enumerate(DOP853.A_EXTRA))
+    assert rk._C_EXTRA == tuple(float(c) for c in DOP853.C_EXTRA)
+    assert rk._D == tuple(nz(row) for row in DOP853.D)
+
+
+@pytest.mark.parametrize("name", ["descent", "inner", "oscillator"])
+def test_brent_matches_brentq(problems, name, monkeypatch):
+    # every event root of the solve, located again by scipy's brentq on the
+    # same interpolant and bracket
+    pairs = []
+    brent = rk.brent
+
+    def both(f, a, b):
+        root = brent(f, a, b)
+        pairs.append((root, brentq(f, a, b, xtol=rk.BRENT_TOL, rtol=rk.BRENT_TOL)))
+        return root
+
+    monkeypatch.setattr(rk, "brent", both)
+    fun, t_span, y0, kwargs = problems[name]
+    solve_ivp(fun, t_span, y0, **kwargs)
+    assert pairs
+    for root, ref in pairs:
+        assert abs(root - ref) <= rk.BRENT_TOL * abs(ref)
+
+
+def test_brent_refuses_a_bracket_without_sign_change():
+    with pytest.raises(ValueError, match="different signs"):
+        rk.brent(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_direction_ignores_rising_crossings():

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from itergelfand.towers import (TowerDomainError, TowerOverflowError, f_tail,
                                 f_tail_inverse, f_tail_inverse_log, f_tail_log,
-                                g_deriv, g_diff, g_tower, h_deriv, h_tower,
-                                tower_domain_lower)
+                                g_deriv, g_tower, h_deriv, h_tower, tower_domain_lower)
+from oracles import g_diff
 
 EPS = sys.float_info.epsilon
 

@@ -156,6 +156,10 @@ def _initial_step(fun, t0, y0, y1, f0, f1, interval, direction, rtol, atol):
     d1 = _norm(f0 / sc0, f1 / sc1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
+    if h0 == 0.0:
+        # the scaled derivative overflowed d1; scipy's 0/0 for d2 then gives
+        # h1 = 0, and the solve starts from the minimum step
+        return 0.0
     g0, g1 = fun(t0 + h0 * direction, (y0 + h0 * direction * f0, y1 + h0 * direction * f1))
     d2 = _norm((g0 - f0) / sc0, (g1 - f1) / sc1) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:

@@ -185,3 +185,24 @@ def test_overflowing_initial_trial_step_starts_from_the_minimum_step():
     assert sol.t[1] == ref.t[1] == 10.0 * math.ulp(0.0)
     assert abs(sol.nfev - ref.nfev) <= 0.01 * ref.nfev
     assert sol.y[1, -1] == pytest.approx(0.5e190, rel=1e-12)
+
+
+def test_overflowing_initial_derivative_fails_without_raising():
+    # the scaled initial derivative 1e300 / 1e-10 overflows, so the initial
+    # step rule's h0 is 0; like scipy's, the solve then starts from the
+    # minimum step, whose error norm overflows too, and ends in a step-size
+    # failure instead of dividing by h0
+    def fun(t, y):
+        return (1e300, 0.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ivp(fun, (0.0, 1.0), [1.0, 1.0], rtol=1e-10, atol=1e-12)
+    with warnings.catch_warnings():
+        # numpy warns about the overflow and the 0 / 0 that follows
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = scipy_solve_ivp(fun, (0.0, 1.0), [1.0, 1.0], method="DOP853",
+                              rtol=1e-10, atol=1e-12)
+    assert sol.status == ref.status == -1
+    assert sol.message == ref.message
+    assert sol.nfev == ref.nfev

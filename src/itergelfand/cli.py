@@ -399,6 +399,13 @@ _EVAL_KINDS = {
 
 
 def cmd_iterexp_eval(args):
+    if not math.isfinite(args.at):
+        raise UsageError(f"--at must be finite, not {args.at}")
+    m_min = 1 if args.kind == "gderiv" else 0
+    if args.m < m_min:
+        raise UsageError(f"--m must be >= {m_min} for --kind {args.kind}")
+    if args.kind == "ftail-inv" and args.at <= 0.0:
+        raise UsageError("--kind ftail-inv needs --at > 0")
     try:
         val = _EVAL_KINDS[args.kind](args)
     except (tw.TowerOverflowError, tw.TowerDomainError, ValueError) as exc:
@@ -438,7 +445,7 @@ def make_parser():
     p_eval = ie_sub.add_parser("eval", help="evaluate a tower primitive")
     p_eval.add_argument("--m", type=int, default=1)
     p_eval.add_argument("--kind", required=True, choices=list(_EVAL_KINDS))
-    p_eval.add_argument("--k", type=int, default=1, help="derivative order")
+    p_eval.add_argument("--k", type=int, default=1, choices=[1, 2, 3], help="derivative order")
     p_eval.add_argument("--at", type=float, required=True, help="evaluation point")
 
     p_s = sub.add_parser("singular", help="singular solution construction")

@@ -15,9 +15,11 @@ Psi[F](t) = Re[(J(lam_+) - J(lam_-)) / (lam_+ - lam_-)] with
 J(lam)(t) = integral_t^tmax e^{-lam (s-t)} F(s) ds, and every J comes from
 the same right-to-left sweep over the grid.  A complex pair needs one sweep,
 since J(lam_-) is the conjugate of J(lam_+); the double root takes the limit
-d J / d lam instead.  The same sweep at lam = n-2 gives eta_t.  Picard
-iteration from eta = 0 converges because the weighted Lipschitz constant of
-F decays at the left endpoint T.
+d J / d lam instead.  The same sweeps give eta_t: dJ/dt = lam J - F, so
+eta_t = Re[(lam_+ J(lam_+) - lam_- J(lam_-)) / (lam_+ - lam_-)], and at the
+double root eta_t = J + lam dJ/dlam.  Picard iteration from eta = 0
+converges because the weighted Lipschitz constant of F decays at the left
+endpoint T.
 
 All forcing evaluations keep the nonlinearity in factored form built from
 expm1/log1p, never forming exp(-2t + e^w) as a difference of large numbers.
@@ -287,8 +289,9 @@ class _QuadPlan:
         self.nodes, self.weights = panel_nodes(edges)
         self.tau = self.nodes - self.grid[self.owner][:, None]
         self.h = np.diff(self.grid)
-        self.K = {lam: np.exp(-lam * self.tau)
-                  for lam in (kernel.lam_plus, kernel.lam_minus, kernel.n - 2)}
+        # a complex pair sweeps lam_+ only: J(lam_-) is its conjugate
+        roots = (kernel.lam_plus,) if kernel.freq else (kernel.lam_plus, kernel.lam_minus)
+        self.K = {lam: np.exp(-lam * self.tau) for lam in roots}
         self._factor_spline()
 
     def _factor_spline(self):
@@ -362,7 +365,7 @@ class _QuadPlan:
         return np.array(J)
 
     def apply_psi(self, Fq):
-        """Psi[eta] on the grid given forcing values Fq at the quadrature nodes."""
+        """(Psi[eta], its t-derivative) on the grid given forcing values Fq at the quadrature nodes."""
         k = self.kernel
         if k.lam_plus == k.lam_minus:
             # n = 10: the difference quotient becomes dJ/dlam, kernel -tau e^{-lam tau}
@@ -374,14 +377,13 @@ class _QuadPlan:
             dJ = [0.0] * len(self.grid)
             for i in range(len(h) - 1, -1, -1):
                 dJ[i] = P[i] + decay[i] * (dJ[i + 1] - h[i] * J[i + 1])
-            return np.array(dJ)
+            dJ = np.array(dJ)
+            return dJ, np.array(J) + lam * dJ
         J_plus = self.sweep(k.lam_plus, Fq)
         J_minus = J_plus.conj() if k.freq else self.sweep(k.lam_minus, Fq)
-        return ((J_plus - J_minus) / (k.lam_plus - k.lam_minus)).real
-
-    def apply_gkernel(self, Gq):
-        """-(integral of e^{(n-2)(t-s)} g(s) ds) on the grid: the eta_t representation."""
-        return -self.sweep(self.kernel.n - 2, Gq)
+        d = k.lam_plus - k.lam_minus
+        return (((J_plus - J_minus) / d).real,
+                ((k.lam_plus * J_plus - k.lam_minus * J_minus) / d).real)
 
 
 def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
@@ -397,7 +399,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
     defects = []
     ratios = []
     for _ in range(cfg.max_iter):
-        eta_new = plan.apply_psi(Fq)
+        eta_new, eta_t = plan.apply_psi(Fq)
         defect = float(np.max(grid ** 2 * np.abs(eta_new - eta)))
         if defects:
             ratios.append(defect / defects[-1])
@@ -408,12 +410,10 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
             if sup_w > M:
                 raise PicardConvergenceError(
                     f"converged iterate left the ball: sup t^2|eta| = {sup_w:.3e} > M = {M:.3e}")
-            sol = EtaSolution(
-                n=n, m=m, config=cfg, grid=grid, eta=eta, eta_t=None,
+            return EtaSolution(
+                n=n, m=m, config=cfg, grid=grid, eta=eta, eta_t=eta_t,
                 iterations=len(defects), final_defect=defect, defects=defects,
-                T=T, t_max=t_max, t_usable=t_usable, M=M, contraction_ratios=ratios)
-            sol.eta_t = eta_derivative(sol)
-            return sol, defects
+                T=T, t_max=t_max, t_usable=t_usable, M=M, contraction_ratios=ratios), defects
         # F at the current iterate: the next iteration's forcing
         Fq = forcing.total(plan.spline_at_nodes(eta))
         if len(ratios) >= 3 and min(ratios[-3:]) >= 0.995:
@@ -450,16 +450,4 @@ def picard_solve(n, m, cfg=None):
         n_nodes = _node_count(T, t_usable)
     raise PicardConvergenceError(
         f"no contraction after T escalation (n={n}, m={m}); defects={defects}")
-
-
-def eta_derivative(sol):
-    """Corrector derivative via its first-order integral representation.
-
-    eta_t(t) = -integral_t^tmax e^{(n-2)(t-s)} g(s) ds with
-    g = -2(n-2) eta - F(t, eta); matches the truncated fixed point exactly.
-    """
-    plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(sol.n))
-    eta_q = plan.spline_at_nodes(sol.eta)
-    g_q = -2.0 * (sol.n - 2) * eta_q - make_forcing(sol.n, sol.m, plan.nodes).total(eta_q)
-    return plan.apply_gkernel(g_q)
 

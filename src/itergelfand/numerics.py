@@ -1,8 +1,10 @@
-"""Shared numerical helpers: panel quadrature, finite-difference stencils, IO."""
+"""Shared numerical helpers: panel quadrature, finite-difference stencils, root finding, IO."""
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -10,6 +12,9 @@ from numpy.polynomial.legendre import leggauss
 
 _GAUSS_N = 12
 _GAUSS_X, _GAUSS_W = leggauss(_GAUSS_N)
+# brent's xtol = rtol (the smallest rtol brentq accepts) and iteration cap
+BRENT_TOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
 
 
 def scalar_or_array(out):
@@ -17,7 +22,7 @@ def scalar_or_array(out):
 
     Reads the ``ndim`` attribute directly (plain Python numbers have none and
     count as 0-d) instead of calling np.ndim, which goes through numpy's
-    function dispatch; scalar callers such as the Newton loop of
+    function dispatch; scalar callers such as the Brent iterations of
     towers.f_tail_inverse_log pay that on every call.
     """
     return out if getattr(out, "ndim", 0) else float(out)
@@ -57,6 +62,55 @@ def subdivide(grid, h_cap):
             edges.append(grid[i] + step * (p + 1))
             owner.append(i)
     return np.asarray(edges), np.asarray(owner, dtype=int)
+
+
+def brent(f, a, b):
+    """A root of f in [a, b] by Brent's method, step for step as scipy's brentq.
+
+    f(a) and f(b) must not have the same sign; the root is located to
+    BRENT_TOL (1 + |x|).  Raises ValueError for a bracket without a sign
+    change and RuntimeError when BRENT_MAXITER iterations do not converge.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        # fpre is never 0 here; a zero fcur returns below either way
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
 
 
 def differentiate(t, y, order=1, stencil=7):

@@ -14,8 +14,9 @@ the same method by the same rules on plain floats:
   reproduced (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.5);
 * every event is terminal: a sign change of an event function over a step
   (in its `direction`, if set) is located on the interpolant of that step
-  by `brent`, the algorithm of scipy's brentq in plain floats, with
-  xtol = rtol = 4 eps, and the earliest one ends the integration;
+  by `brent` (itergelfand.numerics), the algorithm of scipy's brentq in
+  plain floats, with xtol = rtol = BRENT_TOL = 4 eps, and the earliest
+  one ends the integration;
 * the dense output of all steps is kept in one flat array('d') buffer and
   evaluated vectorised.
 
@@ -35,6 +36,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
+
+from .numerics import BRENT_TOL, brent
 
 
 def _load_tableau():
@@ -60,9 +63,6 @@ MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0
 N_STAGES = _TABLEAU.N_STAGES
 SQRT2 = math.sqrt(2.0)
-# brent's xtol = rtol (the smallest rtol brentq accepts) and iteration cap
-BRENT_TOL = 4.0 * EPS
-BRENT_MAXITER = 100
 
 
 def _nonzero(row):
@@ -203,55 +203,6 @@ def _interpolant(t_old, h, y0, y1, c0, c1):
         return (v0 + y0, v1 + y1)
 
     return at
-
-
-def brent(f, a, b):
-    """A root of f in [a, b] by Brent's method, step for step as scipy's brentq.
-
-    f(a) and f(b) must not have the same sign; the root is located to
-    BRENT_TOL (1 + |x|).  Raises ValueError for a bracket without a sign
-    change and RuntimeError when BRENT_MAXITER iterations do not converge.
-    """
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        # fpre is never 0 here; a zero fcur returns below either way
-        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} iterations")
 
 
 def _crossed(g, g_new, direction):

@@ -6,7 +6,8 @@ H_0(y) = y, H_m(y) = ln(H_{m-1}(y)).  The tail integral
     F(t) = integral_t^inf exp(-e^s) ds = E_1(e^t)
 
 is evaluated through the exponential integral, with a log-domain asymptotic
-series once E_1 underflows.  Only the E_1 branch imports scipy (scipy.special),
+series once E_1 underflows and E_1(x) = -gamma - ln x once x = e^t leaves
+the normal double range.  Only the E_1 branch imports scipy (scipy.special),
 and only when it runs.  Everything here is pure and reentrant.
 """
 
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .numerics import scalar_or_array
+from .numerics import brent, scalar_or_array
 
 # exp overflows doubles just above this argument
 MAX_EXP_ARG = 709.78
@@ -171,6 +172,21 @@ def _e1_log_series(x):
     return -x - np.log(x) + np.log(s)
 
 
+def _e1_of_exp(t):
+    """E_1(e^t) by scipy's exp1, and -gamma - t where e^t is below the normal range.
+
+    There (t < -708.39) E_1(x) = -gamma - ln x + O(x) is exact in doubles,
+    while exp1 would see e^t rounded to a subnormal, or to 0 below
+    t = -745.13, where it returns inf.
+    """
+    from scipy.special import exp1
+    x = np.exp(t)
+    out = -np.euler_gamma - t
+    normal = x >= np.finfo(float).tiny
+    out[normal] = exp1(x[normal])
+    return out
+
+
 def f_tail_log(t):
     """log F(t) = log E_1(e^t), valid far past the underflow point of F."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -183,8 +199,7 @@ def f_tail_log(t):
         out[mid] = -x - ts[mid] + (_e1_log_series(x) + x + np.log(x))
     lowmask = ~big & ~mid
     if np.any(lowmask):
-        from scipy.special import exp1
-        out[lowmask] = np.log(exp1(np.exp(ts[lowmask])))
+        out[lowmask] = np.log(_e1_of_exp(ts[lowmask]))
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
@@ -194,15 +209,14 @@ def f_tail(t):
     out = np.empty_like(ts)
     low = ts <= math.log(_E1_ASYMPTOTIC_CUT)
     if np.any(low):
-        from scipy.special import exp1
-        out[low] = exp1(np.exp(ts[low]))
+        out[low] = _e1_of_exp(ts[low])
     if np.any(~low):
         out[~low] = np.exp(f_tail_log(ts[~low]))
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
 def f_tail_inverse_log(log_x):
-    """Solve log F(t) = log_x for t; bracketing plus safeguarded Newton."""
+    """Solve log F(t) = log_x for t: a bracket search, then Brent's method."""
     target = float(log_x)
     # initial guess: for t >> 1, log F ~ -e^t; for t << 0, F ~ -t
     if target < -2.0:
@@ -220,28 +234,9 @@ def f_tail_inverse_log(log_x):
         if f_tail_log(hi) <= target:
             break
         hi += max(1.0, 0.5 * abs(hi))
-    glo, ghi = f_tail_log(lo), f_tail_log(hi)
-    if not (glo >= target >= ghi):
+    if not (f_tail_log(lo) >= target >= f_tail_log(hi)):
         raise ValueError("f_tail_inverse: requested value out of range")
-    t = 0.5 * (lo + hi)
-    for _ in range(100):
-        g = f_tail_log(t)
-        # d/dt log F = -exp(-e^t - log F)
-        expo = -math.exp(min(t, MAX_EXP_ARG)) - g
-        gp = -math.exp(expo) if expo < MAX_EXP_ARG else -math.inf
-        step = (g - target) / gp if math.isfinite(gp) and gp != 0.0 else math.nan
-        t_new = t - step if math.isfinite(step) else math.nan
-        if not (lo <= t_new <= hi) or not math.isfinite(t_new):
-            t_new = 0.5 * (lo + hi)
-        if f_tail_log(t_new) >= target:
-            lo = t_new
-        else:
-            hi = t_new
-        if abs(t_new - t) <= 1e-14 * max(1.0, abs(t_new)) or hi - lo <= 1e-14 * max(1.0, abs(t)):
-            t = t_new
-            break
-        t = t_new
-    return t
+    return brent(lambda x: f_tail_log(x) - target, lo, hi)
 
 
 def f_tail_inverse(x):

@@ -6,10 +6,11 @@ Picard loop, direct per-point quadrature of the explicit kernel of each root
 family instead of the grid sweep, the factored ansatz pieces instead of
 the sampled profile for the tail-integral traces, Fornberg's recurrence
 one stencil at a time instead of batched over all samples, a sampled
-copy of a branch shot instead of its dense output, and a branch shot whose
-descent runs all the way to its zero instead of being matched to w*.
-g_diff, the tower difference by its level recursion, is checked against
-plain subtraction.
+copy of a branch shot instead of its dense output, a branch shot whose
+descent runs all the way to its zero instead of being matched to w*, and
+the corrector derivative from its first-order representation instead of
+the Psi sweeps.  g_diff, the tower difference by its level recursion, is
+checked against plain subtraction.
 """
 
 import math
@@ -18,7 +19,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 import itergelfand.branch as br
-from itergelfand.corrector import PicardConvergenceError, _ForcingM, _ForcingM1, phi_m1
+from itergelfand.corrector import (PicardConvergenceError, PsiKernel, _ForcingM, _ForcingM1,
+                                   _QuadPlan, make_forcing, phi_m1)
 from itergelfand.numerics import panel_nodes, scalar_or_array
 from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_log
 from itergelfand.transform import LogProfile, RadialProfile
@@ -89,6 +91,27 @@ def psi_apply(kernel, forcing, t, t_max, tol=None, tail_scale=None):
                 f"truncation tail bound {bound:.3e} exceeds tolerance {tol:.3e}")
     return float(val)
 
+
+
+def eta_t_first_order(sol):
+    """Corrector derivative through its first-order integral representation.
+
+    eta_t(t) = -integral_t^tmax e^{(n-2)(t-s)} g(s) ds with
+    g = -2(n-2) eta - F(t, eta), one right-to-left sweep at lam = n-2 on the
+    solve's grid and quadrature.  It differs from the eta_t of the Psi
+    sweeps by the Picard defect: it reads F at the converged eta, they at
+    the iterate before.
+    """
+    n = sol.n
+    plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(n))
+    eta_q = plan.spline_at_nodes(sol.eta)
+    g_q = -2.0 * (n - 2) * eta_q - make_forcing(n, sol.m, plan.nodes).total(eta_q)
+    P = plan.interval_integrals(np.exp(-(n - 2) * plan.tau), g_q)
+    decay = np.exp(-(n - 2) * plan.h)
+    J = np.zeros_like(sol.grid)
+    for i in range(len(plan.h) - 1, -1, -1):
+        J[i] = P[i] + decay[i] * J[i + 1]
+    return -J
 
 def x_star_factored(n, t, eta_sol):
     """x* evaluated through the factored ansatz pieces instead of exp(w*).

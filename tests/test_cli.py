@@ -267,6 +267,13 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["verify", "all", "--m", "2", "--t-max", "200"], None),
     (["bifurcation", "trace", "--rho-step", "1e-300"], None),
     (["bifurcation", "trace", "--rho-step", "1e-9"], None),
+    (["iterexp", "eval", "--kind", "g", "--at", "nan"], "--at must be finite"),
+    (["iterexp", "eval", "--kind", "ftail", "--at=-inf"], "--at must be finite"),
+    (["iterexp", "eval", "--kind", "h", "--m", "-1", "--at", "2"], "--m must be >= 0"),
+    (["iterexp", "eval", "--kind", "gderiv", "--m", "0", "--at", "1"], "--m must be >= 1"),
+    (["iterexp", "eval", "--kind", "hderiv", "--k", "5", "--at", "20"], "--k"),
+    (["iterexp", "eval", "--kind", "ftail-inv", "--at", "inf"], "--at must be finite"),
+    (["iterexp", "eval", "--kind", "ftail-inv", "--at", "0"], "--at > 0"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange
@@ -278,7 +285,8 @@ def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
         return real_arange(*a, **kw)
     monkeypatch.setattr(np, "arange", arange)
     args = [a.format(tmp=bad_inputs) for a in args]
-    if "--outdir" not in args:
+    # iterexp eval writes no files and has no --outdir
+    if args[0] != "iterexp" and "--outdir" not in args:
         args += ["--outdir", str(bad_inputs / "out")]
     assert run_cli(args) == 1
     err = capsys.readouterr().err

@@ -7,9 +7,9 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
-                                   _ForcingM, _ForcingM1, _QuadPlan, eta_derivative,
-                                   make_forcing, phi_m, phi_m1, picard_solve)
-from oracles import forcing_m, forcing_m1, psi_apply, rho_remainder
+                                   _ForcingM, _ForcingM1, _QuadPlan, make_forcing, phi_m,
+                                   phi_m1, picard_solve)
+from oracles import eta_t_first_order, forcing_m, forcing_m1, psi_apply, rho_remainder
 from itergelfand.numerics import differentiate
 from itergelfand.towers import g_deriv, h_tower
 
@@ -175,13 +175,19 @@ def test_psi_apply_tail_guard():
 @pytest.mark.parametrize("n", [3, 10, 12])
 def test_kernel_sweep_matches_direct_quadrature(n):
     # one sweep per root family (complex pair, double root, real pair)
-    # against per-point quadrature of the explicit kernel
+    # against per-point quadrature of the explicit kernel, and its
+    # derivative against a central difference in t of that quadrature
     grid = np.geomspace(30.0, 200.0, 300)
     plan = _QuadPlan(grid, PsiKernel.for_dimension(n))
-    swept = plan.apply_psi(1.0 / plan.nodes ** 2)
+    swept, swept_t = plan.apply_psi(1.0 / plan.nodes ** 2)
+
+    def direct(t):
+        return psi_apply(plan.kernel, lambda s: 1.0 / s ** 2, t, 200.0)
+    h = 1e-3
     for i in range(0, 290, 17):
-        direct = psi_apply(plan.kernel, lambda s: 1.0 / s ** 2, float(grid[i]), 200.0)
-        assert swept[i] == pytest.approx(direct, rel=1e-8)
+        t = float(grid[i])
+        assert swept[i] == pytest.approx(direct(t), rel=1e-8)
+        assert swept_t[i] == pytest.approx((direct(t + h) - direct(t - h)) / (2 * h), rel=1e-6)
 
 
 @pytest.mark.parametrize("n,m", [(3, 1), (5, 1), (9, 1), (3, 2), (6, 2),
@@ -222,7 +228,7 @@ def test_picard_first_iterate_is_psi_of_zero(eta_n3m1):
     kernel = PsiKernel.for_dimension(3)
     plan = _QuadPlan(sol.grid, kernel)
     forcing = make_forcing(3, 1, plan.nodes)
-    first = plan.apply_psi(forcing.total(np.zeros_like(plan.nodes)))
+    first, _ = plan.apply_psi(forcing.total(np.zeros_like(plan.nodes)))
     assert sol.defects[0] == pytest.approx(
         float(np.max(sol.grid ** 2 * np.abs(first))), rel=1e-12)
     for t in (35.0, 80.0):
@@ -255,22 +261,23 @@ def test_truncation_stability(eta_n3m1):
     assert delta < 10.0 * base.config.tol
 
 
-def test_eta_derivative_properties(eta_n3m1):
-    sol = eta_n3m1
-    # zero forcing gives zero derivative
-    kernel = PsiKernel.for_dimension(3)
-    plan = _QuadPlan(sol.grid, kernel)
-    assert np.all(plan.apply_gkernel(np.zeros_like(plan.nodes)) == 0.0)
-    # t^2 |eta_t| bounded over [T, 4T]
-    sel = (sol.grid >= sol.T) & (sol.grid <= 4.0 * sol.T)
-    assert np.max(sol.grid[sel] ** 2 * np.abs(sol.eta_t[sel])) < 5.0 * sol.M
-    # integral representation against a central difference of eta
-    eta_t_fd = differentiate(sol.grid, sol.eta, order=1, stencil=7)
-    inner = slice(5, -5)
-    assert np.max(np.abs(eta_t_fd[inner] - sol.eta_t[inner])) < 1e-6
-    # recompute through the public entry point
-    again = eta_derivative(sol)
-    assert np.max(np.abs(again - sol.eta_t)) < 1e-13
+def test_eta_derivative_properties():
+    for n, m in ((3, 1), (9, 1), (9, 2), (10, 1), (12, 1), (3, 3)):
+        sol = picard_solve(n, m)
+        # zero forcing gives zero derivative
+        plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(n))
+        assert all(np.all(v == 0.0) for v in plan.apply_psi(np.zeros_like(plan.nodes)))
+        # t^2 |eta_t| bounded over [T, 4T]
+        sel = (sol.grid >= sol.T) & (sol.grid <= 4.0 * sol.T)
+        assert np.max(sol.grid[sel] ** 2 * np.abs(sol.eta_t[sel])) < 5.0 * sol.M
+        # the derivative of the Psi sweeps against a central difference of eta
+        eta_t_fd = differentiate(sol.grid, sol.eta, order=1, stencil=7)
+        inner = slice(5, -5)
+        assert np.max(np.abs(eta_t_fd[inner] - sol.eta_t[inner])) < 1e-6
+        # and against the first-order representation, which agrees up to the
+        # Picard defect (at most 1.4e-11 over these cases)
+        usable = sol.grid <= sol.t_usable
+        assert np.max(np.abs(eta_t_first_order(sol)[usable] - sol.eta_t[usable])) < 5e-11
 
 
 def test_forcing_bounds_on_converged_eta(eta_n3m1):

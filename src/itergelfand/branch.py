@@ -150,24 +150,19 @@ class _InnerForce:
     def __init__(self, m, rho):
         self.m = m
         self.rho = rho
-        if m == 0:
-            self.direct = True
-            self.L = rho
-            return
         self.g_rho = [g_tower(j, rho) for j in range(m)]   # G_0..G_{m-1}
-        if self.g_rho[-1] > 700.0:
+        if m and self.g_rho[-1] > 700.0:
             raise ShootError(
                 f"rho = {rho} needs G_{m-1}(rho) <= 700 for the rescaled shoot")
         try:
             self.L = g_tower(m, rho)
         except TowerOverflowError as exc:
             raise ShootError(f"G_m(rho) not representable at rho = {rho}") from exc
-        self.direct = self.L <= 700.0
+        # at m = 0 the exponent v - rho never needs the level differences
+        self.direct = m == 0 or self.L <= 700.0
 
     def exponent(self, v):
         """G_m(v) - G_m(rho), clamped to a large negative floor when dead."""
-        if self.m == 0:
-            return v - self.rho
         if self.direct:
             return g_tower(self.m, v) - self.L
         # d = G_{m-1}(v) - G_{m-1}(rho); v <= rho on the solution

@@ -1,6 +1,8 @@
 """Corrector construction: the decaying solution of the linearized profile equation.
 
-The singular ansatz needs a correction eta solving
+The singular profile in log variables is w* = H_m(2t + phi_m) + eta for every
+tower height m >= 1: one ansatz shift phi_m (with Miyamoto's extra term
+c = ln(1 + ln t / (2t)) at m = 1) and one forcing.  The correction eta solves
 
     eta_tt - (n-2) eta_t + 2(n-2) eta + F(t, eta) = 0,  eta = O(1/t^2),
 
@@ -78,6 +80,14 @@ class PsiKernel:
         return 1.0 / (2.0 * (self.n - 2))
 
 
+# most points a construction may allocate: the descent samples below the
+# handoff (about 100 T, singular.SAMPLE_STEP apart) and the corrector's Gauss
+# nodes (12 per panel, panels at most one unit of t wide and at least one per
+# grid interval).  At the cap, build_singular(3, 1) takes about 2.6 s and
+# 210-380 MB peak RSS on a 2-vCPU host (T = 7000, or t_max = 8e4).
+MAX_POINTS = 10 ** 6
+
+
 def _node_count(T, t_max):
     """Default grid size for the corrector window [T, t_max]."""
     return max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
@@ -98,6 +108,9 @@ class EtaSpaceConfig:
         T = self.T if self.T is not None else (30.0 if m <= 1 else 60.0)
         if T < 1.0:
             raise ValueError("T must be >= 1")
+        if 100.0 * T > MAX_POINTS:
+            raise ValueError(f"T = {T:g} asks for about {100.0 * T:.3g} descent samples, "
+                             f"more than {MAX_POINTS:.0e}")
         t_max = self.t_max if self.t_max is not None else max(4.0 * T, 200.0)
         if t_max < 4.0 * T:
             raise ValueError("t_max must be >= 4*T")
@@ -106,6 +119,10 @@ class EtaSpaceConfig:
         if self.M is not None and self.M <= 0:
             raise ValueError("M must be positive")
         n_nodes = self.n_nodes or _node_count(T, t_max)
+        if 12.0 * (n_nodes + t_max - T) > MAX_POINTS:
+            raise ValueError(f"the corrector on [T, t_max] = [{T:g}, {t_max:g}] asks for at least "
+                             f"{12.0 * (n_nodes + t_max - T):.3g} quadrature nodes, "
+                             f"more than {MAX_POINTS:.0e}")
         return T, t_max, n_nodes
 
     def pad(self, n):
@@ -143,31 +160,14 @@ class EtaSolution:
         return float(np.max(self.grid ** 2 * np.abs(self.eta)))
 
 
-def phi_m1(n, t):
-    """Ansatz shift for the plain exp(e^u) case and its first two derivatives.
+def _ansatz_shift(n, m, t):
+    """phi_m and its two derivatives, the chain H_j(2t), and the m = 1 term e^c.
 
-    phi(t) = ln((n-2)/t) + ln(1 + ln t / (2t)), valid for t > 1.
+    phi = ln(2(n-2) H'_m(2t)) + c, computed through the telescoping sum
+    ln(2(n-2)) - sum_j ln(H_j(2t)) so no near-cancelling logs of products
+    appear.  c = ln(1 + ln t / (2t)) at m = 1 (Miyamoto's exp(e^u) ansatz,
+    used for t > 1) and 0 otherwise.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t <= 1.0):
-        raise ValueError("phi is used for t > 1")
-    lnt = np.log(t)
-    phi = math.log(n - 2) - lnt + np.log1p(lnt / (2.0 * t))
-    phi_t = -1.0 / t + (1.0 - lnt) / (t * (2.0 * t + lnt))
-    num = (4.0 * t + 1.0 + lnt) * (2.0 * t + 2.0 * lnt - 1.0) \
-        - 2.0 * (t + 1.0) * (2.0 * t + lnt)
-    phi_tt = num / (t ** 2 * (2.0 * t + lnt) ** 2)
-    return scalar_or_array(phi), scalar_or_array(phi_t), scalar_or_array(phi_tt)
-
-
-def phi_m(n, m, t):
-    """Ansatz shift ln(2(n-2) H'_m(2t)) for tower height m >= 2, with derivatives.
-
-    Computed through the telescoping sum ln(2(n-2)) - sum_j ln(H_j(2t)) so no
-    near-cancelling logs of products appear.
-    """
-    if m < 2:
-        raise ValueError("phi_m is defined for m >= 2; use phi_m1 for m = 1")
     t = np.asarray(t, dtype=float)
     H, Hp, Hpp, _ = _h_derivative_chains(m, 2.0 * t)
     phi = np.full_like(H[0], math.log(2.0 * (n - 2)))
@@ -178,61 +178,53 @@ def phi_m(n, m, t):
         phi = phi - np.log(H[j])
         phi_t = phi_t - 2.0 * q
         phi_tt = phi_tt + 4.0 * (q * q - Hpp[j] / H[j])
+    c, ec = 0.0, 1.0
+    if m == 1:
+        if np.any(t <= 1.0):
+            raise ValueError("the m = 1 ansatz shift is used for t > 1")
+        lnt = np.log(t)
+        ec = 1.0 + lnt / (2.0 * t)
+        c = np.log1p(lnt / (2.0 * t))
+        d = t * (2.0 * t + lnt)
+        phi = phi + c
+        phi_t = phi_t + (1.0 - lnt) / d
+        phi_tt = phi_tt - ((2.0 * t + lnt) + (1.0 - lnt) * (4.0 * t + 1.0 + lnt)) / (d * d)
+    return phi, phi_t, phi_tt, H, c, ec
+
+
+def phi_m(n, m, t):
+    """Ansatz shift phi_m(t) of w* = H_m(2t + phi_m) + eta, with its first two derivatives.
+
+    phi_m = ln(2(n-2) H'_m(2t)) for m >= 0, plus c = ln(1 + ln t / (2t)) at
+    m = 1, which is then used for t > 1.  At m = 0 the line 2t + phi_0 =
+    2t + ln(2(n-2)) is the exact plain-exponential profile.
+    """
+    if m < 0:
+        raise ValueError("tower height must be >= 0")
+    phi, phi_t, phi_tt, _, _, _ = _ansatz_shift(n, m, t)
     return scalar_or_array(phi), scalar_or_array(phi_t), scalar_or_array(phi_tt)
 
 
-class _ForcingM1:
-    """Forcing F(t, eta) of the corrector equation at tower height 1.
-
-    Precomputes the eta-independent pieces on a fixed set of t values.
-    """
-
-    def __init__(self, n, t):
-        t = np.asarray(t, dtype=float)
-        phi, phi_t, phi_tt = phi_m1(n, t)
-        lnt = np.log(t)
-        self.z = 2.0 * t + phi
-        # e^phi in exact product form
-        self.ephi = (n - 2) / t * (1.0 + lnt / (2.0 * t))
-        f_t = (2.0 + phi_t) / self.z
-        f_tt = phi_tt / self.z - f_t * f_t
-        self.F0 = self.ephi + f_tt - (n - 2) * f_t
-        self.F1 = self.ephi * self.z - 2.0 * (n - 2)
-
-    def pieces(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        em1 = np.expm1(eta)
-        F2 = self.ephi * (em1 - eta) * self.z
-        X = em1 * self.z
-        F3 = self.ephi * (np.expm1(X) - X)
-        return self.F0, self.F1 * eta, F2, F3
-
-    def total(self, eta):
-        F0, F1eta, F2, F3 = self.pieces(eta)
-        return F0 + F1eta + F2 + F3
-
-
 class _ForcingM:
-    """Forcing F(t, eta) for tower heights m >= 2.
+    """Forcing F(t, eta) of the corrector equation for tower heights m >= 1.
 
     Uses the inverse-function identity G'_m(H_m(z)) = 1/H'_m(z) and the
-    telescoped ratio H'_m(2t)/H'_m(z) = exp(sum_j r_j), which remove every
-    cancellation-prone difference of tower values.
+    telescoped ratio e^c H'_m(2t)/H'_m(z) = exp(c + sum_j r_j), which remove
+    every cancellation-prone difference of tower values.
     """
 
     def __init__(self, n, m, t):
         t = np.asarray(t, dtype=float)
         self.m = m
-        phi, phi_t, phi_tt = phi_m(n, m, t)
+        phi, phi_t, phi_tt, H2t, c, ec = _ansatz_shift(n, m, t)
         self.z = 2.0 * t + phi
-        H2t, _, _, _ = _h_derivative_chains(m, 2.0 * t)
         Hz, Hzp, Hzpp, _ = _h_derivative_chains(m, self.z)
         self.Hz = Hz
         self.Q = 1.0 / Hzp[m]
-        self.ephi = 2.0 * (n - 2) * (1.0 / np.prod([H2t[j] for j in range(m)], axis=0))
-        # expm1(sum r_j) with r_0 = log1p(phi/2t), r_{j} = log1p(r_{j-1}/H_j(2t))
+        self.ephi = 2.0 * (n - 2) * (1.0 / np.prod([H2t[j] for j in range(m)], axis=0)) * ec
+        # expm1(c + sum r_j) with r_0 = log1p(phi/2t), r_{j} = log1p(r_{j-1}/H_j(2t))
         r = np.log1p(phi / (2.0 * t))
-        total = np.array(r, copy=True)
+        total = r + c
         for j in range(1, m):
             r = np.log1p(r / H2t[j])
             total = total + r
@@ -264,14 +256,6 @@ class _ForcingM:
     def total(self, eta):
         F0, F1eta, F2 = self.pieces(eta)
         return F0 + F1eta + F2
-
-
-def make_forcing(n, m, t):
-    if m == 1:
-        return _ForcingM1(n, t)
-    if m >= 2:
-        return _ForcingM(n, m, t)
-    raise ValueError("forcing requires tower height >= 1")
 
 
 class _QuadPlan:
@@ -392,7 +376,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
     grid[0], grid[-1] = T, t_max
     kernel = PsiKernel.for_dimension(n)
     plan = _QuadPlan(grid, kernel)
-    forcing = make_forcing(n, m, plan.nodes)
+    forcing = _ForcingM(n, m, plan.nodes)
     Fq = forcing.total(np.zeros_like(plan.nodes))
     M = cfg.M if cfg.M is not None else 2.0 * float(np.max(plan.nodes ** 2 * np.abs(Fq)))
     eta = np.zeros_like(grid)

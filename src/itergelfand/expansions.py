@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import phi_m1
+from .corrector import phi_m
 from .numerics import envelope_slope, scalar_or_array
 from .towers import _h_derivative_chains, h_deriv
 
@@ -39,7 +39,7 @@ def expansion_w_m1(n, t, depth="four_term"):
     """
     t = np.asarray(t, dtype=float)
     if depth == "ansatz":
-        phi, _, _ = phi_m1(n, t)
+        phi, _, _ = phi_m(n, 1, t)
         out = np.log(2.0 * t + phi)
     elif depth == "four_term":
         lnt = np.log(t)

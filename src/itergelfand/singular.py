@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
-                        phi_m1, phi_m, picard_solve)
+                        phi_m, picard_solve)
 from .numerics import differentiate
 from .rk import solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
@@ -80,22 +80,13 @@ def _zero_eta(n, m, T, t_max):
 
 
 def ansatz_terms(n, m, t):
-    """(f, f_t) of the pure ansatz at tower height m.
+    """(f, f_t) of the pure ansatz f = H_m(2t + phi_m), f_t = H'_m(2t + phi_m)(2 + phi_t).
 
-    m = 0 is the plain-exponential oracle with the exact line
-    2t + ln(2(n-2)); m = 1 uses ln(2t + phi); m >= 2 uses H_m(2t + phi)
-    with f_t = H'_m(2t + phi)(2 + phi_t).
+    At m = 0 (the plain-exponential oracle) f is the exact line
+    2t + ln(2(n-2)).
     """
-    t = np.asarray(t, dtype=float)
-    if m == 0:
-        return 2.0 * t + math.log(2.0 * (n - 2)), np.full_like(t, 2.0)
-    if m == 1:
-        phi, phi_t, _ = phi_m1(n, t)
-        z = 2.0 * t + phi
-        return np.log(z), (2.0 + phi_t) / z
     phi, phi_t, _ = phi_m(n, m, t)
-    z = 2.0 * t + phi
-    H, Hp, _, _ = _h_derivative_chains(m, z)
+    H, Hp, _, _ = _h_derivative_chains(m, 2.0 * np.asarray(t, dtype=float) + phi)
     return H[m], Hp[m] * (2.0 + phi_t)
 
 

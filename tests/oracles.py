@@ -19,20 +19,14 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 import itergelfand.branch as br
-from itergelfand.corrector import (PicardConvergenceError, PsiKernel, _ForcingM, _ForcingM1,
-                                   _QuadPlan, make_forcing, phi_m1)
+from itergelfand.corrector import PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan, phi_m
 from itergelfand.numerics import panel_nodes, scalar_or_array
 from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_log
 from itergelfand.transform import LogProfile, RadialProfile
 
 
-def forcing_m1(n, t, eta):
-    """F(t, eta) = F_0 + F_1 eta + F_2 + F_3 at tower height 1."""
-    return scalar_or_array(_ForcingM1(n, t).total(eta))
-
-
 def forcing_m(n, m, t, eta):
-    """F(t, eta) = F_0 + F_1 eta + F_2 at tower height m >= 2."""
+    """F(t, eta) = F_0 + F_1 eta + F_2 at tower height m >= 1."""
     return scalar_or_array(_ForcingM(n, m, t).total(eta))
 
 
@@ -105,7 +99,7 @@ def eta_t_first_order(sol):
     n = sol.n
     plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(n))
     eta_q = plan.spline_at_nodes(sol.eta)
-    g_q = -2.0 * (n - 2) * eta_q - make_forcing(n, sol.m, plan.nodes).total(eta_q)
+    g_q = -2.0 * (n - 2) * eta_q - _ForcingM(n, sol.m, plan.nodes).total(eta_q)
     P = plan.interval_integrals(np.exp(-(n - 2) * plan.tau), g_q)
     decay = np.exp(-(n - 2) * plan.h)
     J = np.zeros_like(sol.grid)
@@ -120,7 +114,7 @@ def x_star_factored(n, t, eta_sol):
     exponent 2t - e^{w*} - w* + log-series never subtracts large numbers.
     """
     t = np.asarray(t, dtype=float)
-    phi, _, _ = phi_m1(n, t)
+    phi, _, _ = phi_m(n, 1, t)
     z = 2.0 * t + phi
     eta = PchipInterpolator(eta_sol.grid, eta_sol.eta)(t)
     ew = z * np.exp(eta)
@@ -133,7 +127,7 @@ def x_star_factored(n, t, eta_sol):
 def y_star_factored(n, t, eta_sol):
     """y* through the factored ansatz pieces; companion to x_star_factored."""
     t = np.asarray(t, dtype=float)
-    phi, phi_t, _ = phi_m1(n, t)
+    phi, phi_t, _ = phi_m(n, 1, t)
     z = 2.0 * t + phi
     eta = PchipInterpolator(eta_sol.grid, eta_sol.eta)(t)
     eta_t = PchipInterpolator(eta_sol.grid, eta_sol.eta_t)(t)

@@ -24,6 +24,12 @@ def test_iterexp_eval(capsys):
     assert float(out) == pytest.approx(math.e, rel=1e-15)
 
 
+def test_negative_value_in_exponent_form(capsys):
+    # -1e5 is the value of --at, not an unknown option
+    assert run_cli(["iterexp", "eval", "--kind", "ftail", "--at", "-1e5"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(1e5 - 0.5772156649015329, rel=1e-15)
+
+
 def test_iterexp_eval_overflow_exit_code(capsys):
     assert run_cli(["iterexp", "eval", "--m", "3", "--kind", "g", "--at", "3"]) == 2
 
@@ -274,6 +280,12 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["iterexp", "eval", "--kind", "hderiv", "--k", "5", "--at", "20"], "--k"),
     (["iterexp", "eval", "--kind", "ftail-inv", "--at", "inf"], "--at must be finite"),
     (["iterexp", "eval", "--kind", "ftail-inv", "--at", "0"], "--at > 0"),
+    (["iterexp", "eval", "--kind", "ftail", "--at", "-inf"], "--at must be finite"),
+    (["bifurcation", "trace", "--rho-min", "-1e-3"], None),
+    (["singular", "construct", "--T", "1e300"], "descent samples"),
+    (["singular", "construct", "--T", "1e12"], "descent samples"),
+    (["singular", "construct", "--T", "1e8"], "descent samples"),
+    (["singular", "construct", "--t-max", "1e6"], "quadrature nodes"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

@@ -7,37 +7,40 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
-                                   _ForcingM, _ForcingM1, _QuadPlan, make_forcing, phi_m,
-                                   phi_m1, picard_solve)
-from oracles import eta_t_first_order, forcing_m, forcing_m1, psi_apply, rho_remainder
+                                   _ForcingM, _QuadPlan, phi_m, picard_solve)
+from oracles import eta_t_first_order, forcing_m, psi_apply, rho_remainder
 from itergelfand.numerics import differentiate
 from itergelfand.towers import g_deriv, h_tower
 
 
-def test_phi_m1_value():
-    # n = 3, t = e: phi = ln(1/e) + ln(1 + 1/(2e))
-    phi, _, _ = phi_m1(3, math.e)
+def test_phi_m_closed_form_m1():
+    # n = 3, t = e: phi = ln(1/e) + ln(1 + 1/(2e)), Miyamoto's m = 1 shift
+    phi, _, _ = phi_m(3, 1, math.e)
     assert phi == pytest.approx(-1.0 + math.log(1.0 + 1.0 / (2.0 * math.e)), rel=1e-15)
 
 
-def test_phi_m1_second_derivative_bounded():
+def test_phi_m_second_derivative_bounded():
     t = np.geomspace(10.0, 1e6, 80)
-    _, _, phi_tt = phi_m1(3, t)
-    assert np.max(t ** 2 * np.abs(phi_tt)) < 10.0
+    for m in (0, 1, 2, 3):
+        _, _, phi_tt = phi_m(3, m, t)
+        assert np.max(t ** 2 * np.abs(phi_tt)) < 10.0
 
 
-def test_phi_m1_derivative_vs_fd():
-    for t in (5.0, 20.0, 100.0):
-        h = 1e-5 * t
-        phi_p, _, _ = phi_m1(3, t + h)
-        phi_m_, _, _ = phi_m1(3, t - h)
-        _, phi_t, _ = phi_m1(3, t)
-        assert phi_t == pytest.approx((phi_p - phi_m_) / (2 * h), rel=1e-8)
+def test_phi_m_derivative_vs_fd():
+    for m in (1, 2):
+        for t in (5.0, 20.0, 100.0):
+            h = 1e-5 * t
+            phi_p, _, _ = phi_m(3, m, t + h)
+            phi_m_, _, _ = phi_m(3, m, t - h)
+            _, phi_t, _ = phi_m(3, m, t)
+            assert phi_t == pytest.approx((phi_p - phi_m_) / (2 * h), rel=1e-8)
 
 
-def test_phi_m1_domain():
+def test_phi_m_domain():
     with pytest.raises(ValueError):
-        phi_m1(3, 0.9)
+        phi_m(3, 1, 0.9)
+    with pytest.raises(ValueError):
+        phi_m(3, -1, 5.0)
 
 
 def test_phi_m_closed_form_m2():
@@ -56,55 +59,55 @@ def test_phi_m_first_derivative_rate():
 
 
 def test_phi_m_second_derivative_vs_fd():
-    for t in (20.0, 200.0):
-        h = 1e-4 * t
-        _, d_p, _ = phi_m(3, 2, t + h)
-        _, d_m, _ = phi_m(3, 2, t - h)
-        _, _, phi_tt = phi_m(3, 2, t)
-        assert phi_tt == pytest.approx((d_p - d_m) / (2 * h), rel=1e-6)
+    for m in (1, 2):
+        for t in (20.0, 200.0):
+            h = 1e-4 * t
+            _, d_p, _ = phi_m(3, m, t + h)
+            _, d_m, _ = phi_m(3, m, t - h)
+            _, _, phi_tt = phi_m(3, m, t)
+            assert phi_tt == pytest.approx((d_p - d_m) / (2 * h), rel=1e-6)
 
 
-def test_forcing_m1_at_zero_eta():
-    t = np.geomspace(30.0, 200.0, 50)
-    fo = _ForcingM1(3, t)
-    F0, F1eta, F2, F3 = fo.pieces(np.zeros_like(t))
-    assert np.all(F1eta == 0.0) and np.all(F2 == 0.0) and np.all(F3 == 0.0)
-    assert np.array_equal(forcing_m1(3, t, np.zeros_like(t)), F0)
-    # |F_0| <= A / t^2 with a finite A
-    assert np.max(t ** 2 * np.abs(F0)) < 3.0
-
-
-def test_forcing_m1_f1_two_forms():
-    # e^phi (2t + phi) - 2(n-2) equals (n-2) ln t / t + e^phi phi exactly
+def test_forcing_f1_two_forms():
+    # at m = 1, e^phi (2t + phi) - 2(n-2) equals (n-2) ln t / t + e^phi phi exactly
     n = 4
     t = np.geomspace(10.0, 500.0, 40)
-    fo = _ForcingM1(n, t)
+    fo = _ForcingM(n, 1, t)
     alt = (n - 2) * np.log(t) / t + fo.ephi * (fo.z - 2.0 * t)
     assert np.max(np.abs(fo.F1 - alt) / np.abs(alt)) < 1e-12
 
 
-def test_forcing_m1_decomposition_vs_high_precision():
-    # F_1 eta + F_2 + F_3 + 2(n-2) eta + e^phi against a 50-digit direct
-    # evaluation of exp(-2t + e^w), w = ln(2t + phi) + eta
+def test_forcing_decomposition_vs_high_precision():
+    # F_1 eta + F_2 + 2(n-2) eta + e^phi against a 50-digit direct evaluation
+    # of exp(-2t + G_m(w)), w = H_m(2t + phi) + eta
     mpmath.mp.dps = 50
     n, t, eta = 3, 50.0, 1e-3
-    fo = _ForcingM1(n, np.array([t]))
-    F0, F1eta, F2, F3 = (float(v[0]) for v in fo.pieces(np.array([eta])))
-    lhs = F1eta + F2 + F3 + 2.0 * (n - 2) * eta + float(fo.ephi[0])
     tm = mpmath.mpf(t)
-    phi = mpmath.log((n - 2) / tm) + mpmath.log(1 + mpmath.log(tm) / (2 * tm))
-    w = mpmath.log(2 * tm + phi) + mpmath.mpf(eta)
-    rhs = float(mpmath.exp(-2 * tm + mpmath.exp(w)))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
+    phis = {1: mpmath.log((n - 2) / tm) + mpmath.log(1 + mpmath.log(tm) / (2 * tm)),
+            2: mpmath.log(2 * (n - 2) / (2 * tm)) - mpmath.log(mpmath.log(2 * tm))}
+    for m, phi in phis.items():
+        fo = _ForcingM(n, m, np.array([t]))
+        F0, F1eta, F2 = (float(v[0]) for v in fo.pieces(np.array([eta])))
+        lhs = F1eta + F2 + 2.0 * (n - 2) * eta + float(fo.ephi[0])
+        w = 2 * tm + phi
+        for _ in range(m):
+            w = mpmath.log(w)
+        w += mpmath.mpf(eta)
+        for _ in range(m):
+            w = mpmath.exp(w)
+        rhs = float(mpmath.exp(-2 * tm + w))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 def test_forcing_m_at_zero_eta():
-    t = np.geomspace(60.0, 400.0, 50)
-    fo = _ForcingM(3, 2, t)
-    F0, F1eta, F2 = fo.pieces(np.zeros_like(t))
-    assert np.all(F1eta == 0.0) and np.all(F2 == 0.0)
-    assert np.max(t ** 2 * np.abs(F0)) < 5.0
-    assert np.array_equal(forcing_m(3, 2, t, np.zeros_like(t)), F0)
+    # |F_0| <= A / t^2 with a finite A
+    for m, t_lo, t_hi, A in ((1, 30.0, 200.0, 3.0), (2, 60.0, 400.0, 5.0)):
+        t = np.geomspace(t_lo, t_hi, 50)
+        fo = _ForcingM(3, m, t)
+        F0, F1eta, F2 = fo.pieces(np.zeros_like(t))
+        assert np.all(F1eta == 0.0) and np.all(F2 == 0.0)
+        assert np.max(t ** 2 * np.abs(F0)) < A
+        assert np.array_equal(forcing_m(3, m, t, np.zeros_like(t)), F0)
 
 
 def test_rho_remainder_taylor_order():
@@ -201,7 +204,7 @@ def test_picard_converges_and_contracts(n, m):
     # must satisfy the corrector equation under independent differentiation
     g = sol.grid
     eta_tt = differentiate(g, sol.eta_t, order=1, stencil=7)
-    F = make_forcing(n, m, g).total(sol.eta)
+    F = _ForcingM(n, m, g).total(sol.eta)
     res = eta_tt - (n - 2) * sol.eta_t + 2 * (n - 2) * sol.eta + F
     sel = (g >= sol.T + 1.0) & (g <= 0.9 * sol.t_usable)
     assert np.max(np.abs(res[sel]) / np.abs(F[sel])) < 1e-6
@@ -214,7 +217,7 @@ def test_picard_fixed_point_solves_corrector_equation(eta_n3m1):
     n, m = 3, 1
     g = sol.grid
     eta_tt = differentiate(g, sol.eta_t, order=1, stencil=7)
-    F = make_forcing(n, m, g).total(sol.eta)
+    F = _ForcingM(n, m, g).total(sol.eta)
     res = eta_tt - (n - 2) * sol.eta_t + 2 * (n - 2) * sol.eta + F
     sel = (g >= sol.T + 1.0) & (g <= sol.t_usable)
     rel = np.abs(res[sel]) / np.abs(F[sel])
@@ -227,13 +230,13 @@ def test_picard_first_iterate_is_psi_of_zero(eta_n3m1):
     sol = eta_n3m1
     kernel = PsiKernel.for_dimension(3)
     plan = _QuadPlan(sol.grid, kernel)
-    forcing = make_forcing(3, 1, plan.nodes)
+    forcing = _ForcingM(3, 1, plan.nodes)
     first, _ = plan.apply_psi(forcing.total(np.zeros_like(plan.nodes)))
     assert sol.defects[0] == pytest.approx(
         float(np.max(sol.grid ** 2 * np.abs(first))), rel=1e-12)
     for t in (35.0, 80.0):
         i = int(np.argmin(np.abs(sol.grid - t)))
-        direct = psi_apply(kernel, lambda s: forcing_m1(3, s, np.zeros_like(s)),
+        direct = psi_apply(kernel, lambda s: forcing_m(3, 1, s, np.zeros_like(s)),
                            float(sol.grid[i]), sol.t_max)
         assert float(first[i]) == pytest.approx(direct, rel=1e-8)
 
@@ -284,11 +287,12 @@ def test_forcing_bounds_on_converged_eta(eta_n3m1):
     sol = eta_n3m1
     sel = sol.grid <= sol.t_usable
     t = sol.grid[sel]
-    fo = _ForcingM1(3, t)
-    F0, F1eta, F2, F3 = fo.pieces(sol.eta[sel])
+    fo = _ForcingM(3, 1, t)
+    F0, F1eta, F2 = fo.pieces(sol.eta[sel])
+    quadratic = fo.ephi * fo.rho(sol.eta[sel])
     assert np.max(t ** 3 / np.log(t) * np.abs(F1eta)) < 10.0
-    assert np.max(t ** 4 * np.abs(F2)) < 10.0
-    assert np.max(t ** 3 * np.abs(F3)) < 10.0
+    assert np.max(t ** 4 * np.abs(quadratic)) < 10.0
+    assert np.max(t ** 3 * np.abs(F2 - quadratic)) < 10.0
 
 
 def test_forcing_m_lipschitz_sampled():
@@ -323,6 +327,13 @@ def test_config_validation():
         EtaSpaceConfig(T=60.0, t_max=100.0).resolved(1)
     with pytest.raises(ValueError):
         EtaSpaceConfig(tol=-1.0).resolved(1)
+    # the allocation cap refuses oversized windows before anything is built,
+    # well above the largest grid of the T escalation ladder
+    with pytest.raises(ValueError, match="descent samples"):
+        EtaSpaceConfig(T=1e8).resolved(1)
+    with pytest.raises(ValueError, match="quadrature nodes"):
+        EtaSpaceConfig(t_max=1e6).resolved(1)
+    assert EtaSpaceConfig(T=960.0).resolved(2)[2] == 8318
 
 
 def test_picard_escalation_exhaustion_raises():

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from itergelfand.corrector import phi_m, phi_m1
+from itergelfand.corrector import phi_m
 from itergelfand.expansions import (expansion_grad_m, expansion_grad_m1,
                                     expansion_w_m, expansion_w_m1,
                                     gradient_residual_constant, residual_order)
@@ -14,7 +14,7 @@ from itergelfand.transform import LogProfile
 
 def test_ansatz_depth_is_exact():
     t = np.geomspace(20.0, 400.0, 30)
-    phi, _, _ = phi_m1(3, t)
+    phi, _, _ = phi_m(3, 1, t)
     assert np.array_equal(expansion_w_m1(3, t, "ansatz"), np.log(2 * t + phi))
 
 

@@ -143,8 +143,16 @@ def test_hermite_reproduces_cubics(t0, gaps, coef, frac, outside):
     big = float(np.max(np.abs(t)))
     scale_w = abs(a) + abs(b) * big + abs(c) * big ** 2 + abs(d) * big ** 3
     scale_wt = abs(b) + 2.0 * abs(c) * big + 3.0 * abs(d) * big ** 2
-    tol_w = 64.0 * eps * (scale_w + scale_wt)
-    tol_wt = 64.0 * eps * (scale_w / min(gaps) + scale_wt)
+    # subnormal data round absolutely: each product of the Horner forms is off
+    # by up to tiny/2 more, grown by |t| <= big in the later products, so a
+    # sample (and the exact side) is off by E; the Hermite weights carry 3E/h
+    # of the w samples and 2E of the w_t samples into eval_wt, and its own
+    # products add at most 8 tiny/2 before the division by h
+    tiny = 2.0 ** -1074
+    E = (big ** 2 + big + 1.0) * tiny / 2.0
+    tol_w = 64.0 * eps * (scale_w + scale_wt) + 4.0 * E + 8.0 * tiny
+    tol_wt = (64.0 * eps * (scale_w / min(gaps) + scale_wt)
+              + (3.0 * E + 4.0 * tiny) / min(gaps) + 3.0 * E)
     w_exact = a + q * (b + q * (c + q * d))
     wt_exact = b + q * (2.0 * c + 3.0 * d * q)
     assert np.max(np.abs(prof.eval_w(q) - w_exact)) <= tol_w

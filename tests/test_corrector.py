@@ -99,15 +99,22 @@ def test_forcing_decomposition_vs_high_precision():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_forcing_m_at_zero_eta():
+def _check_forcing_at_zero_eta(m, t_lo, t_hi, A):
     # |F_0| <= A / t^2 with a finite A
-    for m, t_lo, t_hi, A in ((1, 30.0, 200.0, 3.0), (2, 60.0, 400.0, 5.0)):
-        t = np.geomspace(t_lo, t_hi, 50)
-        fo = _ForcingM(3, m, t)
-        F0, F1eta, F2 = fo.pieces(np.zeros_like(t))
-        assert np.all(F1eta == 0.0) and np.all(F2 == 0.0)
-        assert np.max(t ** 2 * np.abs(F0)) < A
-        assert np.array_equal(forcing_m(3, m, t, np.zeros_like(t)), F0)
+    t = np.geomspace(t_lo, t_hi, 50)
+    fo = _ForcingM(3, m, t)
+    F0, F1eta, F2 = fo.pieces(np.zeros_like(t))
+    assert np.all(F1eta == 0.0) and np.all(F2 == 0.0)
+    assert np.max(t ** 2 * np.abs(F0)) < A
+    assert np.array_equal(forcing_m(3, m, t, np.zeros_like(t)), F0)
+
+
+def test_forcing_m1_at_zero_eta():
+    _check_forcing_at_zero_eta(1, 30.0, 200.0, 3.0)
+
+
+def test_forcing_m_at_zero_eta():
+    _check_forcing_at_zero_eta(2, 60.0, 400.0, 5.0)
 
 
 def test_rho_remainder_taylor_order():

@@ -5,8 +5,8 @@ from .branch import (BifurcationCurve, BranchPoint, ShootError, intersection_cou
 from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, PsiKernel,
                         phi_m, picard_solve)
 from .equivalence import EquivalenceTrace, equivalence_report, miyamoto_profile, x_star, y_star
-from .expansions import (ExpansionReport, expansion_grad_m, expansion_grad_m1,
-                         expansion_w_m, expansion_w_m1, residual_order)
+from .expansions import (ExpansionReport, expansion_grad_m, expansion_grad_m1, expansion_w,
+                         residual_order)
 from .singular import (DescentError, SingularSolution, assemble_w, build_singular,
                        integrate_down, ode_residual)
 from .towers import (TowerDomainError, TowerOverflowError, f_tail, f_tail_inverse,

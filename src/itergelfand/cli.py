@@ -25,8 +25,9 @@ from . import expansions as ex
 from . import towers as tw
 from .corrector import EtaSpaceConfig, PicardConvergenceError, phi_m
 from .numerics import atomic_write_text, fmt, write_csv
-from .singular import DescentError, SingularSolution, build_singular, ode_residual
-from .transform import log_to_radial, read_profile_csv, write_profile_csv
+from .singular import (DescentError, SingularSolution, ansatz_terms, build_singular,
+                       ode_residual)
+from .transform import LogProfile, log_to_radial, read_profile_csv, write_profile_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,7 +80,8 @@ class RunConfig:
             raise UsageError("tower height m must be an integer >= 1")
         for m in heights:
             try:
-                self.eta_config().resolved(m)
+                # the oracle (m = 0) solves no corrector, so has no Gauss nodes to count
+                self.eta_config().resolved(m, self.n if m else None)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
 
@@ -168,14 +170,20 @@ def _write_meta(path, cfg, results):
 def cmd_singular(cfg):
     sol = build_singular(cfg.n, cfg.m_effective, cfg.eta_config())
     res = ode_residual(sol.profile, cfg.n, cfg.m_effective)
-    write_profile_csv(os.path.join(cfg.outdir, "profile_log.csv"), sol.profile)
-    write_profile_csv(os.path.join(cfg.outdir, "profile_radial.csv"),
-                      log_to_radial(sol.profile, sol.lambda_star))
+    p = sol.profile
+    write_profile_csv(os.path.join(cfg.outdir, "profile_log.csv"), p)
+    # the radial copy keeps the rows whose r = e^-t / sqrt(lambda*) is a normal
+    # double and whose u_r = -w_t / r is finite; radial_t_max records the cut
+    r = np.exp(-p.t) / np.sqrt(sol.lambda_star)
+    keep = (r >= sys.float_info.min) & (np.abs(p.w_t) / sys.float_info.max <= r)
+    write_profile_csv(os.path.join(cfg.outdir, "profile_radial.csv"), log_to_radial(
+        LogProfile(p.t[keep], p.w[keep], p.w_t[keep]), sol.lambda_star))
     eta = sol.eta
     _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, {
         "lambda_star": sol.lambda_star,
         "t_star": sol.t_star,
         "handoff_t": sol.handoff_t,
+        "radial_t_max": p.t[keep][-1],
         "max_relative_residual": res,
         "monotone": str(sol.monotone),
         "picard_iterations": eta.iterations,
@@ -321,19 +329,18 @@ def _suite_asymptotics(cfg):
     win1 = (T + 5.0, 2.0 * T)
     win2 = (T + 5.0, 4.0 * T)
     if m <= 1:
-        r1 = ex.residual_order(sol.profile, lambda t: ex.expansion_w_m1(n, t, "ansatz"),
-                               2.0, win1)
+        def ansatz(t):
+            return ansatz_terms(n, 1, t)[0]
+        r1 = ex.residual_order(sol.profile, ansatz, 2.0, win1)
         r1.label = "profile_vs_ansatz"
-        r2 = ex.residual_order(sol.profile, lambda t: ex.expansion_w_m1(n, t, "ansatz"),
-                               2.0, win2)
+        r2 = ex.residual_order(sol.profile, ansatz, 2.0, win2)
         r2.label = "profile_vs_ansatz_doubled"
         rows.append(Check("profile_vs_ansatz_weighted_sup", r2.weighted_sup,
                           10.0 * sol.eta.M, r2.weighted_sup <= 10.0 * sol.eta.M))
         stable = r2.weighted_sup <= 3.0 * max(r1.weighted_sup, 1e-300)
         rows.append(Check("window_doubling_stable",
                           r2.weighted_sup / max(r1.weighted_sup, 1e-300), 3.0, stable))
-        r4 = ex.residual_order(sol.profile, lambda t: ex.expansion_w_m1(n, t, "four_term"),
-                               2.0, win2)
+        r4 = ex.residual_order(sol.profile, lambda t: ex.expansion_w(n, 1, t), 2.0, win2)
         r4.label = "profile_vs_four_term"
         rows.append(Check("four_term_slope", r4.empirical_slope, 0.3,
                           abs(r4.empirical_slope + 2.0) <= 0.3))
@@ -351,7 +358,7 @@ def _suite_asymptotics(cfg):
                                      - 2.0 * tw.h_deriv(m, 1, 2.0 * t + phi))
         rows.append(Check("wt_vs_2Hm_prime_weighted_sup", float(np.max(bound_vals)),
                           10.0 * sol.eta.M, float(np.max(bound_vals)) <= 10.0 * sol.eta.M))
-        diff = np.abs(sol.profile.w[sel] - ex.expansion_w_m(n, m, t))
+        diff = np.abs(sol.profile.w[sel] - ex.expansion_w(n, m, t))
         half = t <= math.sqrt(win2[0] * win2[1])
         trend = float(np.max(diff[~half])) <= float(np.max(diff[half]))
         rows.append(Check("expansion_residual_decays", float(np.max(diff[~half])),

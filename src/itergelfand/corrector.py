@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import panel_nodes, scalar_or_array, subdivide
+from .numerics import hermite, panel_nodes, scalar_or_array, subdivide
 from .towers import _h_derivative_chains
 
 
@@ -82,9 +82,9 @@ class PsiKernel:
 
 # most points a construction may allocate: the descent samples below the
 # handoff (about 100 T, singular.SAMPLE_STEP apart) and the corrector's Gauss
-# nodes (12 per panel, panels at most one unit of t wide and at least one per
-# grid interval).  At the cap, build_singular(3, 1) takes about 2.6 s and
-# 210-380 MB peak RSS on a 2-vCPU host (T = 7000, or t_max = 8e4).
+# nodes (12 per panel, panels at most PsiKernel.h_cap wide and at least one
+# per grid interval).  Near the cap, build_singular(3, 1) takes about 1.2-1.9 s
+# and 180-240 MB peak RSS on a 2-vCPU host (T = 6000, or t_max = 4.8e4).
 MAX_POINTS = 10 ** 6
 
 
@@ -104,7 +104,13 @@ class EtaSpaceConfig:
     max_iter: int = 60
     n_nodes: int | None = None
 
-    def resolved(self, m):
+    def resolved(self, m, n=None):
+        """(T, t_max, n_nodes) of the window at tower height m, refusing bad or oversized ones.
+
+        Given the dimension n, the Gauss nodes are counted on panels at most
+        PsiKernel.h_cap wide up to t_max + pad(n), as the solve lays them out;
+        without it, on panels one unit of t wide up to t_max.
+        """
         T = self.T if self.T is not None else (30.0 if m <= 1 else 60.0)
         if T < 1.0:
             raise ValueError("T must be >= 1")
@@ -119,10 +125,12 @@ class EtaSpaceConfig:
         if self.M is not None and self.M <= 0:
             raise ValueError("M must be positive")
         n_nodes = self.n_nodes or _node_count(T, t_max)
-        if 12.0 * (n_nodes + t_max - T) > MAX_POINTS:
-            raise ValueError(f"the corrector on [T, t_max] = [{T:g}, {t_max:g}] asks for at least "
-                             f"{12.0 * (n_nodes + t_max - T):.3g} quadrature nodes, "
-                             f"more than {MAX_POINTS:.0e}")
+        h_cap, t_end = (1.0, t_max) if n is None else (PsiKernel.for_dimension(n).h_cap,
+                                                       t_max + self.pad(n))
+        gauss = 12.0 * (n_nodes + (t_end - T) / h_cap)
+        if gauss > MAX_POINTS:
+            raise ValueError(f"the corrector on [T, t_max] = [{T:g}, {t_max:g}] asks for up to "
+                             f"{gauss:.3g} quadrature nodes, more than {MAX_POINTS:.0e}")
         return T, t_max, n_nodes
 
     def pad(self, n):
@@ -261,9 +269,8 @@ class _ForcingM:
 class _QuadPlan:
     """Panelized Gauss rule on a grid with kernel factors anchored at interval left ends.
 
-    It also interpolates grid values to the quadrature nodes with the
-    not-a-knot cubic spline (scipy's CubicSpline default), whose slope
-    system is factored here once per grid.
+    It moves an iterate to the quadrature nodes by the cubic Hermite
+    interpolant of its (eta, eta_t), which the sweeps give together.
     """
 
     def __init__(self, grid, kernel):
@@ -276,60 +283,10 @@ class _QuadPlan:
         # a complex pair sweeps lam_+ only: J(lam_-) is its conjugate
         roots = (kernel.lam_plus,) if kernel.freq else (kernel.lam_plus, kernel.lam_minus)
         self.K = {lam: np.exp(-lam * self.tau) for lam in roots}
-        self._factor_spline()
 
-    def _factor_spline(self):
-        """Thomas factors of the tridiagonal slope system of the not-a-knot spline.
-
-        Row i (0 < i < N-1) makes the spline's first derivative continuous:
-        h_i s_{i-1} + 2 (h_{i-1} + h_i) s_i + h_{i-1} s_{i+1} = rhs_i; the end
-        rows make the third derivative continuous across the second and the
-        second-to-last node.  Elimination runs without pivoting: the interior
-        rows are diagonally dominant, and the two end rows leave pivots of
-        the order of the grid spacing.
-        """
-        h = self.h.tolist()
-        n = len(self.grid)
-        lower = [0.0] + h[1:] + [h[-1] + h[-2]]
-        diag = [h[1]] + [2.0 * (a + b) for a, b in zip(h[:-1], h[1:])] + [h[-2]]
-        upper = [h[0] + h[1]] + h[:-1]
-        inv = [1.0 / diag[0]]
-        mult = [0.0]
-        for i in range(1, n):
-            m = lower[i] * inv[-1]
-            mult.append(m)
-            inv.append(1.0 / (diag[i] - m * upper[i - 1]))
-        self._mult = mult
-        self._inv = np.array(inv)
-        self._upper_inv = [u * p for u, p in zip(upper, inv)]
-
-    def spline_at_nodes(self, y):
-        """The not-a-knot cubic spline through (grid, y), at the quadrature nodes."""
-        y = np.asarray(y, dtype=float)
-        h = self.h
-        slope = np.diff(y) / h
-        rhs = np.empty_like(y)
-        rhs[1:-1] = 3.0 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])
-        d = h[0] + h[1]
-        rhs[0] = ((h[0] + 2.0 * d) * h[1] * slope[0] + h[0] ** 2 * slope[1]) / d
-        d = h[-1] + h[-2]
-        rhs[-1] = (h[-1] ** 2 * slope[-2] + (2.0 * d + h[-1]) * h[-2] * slope[-1]) / d
-        # forward pass z_i = rhs_i - mult_i z_{i-1}, then the back pass
-        # s_i = (z_i - upper_i s_{i+1}) / pivot_i
-        z = rhs.tolist()
-        mult = self._mult
-        for i in range(1, len(z)):
-            z[i] -= mult[i] * z[i - 1]
-        s = (np.array(z) * self._inv).tolist()
-        upper_inv = self._upper_inv
-        for i in range(len(s) - 2, -1, -1):
-            s[i] -= upper_inv[i] * s[i + 1]
-        s = np.array(s)
-        # power-basis coefficients of each interval, as in scipy's CubicHermiteSpline
-        t = (s[:-1] + s[1:] - 2.0 * slope) / h
-        c = np.stack([t / h, (slope - s[:-1]) / h - t, s[:-1], y[:-1]])[:, self.owner, None]
-        tau = self.tau
-        return ((c[0] * tau + c[1]) * tau + c[2]) * tau + c[3]
+    def at_nodes(self, y, y_t):
+        """The cubic Hermite interpolant of (grid, y, y_t) at the quadrature nodes."""
+        return hermite(self.grid, y, y_t, self.owner[:, None], self.tau)
 
     def interval_integrals(self, K, Fq):
         """integral over each grid interval of K(s) Fq(s), K real or complex."""
@@ -399,7 +356,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
                 iterations=len(defects), final_defect=defect, defects=defects,
                 T=T, t_max=t_max, t_usable=t_usable, M=M, contraction_ratios=ratios), defects
         # F at the current iterate: the next iteration's forcing
-        Fq = forcing.total(plan.spline_at_nodes(eta))
+        Fq = forcing.total(plan.at_nodes(eta, eta_t))
         if len(ratios) >= 3 and min(ratios[-3:]) >= 0.995:
             break
         if defect > 50.0 * defects[0]:
@@ -420,7 +377,7 @@ def picard_solve(n, m, cfg=None):
     if m < 1:
         raise ValueError("tower height must be >= 1 for the corrector")
     cfg = cfg if cfg is not None else EtaSpaceConfig()
-    T, t_usable, n_nodes = cfg.resolved(m)
+    T, t_usable, n_nodes = cfg.resolved(m, n)
     pad = cfg.pad(n)
     for _ in range(5):
         t_max = t_usable + pad

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import phi_m
 from .numerics import envelope_slope, scalar_or_array
 from .towers import _h_derivative_chains, h_deriv
 
@@ -31,25 +30,6 @@ class ExpansionReport:
     empirical_slope: float
 
 
-def expansion_w_m1(n, t, depth="four_term"):
-    """Profile expansion at tower height 1.
-
-    depth 'ansatz' gives ln(2t + phi(t)) exactly; 'four_term' gives
-    ln(2t) + ln((n-2)/t)/(2t) - ln^2(t)/(8t^2) + ln(t)/(4t^2).
-    """
-    t = np.asarray(t, dtype=float)
-    if depth == "ansatz":
-        phi, _, _ = phi_m(n, 1, t)
-        out = np.log(2.0 * t + phi)
-    elif depth == "four_term":
-        lnt = np.log(t)
-        out = (np.log(2.0 * t) + (math.log(n - 2) - lnt) / (2.0 * t)
-               - lnt ** 2 / (8.0 * t ** 2) + lnt / (4.0 * t ** 2))
-    else:
-        raise ValueError("depth must be 'ansatz' or 'four_term'")
-    return scalar_or_array(out)
-
-
 def expansion_grad_m1(n, r):
     """Two-term gradient expansion 1/(r L) + ln(L)/(2 r L^2), L = ln(1/r)."""
     r = np.asarray(r, dtype=float)
@@ -60,19 +40,24 @@ def expansion_grad_m1(n, r):
     return scalar_or_array(out)
 
 
-def expansion_w_m(n, m, rho):
-    """Three-group profile expansion at tower height m >= 2.
+def expansion_w(n, m, t):
+    """Three-group profile expansion at tower height m >= 1.
 
-    H_m(2 rho) + H'_m(2 rho) (ln(2(n-2)) - sum_{j=1..m} H_j(2 rho))
-    - H'_m(2 rho) ln^2(rho) / (4 rho).
+    H_m(2t) + H'_m(2t) (ln(2(n-2)) - sum_{j=1..m} H_j(2t)) - H'_m(2t) ln^2(t) / (4t),
+    plus H'_1(2t) ln(t) / (2t) at m = 1, the first-order part of the ansatz
+    term c = ln(1 + ln t / (2t)).  At m = 1 this is the four-term expansion
+    ln(2t) + ln((n-2)/t)/(2t) - ln^2(t)/(8t^2) + ln(t)/(4t^2).
     """
-    if m < 2:
-        raise ValueError("expansion_w_m is for m >= 2; use expansion_w_m1")
-    rho = np.asarray(rho, dtype=float)
-    H, Hp, _, _ = _h_derivative_chains(m, 2.0 * rho)
+    if m < 1:
+        raise ValueError("tower height must be >= 1")
+    t = np.asarray(t, dtype=float)
+    H, Hp, _, _ = _h_derivative_chains(m, 2.0 * t)
+    lnt = np.log(t)
     tower_sum = sum(H[j] for j in range(1, m + 1))
     out = (H[m] + Hp[m] * (math.log(2.0 * (n - 2)) - tower_sum)
-           - Hp[m] * np.log(rho) ** 2 / (4.0 * rho))
+           - Hp[m] * lnt ** 2 / (4.0 * t))
+    if m == 1:
+        out = out + Hp[1] * lnt / (2.0 * t)
     return scalar_or_array(out)
 
 

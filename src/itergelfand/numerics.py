@@ -1,4 +1,5 @@
-"""Shared numerical helpers: panel quadrature, finite-difference stencils, root finding, IO."""
+"""Shared numerical helpers: panel quadrature, cubic Hermite interpolation, finite-difference
+stencils, root finding, IO."""
 
 from __future__ import annotations
 
@@ -62,6 +63,23 @@ def subdivide(grid, h_cap):
             edges.append(grid[i] + step * (p + 1))
             owner.append(i)
     return np.asarray(edges), np.asarray(owner, dtype=int)
+
+
+def hermite(x, y, y_t, i, tau, derivative=False):
+    """The cubic Hermite interpolant of samples (x, y, y_t), or its derivative, at x[i] + tau.
+
+    i indexes the interval [x[i], x[i+1]] holding each point and tau is the
+    point's offset from that interval's left end; the two broadcast together.
+    """
+    h = x[i + 1] - x[i]
+    s = tau / h
+    y0, y1 = y[i], y[i + 1]
+    d0, d1 = h * y_t[i], h * y_t[i + 1]
+    if derivative:
+        return (6.0 * s * (1.0 - s) * (y1 - y0) + (1.0 - s) * (1.0 - 3.0 * s) * d0
+                + s * (3.0 * s - 2.0) * d1) / h
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * d0
+            + s * s * (3.0 - 2.0 * s) * y1 + s * s * (s - 1.0) * d1)
 
 
 def brent(f, a, b):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import scalar_or_array, write_csv
+from .numerics import hermite, scalar_or_array, write_csv
 
 
 @dataclass
@@ -51,16 +51,7 @@ class LogProfile:
     def _hermite(self, t, derivative):
         t = np.asarray(t, dtype=float)
         i = np.clip(np.searchsorted(self.t, t, side="right") - 1, 0, len(self.t) - 2)
-        h = self.t[i + 1] - self.t[i]
-        s = (t - self.t[i]) / h
-        w0, w1 = self.w[i], self.w[i + 1]
-        d0, d1 = h * self.w_t[i], h * self.w_t[i + 1]
-        if derivative:
-            out = (6.0 * s * (1.0 - s) * (w1 - w0) + (1.0 - s) * (1.0 - 3.0 * s) * d0
-                   + s * (3.0 * s - 2.0) * d1) / h
-        else:
-            out = ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * w0 + s * (1.0 - s) ** 2 * d0
-                   + s * s * (3.0 - 2.0 * s) * w1 + s * s * (s - 1.0) * d1)
+        out = hermite(self.t, self.w, self.w_t, i, t - self.t[i], derivative)
         inside = (t >= self.t[0]) & (t <= self.t[-1])
         return scalar_or_array(np.where(inside, out, np.nan))
 

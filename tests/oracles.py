@@ -16,7 +16,7 @@ checked against plain subtraction.
 import math
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import itergelfand.branch as br
 from itergelfand.corrector import PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan, phi_m
@@ -94,11 +94,12 @@ def eta_t_first_order(sol):
     g = -2(n-2) eta - F(t, eta), one right-to-left sweep at lam = n-2 on the
     solve's grid and quadrature.  It differs from the eta_t of the Psi
     sweeps by the Picard defect: it reads F at the converged eta, they at
-    the iterate before.
+    the iterate before.  eta reaches the quadrature nodes through scipy's
+    not-a-knot cubic spline rather than the solver's Hermite interpolant.
     """
     n = sol.n
     plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(n))
-    eta_q = plan.spline_at_nodes(sol.eta)
+    eta_q = CubicSpline(sol.grid, sol.eta)(plan.nodes)
     g_q = -2.0 * (n - 2) * eta_q - _ForcingM(n, sol.m, plan.nodes).total(eta_q)
     P = plan.interval_integrals(np.exp(-(n - 2) * plan.tau), g_q)
     decay = np.exp(-(n - 2) * plan.h)

@@ -13,9 +13,8 @@ from scipy.integrate import quad
 from itergelfand.branch import intersection_count, shoot_regular
 from itergelfand.corrector import EtaSpaceConfig, phi_m, picard_solve
 from itergelfand.equivalence import equivalence_report
-from itergelfand.expansions import (expansion_w_m1, expansion_w_m,
-                                    gradient_residual_constant, residual_order)
-from itergelfand.singular import build_singular, ode_residual
+from itergelfand.expansions import expansion_w, gradient_residual_constant, residual_order
+from itergelfand.singular import ansatz_terms, build_singular, ode_residual
 from itergelfand.towers import f_tail, g_deriv, g_tower, h_deriv, h_tower
 from itergelfand.transform import LogProfile
 
@@ -71,15 +70,15 @@ def test_criterion_3_singular_quality(sol_n3m1):
 def test_criterion_4_profile_and_gradient_expansions(sol_n3m1):
     T = sol_n3m1.eta.T
     half = residual_order(sol_n3m1.profile,
-                          lambda t: expansion_w_m1(3, t, "ansatz"), 2.0,
+                          lambda t: ansatz_terms(3, 1, t)[0], 2.0,
                           (T + 5.0, 2.0 * T))
     full = residual_order(sol_n3m1.profile,
-                          lambda t: expansion_w_m1(3, t, "ansatz"), 2.0,
+                          lambda t: ansatz_terms(3, 1, t)[0], 2.0,
                           (T + 5.0, 4.0 * T))
     bounded = full.weighted_sup <= sol_n3m1.eta.M
     stable = full.weighted_sup <= 3.0 * half.weighted_sup
     four = residual_order(sol_n3m1.profile,
-                          lambda t: expansion_w_m1(3, t, "four_term"), 2.0,
+                          lambda t: expansion_w(3, 1, t), 2.0,
                           (T + 5.0, 4.0 * T))
     slope_ok = abs(four.empirical_slope + 2.0) <= 0.3
     c1 = gradient_residual_constant(sol_n3m1, (T + 5.0, 2.0 * T))
@@ -139,7 +138,7 @@ def test_criterion_7_tower_height_two(sol_n3m2):
     T = eta.T
     win = (prof.t >= T + 5.0) & (prof.t <= 4.0 * T)
     t_w = prof.t[win]
-    diff = np.abs(prof.w[win] - expansion_w_m(3, 2, t_w))
+    diff = np.abs(prof.w[win] - expansion_w(3, 2, t_w))
     mid = math.sqrt((T + 5.0) * 4.0 * T)
     decays = float(np.max(diff[t_w >= mid])) <= float(np.max(diff[t_w <= mid]))
     _report(7, converged and bounded,

@@ -49,6 +49,23 @@ def test_singular_construct_artifacts(tmp_path, capsys):
     assert lam is not None and 0.5 < lam < 1.0
 
 
+@pytest.mark.parametrize("flags", [["--t-max", "800"], ["--T", "190"]])
+def test_radial_profile_ends_where_radii_do(tmp_path, capsys, flags):
+    # past t ~ 708 the radius e^-t / sqrt(lambda*) is no longer a normal double:
+    # the radial CSV stops there, with no warning, and meta.txt says where
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", *flags,
+                    "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    meta = dict(line.split(" = ", 1) for line in (tmp_path / "meta.txt").read_text().splitlines()
+                if " = " in line)
+    log = np.loadtxt(tmp_path / "profile_log.csv", delimiter=",", skiprows=1)
+    radial = np.loadtxt(tmp_path / "profile_radial.csv", delimiter=",", skiprows=1)
+    assert np.all(np.isfinite(radial)) and np.all(radial[:, 0] >= sys.float_info.min)
+    assert np.array_equal(radial[:, 1], log[:len(radial), 1])
+    assert float(meta["radial_t_max"]) == log[len(radial) - 1, 0]
+    assert 700.0 < log[len(radial) - 1, 0] < 710.0 < log[-1, 0]
+
+
 def test_usage_error_low_dimension(capsys):
     assert run_cli(["singular", "construct", "--n", "2"]) == 1
 
@@ -286,6 +303,7 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--T", "1e12"], "descent samples"),
     (["singular", "construct", "--T", "1e8"], "descent samples"),
     (["singular", "construct", "--t-max", "1e6"], "quadrature nodes"),
+    (["singular", "construct", "--n", "1000"], "quadrature nodes"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

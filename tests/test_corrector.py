@@ -11,6 +11,7 @@ from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKe
 from oracles import eta_t_first_order, forcing_m, psi_apply, rho_remainder
 from itergelfand.numerics import differentiate
 from itergelfand.towers import g_deriv, h_tower
+from itergelfand.transform import LogProfile
 
 
 def test_phi_m_closed_form_m1():
@@ -249,16 +250,33 @@ def test_picard_first_iterate_is_psi_of_zero(eta_n3m1):
 
 
 @pytest.mark.parametrize("n, m", [(3, 1), (9, 2)])
-def test_spline_matches_scipy_cubic_spline(n, m):
-    # the plan's not-a-knot spline against scipy's CubicSpline on the grid
-    # and quadrature nodes of the Picard solve
+def test_plan_hermite_matches_log_profile(n, m):
+    # the plan moves an iterate to its quadrature nodes with the same cubic
+    # Hermite evaluator as LogProfile, bit for bit, and reproduces a cubic
     sol = picard_solve(n, m)
     plan = _QuadPlan(sol.grid, PsiKernel.for_dimension(n))
-    for y in (sol.eta, sol.eta_t, np.sin(sol.grid)):
-        ref = CubicSpline(sol.grid, y)(plan.nodes)
-        got = plan.spline_at_nodes(y)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    x = (sol.grid - sol.T) / (sol.t_max - sol.T)
+    for y, y_t in ((sol.eta, sol.eta_t), (np.sin(sol.grid), np.cos(sol.grid)),
+                   (1.0 + 2.0 * x - 3.0 * x ** 2 + 0.5 * x ** 3,
+                    (2.0 - 6.0 * x + 1.5 * x ** 2) / (sol.t_max - sol.T))):
+        got = plan.at_nodes(y, y_t)
+        assert got.shape == plan.nodes.shape
+        assert np.array_equal(got, LogProfile(sol.grid, y, y_t).eval_w(plan.nodes))
+    xq = (plan.nodes - sol.T) / (sol.t_max - sol.T)
+    assert np.max(np.abs(got - (1.0 + 2.0 * xq - 3.0 * xq ** 2 + 0.5 * xq ** 3))) < 1e-14
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_corrector_self_convergence(n):
+    # against the same solve on four times the grid nodes, the weighted error
+    # of eta on [T, t_usable] stays at the solve tolerance, next to the pad too
+    base = picard_solve(n, 1)
+    n_nodes = EtaSpaceConfig().resolved(1)[2]
+    fine = picard_solve(n, 1, EtaSpaceConfig(n_nodes=4 * n_nodes))
+    sel = base.grid <= base.t_usable
+    t = base.grid[sel]
+    ref = LogProfile(fine.grid, fine.eta, fine.eta_t).eval_w(t)
+    assert np.max(t ** 2 * np.abs(base.eta[sel] - ref)) <= 1e-11
 
 
 def test_truncation_stability(eta_n3m1):
@@ -341,6 +359,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="quadrature nodes"):
         EtaSpaceConfig(t_max=1e6).resolved(1)
     assert EtaSpaceConfig(T=960.0).resolved(2)[2] == 8318
+    # given n, the count uses the panel width of that dimension: 1.05e6 nodes
+    # at n = 1000 on the default window, 1.1e5 at n = 100
+    assert EtaSpaceConfig().resolved(1, 100) == EtaSpaceConfig().resolved(1)
+    with pytest.raises(ValueError, match="quadrature nodes"):
+        EtaSpaceConfig().resolved(1, 1000)
 
 
 def test_picard_escalation_exhaustion_raises():

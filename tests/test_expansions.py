@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from itergelfand.corrector import phi_m
-from itergelfand.expansions import (expansion_grad_m, expansion_grad_m1,
-                                    expansion_w_m, expansion_w_m1,
+from itergelfand.expansions import (expansion_grad_m, expansion_grad_m1, expansion_w,
                                     gradient_residual_constant, residual_order)
+from itergelfand.singular import ansatz_terms
 from itergelfand.towers import h_deriv, h_tower
 from itergelfand.transform import LogProfile
 
@@ -15,13 +15,13 @@ from itergelfand.transform import LogProfile
 def test_ansatz_depth_is_exact():
     t = np.geomspace(20.0, 400.0, 30)
     phi, _, _ = phi_m(3, 1, t)
-    assert np.array_equal(expansion_w_m1(3, t, "ansatz"), np.log(2 * t + phi))
+    assert np.array_equal(ansatz_terms(3, 1, t)[0], np.log(2 * t + phi))
 
 
 def test_four_term_minus_ansatz_order():
     # the truncation drops only o(1/t^2) pieces on [50, 500] for n = 3
     t = np.geomspace(50.0, 500.0, 60)
-    diff = expansion_w_m1(3, t, "four_term") - expansion_w_m1(3, t, "ansatz")
+    diff = expansion_w(3, 1, t) - ansatz_terms(3, 1, t)[0]
     assert np.max(t ** 2 * np.abs(diff)) < 2.0
 
 
@@ -32,7 +32,20 @@ def test_expansion_w_m1_vs_high_precision():
     lnt = mpmath.log(tm)
     oracle = float(mpmath.log(2 * tm) + (mpmath.log(n - 2) - lnt) / (2 * tm)
                    - lnt ** 2 / (8 * tm ** 2) + lnt / (4 * tm ** 2))
-    assert expansion_w_m1(n, t, "four_term") == pytest.approx(oracle, rel=1e-14)
+    assert expansion_w(n, 1, t) == pytest.approx(oracle, rel=1e-14)
+
+
+def test_expansion_w_at_m1_is_four_term():
+    # at m = 1 the three groups plus H'_1(2t) ln(t)/(2t) are the four-term
+    # expansion, to 2 ulps
+    t = np.geomspace(2.0, 1e6, 400)
+    lnt = np.log(t)
+    for n in (3, 4, 5, 9, 10, 12):
+        four = (np.log(2.0 * t) + (math.log(n - 2) - lnt) / (2.0 * t)
+                - lnt ** 2 / (8.0 * t ** 2) + lnt / (4.0 * t ** 2))
+        assert np.all(np.abs(expansion_w(n, 1, t) - four) <= 2.0 * np.spacing(four))
+    with pytest.raises(ValueError):
+        expansion_w(3, 0, t)
 
 
 def test_expansion_grad_m1_substitution():
@@ -60,7 +73,7 @@ def test_expansion_w_m2_tower_values():
     assert h_tower(2, 2 * rho) == pytest.approx(1.0, abs=1e-14)
     assert h_deriv(2, 1, 2 * rho) == pytest.approx(
         1.0 / (math.exp(math.e) * math.e), rel=1e-14)
-    val = expansion_w_m(3, 2, rho)
+    val = expansion_w(3, 2, rho)
     hp = 1.0 / (math.exp(math.e) * math.e)
     expect = (1.0 + hp * (math.log(2.0) - (math.e + 1.0))
               - hp * math.log(rho) ** 2 / (4.0 * rho))
@@ -76,7 +89,7 @@ def test_expansion_w_m_vs_high_precision():
     Hp = 1 / (2 * rm * H1)
     oracle = float(H2 + Hp * (mpmath.log(2 * (n - 2)) - (H1 + H2))
                    - Hp * mpmath.log(rm) ** 2 / (4 * rm))
-    assert expansion_w_m(n, m, rho) == pytest.approx(oracle, rel=1e-13)
+    assert expansion_w(n, m, rho) == pytest.approx(oracle, rel=1e-13)
 
 
 def test_ansatz_taylor_groups():
@@ -116,15 +129,15 @@ def test_corrector_window_order(sol_n3m1):
     # and the empirical remainder order sits near -2
     T = sol_n3m1.eta.T
     half = residual_order(sol_n3m1.profile,
-                          lambda t: expansion_w_m1(3, t, "ansatz"), 2.0,
+                          lambda t: ansatz_terms(3, 1, t)[0], 2.0,
                           (T + 5.0, 2.0 * T))
     full = residual_order(sol_n3m1.profile,
-                          lambda t: expansion_w_m1(3, t, "ansatz"), 2.0,
+                          lambda t: ansatz_terms(3, 1, t)[0], 2.0,
                           (T + 5.0, 4.0 * T))
     assert full.weighted_sup <= sol_n3m1.eta.M
     assert full.weighted_sup <= 3.0 * half.weighted_sup
     four = residual_order(sol_n3m1.profile,
-                          lambda t: expansion_w_m1(3, t, "four_term"), 2.0,
+                          lambda t: expansion_w(3, 1, t), 2.0,
                           (T + 5.0, 4.0 * T))
     assert abs(four.empirical_slope + 2.0) <= 0.3
 
@@ -143,6 +156,6 @@ def test_m2_expansion_residual_decays(sol_n3m2):
     T = sol_n3m2.eta.T
     sel = (prof.t >= T + 5.0) & (prof.t <= 4.0 * T)
     t = prof.t[sel]
-    diff = np.abs(prof.w[sel] - expansion_w_m(3, 2, t))
+    diff = np.abs(prof.w[sel] - expansion_w(3, 2, t))
     mid = math.sqrt((T + 5.0) * 4.0 * T)
     assert np.max(diff[t >= mid]) <= np.max(diff[t <= mid])

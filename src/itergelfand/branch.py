@@ -143,47 +143,32 @@ class BifurcationCurve:
 class _InnerForce:
     """exp(G_m(v) - G_m(rho)) evaluated through level differences.
 
-    Safe for G_m(rho) far beyond the exp overflow point as long as
-    G_{m-1}(rho) <= 700.
+    The exponent is the recursion D_0 = min(v - rho, 0), D_j = G_j(rho)
+    expm1(D_{j-1}): it subtracts no tower values and stays in [-G_m(rho), 0],
+    so it serves any rho whose G_m(rho) is a double.
     """
 
     def __init__(self, m, rho):
-        self.m = m
         self.rho = rho
-        self.g_rho = [g_tower(j, rho) for j in range(m)]   # G_0..G_{m-1}
-        if m and self.g_rho[-1] > 700.0:
-            raise ShootError(
-                f"rho = {rho} needs G_{m-1}(rho) <= 700 for the rescaled shoot")
         try:
-            self.L = g_tower(m, rho)
+            chain = [g_tower(j, rho) for j in range(m + 1)]   # G_0..G_m
         except TowerOverflowError as exc:
             raise ShootError(f"G_m(rho) not representable at rho = {rho}") from exc
-        # at m = 0 the exponent v - rho never needs the level differences
-        self.direct = m == 0 or self.L <= 700.0
+        self.L = chain[-1]
+        self.levels = chain[1:]
+        # ln G'_m(rho) = G_0(rho) + ... + G_{m-1}(rho)
+        self.ln_grad = sum(chain[:-1])
 
     def exponent(self, v):
-        """G_m(v) - G_m(rho), clamped to a large negative floor when dead."""
-        if self.direct:
-            return g_tower(self.m, v) - self.L
-        # d = G_{m-1}(v) - G_{m-1}(rho); v <= rho on the solution
-        d = min(v - self.rho, 0.0)
-        for j in range(1, self.m):
-            d = self.g_rho[j] * math.expm1(d)
-        if d >= 0.0:
-            return 0.0
-        inner = self.g_rho[self.m - 1] + math.log(-math.expm1(d))
-        if inner > 700.0:
-            return -1e300
-        return -math.exp(inner)
+        """G_m(v) - G_m(rho); v <= rho on the solution."""
+        d = v - self.rho if v < self.rho else 0.0
+        for g in self.levels:
+            d = g * math.expm1(d)
+        return d
 
     def __call__(self, v):
         expo = self.exponent(v)
         return math.exp(expo) if expo > -745.0 else 0.0
-
-
-def _log_grad_gm(m, rho):
-    """ln G'_m(rho) = sum_{j=1..m} G_{j-1}(rho); stays representable."""
-    return sum(g_tower(j - 1, rho) for j in range(1, m + 1))
 
 
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
@@ -201,11 +186,10 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
 
     # series start: v = rho - s^2/(2n) + G'_m(rho) s^4/(8n(n+2)); keep s0 well
     # inside the series radius ~ 1/sqrt(G'_m(rho))
-    ln_gp = _log_grad_gm(m, rho)
-    ln_s0 = math.log(1e-4) - 0.5 * max(0.0, ln_gp - math.log(2.0 * n))
+    ln_s0 = math.log(1e-4) - 0.5 * max(0.0, force.ln_grad - math.log(2.0 * n))
     s0 = math.exp(ln_s0)
-    # ln_gp + 4 ln_s0 <= ln(2n) - 36.8 < 0 by the choice of s0
-    quart = math.exp(ln_gp + 4.0 * ln_s0) / (8.0 * n * (n + 2))
+    # ln G'_m + 4 ln_s0 <= ln(2n) - 36.8 < 0 by the choice of s0
+    quart = math.exp(force.ln_grad + 4.0 * ln_s0) / (8.0 * n * (n + 2))
     v0 = rho - s0 * s0 / (2.0 * n) + quart
     p0 = -s0 / n + 4.0 * quart / s0
 

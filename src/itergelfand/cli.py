@@ -80,8 +80,7 @@ class RunConfig:
             raise UsageError("tower height m must be an integer >= 1")
         for m in heights:
             try:
-                # the oracle (m = 0) solves no corrector, so has no Gauss nodes to count
-                self.eta_config().resolved(m, self.n if m else None)
+                self.eta_config().resolved(m, self.n)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
 

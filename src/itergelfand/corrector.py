@@ -1,8 +1,10 @@
 """Corrector construction: the decaying solution of the linearized profile equation.
 
 The singular profile in log variables is w* = H_m(2t + phi_m) + eta for every
-tower height m >= 1: one ansatz shift phi_m (with Miyamoto's extra term
-c = ln(1 + ln t / (2t)) at m = 1) and one forcing.  The correction eta solves
+tower height m >= 0: one ansatz shift phi_m (with Miyamoto's extra term
+c = ln(1 + ln t / (2t)) at m = 1) and one forcing.  At m = 0 (the Gelfand
+oracle e^u) the ansatz is exact and the forcing vanishes at eta = 0, so the
+solve returns eta = 0 after one sweep.  The correction eta solves
 
     eta_tt - (n-2) eta_t + 2(n-2) eta + F(t, eta) = 0,  eta = O(1/t^2),
 
@@ -214,11 +216,12 @@ def phi_m(n, m, t):
 
 
 class _ForcingM:
-    """Forcing F(t, eta) of the corrector equation for tower heights m >= 1.
+    """Forcing F(t, eta) of the corrector equation for tower heights m >= 0.
 
     Uses the inverse-function identity G'_m(H_m(z)) = 1/H'_m(z) and the
-    telescoped ratio e^c H'_m(2t)/H'_m(z) = exp(c + sum_j r_j), which remove
-    every cancellation-prone difference of tower values.
+    telescoped ratio e^c H'_m(2t)/H'_m(z) = exp(c + sum_{j<m} r_j), which
+    remove every cancellation-prone difference of tower values.  At m = 0
+    F_0 = F_1 = 0 and F_2 = 2(n-2)(e^eta - 1 - eta).
     """
 
     def __init__(self, n, m, t):
@@ -230,10 +233,9 @@ class _ForcingM:
         self.Hz = Hz
         self.Q = 1.0 / Hzp[m]
         self.ephi = 2.0 * (n - 2) * (1.0 / np.prod([H2t[j] for j in range(m)], axis=0)) * ec
-        # expm1(c + sum r_j) with r_0 = log1p(phi/2t), r_{j} = log1p(r_{j-1}/H_j(2t))
-        r = np.log1p(phi / (2.0 * t))
-        total = r + c
-        for j in range(1, m):
+        # expm1(c + sum_{j<m} r_j), r_{-1} = phi, r_j = log1p(r_{j-1}/H_j(2t)), H_0(2t) = 2t
+        total, r = c, phi
+        for j in range(m):
             r = np.log1p(r / H2t[j])
             total = total + r
         ratio_em1 = np.expm1(total)
@@ -331,6 +333,10 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
     """Picard iteration on one geometric grid; returns (EtaSolution or None, defects)."""
     grid = np.geomspace(T, t_max, n_nodes)
     grid[0], grid[-1] = T, t_max
+    # from t of about 1e14 up, geomspace over a window a few units wide repeats nodes
+    if not np.all(np.diff(grid) > 0.0):
+        raise PicardConvergenceError(f"the corrector grid on [{T:.6g}, {t_max:.6g}] "
+                                     f"is not strictly increasing")
     kernel = PsiKernel.for_dimension(n)
     plan = _QuadPlan(grid, kernel)
     forcing = _ForcingM(n, m, plan.nodes)
@@ -365,17 +371,17 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
 
 
 def picard_solve(n, m, cfg=None):
-    """Construct the corrector for dimension n and tower height m >= 1.
+    """Construct the corrector for dimension n and tower height m >= 0.
 
     Iterates eta <- Psi[eta] from eta = 0 on a geometric grid over
     [T, t_max]; if the defect sequence stalls, T is doubled (up to four
     times) and the solve restarts, mirroring the requirement that the
-    contraction only holds for T large.
+    contraction only holds for T large.  At m = 0 the first sweep gives eta = 0.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    if m < 1:
-        raise ValueError("tower height must be >= 1 for the corrector")
+    if m < 0:
+        raise ValueError("tower height must be >= 0")
     cfg = cfg if cfg is not None else EtaSpaceConfig()
     T, t_usable, n_nodes = cfg.resolved(m, n)
     pad = cfg.pad(n)

@@ -70,15 +70,6 @@ def log_force(n, m, t, w):
     return np.where(expo > -745.0, np.exp(expo), 0.0)
 
 
-def _zero_eta(n, m, T, t_max):
-    grid = np.geomspace(T, t_max, 400)
-    z = np.zeros_like(grid)
-    return EtaSolution(n=n, m=m, config=EtaSpaceConfig(T=T, t_max=t_max),
-                       grid=grid, eta=z, eta_t=z.copy(), iterations=0,
-                       final_defect=0.0, defects=[0.0], T=T, t_max=t_max,
-                       t_usable=t_max, M=1.0)
-
-
 def ansatz_terms(n, m, t):
     """(f, f_t) of the pure ansatz f = H_m(2t + phi_m), f_t = H'_m(2t + phi_m)(2 + phi_t).
 
@@ -156,11 +147,9 @@ def singular_state(n, m, t):
     The corrector eta(t) depends only on the forcing on [t, t_max], so one
     Picard solve on the short window [t, t + HANDOFF_OFFSET + pad] gives it
     without building w* over the whole height.  None when the iteration
-    does not contract there.
+    does not contract there or its grid repeats nodes (t of about 1e14 and
+    above; the ansatz, which overflows far above that, is formed after it).
     """
-    f, f_t = (float(v) for v in ansatz_terms(n, m, t))
-    if m == 0:
-        return f, f_t
     cfg = EtaSpaceConfig()
     t_usable = t + HANDOFF_OFFSET
     try:
@@ -169,6 +158,7 @@ def singular_state(n, m, t):
         return None
     if eta_sol is None:
         return None
+    f, f_t = (float(v) for v in ansatz_terms(n, m, t))
     return f + float(eta_sol.eta[0]), f_t + float(eta_sol.eta_t[0])
 
 
@@ -210,19 +200,11 @@ def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
 def build_singular(n, m, cfg=None):
     """Full pipeline: corrector solve, ansatz assembly, downward descent.
 
-    m = 0 selects the plain-exponential oracle nonlinearity, for which the
-    ansatz is exact and the corrector vanishes identically.
+    Every tower height m >= 0 runs the same pipeline.  m = 0 is the
+    plain-exponential (Gelfand) oracle, for which the ansatz is exact, the
+    corrector solve returns eta = 0 and lambda* = 2(n-2).
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
-    cfg = cfg if cfg is not None else EtaSpaceConfig()
-    if m == 0:
-        T, t_max, _ = cfg.resolved(1)
-        eta_sol = _zero_eta(n, 0, T, t_max)
-    else:
-        eta_sol = picard_solve(n, m, cfg)
+    eta_sol = picard_solve(n, m, cfg)
     prof = assemble_w(n, m, eta_sol)
     t_star, extended = integrate_down(prof, n, m)
     lam = math.exp(-2.0 * t_star)

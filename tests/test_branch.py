@@ -10,7 +10,7 @@ from itergelfand.branch import (BranchPoint, ShootError, intersection_count, sho
                                 trace_curve, turning_points)
 from itergelfand.singular import DescentError, descend, ode_residual
 from itergelfand.towers import g_tower
-from oracles import full_descent_shot, sampled_branch
+from oracles import full_descent_shot, g_diff, sampled_branch
 
 
 def naive_radial_shoot(n, m, rho):
@@ -50,6 +50,18 @@ def test_gelfand_oracle_branch_limit():
     # nonlinearity e^v: lambda(rho) -> 2(n-2) as rho grows
     p = shoot_regular(3, 0, 30.0, keep_profile=False)
     assert abs(p.lam - 2.0) / 2.0 < 1e-2
+
+
+@pytest.mark.parametrize("m, rho", [(0, 5.0), (1, 3.0), (1, 8.0), (2, 1.5), (2, 1.9),
+                                    (3, 1.0)])
+def test_inner_exponent_is_the_level_difference(m, rho):
+    # G_m(rho) is below 700 at (1, 3) and (2, 1.5) and above it at (1, 8),
+    # (2, 1.9) and (3, 1); one recursion serves both sides, also for v near
+    # rho, where G_m(v) - G_m(rho) would cancel
+    force = br._InnerForce(m, rho)
+    for delta in np.geomspace(1e-12, rho + 1.0, 30):
+        v = rho - float(delta)
+        assert force.exponent(v) == pytest.approx(g_diff(m, rho, v - rho), rel=1e-13, abs=0.0)
 
 
 def test_shoot_refinement():

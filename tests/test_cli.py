@@ -304,6 +304,7 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--T", "1e8"], "descent samples"),
     (["singular", "construct", "--t-max", "1e6"], "quadrature nodes"),
     (["singular", "construct", "--n", "1000"], "quadrature nodes"),
+    (["singular", "construct", "--oracle-gelfand", "--n", "1000"], "quadrature nodes"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

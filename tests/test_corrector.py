@@ -342,7 +342,17 @@ def test_picard_rejects_bad_dimension_or_height():
     with pytest.raises(ValueError):
         picard_solve(2, 1)
     with pytest.raises(ValueError):
-        picard_solve(3, 0)
+        picard_solve(3, -1)
+
+
+@pytest.mark.parametrize("n", [3, 10, 12])
+def test_picard_gelfand_oracle_is_zero(n):
+    # at m = 0 the ansatz 2t + ln(2(n-2)) is exact, so the forcing vanishes at
+    # eta = 0 and the first sweep ends the solve; n = 3, 10 and 12 cover the
+    # complex, double and real root families of the kernel
+    sol = picard_solve(n, 0)
+    assert sol.iterations == 1
+    assert not np.any(sol.eta) and not np.any(sol.eta_t)
 
 
 def test_config_validation():

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from itergelfand.corrector import EtaSpaceConfig, picard_solve
-from itergelfand.singular import (DescentError, ansatz_terms, assemble_w,
-                                  build_singular, integrate_down, ode_residual)
+from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
+                                   picard_solve)
+from itergelfand.singular import (DescentError, ansatz_terms, assemble_w, build_singular,
+                                  integrate_down, ode_residual, singular_state)
 from itergelfand.towers import h_deriv
 from itergelfand.transform import LogProfile
 
@@ -44,6 +46,14 @@ def test_oracle_descent_hits_closed_form(sol_oracle_n3):
     assert sol_oracle_n3.lambda_star == pytest.approx(2.0, rel=1e-9)
     assert ode_residual(sol_oracle_n3.profile, 3, 0) < 1e-10
     assert sol_oracle_n3.monotone
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_oracle_runs_the_corrector_in_every_dimension(n):
+    # m = 0 goes through the same corrector solve, which returns eta = 0
+    sol = build_singular(n, 0)
+    assert not np.any(sol.eta.eta) and not np.any(sol.eta.eta_t)
+    assert abs(sol.lambda_star - 2.0 * (n - 2)) <= 2e-11 * 2.0 * (n - 2)
 
 
 def test_descent_monotone(sol_n3m1):
@@ -119,6 +129,18 @@ def test_residual_refuses_force_beyond_double_range():
     prof = LogProfile(t, 800.0 - t, np.full_like(t, -1.0))
     with pytest.raises(DescentError, match="at t = 0:"):
         ode_residual(prof, 3, 0)
+
+
+def test_singular_state_far_up_is_none_without_warning():
+    # np.geomspace over a window a few units wide repeats nodes from t of
+    # about 1e14; the solve refuses such a grid before dividing by its widths
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert singular_state(3, 1, 1e13) is not None
+        for t in (1e14, 1e15, 1e300):
+            assert singular_state(3, 1, t) is None
+    with pytest.raises(PicardConvergenceError, match="strictly increasing"):
+        _solve_on_grid(3, 1, EtaSpaceConfig(), 1e15, 1e15 + 5.0, 1e15 + 50.0, 128)
 
 
 def test_build_rejects_bad_arguments():

@@ -27,7 +27,7 @@ from .corrector import EtaSpaceConfig, PicardConvergenceError, phi_m
 from .numerics import atomic_write_text, fmt, write_csv
 from .singular import (DescentError, SingularSolution, ansatz_terms, build_singular,
                        ode_residual)
-from .transform import LogProfile, log_to_radial, read_profile_csv, write_profile_csv
+from .transform import read_profile_csv, write_profile_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,7 +56,6 @@ class Check:
 class RunConfig:
     n: int = 3
     m: int = 1
-    oracle: bool = False
     T: float | None = None
     t_max: float | None = None
     M: float | None = None
@@ -76,18 +75,13 @@ class RunConfig:
                 raise UsageError(f"{name} must be finite")
         if int(self.n) != self.n or self.n < 3:
             raise UsageError("dimension n must be an integer >= 3")
-        if int(self.m) != self.m or self.m < 1:
-            raise UsageError("tower height m must be an integer >= 1")
+        if int(self.m) != self.m or self.m < 0:
+            raise UsageError("tower height m must be an integer >= 0")
         for m in heights:
             try:
                 self.eta_config().resolved(m, self.n)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-
-    @property
-    def m_effective(self):
-        # the oracle flag selects the plain-exponential nonlinearity
-        return 0 if self.oracle else int(self.m)
 
     def eta_config(self):
         return EtaSpaceConfig(T=self.T, t_max=self.t_max, M=self.M, tol=self.tol)
@@ -103,10 +97,6 @@ class RunConfig:
 # casts config-file values and selects the fields that must be finite
 _FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
                 for name, hint in typing.get_type_hints(RunConfig).items()}
-
-
-# the spellings a boolean config value may take, case ignored
-_BOOL_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _read_text(path, what):
@@ -133,10 +123,10 @@ def _load_config_file(path):
 def _corrector_heights(args, cfg):
     """Tower heights at which the command solves the corrector (none for a trace)."""
     if args.command == "singular":
-        return (cfg.m_effective,)
+        return (cfg.m,)
     if args.command == "bifurcation":
         return ()
-    by_suite = {"iterexp": (), "asymptotics": (max(cfg.m_effective, 1),), "miyamoto": (1,)}
+    by_suite = {"iterexp": (), "asymptotics": (max(cfg.m, 1),), "miyamoto": (1,)}
     return by_suite[args.suite] if args.suite != "all" else sum(by_suite.values(), ())
 
 
@@ -146,15 +136,17 @@ def _build_runconfig(args):
     for key, val in file_values.items():
         if key not in _FIELD_TYPES:
             raise UsageError(f"unknown config key: {key}")
-        cast = _FIELD_TYPES[key]
         try:
-            setattr(cfg, key, _BOOL_WORDS[val.lower()] if cast is bool else cast(val))
-        except (KeyError, ValueError) as exc:
+            setattr(cfg, key, _FIELD_TYPES[key](val))
+        except ValueError as exc:
             raise UsageError(f"bad value for config key {key}: {val}") from exc
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
             setattr(cfg, f.name, flag)
+    # the oracle flag is m = 0, the plain-exponential nonlinearity, whatever --m says
+    if args.oracle:
+        cfg.m = 0
     cfg.validate(_corrector_heights(args, cfg))
     return cfg
 
@@ -167,16 +159,16 @@ def _write_meta(path, cfg, results):
 
 
 def cmd_singular(cfg):
-    sol = build_singular(cfg.n, cfg.m_effective, cfg.eta_config())
-    res = ode_residual(sol.profile, cfg.n, cfg.m_effective)
+    sol = build_singular(cfg.n, cfg.m, cfg.eta_config())
+    res = ode_residual(sol.profile, cfg.n, cfg.m)
     p = sol.profile
     write_profile_csv(os.path.join(cfg.outdir, "profile_log.csv"), p)
     # the radial copy keeps the rows whose r = e^-t / sqrt(lambda*) is a normal
     # double and whose u_r = -w_t / r is finite; radial_t_max records the cut
     r = np.exp(-p.t) / np.sqrt(sol.lambda_star)
     keep = (r >= sys.float_info.min) & (np.abs(p.w_t) / sys.float_info.max <= r)
-    write_profile_csv(os.path.join(cfg.outdir, "profile_radial.csv"), log_to_radial(
-        LogProfile(p.t[keep], p.w[keep], p.w_t[keep]), sol.lambda_star))
+    write_csv(os.path.join(cfg.outdir, "profile_radial.csv"), ["r", "u", "u_r"],
+              [r[keep], p.w[keep], -p.w_t[keep] / r[keep]])
     eta = sol.eta
     _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, {
         "lambda_star": sol.lambda_star,
@@ -215,7 +207,7 @@ def _load_singular_reference(path, cfg):
     meta_path = os.path.join(path, "meta.txt") if os.path.isdir(path) else path
     meta = _read_meta(meta_path)
     built = meta.get("config", {})
-    for key in ("n", "m", "oracle"):
+    for key in ("n", "m"):
         if built.get(key) != str(getattr(cfg, key)):
             raise UsageError(f"singular reference {meta_path} has {key} = {built.get(key)}, "
                              f"the trace has {key} = {getattr(cfg, key)}")
@@ -230,7 +222,7 @@ def _load_singular_reference(path, cfg):
         profile = read_profile_csv(profile_path)
     except (OSError, ValueError) as exc:   # ValueError includes a bad encoding
         raise UsageError(f"cannot read singular reference {profile_path}: {exc}") from exc
-    return SingularSolution(n=cfg.n, m=cfg.m_effective, t_star=-0.5 * math.log(lam),
+    return SingularSolution(n=cfg.n, m=cfg.m, t_star=-0.5 * math.log(lam),
                             lambda_star=lam, profile=profile, eta=None,
                             handoff_t=profile.t_min, monotone=True)
 
@@ -247,7 +239,7 @@ def cmd_bifurcation(cfg):
     reference = None
     if cfg.singular_ref:
         reference = _load_singular_reference(cfg.singular_ref, cfg)
-    curve = br.trace_curve(cfg.n, cfg.m_effective, grid)
+    curve = br.trace_curve(cfg.n, cfg.m, grid)
     rho = curve.rho
     lam = curve.lam
     turning_rho = np.array([p[0] for p in curve.turning])
@@ -268,7 +260,7 @@ def cmd_bifurcation(cfg):
                "matched_shots": sum(p.t_match is not None for p in curve.points)}
     if reference is not None:
         rhos = sorted({2.0, 4.0, 6.0} & set(np.round(rho, 9)))
-        counts = [br.intersection_count(br.shoot_regular(cfg.n, cfg.m_effective, float(r)),
+        counts = [br.intersection_count(br.shoot_regular(cfg.n, cfg.m, float(r)),
                                         reference) for r in rhos]
         if rhos:
             write_csv(os.path.join(cfg.outdir, "intersections.csv"), ["rho", "count"],
@@ -321,7 +313,7 @@ def _write_records(path, records):
 
 
 def _suite_asymptotics(cfg):
-    n, m = cfg.n, cfg.m_effective
+    n, m = cfg.n, cfg.m
     rows = []
     sol = build_singular(n, max(m, 1), cfg.eta_config())
     T = sol.eta.T
@@ -424,9 +416,9 @@ def cmd_iterexp_eval(args):
 
 def _add_common(p):
     p.add_argument("--n", type=int, default=None, help="space dimension (>= 3)")
-    p.add_argument("--m", type=int, default=None, help="tower height (>= 1)")
-    p.add_argument("--oracle-gelfand", dest="oracle", action="store_const", const=True,
-                   default=None, help="use the plain-exponential oracle nonlinearity")
+    p.add_argument("--m", type=int, default=None, help="tower height (>= 0; 0 is e^u)")
+    p.add_argument("--oracle-gelfand", dest="oracle", action="store_true",
+                   help="the Gelfand oracle m = 0, overriding --m")
     p.add_argument("--T", type=float, default=None)
     p.add_argument("--t-max", dest="t_max", type=float, default=None)
     p.add_argument("--M", type=float, default=None)

@@ -32,7 +32,7 @@ expm1/log1p, never forming exp(-2t + e^w) as a difference of large numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -195,10 +195,14 @@ def _ansatz_shift(n, m, t):
         lnt = np.log(t)
         ec = 1.0 + lnt / (2.0 * t)
         c = np.log1p(lnt / (2.0 * t))
-        d = t * (2.0 * t + lnt)
+        # t (2t + ln t) and its square overflow far up.  With t = mant 2^k, scaling
+        # both sides of the phi_t quotient by 2^-k is exact, so it rounds as
+        # (1 - ln t) / (t e) does; phi_tt is divided step by step
+        e = 2.0 * t + lnt
+        mant, k = np.frexp(t)
         phi = phi + c
-        phi_t = phi_t + (1.0 - lnt) / d
-        phi_tt = phi_tt - ((2.0 * t + lnt) + (1.0 - lnt) * (4.0 * t + 1.0 + lnt)) / (d * d)
+        phi_t = phi_t + np.ldexp(1.0 - lnt, -k) / (mant * e)
+        phi_tt = phi_tt - (e + (1.0 - lnt) * (4.0 * t + 1.0 + lnt)) / e / t / e / t
     return phi, phi_t, phi_tt, H, c, ec
 
 
@@ -376,7 +380,9 @@ def picard_solve(n, m, cfg=None):
     Iterates eta <- Psi[eta] from eta = 0 on a geometric grid over
     [T, t_max]; if the defect sequence stalls, T is doubled (up to four
     times) and the solve restarts, mirroring the requirement that the
-    contraction only holds for T large.  At m = 0 the first sweep gives eta = 0.
+    contraction only holds for T large.  Each escalated window meets the
+    cap of `EtaSpaceConfig.resolved`, or the solve ends before building it.
+    At m = 0 the first sweep gives eta = 0.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
@@ -385,16 +391,22 @@ def picard_solve(n, m, cfg=None):
     cfg = cfg if cfg is not None else EtaSpaceConfig()
     T, t_usable, n_nodes = cfg.resolved(m, n)
     pad = cfg.pad(n)
-    for _ in range(5):
+    for escalation in range(5):
+        if escalation:
+            T *= 2.0
+            try:
+                T, t_usable, n_nodes = replace(cfg, T=T, t_max=max(4.0 * T, t_usable),
+                                               n_nodes=None).resolved(m, n)
+            except ValueError as exc:
+                raise PicardConvergenceError(
+                    f"no contraction up to T = {T / 2.0:g} (n={n}, m={m}), and the "
+                    f"escalated window is refused: {exc}") from exc
         t_max = t_usable + pad
         n_solve = max(n_nodes, int(math.ceil(n_nodes * math.log(t_max / T)
                                              / math.log(t_usable / T))))
         sol, defects = _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_solve)
         if sol is not None:
             return sol
-        T *= 2.0
-        t_usable = max(4.0 * T, t_usable)
-        n_nodes = _node_count(T, t_usable)
     raise PicardConvergenceError(
         f"no contraction after T escalation (n={n}, m={m}); defects={defects}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import scalar_or_array
-from .towers import f_tail_inverse_log, f_tail_log
+from .towers import f_tail_log
 
 
 @dataclass
@@ -32,26 +32,26 @@ class EquivalenceTrace:
     passed: bool
 
 
-def x_star(n, t, w_star):
+def x_star(n, t, w):
     """x*(t) = 2(n-2) e^{2t} F(w*(t)) - 1, assembled in the exponent.
 
-    w_star is a callable t -> w*(t).  The product of the huge e^{2t} and the
-    tiny F is never formed; the exponent 2t + log F is built first.
+    w holds the values w*(t).  The product of the huge e^{2t} and the tiny F
+    is never formed; the exponent 2t + log F is built first.
     """
     t = np.asarray(t, dtype=float)
-    w = np.asarray(w_star(t), dtype=float)
+    w = np.asarray(w, dtype=float)
     return scalar_or_array(2.0 * (n - 2) * np.exp(2.0 * t + f_tail_log(w)) - 1.0)
 
 
-def y_star(n, t, w_star, w_star_t):
+def y_star(n, t, w, w_t):
     """y*(t) = 4(n-2) e^{2t} F(w*) - 2(n-2) e^{2t} w*_t / exp(e^{w*}).
 
-    Both terms are assembled in log domain; the second uses the exponent
-    2t - e^{w*} directly.
+    w and w_t hold the values w*(t) and w*_t(t).  Both terms are assembled
+    in log domain; the second uses the exponent 2t - e^{w*} directly.
     """
     t = np.asarray(t, dtype=float)
-    w = np.asarray(w_star(t), dtype=float)
-    wt = np.asarray(w_star_t(t), dtype=float)
+    w = np.asarray(w, dtype=float)
+    wt = np.asarray(w_t, dtype=float)
     term1 = 4.0 * (n - 2) * np.exp(2.0 * t + f_tail_log(w))
     term2 = 2.0 * (n - 2) * wt * np.exp(2.0 * t - np.exp(w))
     return scalar_or_array(term1 - term2)
@@ -75,10 +75,8 @@ def equivalence_report(sol):
     t = sol.profile.t[sel]
     if len(t) < 16:
         raise ValueError("corrector window too thin to judge the tail")
-    w_val = sol.profile.w[sel]
-    wt_val = sol.profile.w_t[sel]
-    xs = x_star(sol.n, t, lambda _: w_val)
-    ys = y_star(sol.n, t, lambda _: w_val, lambda _: wt_val)
+    xs = x_star(sol.n, t, sol.profile.w[sel])
+    ys = y_star(sol.n, t, sol.profile.w[sel], sol.profile.w_t[sel])
     tail_lo = math.sqrt(t_lo * t_hi)
     tail = t >= tail_lo
     combined = np.abs(xs) + np.abs(ys)
@@ -92,12 +90,3 @@ def equivalence_report(sol):
     return EquivalenceTrace(t=t, x_star=xs, y_star=ys, tail_lo=tail_lo,
                             tail_sup=tail_sup, decreasing=dec,
                             passed=tail_sup < 0.05 and dec)
-
-
-def miyamoto_profile(n, r):
-    """Leading-order characterized profile U(r) = F^{-1}(r^2 / (2(n-2)))."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("radius must be positive")
-    log_x = 2.0 * np.log(r) - math.log(2.0 * (n - 2))
-    return scalar_or_array(np.vectorize(f_tail_inverse_log, otypes=[float])(log_x))

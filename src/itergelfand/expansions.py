@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import envelope_slope, scalar_or_array
-from .towers import _h_derivative_chains, h_deriv
+from .towers import _h_derivative_chains
 
 
 @dataclass
@@ -58,16 +58,6 @@ def expansion_w(n, m, t):
            - Hp[m] * lnt ** 2 / (4.0 * t))
     if m == 1:
         out = out + Hp[1] * lnt / (2.0 * t)
-    return scalar_or_array(out)
-
-
-def expansion_grad_m(n, m, r):
-    """Leading gradient term 2 H'_m(2 ln(1/r)) / r for m >= 1."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0) or np.any(r >= 1.0):
-        raise ValueError("radius must lie in (0, 1)")
-    L = -np.log(r)
-    out = 2.0 * h_deriv(m, 1, 2.0 * L) / r
     return scalar_or_array(out)
 
 

@@ -10,7 +10,9 @@ copy of a branch shot instead of its dense output, a branch shot whose
 descent runs all the way to its zero instead of being matched to w*, and
 the corrector derivative from its first-order representation instead of
 the Psi sweeps.  g_diff, the tower difference by its level recursion, is
-checked against plain subtraction.
+checked against plain subtraction.  miyamoto_profile is the characterized
+profile U(r) = F^{-1}(r^2/(2(n-2))) that the tail-integral traces identify
+the constructed solution with.
 """
 
 import math
@@ -21,8 +23,8 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 import itergelfand.branch as br
 from itergelfand.corrector import PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan, phi_m
 from itergelfand.numerics import panel_nodes, scalar_or_array
-from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_log
-from itergelfand.transform import LogProfile, RadialProfile
+from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_inverse_log, f_tail_log
+from itergelfand.transform import LogProfile
 
 
 def forcing_m(n, m, t, eta):
@@ -137,6 +139,15 @@ def y_star_factored(n, t, eta_sol):
     return scalar_or_array(2.0 * (x_star_factored(n, t, eta_sol) + 1.0) - term2)
 
 
+def miyamoto_profile(n, r):
+    """Leading-order characterized profile U(r) = F^{-1}(r^2 / (2(n-2))) of exp(e^u)."""
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0):
+        raise ValueError("radius must be positive")
+    log_x = 2.0 * np.log(r) - math.log(2.0 * (n - 2))
+    return scalar_or_array(np.vectorize(f_tail_inverse_log, otypes=[float])(log_x))
+
+
 def fd_weights(x, x0, order):
     """Fornberg weights for the ``order``-th derivative at x0 on nodes x."""
     x = np.asarray(x, dtype=float)
@@ -178,12 +189,12 @@ def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
 
 
 def sampled_branch(point):
-    """(LogProfile, RadialProfile) samples of a kept branch shot.
+    """LogProfile samples of a kept branch shot.
 
     The descent and the inner phase are sampled from their dense output,
     every 0.02 in t from just below the zero to 260 above it and every 0.5
     elsewhere, mapped through s -> t = L/2 - ln s, w = v, w_t = -s v', and
-    cut at the zero; the radial copy keeps the samples with t <= 700.
+    cut at the zero.
     """
     t_zero = -math.log(point.R)
     focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
@@ -208,11 +219,7 @@ def sampled_branch(point):
     order = np.argsort(t_all)
     t_all, w_all, wt_all = t_all[order], w_all[order], wt_all[order]
     keep = np.concatenate([[True], np.diff(t_all) > 1e-12]) & (t_all >= t_zero - 1e-12)
-    log_profile = LogProfile(t_all[keep], w_all[keep], wt_all[keep])
-    tsel = log_profile.t <= 700.0
-    r = np.exp(-log_profile.t[tsel])
-    radial = RadialProfile(point.lam, r, log_profile.w[tsel], -log_profile.w_t[tsel] / r)
-    return log_profile, radial
+    return LogProfile(t_all[keep], w_all[keep], wt_all[keep])
 
 
 def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13):

@@ -88,8 +88,8 @@ def test_budget_guard():
 
 def test_profile_invariants():
     p = shoot_regular(3, 1, 2.0)
-    log_profile, radial = sampled_branch(p)
-    assert np.all(radial.u_r < 0.0)       # strictly decreasing in r
+    log_profile = sampled_branch(p)
+    assert np.all(log_profile.w_t > 0.0)   # u_r = -w_t / r < 0: strictly decreasing in r
     assert p.lam == pytest.approx(p.R ** 2, rel=1e-15)
     assert ode_residual(log_profile, 3, 1) < 1e-7
 
@@ -237,7 +237,7 @@ def test_failed_inner_phase_is_shoot_error(monkeypatch):
 def test_dense_branch_matches_sampled_profile():
     # the dense evaluation of a two-phase shot agrees with its sampled profile
     point = shoot_regular(3, 1, 4.0)
-    log_profile, _ = sampled_branch(point)
+    log_profile = sampled_branch(point)
     t = np.linspace(log_profile.t_min, log_profile.t_max, 2000)
     assert point.t_match is None and len(point.descent) == 1
     assert log_profile.t_max == pytest.approx(point.t_max, abs=1e-12)

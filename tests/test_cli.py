@@ -10,6 +10,7 @@ import pytest
 
 import itergelfand
 from itergelfand import branch as br
+from itergelfand import corrector
 from itergelfand.cli import main
 from itergelfand.singular import DescentError, build_singular
 
@@ -83,6 +84,39 @@ def test_oracle_mode_lambda(tmp_path):
         if line.split("=")[0].strip() == "lambda_star":
             lam = float(line.split("=", 1)[1])
     assert lam == pytest.approx(2.0 * (3 - 2), rel=1e-6)
+
+
+def test_height_zero_is_the_oracle(tmp_path):
+    # --m 0 is the Gelfand oracle; --oracle-gelfand sets it whatever --m says,
+    # in either order, and the output of either serves as a trace reference
+    runs = {"m0": ["--m", "0"], "flag": ["--oracle-gelfand"],
+            "flag-last": ["--m", "2", "--oracle-gelfand"],
+            "flag-first": ["--oracle-gelfand", "--m", "2"]}
+    for name, flags in runs.items():
+        assert run_cli(["singular", "construct", "--n", "3", *flags,
+                        "--outdir", str(tmp_path / name)]) == 0
+        assert "m = 0" in (tmp_path / name / "meta.txt").read_text().splitlines()
+    for name in ("profile_log.csv", "profile_radial.csv"):
+        expect = (tmp_path / "m0" / name).read_bytes()
+        assert all((tmp_path / run / name).read_bytes() == expect for run in runs)
+    assert run_cli(TRACE + ["--oracle-gelfand", "--lambda-star", str(tmp_path / "flag"),
+                            "--outdir", str(tmp_path / "trace")]) == 0
+
+
+def test_escalation_past_the_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    # with every corrector solve stalling, the window after T = 6000 is over
+    # the allocation cap: the run ends with exit 2 before that window is built
+    windows = []
+
+    def stalled(n, m, cfg, T, t_usable, t_max, n_nodes):
+        windows.append(T)
+        return None, [1.0]
+    monkeypatch.setattr(corrector, "_solve_on_grid", stalled)
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--T", "6000",
+                    "--outdir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "more than 1e+06" in err
+    assert windows == [6000.0]
 
 
 def test_bifurcation_trace_artifacts(tmp_path):
@@ -239,12 +273,12 @@ def test_negative_handoff_is_numeric_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True):
-    """A hand-written `singular construct` output directory."""
+def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True, extra=""):
+    """A hand-written `singular construct` output directory; extra adds [config] lines."""
     ref.mkdir()
     if meta:
         (ref / "meta.txt").write_text(
-            f"[config]\nn = {n}\nm = 1\noracle = False\n\n[results]\nlambda_star = {lam}\n")
+            f"[config]\nn = {n}\nm = 1\n{extra}\n[results]\nlambda_star = {lam}\n")
     if profile:
         (ref / "profile_log.csv").write_text("t,w,w_t\n0.0,0.0,1.0\n1.0,1.0,1.0\n")
 
@@ -253,11 +287,15 @@ def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True):
 def bad_inputs(tmp_path):
     """A directory holding every malformed input of the usage-error cases."""
     (tmp_path / "latin1.cfg").write_bytes(b"n = 3 # \xe9\n")
+    # the tower height has one spelling in a config file: m = 0
+    (tmp_path / "oracle.cfg").write_text("oracle = true\n")
     (tmp_path / "file").write_text("x")
     _write_reference(tmp_path / "ref")
     _write_reference(tmp_path / "ref-no-meta", meta=False)
     _write_reference(tmp_path / "ref-no-profile", profile=False)
     _write_reference(tmp_path / "ref-n5", n=5)
+    # written by an oracle run before m = 0 was the oracle's height
+    _write_reference(tmp_path / "ref-old-oracle", extra="oracle = True\n")
     for lam in ("nan", "inf", "0", "-0.5"):
         _write_reference(tmp_path / f"ref-lam{lam}", lam=lam)
     return tmp_path
@@ -305,6 +343,10 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--t-max", "1e6"], "quadrature nodes"),
     (["singular", "construct", "--n", "1000"], "quadrature nodes"),
     (["singular", "construct", "--oracle-gelfand", "--n", "1000"], "quadrature nodes"),
+    (TRACE + ["--oracle-gelfand", "--lambda-star", "{tmp}/ref-old-oracle"],
+     "{tmp}/ref-old-oracle/meta.txt"),
+    (["singular", "construct", "--m", "-1"], "m must be an integer >= 0"),
+    (["singular", "construct", "--config", "{tmp}/oracle.cfg"], "unknown config key: oracle"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

@@ -6,10 +6,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
+from itergelfand import corrector
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
                                    _ForcingM, _QuadPlan, phi_m, picard_solve)
 from oracles import eta_t_first_order, forcing_m, psi_apply, rho_remainder
 from itergelfand.numerics import differentiate
+from itergelfand.singular import ansatz_terms
 from itergelfand.towers import g_deriv, h_tower
 from itergelfand.transform import LogProfile
 
@@ -57,6 +59,18 @@ def test_phi_m_first_derivative_rate():
     t = np.geomspace(10.0, 1e5, 50)
     _, phi_t, _ = phi_m(3, 2, t)
     assert np.max(np.abs(phi_t + 1.0 / t) * t * np.log(t)) < 5.0
+
+
+@pytest.mark.parametrize("t", [1e78, 1e100, 1e160, 1e300])
+def test_m1_ansatz_far_up_does_not_overflow(t):
+    # t (2t + ln t) overflows from t ~ 1e154 and its square from t ~ 1e77;
+    # the m = 1 terms never form either (any warning fails the suite)
+    phi, phi_t, phi_tt = phi_m(3, 1, t)
+    assert phi == pytest.approx(math.log(1.0 / t), rel=1e-12)
+    assert phi_t == pytest.approx(-1.0 / t, rel=1e-12)
+    assert 0.0 <= phi_tt <= 2.0 / t / t
+    w, w_t = ansatz_terms(3, 1, t)
+    assert math.isfinite(w) and w_t == pytest.approx(1.0 / t, rel=1e-12)
 
 
 def test_phi_m_second_derivative_vs_fd():
@@ -380,3 +394,22 @@ def test_picard_escalation_exhaustion_raises():
     # an unreachable tolerance exhausts the T escalation ladder
     with pytest.raises(PicardConvergenceError):
         picard_solve(3, 1, EtaSpaceConfig(tol=1e-30, max_iter=2))
+
+
+def test_escalation_stops_at_the_allocation_cap(monkeypatch):
+    # every window of the T escalation meets the cap of EtaSpaceConfig.resolved:
+    # with every solve stalling, T = 6000 is the last window built, since
+    # T = 12000 asks for 1.2e6 descent samples
+    windows = []
+
+    def stalled(n, m, cfg, T, t_usable, t_max, n_nodes):
+        windows.append((T, t_usable))
+        return None, [1.0]
+    monkeypatch.setattr(corrector, "_solve_on_grid", stalled)
+    with pytest.raises(PicardConvergenceError, match="more than 1e[+]06"):
+        picard_solve(3, 1, EtaSpaceConfig(T=3000.0))
+    assert windows == [(3000.0, 12000.0), (6000.0, 24000.0)]
+    for T, t_usable in windows:
+        EtaSpaceConfig(T=T, t_max=t_usable).resolved(1, 3)
+    with pytest.raises(ValueError, match="descent samples"):
+        EtaSpaceConfig(T=12000.0, t_max=48000.0).resolved(1, 3)

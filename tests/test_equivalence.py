@@ -4,8 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from itergelfand.equivalence import equivalence_report, miyamoto_profile, x_star, y_star
-from oracles import x_star_factored, y_star_factored
+from itergelfand.equivalence import equivalence_report, x_star, y_star
+from oracles import miyamoto_profile, x_star_factored, y_star_factored
 from itergelfand.towers import f_tail_log
 from itergelfand.transform import LogProfile
 
@@ -16,14 +16,14 @@ def test_x_star_definition_vs_high_precision(sol_n3m1):
     t = 20.0
     w = float(sol_n3m1.profile.eval_w(t))
     oracle = float(2 * (3 - 2) * mpmath.exp(2 * t) * mpmath.e1(mpmath.exp(w)) - 1)
-    got = x_star(3, t, lambda tt: sol_n3m1.profile.eval_w(tt))
+    got = x_star(3, t, w)
     assert got == pytest.approx(oracle, rel=1e-11)
 
 
 def test_x_star_tends_to_zero(sol_n3m1):
     prof = sol_n3m1.profile
     ts = np.array([50.0, 100.0, 250.0])
-    vals = np.abs(x_star(3, ts, lambda t: sol_n3m1.profile.eval_w(t)))
+    vals = np.abs(x_star(3, ts, prof.eval_w(ts)))
     assert np.all(np.diff(vals) < 0)
     assert vals[-1] < 5e-3
 
@@ -39,11 +39,10 @@ def test_substitution_limit(sol_n3m1):
 def test_y_star_identity(sol_n3m1):
     # y* = 2(x* + 1) - 2(n-2) e^{2t} w*_t / exp(e^{w*})
     t = np.array([60.0, 120.0])
-    w_fun = lambda tt: sol_n3m1.profile.eval_w(tt)
-    wt_fun = lambda tt: sol_n3m1.profile.eval_wt(tt)
-    ys = y_star(3, t, w_fun, wt_fun)
-    alt = (2.0 * (x_star(3, t, w_fun) + 1.0)
-           - 2.0 * (3 - 2) * wt_fun(t) * np.exp(2.0 * t - np.exp(w_fun(t))))
+    w = sol_n3m1.profile.eval_w(t)
+    wt = sol_n3m1.profile.eval_wt(t)
+    ys = y_star(3, t, w, wt)
+    alt = 2.0 * (x_star(3, t, w) + 1.0) - 2.0 * (3 - 2) * wt * np.exp(2.0 * t - np.exp(w))
     assert np.max(np.abs(ys - alt)) < 1e-12
 
 
@@ -61,12 +60,12 @@ def test_two_route_agreement(sol_n3m1):
     # direct log-domain formula vs factored-ansatz substitution
     t = sol_n3m1.eta.grid[(sol_n3m1.eta.grid >= 40.0)
                           & (sol_n3m1.eta.grid <= sol_n3m1.eta.t_usable)][::10]
-    w_fun = lambda tt: sol_n3m1.profile.eval_w(tt)
-    wt_fun = lambda tt: sol_n3m1.profile.eval_wt(tt)
-    xa = x_star(3, t, w_fun)
+    w = sol_n3m1.profile.eval_w(t)
+    wt = sol_n3m1.profile.eval_wt(t)
+    xa = x_star(3, t, w)
     xb = x_star_factored(3, t, sol_n3m1.eta)
     assert np.max(np.abs(xa - xb)) < 1e-8
-    ya = y_star(3, t, w_fun, wt_fun)
+    ya = y_star(3, t, w, wt)
     yb = y_star_factored(3, t, sol_n3m1.eta)
     assert np.max(np.abs(ya - yb)) < 1e-8
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from itergelfand.corrector import phi_m
-from itergelfand.expansions import (expansion_grad_m, expansion_grad_m1, expansion_w,
+from itergelfand.expansions import (expansion_grad_m1, expansion_w,
                                     gradient_residual_constant, residual_order)
 from itergelfand.singular import ansatz_terms
 from itergelfand.towers import h_deriv, h_tower
@@ -54,18 +54,6 @@ def test_expansion_grad_m1_substitution():
     assert expansion_grad_m1(3, r) == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError):
         expansion_grad_m1(3, 0.5)
-
-
-def test_expansion_grad_m_reduces_to_m1_leading():
-    for r in (math.exp(-5.0), math.exp(-60.0)):
-        L = -math.log(r)
-        assert expansion_grad_m(3, 1, r) == pytest.approx(1.0 / (r * L), rel=1e-14)
-
-
-def test_expansion_grad_m2_substitution():
-    r = math.exp(-50.0)
-    expect = 2.0 / (r * 100.0 * math.log(100.0))
-    assert expansion_grad_m(3, 2, r) == pytest.approx(expect, rel=1e-14)
 
 
 def test_expansion_w_m2_tower_values():

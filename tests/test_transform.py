@@ -5,125 +5,107 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from itergelfand.cli import main
 from itergelfand.numerics import differentiate
-from itergelfand.transform import (LogProfile, RadialProfile, gradient_magnitude,
-                                   log_to_radial, radial_to_log, read_profile_csv,
-                                   write_profile_csv)
+from itergelfand.transform import LogProfile, read_profile_csv, write_profile_csv
 
 
-def gelfand_radial(n, npts=200):
-    """Closed-form singular Gelfand profile u_s = -2 ln r at lambda = 2(n-2)."""
-    lam = 2.0 * (n - 2)
-    r = np.geomspace(1.0, 1e-6, npts)
-    return RadialProfile(lam, r, -2.0 * np.log(r), -2.0 / r)
+@pytest.fixture(scope="module")
+def construct(tmp_path_factory):
+    """construct(*flags): output directory of `singular construct`, built once per flag set."""
+    runs = {}
+
+    def run(*flags):
+        if flags not in runs:
+            out = tmp_path_factory.mktemp("construct")
+            assert main(["singular", "construct", *flags, "--outdir", str(out)]) == 0
+            runs[flags] = out
+        return runs[flags]
+    return run
 
 
-def test_unit_radius_maps_to_zero():
-    p = RadialProfile(1.0, np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
-    lp = radial_to_log(p)
-    assert lp.t[0] == 0.0
+def columns(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
 
 
-def test_constant_profile():
-    p = RadialProfile(1.0, np.geomspace(1.0, 0.01, 20), np.zeros(20), np.zeros(20))
-    lp = radial_to_log(p)
-    assert np.all(lp.w == 0.0)
-    assert np.all(lp.w_t == 0.0)
+@pytest.mark.parametrize("n", [3, 5])
+def test_radial_csv_is_the_exact_gelfand_solution(construct, n):
+    # the Gelfand oracle's singular solution is u = -2 ln r at lambda = 2(n-2)
+    r, u, u_r = columns(construct("--n", str(n), "--oracle-gelfand") / "profile_radial.csv")
+    assert r[0] == pytest.approx(1.0, abs=1e-9) and np.all(np.diff(r) < 0.0)
+    assert np.max(np.abs(u + 2.0 * np.log(r))) < 1e-9
+    assert np.max(np.abs(u_r * r / -2.0 - 1.0)) < 1e-9
 
 
-def test_gelfand_substitution():
-    # u_s = -2 ln|x| at lambda = 2(n-2) becomes w(t) = 2t + ln(2(n-2))
-    n = 3
-    lp = radial_to_log(gelfand_radial(n))
-    lam = 2.0 * (n - 2)
-    assert np.max(np.abs(lp.w - (2.0 * lp.t + math.log(lam)))) < 1e-12
-    assert np.max(np.abs(lp.w_t - 2.0)) < 1e-12
+def test_gelfand_substitution(construct):
+    # u = -2 ln|x| at lambda = 2(n-2) is w(t) = 2t + ln(2(n-2)) in log variables
+    t, w, w_t = columns(construct("--n", "3", "--oracle-gelfand") / "profile_log.csv")
+    assert np.max(np.abs(w - (2.0 * t + math.log(2.0)))) < 1e-9
+    assert np.max(np.abs(w_t - 2.0)) < 1e-9
 
 
-def test_roundtrip_identity():
-    p = gelfand_radial(4)
-    back = log_to_radial(radial_to_log(p), p.lam)
-    assert np.max(np.abs(back.r - p.r)) < 1e-12
-    assert np.max(np.abs(back.u - p.u)) < 1e-12
-    assert np.max(np.abs(back.u_r - p.u_r) / np.abs(p.u_r)) < 1e-12
-
-
-def test_log_to_radial_boundary():
-    lp = LogProfile(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 4.0]),
-                    np.array([2.0, 2.0, 2.0]))
-    p = log_to_radial(lp, 1.0)
-    assert p.r[0] == 1.0
-
-
-def test_gradient_gelfand():
-    # w = 2t log profile: gradient 2/r
-    lp = radial_to_log(gelfand_radial(3))
-    for r in (0.5, 0.1, 0.01):
-        assert gradient_magnitude(lp, lp_lam := 2.0, r) == pytest.approx(2.0 / r,
-                                                                         rel=1e-12)
+def test_gradient_gelfand(construct):
+    # w = 2t + ln 2: the v-space gradient |w_t(-ln r)| / r is 2/r between samples too
+    lp = read_profile_csv(construct("--n", "3", "--oracle-gelfand") / "profile_log.csv")
+    for r in (0.5, 0.1, 0.01, 1e-20):
+        assert abs(lp.eval_wt(-math.log(r))) / r == pytest.approx(2.0 / r, rel=1e-9)
 
 
 def test_gradient_leading_term_constructed(sol_n3m1):
-    # against the constructed profile, the gradient tracks 1/(r ln(1/r))
-    lp = sol_n3m1.profile
+    # against the constructed profile, the gradient w_t / r tracks 1/(r ln(1/r))
     for t in (60.0, 120.0):
-        r = math.exp(-t)
-        g = gradient_magnitude(lp, sol_n3m1.lambda_star, r)
-        lead = 1.0 / (r * t)
-        assert abs(g / lead - 1.0) < 2.0 * math.log(t) / t + 0.01
+        assert abs(sol_n3m1.profile.eval_wt(t) * t - 1.0) < 2.0 * math.log(t) / t + 0.01
 
 
-def test_gradient_vs_finite_difference(sol_n3m1):
-    # finite differences of u samples against the carried-gradient value
-    lp = sol_n3m1.profile
-    rad = log_to_radial(lp, sol_n3m1.lambda_star)
+def test_gradient_vs_finite_difference(construct):
+    # finite differences of the written u samples against the written u_r
+    r, u, u_r = columns(construct("--n", "3", "--m", "1") / "profile_radial.csv")
     sel = slice(100, 160)
-    u_r_fd = differentiate(rad.r[sel][::-1], rad.u[sel][::-1], order=1, stencil=7)[::-1]
-    rel = np.abs(u_r_fd - rad.u_r[sel]) / np.abs(rad.u_r[sel])
+    u_r_fd = differentiate(r[sel][::-1], u[sel][::-1], order=1, stencil=7)[::-1]
+    rel = np.abs(u_r_fd - u_r[sel]) / np.abs(u_r[sel])
     assert np.max(rel[3:-3]) < 1e-5
 
 
-def test_ode_equivalence_jacobian():
-    # a log profile solving the log equation maps to a radial profile solving
-    # the radial equation; checked on the closed-form solution with the
-    # radial residual measured by finite differences
+def test_ode_equivalence_jacobian(construct):
+    # the radial copy of a log profile solving the log equation solves the
+    # radial equation; checked on the Gelfand oracle's written radial profile,
+    # below the handoff where it is sampled every 0.01 in t, with the radial
+    # residual measured by finite differences
     n = 3
-    rad = gelfand_radial(n, npts=4000)
-    r, v, v_r = rad.r[::-1], rad.u[::-1], rad.u_r[::-1]
-    lam = rad.lam
+    r, u, u_r = (c[:3000][::-1] for c in
+                 columns(construct("--n", str(n), "--oracle-gelfand") / "profile_radial.csv"))
+    lam = 2.0 * (n - 2)
     # v-space: v = u, radius sqrt(lam) * r
     rv = math.sqrt(lam) * r
-    vr_v = v_r / math.sqrt(lam)
+    vr_v = u_r / math.sqrt(lam)
     v_rr = differentiate(rv, vr_v, order=1, stencil=7)
-    force = np.exp(v)
+    force = np.exp(u)
     res = v_rr + (n - 1) / rv * vr_v + force
     scale = np.maximum(np.abs(v_rr), force)
     assert np.max(np.abs(res[5:-5]) / scale[5:-5]) < 1e-7
 
 
-def test_profile_csv_roundtrip(tmp_path):
-    lp = radial_to_log(gelfand_radial(5))
+def test_profile_csv_roundtrip(tmp_path, construct):
+    t = np.geomspace(0.1, 50.0, 200)
+    lp = LogProfile(t, 2.0 * t + math.log(6.0), np.full_like(t, 2.0))
     path = tmp_path / "p.csv"
     write_profile_csv(path, lp)
     lp2 = read_profile_csv(path)
     assert np.array_equal(lp.t, lp2.t)
     assert np.array_equal(lp.w, lp2.w)
     assert np.array_equal(lp.w_t, lp2.w_t)
-    rad = gelfand_radial(5)
-    write_profile_csv(path, rad)
-    rad2 = read_profile_csv(path, lam=rad.lam)
-    assert np.array_equal(rad.r, rad2.r)
+    # a radial copy is an output format only; it does not read back as a profile
+    with pytest.raises(ValueError, match="unrecognized profile header"):
+        read_profile_csv(construct("--n", "3", "--oracle-gelfand") / "profile_radial.csv")
 
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        RadialProfile(1.0, np.array([0.5, 1.0]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        RadialProfile(1.0, np.array([1.0, -0.5]), np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
         LogProfile(np.array([1.0, 0.5]), np.zeros(2), np.zeros(2))
     with pytest.raises(ValueError):
-        gradient_magnitude(radial_to_log(gelfand_radial(3)), 2.0, 1e-9)
+        LogProfile(np.array([1.0]), np.zeros(1), np.zeros(1))
+    with pytest.raises(ValueError):
+        LogProfile(np.array([0.0, 1.0]), np.zeros(3), np.zeros(2))
 
 
 @settings(max_examples=400, deadline=None)

@@ -101,7 +101,6 @@ class EtaSpaceConfig:
 
     T: float | None = None
     t_max: float | None = None
-    M: float | None = None
     tol: float = 1e-11
     max_iter: int = 60
     n_nodes: int | None = None
@@ -124,8 +123,6 @@ class EtaSpaceConfig:
             raise ValueError("t_max must be >= 4*T")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.M is not None and self.M <= 0:
-            raise ValueError("M must be positive")
         n_nodes = self.n_nodes or _node_count(T, t_max)
         h_cap, t_end = (1.0, t_max) if n is None else (PsiKernel.for_dimension(n).h_cap,
                                                        t_max + self.pad(n))
@@ -345,7 +342,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
     plan = _QuadPlan(grid, kernel)
     forcing = _ForcingM(n, m, plan.nodes)
     Fq = forcing.total(np.zeros_like(plan.nodes))
-    M = cfg.M if cfg.M is not None else 2.0 * float(np.max(plan.nodes ** 2 * np.abs(Fq)))
+    M = 2.0 * float(np.max(plan.nodes ** 2 * np.abs(Fq)))
     eta = np.zeros_like(grid)
     defects = []
     ratios = []

@@ -18,17 +18,24 @@ import numpy as np
 from .numerics import scalar_or_array
 from .towers import f_tail_log
 
+# gate on sup |x*| + |y*| over the tail of the corrector window
+TAIL_BOUND = 0.05
+
 
 @dataclass
 class EquivalenceTrace:
-    """Sampled (t, x*, y*) traces plus the membership verdict."""
+    """Sampled (t, x*, y*) traces plus the membership verdict.
+
+    shrink_ratio is the larger of the two traces' ratios of mean |.| over the
+    last and the first fifth of the tail; both traces shrink when it is <= 1.
+    """
 
     t: np.ndarray
     x_star: np.ndarray
     y_star: np.ndarray
     tail_lo: float
     tail_sup: float
-    decreasing: bool
+    shrink_ratio: float
     passed: bool
 
 
@@ -61,8 +68,8 @@ def equivalence_report(sol):
     """Membership check of (x*, y*) in the smallness ball for an exp(e^u) solution.
 
     Samples the traces over the corrector window, gates on
-    sup |x*| + |y*| < 0.05 over the upper half (log scale) of the window,
-    and requires both traces to shrink across that tail.  Only tower height
+    sup |x*| + |y*| <= TAIL_BOUND over the upper half (log scale) of the
+    window, and requires both traces to shrink across that tail.  Only tower height
     1 is admissible; the characterization is stated for exp(e^u).
     """
     if sol.m != 1:
@@ -83,10 +90,9 @@ def equivalence_report(sol):
     tail_sup = float(np.max(combined[tail]))
     # both traces must shrink across the tail: compare means of the first
     # and last fifths of the tail window
-    tt = t[tail]
-    k = max(4, len(tt) // 5)
-    dec = bool(np.mean(np.abs(xs[tail][-k:])) < np.mean(np.abs(xs[tail][:k]))
-               and np.mean(np.abs(ys[tail][-k:])) < np.mean(np.abs(ys[tail][:k])))
+    k = max(4, int(np.count_nonzero(tail)) // 5)
+    shrink = max(float(np.mean(np.abs(v[tail][-k:])) / np.mean(np.abs(v[tail][:k])))
+                 for v in (xs, ys))
     return EquivalenceTrace(t=t, x_star=xs, y_star=ys, tail_lo=tail_lo,
-                            tail_sup=tail_sup, decreasing=dec,
-                            passed=tail_sup < 0.05 and dec)
+                            tail_sup=tail_sup, shrink_ratio=shrink,
+                            passed=tail_sup <= TAIL_BOUND and shrink <= 1.0)

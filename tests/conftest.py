@@ -1,8 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from itergelfand.corrector import EtaSpaceConfig, picard_solve
 from itergelfand.singular import build_singular
+
+# On a failing property Hypothesis imports its patch writer, which imports
+# libcst, and libcst's import raises mypy_extensions' TypedDict
+# DeprecationWarning; under filterwarnings = error that turns the failure
+# report into a pytest INTERNALERROR.  Importing the writer here, with that one
+# warning ignored, leaves nothing to warn about then.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:   # libcst is not installed
+        pass
 
 
 @pytest.fixture(scope="session")

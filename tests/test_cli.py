@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import itergelfand
 from itergelfand import branch as br
-from itergelfand import corrector
+from itergelfand import cli, corrector
 from itergelfand.cli import main
 from itergelfand.singular import DescentError, build_singular
 
@@ -179,6 +180,46 @@ def test_verify_miyamoto(tmp_path, capsys):
     assert (tmp_path / "equivalence_trace.csv").exists()
 
 
+@pytest.mark.parametrize("n,m", [(3, 0), (6, 0), (4, 1), (12, 1), (3, 2), (12, 2), (3, 3)])
+def test_verify_asymptotics_checks_the_height_it_names(tmp_path, capsys, n, m):
+    code = run_cli(["verify", "asymptotics", "--n", str(n), "--m", str(m),
+                    "--outdir", str(tmp_path)])
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0 and payload["passed"] is True and payload["failed"] == []
+    assert payload["m"] == m
+    with open(tmp_path / "verify_asymptotics.csv") as fh:
+        assert all(row["passed"] == "1" for row in csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("m,heights", [(1, [1]), (2, [2, 1])])
+def test_verify_all_builds_each_height_once(tmp_path, capsys, monkeypatch, m, heights):
+    built = []
+    real = cli.build_singular
+
+    def counting(n, m, cfg=None):
+        built.append(m)
+        return real(n, m, cfg)
+    monkeypatch.setattr(cli, "build_singular", counting)
+    assert run_cli(["verify", "all", "--n", "3", "--m", str(m), "--outdir", str(tmp_path)]) == 0
+    assert built == heights
+    suites = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(s["suite"], s["m"]) for s in suites] == [
+        ("iterexp", None), ("asymptotics", m), ("miyamoto", 1)]
+    # each row states its own gate
+    for s in suites:
+        with open(tmp_path / f"verify_{s['suite']}.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == ["label", "value", "bound", "passed"]
+        for row in rows:
+            assert row["passed"] == str(int(float(row["value"]) <= float(row["bound"])))
+    meta = cli._read_meta(str(tmp_path / "meta.txt"))
+    assert meta["config"]["m"] == str(m) and "M" not in meta["config"]
+    assert meta["results"] == {"iterexp_m": "None", "iterexp_passed": "True",
+                               "asymptotics_m": str(m), "asymptotics_passed": "True",
+                               "miyamoto_m": "1", "miyamoto_passed": "True"}
+    assert not (tmp_path / "expansion_reports.csv").exists()
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("n = 4\nm = 1\n")
@@ -289,6 +330,8 @@ def bad_inputs(tmp_path):
     (tmp_path / "latin1.cfg").write_bytes(b"n = 3 # \xe9\n")
     # the tower height has one spelling in a config file: m = 0
     (tmp_path / "oracle.cfg").write_text("oracle = true\n")
+    # M is computed by the corrector and has no setting
+    (tmp_path / "M.cfg").write_text("M = 1\n")
     (tmp_path / "file").write_text("x")
     _write_reference(tmp_path / "ref")
     _write_reference(tmp_path / "ref-no-meta", meta=False)
@@ -322,7 +365,7 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["bifurcation", "trace", "--rho-min", "-0.1"], None),
     (["bifurcation", "trace", "--rho-min", "0"], None),
     (["singular", "construct", "--t-max", "100"], None),
-    (["singular", "construct", "--M", "0"], None),
+    (["singular", "construct", "--config", "{tmp}/M.cfg"], "unknown config key: M"),
     (["singular", "construct", "--T", "0.5"], None),
     (["singular", "construct", "--tol", "-1"], None),
     (["verify", "all", "--m", "2", "--t-max", "200"], None),
@@ -370,5 +413,5 @@ def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
 
 def test_trace_ignores_corrector_fields(tmp_path):
     # the corrector's rules apply only to commands that solve it
-    assert run_cli(TRACE + ["--t-max", "100", "--M", "0", "--outdir", str(tmp_path)]) == 0
+    assert run_cli(TRACE + ["--t-max", "100", "--outdir", str(tmp_path)]) == 0
     assert "matched_shots = 0" in (tmp_path / "meta.txt").read_text().splitlines()

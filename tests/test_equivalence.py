@@ -74,7 +74,7 @@ def test_equivalence_report_passes(sol_n3m1):
     rep = equivalence_report(sol_n3m1)
     assert rep.passed
     assert rep.tail_sup < 0.05
-    assert rep.decreasing
+    assert rep.shrink_ratio < 1.0
     # tail decrease invariant: envelope over the last half of the window
     tail = rep.t >= rep.tail_lo
     comb = np.abs(rep.x_star[tail]) + np.abs(rep.y_star[tail])

@@ -12,6 +12,28 @@ from itergelfand.towers import h_deriv, h_tower
 from itergelfand.transform import LogProfile
 
 
+def _taylor_oracle(n, m, t):
+    """Second-order Taylor expansion of H_m(2t + phi_m) about 2t, at 40 digits.
+
+    H_m(2t) + H'_m(2t) psi + H''_m(2t) psi^2 / 2, psi = ln(2(n-2)) - sum_{j=1..m}
+    H_j(2t), plus H'_1(2t) ln(t) / (2t) at m = 1; the derivatives are mpmath's.
+    """
+    def H(j, x):
+        for _ in range(j):
+            x = mpmath.log(x)
+        return x
+
+    with mpmath.workdps(40):
+        tm = mpmath.mpf(t)
+        x = 2 * tm
+        psi = mpmath.log(2 * (n - 2)) - sum(H(j, x) for j in range(1, m + 1))
+        out = (H(m, x) + mpmath.diff(lambda y: H(m, y), x) * psi
+               + mpmath.diff(lambda y: H(m, y), x, 2) * psi ** 2 / 2)
+        if m == 1:
+            out += mpmath.log(tm) / (4 * tm ** 2)
+        return float(out)
+
+
 def test_ansatz_depth_is_exact():
     t = np.geomspace(20.0, 400.0, 30)
     phi, _, _ = phi_m(3, 1, t)
@@ -36,14 +58,17 @@ def test_expansion_w_m1_vs_high_precision():
 
 
 def test_expansion_w_at_m1_is_four_term():
-    # at m = 1 the three groups plus H'_1(2t) ln(t)/(2t) are the four-term
-    # expansion, to 2 ulps
+    # at n = 3, m = 1 the Taylor expansion is the four-term expansion, to 2 ulps
     t = np.geomspace(2.0, 1e6, 400)
     lnt = np.log(t)
-    for n in (3, 4, 5, 9, 10, 12):
-        four = (np.log(2.0 * t) + (math.log(n - 2) - lnt) / (2.0 * t)
-                - lnt ** 2 / (8.0 * t ** 2) + lnt / (4.0 * t ** 2))
-        assert np.all(np.abs(expansion_w(n, 1, t) - four) <= 2.0 * np.spacing(four))
+    four = (np.log(2.0 * t) - lnt / (2.0 * t) - lnt ** 2 / (8.0 * t ** 2)
+            + lnt / (4.0 * t ** 2))
+    assert np.all(np.abs(expansion_w(3, 1, t) - four) <= 2.0 * np.spacing(four))
+    # at other n its psi^2 term keeps ln(n-2) ln(t)/(4t^2) - ln^2(n-2)/(8t^2),
+    # which the four-term expansion drops
+    for n in (4, 5, 9, 10, 12):
+        for tt in t[::40]:
+            assert expansion_w(n, 1, tt) == pytest.approx(_taylor_oracle(n, 1, tt), rel=1e-14)
     with pytest.raises(ValueError):
         expansion_w(3, 0, t)
 
@@ -62,22 +87,20 @@ def test_expansion_w_m2_tower_values():
     assert h_deriv(2, 1, 2 * rho) == pytest.approx(
         1.0 / (math.exp(math.e) * math.e), rel=1e-14)
     val = expansion_w(3, 2, rho)
-    hp = 1.0 / (math.exp(math.e) * math.e)
-    expect = (1.0 + hp * (math.log(2.0) - (math.e + 1.0))
-              - hp * math.log(rho) ** 2 / (4.0 * rho))
-    assert val == pytest.approx(expect, rel=1e-13)
+    # there H_1(2 rho) = e, H_2 = 1, H'_2 = 1/(2 rho e) and
+    # H''_2 = -H'_2 (1 + 1/e) / (2 rho)
+    with mpmath.workdps(40):
+        e, x = mpmath.e, mpmath.exp(mpmath.e)
+        hp = 1 / (x * e)
+        psi = mpmath.log(2) - (e + 1)
+        expect = float(1 + hp * psi - hp * (1 + 1 / e) / x * psi ** 2 / 2)
+    assert val == pytest.approx(expect, rel=1e-14)
+    assert val == pytest.approx(_taylor_oracle(3, 2, rho), rel=1e-14)
 
 
 def test_expansion_w_m_vs_high_precision():
-    mpmath.mp.dps = 40
-    n, m, rho = 4, 2, 80.0
-    rm = mpmath.mpf(rho)
-    H1 = mpmath.log(2 * rm)
-    H2 = mpmath.log(H1)
-    Hp = 1 / (2 * rm * H1)
-    oracle = float(H2 + Hp * (mpmath.log(2 * (n - 2)) - (H1 + H2))
-                   - Hp * mpmath.log(rm) ** 2 / (4 * rm))
-    assert expansion_w(n, m, rho) == pytest.approx(oracle, rel=1e-13)
+    for n, m, rho in ((4, 2, 80.0), (3, 2, 1e4), (9, 3, 200.0), (5, 1, 50.0)):
+        assert expansion_w(n, m, rho) == pytest.approx(_taylor_oracle(n, m, rho), rel=1e-13)
 
 
 def test_ansatz_taylor_groups():

@@ -362,17 +362,20 @@ def cmd_verify(cfg, suite):
     built = {}   # one singular solution per tower height, shared by the suites
     results = {}
     any_fail = False
-    for name, m in _verify_heights(cfg, suite).items():
-        if m is not None and m not in built:
-            built[m] = build_singular(cfg.n, m, cfg.eta_config())
-        rows = _SUITES[name](cfg, built.get(m))
-        ok = all(r.passed for r in rows)
-        any_fail |= not ok
-        results.update({f"{name}_m": str(m), f"{name}_passed": str(ok)})
-        print(json.dumps({"suite": name, "m": m, "passed": ok, "checks": len(rows),
-                          "failed": [r.label for r in rows if not r.passed]}))
-        _write_records(os.path.join(cfg.outdir, f"verify_{name}.csv"), rows)
-    _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
+    try:
+        for name, m in _verify_heights(cfg, suite).items():
+            if m is not None and m not in built:
+                built[m] = build_singular(cfg.n, m, cfg.eta_config())
+            rows = _SUITES[name](cfg, built.get(m))
+            ok = all(r.passed for r in rows)
+            any_fail |= not ok
+            results.update({f"{name}_m": str(m), f"{name}_passed": str(ok)})
+            print(json.dumps({"suite": name, "m": m, "passed": ok, "checks": len(rows),
+                              "failed": [r.label for r in rows if not r.passed]}))
+            _write_records(os.path.join(cfg.outdir, f"verify_{name}.csv"), rows)
+    finally:
+        # also when a later suite's build fails: the CSVs written so far stay traceable
+        _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
     return EXIT_NUMERIC if any_fail else EXIT_OK
 
 

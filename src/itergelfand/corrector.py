@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .numerics import hermite, panel_nodes, scalar_or_array, subdivide
+from .numerics import hermite, panel_nodes, scalar_or_array
 from .towers import _h_derivative_chains
 
 
@@ -46,12 +46,11 @@ class PicardConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class PsiKernel:
-    """Characteristic roots lam_pm of the corrector operator and the panel width they allow."""
+    """Characteristic roots lam_pm of the corrector operator."""
 
     n: int
     lam_plus: complex | float
     lam_minus: complex | float
-    h_cap: float
 
     @classmethod
     def for_dimension(cls, n):
@@ -59,11 +58,9 @@ class PsiKernel:
             raise ValueError("dimension must be >= 3")
         if n <= 9:
             a, b = 0.5 * (n - 2), 0.5 * math.sqrt((n - 2) * (10 - n))
-            # panels also stay under an eighth of the oscillation period 2 pi / b
-            return cls(n, complex(a, b), complex(a, -b),
-                       min(1.0, 2.0 / (n - 2), math.pi / (4.0 * b)))
+            return cls(n, complex(a, b), complex(a, -b))
         d = math.sqrt((n - 2) * (n - 10))
-        return cls(n, 0.5 * ((n - 2) + d), 0.5 * ((n - 2) - d), 2.0 / (n - 2))
+        return cls(n, 0.5 * ((n - 2) + d), 0.5 * ((n - 2) - d))
 
     @property
     def damping(self):
@@ -84,15 +81,26 @@ class PsiKernel:
 
 # most points a construction may allocate: the descent samples below the
 # handoff (about 100 T, singular.SAMPLE_STEP apart) and the corrector's Gauss
-# nodes (12 per panel, panels at most PsiKernel.h_cap wide and at least one
-# per grid interval).  Near the cap, build_singular(3, 1) takes about 1.2-1.9 s
-# and 180-240 MB peak RSS on a 2-vCPU host (T = 6000, or t_max = 4.8e4).
+# nodes (12 per grid interval).  Near the cap, build_singular(3, 1) takes about
+# 1.3 s and 260 MB peak RSS at t_max = 8.8e4, and 3.5 s and 480 MB at T = 9600,
+# on a 2-vCPU host.
 MAX_POINTS = 10 ** 6
 
+# widest |lam_+| h of a corrector grid interval, which is one 12-node Gauss
+# panel: up to it the panel integrates the kernel e^{-lam tau} to rounding.
+# Every default window stays below it (at most 8.04, at n = 12, m = 1).
+KERNEL_WIDTH = 12.0
 
-def _node_count(T, t_max):
-    """Default grid size for the corrector window [T, t_max]."""
-    return max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
+
+def _grid_size(n, T, t_max, n_nodes):
+    """Nodes of the geometric corrector grid on [T, t_max]: n_nodes, raised where the
+    last and widest interval would be wider than KERNEL_WIDTH / |lam_+|."""
+    x = KERNEL_WIDTH / (abs(PsiKernel.for_dimension(n).lam_plus) * t_max)
+    if x >= 1.0:
+        return n_nodes
+    # the last interval is t_max (1 - (T / t_max)^(1 / (N - 1)))
+    need = math.log(t_max / T) / -math.log1p(-x)
+    return max(n_nodes, 1 + math.ceil(need))
 
 
 @dataclass
@@ -108,27 +116,38 @@ class EtaSpaceConfig:
     def resolved(self, m, n=None):
         """(T, t_max, n_nodes) of the window at tower height m, refusing bad or oversized ones.
 
-        Given the dimension n, the Gauss nodes are counted on panels at most
-        PsiKernel.h_cap wide up to t_max + pad(n), as the solve lays them out;
-        without it, on panels one unit of t wide up to t_max.
+        Given the dimension n, n_nodes is the size of the grid the solve builds
+        on [T, t_max + pad(n)]: the geometric count of [T, t_max] rescaled to
+        the padded window, raised by _grid_size.  Without n it is the count of
+        [T, t_max], which no dimension's grid falls below.  The grid's
+        12 (n_nodes - 1) Gauss nodes meet MAX_POINTS.
         """
         T = self.T if self.T is not None else (30.0 if m <= 1 else 60.0)
-        if T < 1.0:
-            raise ValueError("T must be >= 1")
+        if T < 1.0 or (m == 1 and T == 1.0):
+            raise ValueError("T must be >= 1, and > 1 at m = 1, whose ansatz shift "
+                             "is defined for t > 1")
         if 100.0 * T > MAX_POINTS:
             raise ValueError(f"T = {T:g} asks for about {100.0 * T:.3g} descent samples, "
                              f"more than {MAX_POINTS:.0e}")
         t_max = self.t_max if self.t_max is not None else max(4.0 * T, 200.0)
         if t_max < 4.0 * T:
             raise ValueError("t_max must be >= 4*T")
+        # the kernel bound alone puts more than 0.16 t_max intervals on [T, t_max]
+        # (|lam_+| >= sqrt(2)), so this refuses no window the count would accept
+        if t_max > MAX_POINTS:
+            raise ValueError(f"t_max = {t_max:g} asks for more than {MAX_POINTS:.0e} "
+                             f"quadrature nodes")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        n_nodes = self.n_nodes or _node_count(T, t_max)
-        h_cap, t_end = (1.0, t_max) if n is None else (PsiKernel.for_dimension(n).h_cap,
-                                                       t_max + self.pad(n))
-        gauss = 12.0 * (n_nodes + (t_end - T) / h_cap)
+        # the default grid is spaced 0.16 at t = T
+        n_nodes = self.n_nodes or max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
+        if n is not None:
+            t_end = t_max + self.pad(n)
+            n_nodes = _grid_size(n, T, t_end, math.ceil(
+                n_nodes * math.log(t_end / T) / math.log(t_max / T)))
+        gauss = 12 * (n_nodes - 1)
         if gauss > MAX_POINTS:
-            raise ValueError(f"the corrector on [T, t_max] = [{T:g}, {t_max:g}] asks for up to "
+            raise ValueError(f"the corrector on [T, t_max] = [{T:g}, {t_max:g}] asks for "
                              f"{gauss:.3g} quadrature nodes, more than {MAX_POINTS:.0e}")
         return T, t_max, n_nodes
 
@@ -269,8 +288,18 @@ class _ForcingM:
         return F0 + F1eta + F2
 
 
+def _sweep(P, decay):
+    """J_i = P_i + decay_i J_{i+1}, right to left from J = 0 at t_max.  With P_i the integral
+    of e^{-lam tau} F over interval i and decay_i = e^{-lam h_i}, J_i is J(lam)(t_i)."""
+    P, decay = P.tolist(), decay.tolist()
+    J = [0.0] * (len(P) + 1)
+    for i in range(len(P) - 1, -1, -1):
+        J[i] = P[i] + decay[i] * J[i + 1]
+    return np.array(J)
+
+
 class _QuadPlan:
-    """Panelized Gauss rule on a grid with kernel factors anchored at interval left ends.
+    """One 12-node Gauss panel per grid interval, with kernel factors anchored at its left end.
 
     It moves an iterate to the quadrature nodes by the cubic Hermite
     interpolant of its (eta, eta_t), which the sweeps give together.
@@ -279,60 +308,46 @@ class _QuadPlan:
     def __init__(self, grid, kernel):
         self.grid = np.asarray(grid, dtype=float)
         self.kernel = kernel
-        edges, self.owner = subdivide(self.grid, kernel.h_cap)
-        self.nodes, self.weights = panel_nodes(edges)
-        self.tau = self.nodes - self.grid[self.owner][:, None]
+        self.nodes, self.weights = panel_nodes(self.grid)
+        self.tau = self.nodes - self.grid[:-1, None]
         self.h = np.diff(self.grid)
         # a complex pair sweeps lam_+ only: J(lam_-) is its conjugate
         roots = (kernel.lam_plus,) if kernel.freq else (kernel.lam_plus, kernel.lam_minus)
         self.K = {lam: np.exp(-lam * self.tau) for lam in roots}
+        self.decay = {lam: np.exp(-lam * self.h) for lam in roots}
 
     def at_nodes(self, y, y_t):
         """The cubic Hermite interpolant of (grid, y, y_t) at the quadrature nodes."""
-        return hermite(self.grid, y, y_t, self.owner[:, None], self.tau)
+        return hermite(self.grid, y, y_t, np.arange(len(self.h))[:, None], self.tau)
 
     def interval_integrals(self, K, Fq):
         """integral over each grid interval of K(s) Fq(s), K real or complex."""
-        vals = np.sum(self.weights * K * Fq, axis=1)
-        out = np.bincount(self.owner, weights=vals.real, minlength=len(self.h))
-        if np.iscomplexobj(vals):
-            out = out + 1j * np.bincount(self.owner, weights=vals.imag, minlength=len(self.h))
-        return out
-
-    def sweep(self, lam, Fq):
-        """J_i = P_i + e^{-lam h_i} J_{i+1}: integral_{t_i}^{t_max} e^{-lam (s - t_i)} F(s) ds."""
-        P = self.interval_integrals(self.K[lam], Fq).tolist()
-        decay = np.exp(-lam * self.h).tolist()
-        J = [0.0] * len(self.grid)
-        for i in range(len(self.h) - 1, -1, -1):
-            J[i] = P[i] + decay[i] * J[i + 1]
-        return np.array(J)
+        return np.sum(self.weights * K * Fq, axis=1)
 
     def apply_psi(self, Fq):
         """(Psi[eta], its t-derivative) on the grid given forcing values Fq at the quadrature nodes."""
         k = self.kernel
+        J = {lam: _sweep(self.interval_integrals(K, Fq), self.decay[lam])
+             for lam, K in self.K.items()}
         if k.lam_plus == k.lam_minus:
-            # n = 10: the difference quotient becomes dJ/dlam, kernel -tau e^{-lam tau}
+            # n = 10: the difference quotient becomes dJ/dlam, whose sweep has
+            # interval integrals P_i - e^{-lam h_i} h_i J_{i+1} (kernel -tau e^{-lam tau})
             lam = k.lam_plus
-            J = self.sweep(lam, Fq).tolist()
-            P = self.interval_integrals(-self.tau * self.K[lam], Fq).tolist()
-            h = self.h.tolist()
-            decay = np.exp(-lam * self.h).tolist()
-            dJ = [0.0] * len(self.grid)
-            for i in range(len(h) - 1, -1, -1):
-                dJ[i] = P[i] + decay[i] * (dJ[i + 1] - h[i] * J[i + 1])
-            dJ = np.array(dJ)
-            return dJ, np.array(J) + lam * dJ
-        J_plus = self.sweep(k.lam_plus, Fq)
-        J_minus = J_plus.conj() if k.freq else self.sweep(k.lam_minus, Fq)
+            decay = self.decay[lam]
+            P = self.interval_integrals(-self.tau * self.K[lam], Fq)
+            dJ = _sweep(P - decay * self.h * J[lam][1:], decay)
+            return dJ, J[lam] + lam * dJ
+        J_plus = J[k.lam_plus]
+        J_minus = J_plus.conj() if k.freq else J[k.lam_minus]
         d = k.lam_plus - k.lam_minus
         return (((J_plus - J_minus) / d).real,
                 ((k.lam_plus * J_plus - k.lam_minus * J_minus) / d).real)
 
 
 def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
-    """Picard iteration on one geometric grid; returns (EtaSolution or None, defects)."""
-    grid = np.geomspace(T, t_max, n_nodes)
+    """Picard iteration on the geometric grid of _grid_size(n, T, t_max, n_nodes) nodes;
+    returns (EtaSolution or None, defects)."""
+    grid = np.geomspace(T, t_max, _grid_size(n, T, t_max, n_nodes))
     grid[0], grid[-1] = T, t_max
     # from t of about 1e14 up, geomspace over a window a few units wide repeats nodes
     if not np.all(np.diff(grid) > 0.0):
@@ -398,10 +413,7 @@ def picard_solve(n, m, cfg=None):
                 raise PicardConvergenceError(
                     f"no contraction up to T = {T / 2.0:g} (n={n}, m={m}), and the "
                     f"escalated window is refused: {exc}") from exc
-        t_max = t_usable + pad
-        n_solve = max(n_nodes, int(math.ceil(n_nodes * math.log(t_max / T)
-                                             / math.log(t_usable / T))))
-        sol, defects = _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_solve)
+        sol, defects = _solve_on_grid(n, m, cfg, T, t_usable, t_usable + pad, n_nodes)
         if sol is not None:
             return sol
     raise PicardConvergenceError(

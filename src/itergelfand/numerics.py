@@ -46,25 +46,6 @@ def panel_nodes(edges):
     return nodes, weights
 
 
-def subdivide(grid, h_cap):
-    """Split each grid interval into equal sub-panels no longer than h_cap.
-
-    Returns (edges, owner) where owner[k] is the index of the grid interval
-    sub-panel k belongs to.
-    """
-    grid = np.asarray(grid, dtype=float)
-    edges = [grid[0]]
-    owner = []
-    for i in range(len(grid) - 1):
-        h = grid[i + 1] - grid[i]
-        parts = max(1, int(np.ceil(h / h_cap)))
-        step = h / parts
-        for p in range(parts):
-            edges.append(grid[i] + step * (p + 1))
-            owner.append(i)
-    return np.asarray(edges), np.asarray(owner, dtype=int)
-
-
 def hermite(x, y, y_t, i, tau, derivative=False):
     """The cubic Hermite interpolant of samples (x, y, y_t), or its derivative, at x[i] + tau.
 

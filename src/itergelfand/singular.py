@@ -31,7 +31,7 @@ from .transform import LogProfile
 HANDOFF_OFFSET = 5.0
 # spacing of the descent samples kept below the handoff
 SAMPLE_STEP = 0.01
-# corrector grid size of the short-window solve of singular_state
+# corrector grid size of singular_state's short-window solve (see corrector._grid_size)
 STATE_NODES = 128
 
 

@@ -21,7 +21,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import itergelfand.branch as br
-from itergelfand.corrector import PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan, phi_m
+from itergelfand.corrector import (PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan,
+                                   _sweep, phi_m)
 from itergelfand.numerics import panel_nodes, scalar_or_array
 from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_inverse_log, f_tail_log
 from itergelfand.transform import LogProfile
@@ -104,11 +105,7 @@ def eta_t_first_order(sol):
     eta_q = CubicSpline(sol.grid, sol.eta)(plan.nodes)
     g_q = -2.0 * (n - 2) * eta_q - _ForcingM(n, sol.m, plan.nodes).total(eta_q)
     P = plan.interval_integrals(np.exp(-(n - 2) * plan.tau), g_q)
-    decay = np.exp(-(n - 2) * plan.h)
-    J = np.zeros_like(sol.grid)
-    for i in range(len(plan.h) - 1, -1, -1):
-        J[i] = P[i] + decay[i] * J[i + 1]
-    return -J
+    return -_sweep(P, np.exp(-(n - 2) * plan.h))
 
 def x_star_factored(n, t, eta_sol):
     """x* evaluated through the factored ansatz pieces instead of exp(w*).

@@ -220,6 +220,16 @@ def test_verify_all_builds_each_height_once(tmp_path, capsys, monkeypatch, m, he
     assert not (tmp_path / "expansion_reports.csv").exists()
 
 
+def test_verify_writes_meta_when_a_later_build_fails(tmp_path, capsys):
+    # the m = 4 profile is negative where the descent starts, after iterexp ran
+    assert run_cli(["verify", "all", "--n", "3", "--m", "4", "--outdir", str(tmp_path)]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.txt", "verify_iterexp.csv"]
+    meta = cli._read_meta(str(tmp_path / "meta.txt"))
+    assert meta["config"]["m"] == "4"
+    assert meta["results"] == {"iterexp_m": "None", "iterexp_passed": "True"}
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("n = 4\nm = 1\n")
@@ -384,12 +394,16 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--T", "1e12"], "descent samples"),
     (["singular", "construct", "--T", "1e8"], "descent samples"),
     (["singular", "construct", "--t-max", "1e6"], "quadrature nodes"),
-    (["singular", "construct", "--n", "1000"], "quadrature nodes"),
-    (["singular", "construct", "--oracle-gelfand", "--n", "1000"], "quadrature nodes"),
+    (["singular", "construct", "--n", "10000"], "quadrature nodes"),
+    (["singular", "construct", "--oracle-gelfand", "--n", "10000"], "quadrature nodes"),
     (TRACE + ["--oracle-gelfand", "--lambda-star", "{tmp}/ref-old-oracle"],
      "{tmp}/ref-old-oracle/meta.txt"),
     (["singular", "construct", "--m", "-1"], "m must be an integer >= 0"),
     (["singular", "construct", "--config", "{tmp}/oracle.cfg"], "unknown config key: oracle"),
+    # the m = 1 ansatz shift is defined for t > 1 only
+    (["singular", "construct", "--n", "3", "--m", "1", "--T", "1"], "> 1 at m = 1"),
+    # |lam_+| t_max past the double range
+    (["singular", "construct", "--t-max", "1.7e308"], "quadrature nodes"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

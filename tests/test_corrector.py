@@ -381,13 +381,49 @@ def test_config_validation():
     with pytest.raises(ValueError, match="descent samples"):
         EtaSpaceConfig(T=1e8).resolved(1)
     with pytest.raises(ValueError, match="quadrature nodes"):
-        EtaSpaceConfig(t_max=1e6).resolved(1)
+        EtaSpaceConfig(t_max=1e6).resolved(1, 3)
     assert EtaSpaceConfig(T=960.0).resolved(2)[2] == 8318
-    # given n, the count uses the panel width of that dimension: 1.05e6 nodes
-    # at n = 1000 on the default window, 1.1e5 at n = 100
-    assert EtaSpaceConfig().resolved(1, 100) == EtaSpaceConfig().resolved(1)
+    # given n, the count is that of the grid the solve builds, kernel-bound at
+    # high n: the default window's grid has 32 710 nodes at n = 1000 and 3.3e5
+    # (3.9e6 Gauss nodes) at n = 10 000
+    assert EtaSpaceConfig().resolved(1, 1000)[2] == 32710
     with pytest.raises(ValueError, match="quadrature nodes"):
-        EtaSpaceConfig().resolved(1, 1000)
+        EtaSpaceConfig().resolved(1, 10000)
+    # the m = 1 ansatz shift is defined for t > 1 only
+    with pytest.raises(ValueError, match="> 1 at m = 1"):
+        EtaSpaceConfig(T=1.0).resolved(1)
+    assert EtaSpaceConfig(T=1.0).resolved(2)[0] == 1.0
+
+
+@pytest.mark.parametrize("n, T, t_max", [(3, 30.0, 4.8e4), (12, 30.0, 1.6e4), (3, 6000.0, 2.4e4)])
+def test_tall_windows_stay_within_the_cap(n, T, t_max):
+    # sub-panels at most 2/(n-2) wide (and an eighth of the kernel's period at
+    # n <= 9) put each of these just under MAX_POINTS Gauss nodes; one panel
+    # per grid interval, raised by the kernel bound, takes at most 3/4 of it
+    n_nodes = EtaSpaceConfig(T=T, t_max=t_max).resolved(1, n)[2]
+    assert 12 * (n_nodes - 1) <= 0.75 * corrector.MAX_POINTS
+
+
+# windows whose geometric grid would leave intervals wider than
+# KERNEL_WIDTH / |lam_+| (the default windows reach 8.04 / |lam_+| at most)
+KERNEL_BOUND = [(12, 1, 2000.0), (20, 1, 1000.0), (100, 1, None)]
+
+
+@pytest.mark.parametrize("n, m, t_max", [(3, 1, None), (9, 2, None), (12, 1, None)] + KERNEL_BOUND)
+def test_resolved_counts_the_grid_the_solve_builds(n, m, t_max):
+    # the cap of EtaSpaceConfig.resolved meets the Gauss nodes the solve lays out,
+    # one 12-node panel per interval, each at most KERNEL_WIDTH / |lam_+| wide
+    cfg = EtaSpaceConfig(t_max=t_max)
+    n_nodes = cfg.resolved(m, n)[2]
+    sol = picard_solve(n, m, cfg)
+    kernel = PsiKernel.for_dimension(n)
+    assert sol.grid.size == n_nodes
+    assert _QuadPlan(sol.grid, kernel).nodes.size == 12 * (n_nodes - 1)
+    widest = abs(kernel.lam_plus) * float(np.max(np.diff(sol.grid)))
+    if (n, m, t_max) in KERNEL_BOUND:
+        assert corrector.KERNEL_WIDTH * 0.999 < widest <= corrector.KERNEL_WIDTH
+    else:
+        assert widest < 8.1
 
 
 def test_picard_escalation_exhaustion_raises():

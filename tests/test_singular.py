@@ -77,6 +77,14 @@ def test_build_singular_quality(sol_n3m1):
                                                  rel=1e-15)
 
 
+@pytest.mark.parametrize("n, m, t_max", [(12, 1, 2000.0), (20, 1, 1000.0), (100, 1, None)])
+def test_kernel_bound_window_quality(n, m, t_max):
+    # grids raised so that no interval is wider than KERNEL_WIDTH / |lam_+|;
+    # the geometric count alone leaves residuals of 4.5e-6 to 2.8e-4 here
+    sol = build_singular(n, m, EtaSpaceConfig(t_max=t_max))
+    assert ode_residual(sol.profile, n, m) <= 1e-7
+
+
 def test_lambda_star_construction_independence(sol_n3m1):
     alt = build_singular(3, 1, EtaSpaceConfig(T=60.0, t_max=280.0))
     rel = abs(alt.lambda_star - sol_n3m1.lambda_star) / sol_n3m1.lambda_star

@@ -141,7 +141,7 @@ class BifurcationCurve:
 
 
 class _InnerForce:
-    """exp(G_m(v) - G_m(rho)) evaluated through level differences.
+    """The exponent G_m(v) - G_m(rho) of the inner force, through level differences.
 
     The exponent is the recursion D_0 = min(v - rho, 0), D_j = G_j(rho)
     expm1(D_{j-1}): it subtracts no tower values and stays in [-G_m(rho), 0],
@@ -166,10 +166,6 @@ class _InnerForce:
             d = g * math.expm1(d)
         return d
 
-    def __call__(self, v):
-        expo = self.exponent(v)
-        return math.exp(expo) if expo > -745.0 else 0.0
-
 
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     """Integrate the center problem to the first zero; lambda(rho) = R^2.
@@ -193,8 +189,12 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     v0 = rho - s0 * s0 / (2.0 * n) + quart
     p0 = -s0 / n + 4.0 * quart / s0
 
+    exponent = force.exponent
+
     def rhs_inner(s, y):
-        return [y[1], -(n - 1) / s * y[1] - force(y[0])]
+        # the force exp(G_m(v) - G_m(rho)), flushed to 0 below the double range
+        expo = exponent(y[0])
+        return (y[1], -(n - 1) / s * y[1] - (math.exp(expo) if expo > -745.0 else 0.0))
 
     def ev_zero(s, y):
         return y[0]
@@ -203,7 +203,7 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     # hand over to log variables once the rescaled force is dead; the cap at
     # s = 100 bounds the inner phase for slowly-dying nonlinearities
     def ev_switch(s, y):
-        return force.exponent(y[0]) + 60.0
+        return exponent(y[0]) + 60.0
     ev_switch.terminal = True
     ev_switch.direction = -1.0
 

@@ -35,6 +35,9 @@ EXIT_NUMERIC = 2
 
 # largest rho grid bifurcation trace accepts
 MAX_RHO_POINTS = 10 ** 6
+# dimensions from here on are not exact doubles, and past about 1e308 not
+# doubles at all; the solvers compute with n as a double
+MAX_DIMENSION = 2 ** 53
 
 
 class UsageError(Exception):
@@ -77,6 +80,9 @@ class RunConfig:
                 raise UsageError(f"{name} must be finite")
         if int(self.n) != self.n or self.n < 3:
             raise UsageError("dimension n must be an integer >= 3")
+        if self.n >= MAX_DIMENSION:
+            raise UsageError("dimension n must be below 2**53, the range where a double "
+                             "holds it exactly")
         if int(self.m) != self.m or self.m < 0:
             raise UsageError("tower height m must be an integer >= 0")
         for m in heights:

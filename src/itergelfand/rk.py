@@ -20,10 +20,17 @@ the same method by the same rules on plain floats:
 * the dense output of all steps is kept in one flat array('d') buffer and
   evaluated vectorised.
 
-Results agree with scipy's to rounding; the stage sums are formed in
-another order.  Squares are products, never powers, so an overflowing trial
-step yields an inf or nan error norm and is rejected, as in scipy, instead
-of raising.
+One trial step is straight-line code generated at import from the
+tableau (_step_source): each of the 12 stages after the first is evaluated
+at y + (sum_j a_sj k_j) h, then the B sum gives the new state, the last
+stage is evaluated at the step's end and the E5 and E3 error sums are
+formed.  The stages are locals and every coefficient is a literal written
+with repr.  The three extra stages and the four upper coefficients of the
+dense output are generated the same way (_dense_source).  Every sum adds
+its terms in the tableau's order, left to right; scipy forms them as matrix
+products, so results agree with scipy's to rounding.  Squares are products,
+never powers, so an overflowing trial step yields an inf or nan error norm
+and is rejected, as in scipy, instead of raising.
 """
 
 from __future__ import annotations
@@ -84,6 +91,72 @@ _D = tuple(_nonzero(row) for row in _TABLEAU.D)
 # of the first component and 7 of the second
 _STRIDE = 18
 
+
+def _terms(rows, k):
+    """Source of sum_j a_j k<j> over the rows' nonzero coefficients, in their order."""
+    return " + ".join(f"{a!r} * {k}{j}" for j, a in rows)
+
+
+def _stage(s, c, rows):
+    """Source line that evaluates stage s at t + c h from the stages that rows combine."""
+    return (f"    k0_{s}, k1_{s} = fun(t + {c!r} * h, "
+            f"(y0 + ({_terms(rows, 'k0_')}) * h, y1 + ({_terms(rows, 'k1_')}) * h))")
+
+
+def _step_source():
+    """Source of one trial step, _step(fun, t, h, t_new, y0, y1, k0_0, k1_0, atol, rtol).
+
+    The step of size h goes from (t, y) with first stage k_0 = fun(t, y) to
+    t_new, which the caller has clamped to the end of the interval.  It
+    returns (n0, n1, e5, e3, k0, k1): the new state, the squared norms
+    (sum over components, not halved) of the E5 and E3 error sums scaled by
+    atol + max(|y|, |n|) rtol, and the 13 stages of each component, the
+    last one evaluated at (t_new, n).
+    """
+    stages = range(N_STAGES + 1)
+    return "\n".join([
+        "def _step(fun, t, h, t_new, y0, y1, k0_0, k1_0, atol, rtol):",
+        *(_stage(s, _C[s], _A[s]) for s in range(1, N_STAGES)),
+        *(f"    n{i} = y{i} + h * ({_terms(_B, f'k{i}_')})" for i in (0, 1)),
+        f"    k0_{N_STAGES}, k1_{N_STAGES} = fun(t_new, (n0, n1))",
+        *(f"    sc{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in (0, 1)),
+        *(f"    e{i} = ({_terms(_E5, f'k{i}_')}) / sc{i}" for i in (0, 1)),
+        *(f"    d{i} = ({_terms(_E3, f'k{i}_')}) / sc{i}" for i in (0, 1)),
+        "    return (n0, n1, e0 * e0 + e1 * e1, d0 * d0 + d1 * d1,",
+        *(f"            ({', '.join(f'k{i}_{j}' for j in stages)})," for i in (0, 1)),
+        "            )",
+    ])
+
+
+def _dense_source():
+    """Source of _dense(fun, t, h, y0, y1, n0, n1, k0, k1): the step's interpolant.
+
+    For the step (t, y) -> (t + h, n) with the 13 stages k0, k1 of _step it
+    evaluates the three extra stages and returns the 7 interpolant
+    coefficients of each component.
+    """
+    stages = range(N_STAGES + 1)
+    return "\n".join([
+        "def _dense(fun, t, h, y0, y1, n0, n1, k0, k1):",
+        *(f"    {', '.join(f'k{i}_{j}' for j in stages)} = k{i}" for i in (0, 1)),
+        *(_stage(N_STAGES + 1 + i, _C_EXTRA[i], rows) for i, rows in enumerate(_A_EXTRA)),
+        *(f"    dy{i} = n{i} - y{i}" for i in (0, 1)),
+        "    return (",
+        *(f"        (dy{i}, h * k{i}_0 - dy{i}, 2.0 * dy{i} - h * (k{i}_{N_STAGES} + k{i}_0), "
+          + ", ".join(f"h * ({_terms(rows, f'k{i}_')})" for rows in _D) + ")," for i in (0, 1)),
+        "    )",
+    ])
+
+
+def _compile(source, name):
+    namespace = {}
+    exec(compile(source, f"<DOP853 {name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_step = _compile(_step_source(), "_step")
+_dense = _compile(_dense_source(), "_dense")
+
 MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
             1: "A termination event occurred.",
             -1: "Required step size is less than spacing between numbers."}
@@ -91,7 +164,7 @@ MESSAGES = {0: "The solver successfully reached the end of the integration inter
 
 @dataclass
 class OdeResult:
-    """The fields of scipy's solve_ivp result that the package reads."""
+    """The fields of scipy's solve_ivp result that the package reads, and the step counts."""
 
     t: np.ndarray
     y: np.ndarray
@@ -101,6 +174,8 @@ class OdeResult:
     status: int
     message: str
     nfev: int
+    naccept: int
+    nreject: int
 
 
 class DenseSolution:
@@ -139,15 +214,6 @@ def _norm(a, b):
     return math.sqrt(a * a + b * b) / SQRT2
 
 
-def _combine(rows, k0, k1):
-    """sum_j a_j k_j for each component."""
-    d0 = d1 = 0.0
-    for j, a in rows:
-        d0 += a * k0[j]
-        d1 += a * k1[j]
-    return d0, d1
-
-
 def _initial_step(fun, t0, y0, y1, f0, f1, interval, direction, rtol, atol):
     """scipy's select_initial_step for error estimator order 7."""
     sc0 = atol + abs(y0) * rtol
@@ -167,27 +233,6 @@ def _initial_step(fun, t0, y0, y1, f0, f1, interval, direction, rtol, atol):
     else:
         h1 = (0.01 / max(d1, d2)) ** (-ERROR_EXPONENT)
     return min(100.0 * h0, h1, interval)
-
-
-def _dense_coefficients(fun, t_old, y0, y1, n0, n1, h, k0, k1):
-    """The 7 x 2 interpolant coefficients of the step (t_old, y) -> (t_old + h, n).
-
-    k0, k1 hold the 13 stages of the step; the three extra stages go into
-    k[13..15].  Returns the coefficient lists of the two components.
-    """
-    for i, rows in enumerate(_A_EXTRA):
-        d0, d1 = _combine(rows, k0, k1)
-        s = N_STAGES + 1 + i
-        k0[s], k1[s] = fun(t_old + _C_EXTRA[i] * h, (y0 + d0 * h, y1 + d1 * h))
-    c0, c1 = [], []
-    for c, y, n, k in ((c0, y0, n0, k0), (c1, y1, n1, k1)):
-        dy = n - y
-        c += [dy, h * k[0] - dy, 2.0 * dy - h * (k[N_STAGES] + k[0])]
-    for rows in _D:
-        d0, d1 = _combine(rows, k0, k1)
-        c0.append(h * d0)
-        c1.append(h * d1)
-    return c0, c1
 
 
 def _interpolant(t_old, h, y0, y1, c0, c1):
@@ -219,7 +264,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     `terminal` and may carry a `direction`.  Returns an OdeResult with
     scipy's t, y (shape (2, steps + 1)), t_events, y_events, sol (None unless
     dense_output), status (0 end reached, 1 event, -1 step size underflow),
-    message and nfev.  rtol must lie in [100 eps, inf) and atol in (0, inf).
+    message, nfev, and the counts naccept and nreject of trial steps.  rtol
+    must lie in [100 eps, inf) and atol in (0, inf).
     """
     if not 100.0 * EPS <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")
@@ -237,11 +283,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     direction = 1.0 if t_bound > t else -1.0
     y0, y1 = float(y0[0]), float(y0[1])
 
-    k0 = [0.0] * (N_STAGES + 4)
-    k1 = [0.0] * (N_STAGES + 4)
     f0, f1 = fun(t, (y0, y1))
     h_abs = _initial_step(fun, t, y0, y1, f0, f1, abs(t_bound - t), direction, rtol, atol)
     nfev = 2
+    naccept = nreject = 0
     g = [event(t, (y0, y1)) for event in events]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
@@ -261,25 +306,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            k0[0], k1[0] = f0, f1
-            for s in range(1, N_STAGES):
-                d0, d1 = _combine(_A[s], k0, k1)
-                k0[s], k1[s] = fun(t + _C[s] * h, (y0 + d0 * h, y1 + d1 * h))
-            d0, d1 = _combine(_B, k0, k1)
-            n0, n1 = y0 + h * d0, y1 + h * d1
-            k0[N_STAGES], k1[N_STAGES] = fun(t_new, (n0, n1))
+            n0, n1, e5, e3, k0, k1 = _step(fun, t, h, t_new, y0, y1, f0, f1, atol, rtol)
             nfev += N_STAGES
-            sc0 = atol + max(abs(y0), abs(n0)) * rtol
-            sc1 = atol + max(abs(y1), abs(n1)) * rtol
-            e0, e1 = _combine(_E5, k0, k1)
-            e0, e1 = e0 / sc0, e1 / sc1
-            err5 = e0 * e0 + e1 * e1
-            if err5 == 0.0:
-                err = 0.0
-            else:
-                e0, e1 = _combine(_E3, k0, k1)
-                e0, e1 = e0 / sc0, e1 / sc1
-                err = h_abs * err5 / math.sqrt((err5 + 0.01 * (e0 * e0 + e1 * e1)) * 2.0)
+            err = 0.0 if e5 == 0.0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
             if err < 1.0:
                 factor = MAX_FACTOR
                 if err > 0.0:
@@ -289,8 +318,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
             # inf and nan error norms land here too
             h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
             rejected = True
+            nreject += 1
         if status == -1:
             break
+        naccept += 1
 
         t_old, o0, o1 = t, y0, y1
         t, y0, y1 = t_new, n0, n1
@@ -299,7 +330,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
             status = 0
         coef = None
         if dense_output:
-            coef = _dense_coefficients(fun, t_old, o0, o1, y0, y1, h, k0, k1)
+            coef = _dense(fun, t_old, h, o0, o1, y0, y1, k0, k1)
             nfev += 3
             dense.extend((t_old, h, o0, o1, *coef[0], *coef[1]))
         if events:
@@ -307,7 +338,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
             active = [i for i in range(len(events)) if _crossed(g[i], g_new[i], ev_dir[i])]
             if active:
                 if coef is None:
-                    coef = _dense_coefficients(fun, t_old, o0, o1, y0, y1, h, k0, k1)
+                    coef = _dense(fun, t_old, h, o0, o1, y0, y1, k0, k1)
                     nfev += 3
                 at = _interpolant(t_old, h, o0, o1, *coef)
                 roots = [brent(lambda tt, ev=events[i]: ev(tt, at(tt)), t_old, t)
@@ -332,4 +363,5 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     return OdeResult(t=ts, y=np.array([ys0, ys1]),
                      t_events=[np.array(te) for te in t_events],
                      y_events=[np.array(ye).reshape(-1, 2) for ye in y_events],
-                     sol=sol, status=status, message=MESSAGES[status], nfev=nfev)
+                     sol=sol, status=status, message=MESSAGES[status], nfev=nfev,
+                     naccept=naccept, nreject=nreject)

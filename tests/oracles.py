@@ -9,7 +9,9 @@ one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
 descent runs all the way to its zero instead of being matched to w*, and
 the corrector derivative from its first-order representation instead of
-the Psi sweeps.  g_diff, the tower difference by its level recursion, is
+the Psi sweeps, and the DOP853 trial step and interpolant by loops over the
+tableau rows instead of the straight-line code that itergelfand.rk
+generates from them.  g_diff, the tower difference by its level recursion, is
 checked against plain subtraction.  miyamoto_profile is the characterized
 profile U(r) = F^{-1}(r^2/(2(n-2))) that the tail-integral traces identify
 the constructed solution with.
@@ -21,6 +23,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import itergelfand.branch as br
+import itergelfand.rk as rk
 from itergelfand.corrector import (PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan,
                                    _sweep, phi_m)
 from itergelfand.numerics import panel_nodes, scalar_or_array
@@ -226,3 +229,49 @@ def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13):
         return br.shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=False)
     finally:
         br.MATCH_DEPTH = saved
+
+
+def _combine(rows, k0, k1):
+    """sum_j a_j k_j of both components, accumulated from 0.0 in the rows' order."""
+    d0 = d1 = 0.0
+    for j, a in rows:
+        d0 += a * k0[j]
+        d1 += a * k1[j]
+    return d0, d1
+
+
+def dop853_step(fun, t, h, t_new, y0, y1, f0, f1, atol, rtol):
+    """rk._step by loops over the tableau rows: (n0, n1, e5, e3, k0, k1)."""
+    k0 = [f0] + [0.0] * rk.N_STAGES
+    k1 = [f1] + [0.0] * rk.N_STAGES
+    for s in range(1, rk.N_STAGES):
+        d0, d1 = _combine(rk._A[s], k0, k1)
+        k0[s], k1[s] = fun(t + rk._C[s] * h, (y0 + d0 * h, y1 + d1 * h))
+    d0, d1 = _combine(rk._B, k0, k1)
+    n0, n1 = y0 + h * d0, y1 + h * d1
+    k0[rk.N_STAGES], k1[rk.N_STAGES] = fun(t_new, (n0, n1))
+    sc0 = atol + max(abs(y0), abs(n0)) * rtol
+    sc1 = atol + max(abs(y1), abs(n1)) * rtol
+    e0, e1 = _combine(rk._E5, k0, k1)
+    e0, e1 = e0 / sc0, e1 / sc1
+    d0, d1 = _combine(rk._E3, k0, k1)
+    d0, d1 = d0 / sc0, d1 / sc1
+    return n0, n1, e0 * e0 + e1 * e1, d0 * d0 + d1 * d1, k0, k1
+
+
+def dop853_dense(fun, t, h, y0, y1, n0, n1, k0, k1):
+    """rk._dense by loops over the tableau rows: the 7 coefficients of each component."""
+    k0, k1 = list(k0) + [0.0] * 3, list(k1) + [0.0] * 3
+    for i, rows in enumerate(rk._A_EXTRA):
+        d0, d1 = _combine(rows, k0, k1)
+        s = rk.N_STAGES + 1 + i
+        k0[s], k1[s] = fun(t + rk._C_EXTRA[i] * h, (y0 + d0 * h, y1 + d1 * h))
+    c0, c1 = [], []
+    for c, y, n, k in ((c0, y0, n0, k0), (c1, y1, n1, k1)):
+        dy = n - y
+        c += [dy, h * k[0] - dy, 2.0 * dy - h * (k[rk.N_STAGES] + k[0])]
+    for rows in rk._D:
+        d0, d1 = _combine(rows, k0, k1)
+        c0.append(h * d0)
+        c1.append(h * d1)
+    return c0, c1

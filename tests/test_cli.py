@@ -404,6 +404,11 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--n", "3", "--m", "1", "--T", "1"], "> 1 at m = 1"),
     # |lam_+| t_max past the double range
     (["singular", "construct", "--t-max", "1.7e308"], "quadrature nodes"),
+    # dimensions that no double holds (401 digits) or holds inexactly
+    (["singular", "construct", "--n", "1" + "0" * 400], "below 2**53"),
+    (TRACE[:2] + ["--n", "1" + "0" * 400], "below 2**53"),
+    (["verify", "all", "--n", "1" + "0" * 300], "below 2**53"),
+    (["singular", "construct", "--n", str(2 ** 53)], "below 2**53"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

@@ -2,6 +2,7 @@
 tableau, and brentq for the event roots."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.optimize import brentq
 import itergelfand.branch as br
 import itergelfand.rk as rk
 import itergelfand.singular as sg
+from oracles import dop853_dense, dop853_step
 from itergelfand.rk import solve_ivp
 from itergelfand.singular import assemble_w, integrate_down
 
@@ -35,6 +37,10 @@ def _oscillator(t, y):
     return (y[1], -y[0])
 
 
+def _squared(t, y):
+    return (y[0] * y[0], 0.0)
+
+
 def _oscillator_problem():
     def falling_half(t, y):
         return y[0] - 0.5
@@ -52,7 +58,11 @@ def problems(sol_n3m1):
     with pytest.MonkeyPatch.context() as mp:
         descent = _captured(mp, sg, lambda: integrate_down(prof, 3, 1))
         inner = _captured(mp, br, lambda: br.shoot_regular(3, 1, 2.0))
-    return {"descent": descent, "inner": inner, "oscillator": _oscillator_problem()}
+    # y' = y^2, y(0) = 1 blows up at t = 1: it ends in a step size underflow
+    # after rejecting about half its trials
+    blow_up = (_squared, (0.0, 2.0), [1.0, 0.0], dict(rtol=1e-10, atol=1e-12))
+    return {"descent": descent, "inner": inner, "oscillator": _oscillator_problem(),
+            "blow-up": blow_up}
 
 
 @pytest.mark.parametrize("name", ["descent", "inner", "oscillator"])
@@ -79,6 +89,70 @@ def test_matches_scipy_dop853(problems, name):
     tt = np.linspace(lo, hi, 200)
     scale = float(np.max(np.abs(ref.y)))
     assert np.max(np.abs(ours.sol(tt) - ref.sol(tt))) <= 1e-12 * scale
+
+
+def _bits(out):
+    """The floats of a step's or interpolant's output, flattened, as IEEE bit
+    patterns; every NaN is one key."""
+    flat = []
+    for v in out:
+        flat.extend(v if isinstance(v, (tuple, list)) else (v,))
+    return [None if x != x else struct.pack("<d", x) for x in flat]
+
+
+@pytest.mark.parametrize("name", ["descent", "inner", "oscillator", "blow-up"])
+def test_generated_step_is_the_coefficient_loops(problems, name, monkeypatch):
+    # every trial step of the solve, accepted or rejected, and every
+    # interpolant, recomputed by loops over the tableau rows: bit for bit
+    calls = {"_step": [], "_dense": []}
+    for attr, seen in calls.items():
+        def record(*args, real=getattr(rk, attr), seen=seen):
+            out = real(*args)
+            seen.append((args, out))
+            return out
+        monkeypatch.setattr(rk, attr, record)
+    fun, t_span, y0, kwargs = problems[name]
+    sol = solve_ivp(fun, t_span, y0, **dict(kwargs, dense_output=True))
+    assert len(calls["_step"]) == sol.naccept + sol.nreject
+    assert len(calls["_dense"]) == sol.naccept
+    if name == "blow-up":
+        assert sol.nreject > 100
+    for args, out in calls["_step"]:
+        assert _bits(out) == _bits(dop853_step(*args))
+    for args, out in calls["_dense"]:
+        assert _bits(out) == _bits(dop853_dense(*args))
+
+
+def test_overflowing_trial_step_is_the_coefficient_loops():
+    # y' = y^2 from y = 1e150 with h = 1: the second stage overflows to inf,
+    # and the error norm is not finite, so the solver would reject the trial
+    args = (_squared, 0.0, 1.0, 1.0, 1e150, 1.0, *_squared(0.0, (1e150, 1.0)), 1e-12, 1e-10)
+    out = rk._step(*args)
+    assert math.isinf(out[4][1]) and not math.isfinite(out[2])
+    assert _bits(out) == _bits(dop853_step(*args))
+
+
+def test_last_stage_is_at_the_given_end():
+    # the loop clamps t_new to the end of the interval; t + h can round past it
+    times = []
+
+    def fun(t, y):
+        times.append(t)
+        return (y[1], -y[0])
+
+    rk._step(fun, 0.1, 0.2, 0.3, 1.0, 0.0, 0.0, -1.0, 1e-12, 1e-10)
+    assert 0.1 + 0.2 != 0.3
+    assert times[-1] == 0.3 and len(times) == rk.N_STAGES
+
+
+def test_counts_trial_steps(problems):
+    # without events or dense output every trial costs N_STAGES evaluations
+    # past the two of the initial step rule, and every accepted step is kept
+    fun, t_span, y0, kwargs = problems["blow-up"]
+    sol = solve_ivp(fun, t_span, y0, **kwargs)
+    assert sol.nreject > 0
+    assert sol.nfev == 2 + rk.N_STAGES * (sol.naccept + sol.nreject)
+    assert sol.naccept == len(sol.t) - 1
 
 
 def test_tableau_is_scipy_dop853():
@@ -144,8 +218,7 @@ def test_blow_up_fails_without_warning():
     # y' = y^2, y(0) = 1 blows up at t = 1: the step size underflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_ivp(lambda t, y: (y[0] * y[0], 0.0), (0.0, 2.0), [1.0, 0.0],
-                        rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(_squared, (0.0, 2.0), [1.0, 0.0], rtol=1e-10, atol=1e-12)
     assert sol.status == -1
     assert "step size" in sol.message
     assert sol.t[-1] == pytest.approx(1.0, abs=1e-6)

@@ -51,6 +51,9 @@ TAU_STEP = 0.02
 MATCH_DEPTH = 40.0
 # larger deviations from w* at t_match are not taken as linear perturbations
 MATCH_TOL_CAP = 1e-8
+# the inner phase hands over to log variables where the rescaled force
+# exp(G_m(v) - G_m(rho)) has fallen to exp(HANDOFF_EXPONENT)
+HANDOFF_EXPONENT = -60.0
 # (n, m) -> lambda* of the default build_singular(n, m), or None when it fails
 _LAMBDA_STAR = {}
 
@@ -145,7 +148,7 @@ class _InnerForce:
 
     The exponent is the recursion D_0 = min(v - rho, 0), D_j = G_j(rho)
     expm1(D_{j-1}): it subtracts no tower values and stays in [-G_m(rho), 0],
-    so it serves any rho whose G_m(rho) is a double.
+    so it serves any rho whose G_m(rho) is a double.  level inverts it.
     """
 
     def __init__(self, m, rho):
@@ -165,6 +168,24 @@ class _InnerForce:
         for g in self.levels:
             d = g * math.expm1(d)
         return d
+
+    def level(self, expo):
+        """The v in (0, rho) where the exponent falls to expo < 0, or 0.0 if there is none.
+
+        Runs the recursion backwards, D_m = expo, D_{j-1} = log1p(D_j /
+        G_j(rho)), to v = rho + D_0.  The exponent never reaches expo when a
+        log1p argument is <= -1, and only past the zero of v when v <= 0;
+        v decreases strictly on the inner solution ((s^{n-1} v')' < 0), so
+        in both cases the zero comes first and the level is 0.0.
+        """
+        d = expo
+        for g in reversed(self.levels):
+            x = d / g
+            if x <= -1.0:
+                return 0.0
+            d = math.log1p(x)
+        v = self.rho + d
+        return v if v > 0.0 else 0.0
 
 
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
@@ -196,32 +217,19 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         expo = exponent(y[0])
         return (y[1], -(n - 1) / s * y[1] - (math.exp(expo) if expo > -745.0 else 0.0))
 
-    def ev_zero(s, y):
-        return y[0]
-    ev_zero.terminal = True
-
-    # hand over to log variables once the rescaled force is dead; the cap at
-    # s = 100 bounds the inner phase for slowly-dying nonlinearities
-    def ev_switch(s, y):
-        return exponent(y[0]) + 60.0
-    ev_switch.terminal = True
-    ev_switch.direction = -1.0
-
+    # stop at the zero of v or, when the force dies first, at the handoff
+    # level; the cap at s = 100 bounds the inner phase for slowly-dying
+    # nonlinearities
+    level = force.level(HANDOFF_EXPONENT)
     sol_a = solve_ivp(rhs_inner, (s0, 100.0), [v0, p0], rtol=rtol,
-                      atol=atol, dense_output=keep_profile,
-                      events=[ev_zero, ev_switch])
-    if len(sol_a.t_events[0]):
-        s_zero = float(sol_a.t_events[0][0])
-        ln_R = math.log(s_zero) - 0.5 * L
-        return _finish(n, m, rho, ln_R, sol_a, [], L, keep_profile)
+                      atol=atol, dense_output=keep_profile, stop_at=level)
     if sol_a.status < 0:
-        raise ShootError(f"the inner phase at rho = {rho} failed: {sol_a.message}")
-    if len(sol_a.t_events[1]):
-        s1 = float(sol_a.t_events[1][0])
-        v1, p1 = (float(v) for v in sol_a.y_events[1][0])
-    else:
-        s1 = float(sol_a.t[-1])
-        v1, p1 = float(sol_a.y[0, -1]), float(sol_a.y[1, -1])
+        raise ShootError(f"the inner phase of n = {n}, m = {m} at rho = {rho} failed: "
+                         f"{sol_a.message}")
+    s1 = float(sol_a.t[-1])
+    if sol_a.status == 1 and level == 0.0:
+        return _finish(n, m, rho, math.log(s1) - 0.5 * L, sol_a, [], L, keep_profile)
+    v1, p1 = float(sol_a.y[0, -1]), float(sol_a.y[1, -1])
 
     t1, y1 = 0.5 * L - math.log(s1), (v1, -s1 * p1)
     if t1 > T1_BUDGET:

@@ -12,11 +12,12 @@ the same method by the same rules on plain floats:
   scipy.optimize behind it) is never imported;
 * scipy's initial-step rule, error norm and step-size controller are
   reproduced (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.5);
-* every event is terminal: a sign change of an event function over a step
-  (in its `direction`, if set) is located on the interpolant of that step
-  by `brent` (itergelfand.numerics), the algorithm of scipy's brentq in
-  plain floats, with xtol = rtol = BRENT_TOL = 4 eps, and the earliest
-  one ends the integration;
+* instead of scipy's event functions there is one stop level: the first
+  step over which the first component reaches it, rising or falling, is
+  cut at the crossing, which `brent` (itergelfand.numerics), the algorithm
+  of scipy's brentq in plain floats, locates on the interpolant of that
+  step with xtol = rtol = BRENT_TOL = 4 eps (Hairer, Norsett and Wanner,
+  II.6);
 * the dense output of all steps is kept in one flat array('d') buffer and
   evaluated vectorised.
 
@@ -158,6 +159,7 @@ _step = _compile(_step_source(), "_step")
 _dense = _compile(_dense_source(), "_dense")
 
 MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+            # scipy's words; here the stop level was crossed
             1: "A termination event occurred.",
             -1: "Required step size is less than spacing between numbers."}
 
@@ -168,8 +170,6 @@ class OdeResult:
 
     t: np.ndarray
     y: np.ndarray
-    t_events: list
-    y_events: list
     sol: DenseSolution | None
     status: int
     message: str
@@ -214,7 +214,7 @@ def _norm(a, b):
     return math.sqrt(a * a + b * b) / SQRT2
 
 
-def _initial_step(fun, t0, y0, y1, f0, f1, interval, direction, rtol, atol):
+def _initial_step(fun, t0, y0, y1, f0, f1, interval, sign, rtol, atol):
     """scipy's select_initial_step for error estimator order 7."""
     sc0 = atol + abs(y0) * rtol
     sc1 = atol + abs(y1) * rtol
@@ -226,7 +226,7 @@ def _initial_step(fun, t0, y0, y1, f0, f1, interval, direction, rtol, atol):
         # the scaled derivative overflowed d1; scipy's 0/0 for d2 then gives
         # h1 = 0, and the solve starts from the minimum step
         return 0.0
-    g0, g1 = fun(t0 + h0 * direction, (y0 + h0 * direction * f0, y1 + h0 * direction * f1))
+    g0, g1 = fun(t0 + h0 * sign, (y0 + h0 * sign * f0, y1 + h0 * sign * f1))
     d2 = _norm((g0 - f0) / sc0, (g1 - f1) / sc1) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -250,22 +250,16 @@ def _interpolant(t_old, h, y0, y1, c0, c1):
     return at
 
 
-def _crossed(g, g_new, direction):
-    up = g <= 0.0 <= g_new
-    down = g >= 0.0 >= g_new
-    return up if direction > 0 else down if direction < 0 else up or down
-
-
-def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
+def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     """Integrate y' = fun(t, y) for a two-component y over t_span with DOP853.
 
-    fun(t, (y0, y1)) returns the pair of derivatives.  events is a callable
-    or a sequence of callables event(t, (y0, y1)); each must be marked
-    `terminal` and may carry a `direction`.  Returns an OdeResult with
-    scipy's t, y (shape (2, steps + 1)), t_events, y_events, sol (None unless
-    dense_output), status (0 end reached, 1 event, -1 step size underflow),
-    message, nfev, and the counts naccept and nreject of trial steps.  rtol
-    must lie in [100 eps, inf) and atol in (0, inf).
+    fun(t, (y0, y1)) returns the pair of derivatives.  With stop_at set, the
+    solve ends at the first time the first component y0 crosses that level,
+    in either sense; the crossing is the last entry of t and y.  Returns an
+    OdeResult with scipy's t, y (shape (2, steps + 1)), sol (None unless
+    dense_output), status (0 end reached, 1 stop level crossed, -1 step size
+    underflow), message, nfev, and the counts naccept and nreject of trial
+    steps.  rtol must lie in [100 eps, inf) and atol in (0, inf).
     """
     if not 100.0 * EPS <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")
@@ -274,35 +268,28 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t) and math.isfinite(t_bound)) or t == t_bound:
         raise ValueError(f"t_span must be two distinct finite times, got {t_span}")
-    if callable(events):
-        events = (events,)
-    for event in events:
-        if getattr(event, "terminal", False) != 1:
-            raise ValueError("every event must be terminal (terminal = True)")
-    ev_dir = [getattr(event, "direction", 0.0) for event in events]
-    direction = 1.0 if t_bound > t else -1.0
+    sign = 1.0 if t_bound > t else -1.0
     y0, y1 = float(y0[0]), float(y0[1])
 
     f0, f1 = fun(t, (y0, y1))
-    h_abs = _initial_step(fun, t, y0, y1, f0, f1, abs(t_bound - t), direction, rtol, atol)
+    h_abs = _initial_step(fun, t, y0, y1, f0, f1, abs(t_bound - t), sign, rtol, atol)
     nfev = 2
     naccept = nreject = 0
-    g = [event(t, (y0, y1)) for event in events]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
+    if stop_at is not None:
+        g = y0 - stop_at
     ts, ys0, ys1 = array("d", [t]), array("d", [y0]), array("d", [y1])
     dense = array("d")
     status = None
     while status is None:
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        min_step = 10.0 * abs(math.nextafter(t, sign * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
                 status = -1
                 break
-            t_new = t + h_abs * direction
-            if direction * (t_new - t_bound) > 0.0:
+            t_new = t + h_abs * sign
+            if sign * (t_new - t_bound) > 0.0:
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
@@ -326,32 +313,26 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
         t_old, o0, o1 = t, y0, y1
         t, y0, y1 = t_new, n0, n1
         f0, f1 = k0[N_STAGES], k1[N_STAGES]
-        if direction * (t - t_bound) >= 0.0:
+        if sign * (t - t_bound) >= 0.0:
             status = 0
         coef = None
         if dense_output:
             coef = _dense(fun, t_old, h, o0, o1, y0, y1, k0, k1)
             nfev += 3
             dense.extend((t_old, h, o0, o1, *coef[0], *coef[1]))
-        if events:
-            g_new = [event(t, (y0, y1)) for event in events]
-            active = [i for i in range(len(events)) if _crossed(g[i], g_new[i], ev_dir[i])]
-            if active:
+        if stop_at is not None:
+            g_new = y0 - stop_at
+            if g <= 0.0 <= g_new or g >= 0.0 >= g_new:
                 if coef is None:
                     coef = _dense(fun, t_old, h, o0, o1, y0, y1, k0, k1)
                     nfev += 3
                 at = _interpolant(t_old, h, o0, o1, *coef)
-                roots = [brent(lambda tt, ev=events[i]: ev(tt, at(tt)), t_old, t)
-                         for i in active]
-                first = min(range(len(active)), key=lambda i: direction * roots[i])
-                t = roots[first]
+                t = brent(lambda tt: at(tt)[0] - stop_at, t_old, t)
                 y0, y1 = at(t)
-                t_events[active[first]].append(t)
-                y_events[active[first]].append((y0, y1))
                 status = 1
             g = g_new
         if dense_output and len(ts) > 1 and ts[-1] == t:
-            # an event at the start of the step: drop its interpolant
+            # a crossing at the start of the step: drop its interpolant
             del dense[-_STRIDE:]
         else:
             ts.append(t)
@@ -360,8 +341,5 @@ def solve_ivp(fun, t_span, y0, rtol, atol, events=(), dense_output=False):
 
     ts = np.array(ts)
     sol = DenseSolution(ts, np.frombuffer(dense)) if dense_output else None
-    return OdeResult(t=ts, y=np.array([ys0, ys1]),
-                     t_events=[np.array(te) for te in t_events],
-                     y_events=[np.array(ye).reshape(-1, 2) for ye in y_events],
-                     sol=sol, status=status, message=MESSAGES[status], nfev=nfev,
+    return OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=MESSAGES[status], nfev=nfev,
                      naccept=naccept, nreject=nreject)

@@ -6,10 +6,10 @@ The profile equation in log variables is
 
 with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
-a DOP853 descent with the package's own solve_ivp (itergelfand.rk) locates
-the crossing as a terminal event.  The same descent finishes every regular
-branch shot (branch.shoot_regular), and singular_state gives the (w*, w*_t)
-that a deep shot is matched against.
+a DOP853 descent with the package's own solve_ivp (itergelfand.rk), told to
+stop where w crosses 0, locates the crossing.  The same descent finishes
+every regular branch shot (branch.shoot_regular), and singular_state gives
+the (w*, w*_t) that a deep shot is matched against.
 """
 
 from __future__ import annotations
@@ -92,11 +92,12 @@ def assemble_w(n, m, eta_sol):
 def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at_floor=False):
     """Integrate the profile equation from (t, w, w_t) down to the first zero of w.
 
-    One DOP853 pass towards t_floor with a terminal zero event, which the
-    package's solve_ivp (itergelfand.rk) locates by Brent's method on the
-    interpolant of the step that contains it.  Returns (t_zero, sol); sol.sol
-    is the dense output only when dense_output is set.  integrate_down and
-    the log-variable phase of branch.shoot_regular both run through it.
+    One DOP853 pass towards t_floor that stops where w crosses 0: the
+    package's solve_ivp (itergelfand.rk) locates the crossing by Brent's
+    method on the interpolant of the step that contains it, and ends its t
+    there.  Returns (t_zero, sol); sol.sol is the dense output only when
+    dense_output is set.  integrate_down and the log-variable phase of
+    branch.shoot_regular both run through it.
 
     A trial step whose force exp(G_m(w) - 2t) leaves the double range gets
     an infinite force, which solve_ivp rejects as it does any step with an
@@ -116,10 +117,6 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
             f = math.inf
         return [y[1], c * y[1] - f]
 
-    def crossing(tt, y):
-        return y[0]
-    crossing.terminal = True
-
     def out_of_range(tt, ww):
         return rhs(tt, (ww, 0.0))[1] == -math.inf
 
@@ -127,8 +124,8 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
         raise DescentError(f"the descent from t = {t:.6g} left the double range: "
                            f"exp(G_m(w) - 2t) overflows at its start, w = {w:.6g}")
     sol = solve_ivp(rhs, (t, t_floor), [w, w_t], rtol=rtol, atol=atol,
-                    dense_output=dense_output, events=crossing)
-    if len(sol.t_events[0]) == 0:
+                    dense_output=dense_output, stop_at=0.0)
+    if sol.status != 1:
         if stop_at_floor and sol.status == 0:
             return None, sol
         t_end, w_end = float(sol.t[-1]), float(sol.y[0, -1])
@@ -138,7 +135,7 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
                                f"w = {w_end:.6g}")
         raise DescentError(f"no zero of w above t = {t_floor} on the descent "
                            f"from t = {t:.6g} ({sol.message})")
-    return float(sol.t_events[0][0]), sol
+    return float(sol.t[-1]), sol
 
 
 def singular_state(n, m, t):

@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import itergelfand.branch as br
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
 from itergelfand.singular import DescentError, descend, ode_residual
-from itergelfand.towers import g_tower
+from itergelfand.towers import g_tower, h_tower
 from oracles import full_descent_shot, g_diff, sampled_branch
 
 
@@ -62,6 +64,49 @@ def test_inner_exponent_is_the_level_difference(m, rho):
     for delta in np.geomspace(1e-12, rho + 1.0, 30):
         v = rho - float(delta)
         assert force.exponent(v) == pytest.approx(g_diff(m, rho, v - rho), rel=1e-13, abs=0.0)
+
+
+# rho at which G_m(rho) = 2 T1_BUDGET: shots above it start their descent past the budget
+_RHO_SHOT_MAX = {m: h_tower(m, 2.0 * br.T1_BUDGET) for m in range(4)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(min_value=0, max_value=3),
+       u=st.floats(min_value=1e-6, max_value=1.0))
+def test_handoff_level_inverts_the_exponent_property(m, u):
+    # the level where the inner force falls to exp(HANDOFF_EXPONENT) has that
+    # exponent to the rounding of v (eps rho, times the exponent's slope there)
+    # and of the recursion itself; where it is 0.0 the exponent at v = 0 is
+    # still above HANDOFF_EXPONENT, so the zero of v comes first
+    rho = u * _RHO_SHOT_MAX[m]
+    force = br._InnerForce(m, rho)
+    expo = br.HANDOFF_EXPONENT
+    v = force.level(expo)
+    if v == 0.0:
+        assert force.exponent(0.0) > expo
+        return
+    assert 0.0 < v < rho
+    d, slope = v - rho, 1.0
+    for g in force.levels:
+        slope *= g * math.exp(d)
+        d = g * math.expm1(d)
+    eps = np.finfo(float).eps
+    assert abs(force.exponent(v) - expo) <= 4.0 * eps * (abs(expo) + rho * slope)
+
+
+@pytest.mark.parametrize("m, rho, reachable", [(0, 1.0, False), (0, 61.0, True),
+                                               (1, 0.1, False), (1, 4.2, True),
+                                               (2, 0.5, False), (2, 1.5, True),
+                                               (3, 0.1, False), (3, 0.5, True)])
+def test_handoff_level_decides_the_phase_of_the_zero(m, rho, reachable):
+    # G_m(rho) < 60 at the small rho, so the force never falls to the handoff
+    # level: the level is 0.0 and the shot stops at its zero in the inner
+    # phase; at the larger rho the inner phase ends short of the zero and the
+    # shot descends in log variables
+    level = br._InnerForce(m, rho).level(br.HANDOFF_EXPONENT)
+    point = shoot_regular(3, m, rho)
+    assert (level > 0.0) == reachable
+    assert (point.descent != []) == reachable
 
 
 def test_shoot_refinement():
@@ -226,11 +271,10 @@ def test_failed_inner_phase_is_shoot_error(monkeypatch):
 
     def failing(*args, **kwargs):
         sol = real(*args, **kwargs)
-        return replace(sol, status=-1, message="step size underflow",
-                       t_events=[np.empty(0) for _ in sol.t_events])
+        return replace(sol, status=-1, message="step size underflow")
 
     monkeypatch.setattr(br, "solve_ivp", failing)
-    with pytest.raises(ShootError, match="step size underflow"):
+    with pytest.raises(ShootError, match="n = 3, m = 1 at rho = 2.0 failed: step size underflow"):
         shoot_regular(3, 1, 2.0)
 
 

@@ -324,6 +324,15 @@ def test_negative_handoff_is_numeric_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_failed_inner_phase_names_the_dimension(tmp_path, capsys):
+    # at n = 2**53 - 1 the step size of the first shot's inner phase underflows
+    code = run_cli(["bifurcation", "trace", "--n", "9007199254740991", "--outdir", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and "n = 9007199254740991, m = 1" in err
+    assert "Traceback" not in err
+
+
 def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True, extra=""):
     """A hand-written `singular construct` output directory; extra adds [config] lines."""
     ref.mkdir()

@@ -1,5 +1,5 @@
 """itergelfand.rk against scipy as the oracle: solve_ivp(method="DOP853"), its
-tableau, and brentq for the event roots."""
+tableau, and brentq for the stop-level crossings."""
 
 import math
 import struct
@@ -42,13 +42,8 @@ def _squared(t, y):
 
 
 def _oscillator_problem():
-    def falling_half(t, y):
-        return y[0] - 0.5
-    falling_half.terminal = True
-    falling_half.direction = -1.0
-    # y0 = sin t: it rises through 1/2 at pi/6 and falls through it at 5 pi/6
-    return _oscillator, (0.0, 20.0), [0.0, 1.0], dict(rtol=1e-11, atol=1e-13,
-                                                      events=[falling_half])
+    # y0 = sin t: it rises through 1/2 at pi/6
+    return _oscillator, (0.0, 20.0), [0.0, 1.0], dict(rtol=1e-11, atol=1e-13, stop_at=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -67,23 +62,26 @@ def problems(sol_n3m1):
 
 @pytest.mark.parametrize("name", ["descent", "inner", "oscillator"])
 def test_matches_scipy_dop853(problems, name):
+    # scipy is given the stop level as a terminal event in either direction
     fun, t_span, y0, kwargs = problems[name]
     kwargs = dict(kwargs, dense_output=True)
-    ours = solve_ivp(fun, t_span, y0, **kwargs)
-    ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", **kwargs)
+    level = kwargs.pop("stop_at")
+
+    def crossing(t, y):
+        return y[0] - level
+    crossing.terminal = True
+
+    ours = solve_ivp(fun, t_span, y0, stop_at=level, **kwargs)
+    ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", events=crossing, **kwargs)
 
     assert ours.status == ref.status == 1
     assert ours.message == ref.message
-    assert len(ours.t_events) == len(ref.t_events)
-    for te, te_ref in zip(ours.t_events, ref.t_events):
-        assert len(te) == len(te_ref)
-        for a, b in zip(te, te_ref):
-            assert abs(a - b) <= 1e-13 * abs(b)
+    # the event fired once, and both solves end at it
+    assert ref.t[-1] == ref.t_events[0][0]
+    assert abs(ours.t[-1] - ref.t[-1]) <= 1e-13 * abs(ref.t[-1])
     assert abs(len(ours.t) - len(ref.t)) <= 0.01 * len(ref.t)
     assert abs(ours.nfev - ref.nfev) <= 0.01 * ref.nfev
     assert ours.y.shape == (2, len(ours.t))
-    # one terminal event fired, and the solve ends at it
-    assert [te[0] for te in ours.t_events if len(te)] == [ours.t[-1]]
 
     lo, hi = sorted((ref.t[0], ref.t[-1]))
     tt = np.linspace(lo, hi, 200)
@@ -146,7 +144,7 @@ def test_last_stage_is_at_the_given_end():
 
 
 def test_counts_trial_steps(problems):
-    # without events or dense output every trial costs N_STAGES evaluations
+    # without a stop level or dense output every trial costs N_STAGES evaluations
     # past the two of the initial step rule, and every accepted step is kept
     fun, t_span, y0, kwargs = problems["blow-up"]
     sol = solve_ivp(fun, t_span, y0, **kwargs)
@@ -172,8 +170,8 @@ def test_tableau_is_scipy_dop853():
 
 @pytest.mark.parametrize("name", ["descent", "inner", "oscillator"])
 def test_brent_matches_brentq(problems, name, monkeypatch):
-    # every event root of the solve, located again by scipy's brentq on the
-    # same interpolant and bracket
+    # every stop-level crossing of the solve, located again by scipy's brentq
+    # on the same interpolant and bracket
     pairs = []
     brent = rk.brent
 
@@ -195,12 +193,17 @@ def test_brent_refuses_a_bracket_without_sign_change():
         rk.brent(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_direction_ignores_rising_crossings():
-    fun, t_span, y0, kwargs = _oscillator_problem()
-    sol = solve_ivp(fun, t_span, y0, **kwargs)
-    assert sol.status == 1
-    assert sol.t_events[0][0] == pytest.approx(5.0 * math.pi / 6.0, rel=1e-10)
-    assert sol.y_events[0][0] == pytest.approx([0.5, -math.sqrt(3.0) / 2.0], abs=1e-10)
+def test_stop_level_ends_at_first_crossing():
+    # sin t rises through 1/2 at pi/6, cos t falls through it at pi/3; both
+    # would cross it again before t = 20
+    root3 = math.sqrt(3.0)
+    for y0, t_cross, y_cross in [([0.0, 1.0], math.pi / 6.0, [0.5, root3 / 2.0]),
+                                 ([1.0, 0.0], math.pi / 3.0, [0.5, -root3 / 2.0])]:
+        sol = solve_ivp(_oscillator, (0.0, 20.0), y0, rtol=1e-11, atol=1e-13, stop_at=0.5)
+        assert sol.status == 1
+        assert sol.t[-1] == pytest.approx(t_cross, rel=1e-10)
+        assert sol.y[:, -1] == pytest.approx(y_cross, abs=1e-10)
+        assert np.all(sol.t[:-1] < sol.t[-1])
 
 
 def test_without_events_reaches_the_end():
@@ -230,13 +233,6 @@ def test_blow_up_fails_without_warning():
 def test_rejects_bad_tolerances(rtol, atol):
     with pytest.raises(ValueError):
         solve_ivp(_oscillator, (0.0, 1.0), [1.0, 0.0], rtol=rtol, atol=atol)
-
-
-def test_rejects_non_terminal_event():
-    def ev(t, y):
-        return y[0]
-    with pytest.raises(ValueError, match="terminal"):
-        solve_ivp(_oscillator, (0.0, 1.0), [1.0, 0.0], rtol=1e-10, atol=1e-12, events=ev)
 
 
 def test_overflowing_initial_trial_step_starts_from_the_minimum_step():

@@ -6,10 +6,10 @@ A regular profile with center value rho solves
 
 and lambda(rho) = R^2 with R its first zero.  Shooting always starts in the
 rescaled inner variables s = r exp(G_m(rho)/2), where the nonlinearity is
-exp(G_m(v) - G_m(rho)) and the center layer has unit scale; once the
-rescaled force has died (or s has grown past a fixed cap) the descent
-continues in log variables (t, w) where the remaining range is
-logarithmically compressed.
+exp(G_m(v) - G_m(rho)) and the center layer has unit scale.  The inner
+phase ends at its zero or at s = 100; from there the descent continues in
+log variables (t, w) where the remaining range is logarithmically
+compressed.
 
 A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
 picture: the rescaled inner solution glued onto u*) first descends only
@@ -51,9 +51,6 @@ TAU_STEP = 0.02
 MATCH_DEPTH = 40.0
 # larger deviations from w* at t_match are not taken as linear perturbations
 MATCH_TOL_CAP = 1e-8
-# the inner phase hands over to log variables where the rescaled force
-# exp(G_m(v) - G_m(rho)) has fallen to exp(HANDOFF_EXPONENT)
-HANDOFF_EXPONENT = -60.0
 # (n, m) -> lambda* of the default build_singular(n, m), or None when it fails
 _LAMBDA_STAR = {}
 
@@ -143,49 +140,29 @@ class BifurcationCurve:
         return np.array([p.lam for p in self.points])
 
 
-class _InnerForce:
-    """The exponent G_m(v) - G_m(rho) of the inner force, through level differences.
+def _inner_acceleration(n, m, rho):
+    """(G_0(rho), ..., G_m(rho)) and the inner phase's acceleration v'' = a(s, v, v').
 
-    The exponent is the recursion D_0 = min(v - rho, 0), D_j = G_j(rho)
-    expm1(D_{j-1}): it subtracts no tower values and stays in [-G_m(rho), 0],
-    so it serves any rho whose G_m(rho) is a double.  level inverts it.
+    a = -(n-1)/s v' - exp(G_m(v) - G_m(rho)), the force flushed to 0 below
+    the double range.  a forms the exponent itself, by the level-difference
+    recursion D_0 = min(v - rho, 0), D_j = G_j(rho) expm1(D_{j-1}): it
+    subtracts no tower values and stays in [-G_m(rho), 0], so it serves any
+    rho whose G_m(rho) is a double.
     """
+    try:
+        chain = tuple(g_tower(j, rho) for j in range(m + 1))
+    except TowerOverflowError as exc:
+        raise ShootError(f"G_m(rho) not representable at rho = {rho}") from exc
+    # chain[0] is rho as a Python float, cheaper per call than a numpy scalar
+    rho, levels, damping = chain[0], chain[1:], float(-(n - 1))
 
-    def __init__(self, m, rho):
-        self.rho = rho
-        try:
-            chain = [g_tower(j, rho) for j in range(m + 1)]   # G_0..G_m
-        except TowerOverflowError as exc:
-            raise ShootError(f"G_m(rho) not representable at rho = {rho}") from exc
-        self.L = chain[-1]
-        self.levels = chain[1:]
-        # ln G'_m(rho) = G_0(rho) + ... + G_{m-1}(rho)
-        self.ln_grad = sum(chain[:-1])
-
-    def exponent(self, v):
-        """G_m(v) - G_m(rho); v <= rho on the solution."""
-        d = v - self.rho if v < self.rho else 0.0
-        for g in self.levels:
+    def accel(s, v, p):
+        d = v - rho if v < rho else 0.0
+        for g in levels:
             d = g * math.expm1(d)
-        return d
+        return damping / s * p - (math.exp(d) if d > -745.0 else 0.0)
 
-    def level(self, expo):
-        """The v in (0, rho) where the exponent falls to expo < 0, or 0.0 if there is none.
-
-        Runs the recursion backwards, D_m = expo, D_{j-1} = log1p(D_j /
-        G_j(rho)), to v = rho + D_0.  The exponent never reaches expo when a
-        log1p argument is <= -1, and only past the zero of v when v <= 0;
-        v decreases strictly on the inner solution ((s^{n-1} v')' < 0), so
-        in both cases the zero comes first and the level is 0.0.
-        """
-        d = expo
-        for g in reversed(self.levels):
-            x = d / g
-            if x <= -1.0:
-                return 0.0
-            d = math.log1p(x)
-        v = self.rho + d
-        return v if v > 0.0 else 0.0
+    return chain, accel
 
 
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
@@ -198,36 +175,29 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         raise ValueError("dimension must be >= 3")
     if rho <= 0:
         raise ValueError("rho must be positive")
-    force = _InnerForce(m, rho)
-    L = force.L
+    chain, accel = _inner_acceleration(n, m, rho)
+    L = chain[-1]
+    # ln G'_m(rho) = G_0(rho) + ... + G_{m-1}(rho)
+    ln_grad = sum(chain[:-1])
 
     # series start: v = rho - s^2/(2n) + G'_m(rho) s^4/(8n(n+2)); keep s0 well
     # inside the series radius ~ 1/sqrt(G'_m(rho))
-    ln_s0 = math.log(1e-4) - 0.5 * max(0.0, force.ln_grad - math.log(2.0 * n))
+    ln_s0 = math.log(1e-4) - 0.5 * max(0.0, ln_grad - math.log(2.0 * n))
     s0 = math.exp(ln_s0)
     # ln G'_m + 4 ln_s0 <= ln(2n) - 36.8 < 0 by the choice of s0
-    quart = math.exp(force.ln_grad + 4.0 * ln_s0) / (8.0 * n * (n + 2))
+    quart = math.exp(ln_grad + 4.0 * ln_s0) / (8.0 * n * (n + 2))
     v0 = rho - s0 * s0 / (2.0 * n) + quart
     p0 = -s0 / n + 4.0 * quart / s0
 
-    exponent = force.exponent
-
-    def rhs_inner(s, y):
-        # the force exp(G_m(v) - G_m(rho)), flushed to 0 below the double range
-        expo = exponent(y[0])
-        return (y[1], -(n - 1) / s * y[1] - (math.exp(expo) if expo > -745.0 else 0.0))
-
-    # stop at the zero of v or, when the force dies first, at the handoff
-    # level; the cap at s = 100 bounds the inner phase for slowly-dying
-    # nonlinearities
-    level = force.level(HANDOFF_EXPONENT)
-    sol_a = solve_ivp(rhs_inner, (s0, 100.0), [v0, p0], rtol=rtol,
-                      atol=atol, dense_output=keep_profile, stop_at=level)
+    # stop at the zero of v; the cap at s = 100 bounds the inner phase for
+    # slowly-dying nonlinearities
+    sol_a = solve_ivp(accel, (s0, 100.0), [v0, p0], rtol=rtol,
+                      atol=atol, dense_output=keep_profile, stop_at=0.0)
     if sol_a.status < 0:
         raise ShootError(f"the inner phase of n = {n}, m = {m} at rho = {rho} failed: "
                          f"{sol_a.message}")
     s1 = float(sol_a.t[-1])
-    if sol_a.status == 1 and level == 0.0:
+    if sol_a.status == 1:
         return _finish(n, m, rho, math.log(s1) - 0.5 * L, sol_a, [], L, keep_profile)
     v1, p1 = float(sol_a.y[0, -1]), float(sol_a.y[1, -1])
 

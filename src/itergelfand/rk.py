@@ -1,10 +1,11 @@
-"""DOP853 on a two-component state held in Python floats.
+"""DOP853 on a second-order problem y'' = a(t, y, y') held in Python floats.
 
-Every ODE the package integrates has two components: the log-variable
-descent of singular.descend and the inner phase of branch.shoot_regular.
-On such small systems scipy.integrate.solve_ivp spends most of its time in
-numpy calls on 2-vectors, not in the right-hand side.  solve_ivp below runs
-the same method by the same rules on plain floats:
+Every ODE the package integrates is of this form: the log-variable descent
+of singular.descend and the inner phase of branch.shoot_regular.  On such
+small systems scipy.integrate.solve_ivp spends most of its time in numpy
+calls on 2-vectors, not in the right-hand side.  solve_ivp below runs the
+same method by the same rules on the first-order system (y, y')' = (y', a)
+in plain floats:
 
 * the Dormand-Prince 8(5,3) tableau is scipy's: its module
   scipy/integrate/_ivp/dop853_coefficients.py needs only numpy, so it is
@@ -13,18 +14,19 @@ the same method by the same rules on plain floats:
 * scipy's initial-step rule, error norm and step-size controller are
   reproduced (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.5);
 * instead of scipy's event functions there is one stop level: the first
-  step over which the first component reaches it, rising or falling, is
-  cut at the crossing, which `brent` (itergelfand.numerics), the algorithm
-  of scipy's brentq in plain floats, locates on the interpolant of that
-  step with xtol = rtol = BRENT_TOL = 4 eps (Hairer, Norsett and Wanner,
-  II.6);
+  step over which y reaches it, rising or falling, is cut at the crossing,
+  which `brent` (itergelfand.numerics), the algorithm of scipy's brentq in
+  plain floats, locates on the interpolant of that step with xtol = rtol =
+  BRENT_TOL = 4 eps (Hairer, Norsett and Wanner, II.6);
 * the dense output of all steps is kept in one flat array('d') buffer and
   evaluated vectorised.
 
 One trial step is straight-line code generated at import from the
-tableau (_step_source): each of the 12 stages after the first is evaluated
-at y + (sum_j a_sj k_j) h, then the B sum gives the new state, the last
-stage is evaluated at the step's end and the E5 and E3 error sums are
+tableau (_step_source).  Each of the 12 stages after the first is
+evaluated at y + (sum_j a_sj k0_j) h, y' + (sum_j a_sj k1_j) h: the stage's
+first component k0_s is that y', written inline, and its second k1_s the
+one call a(t + c_s h, y_s, k0_s).  The B sum then gives the new state, the
+last stage is evaluated at the step's end and the E5 and E3 error sums are
 formed.  The stages are locals and every coefficient is a literal written
 with repr.  The three extra stages and the four upper coefficients of the
 dense output are generated the same way (_dense_source).  Every sum adds
@@ -99,27 +101,29 @@ def _terms(rows, k):
 
 
 def _stage(s, c, rows):
-    """Source line that evaluates stage s at t + c h from the stages that rows combine."""
-    return (f"    k0_{s}, k1_{s} = fun(t + {c!r} * h, "
-            f"(y0 + ({_terms(rows, 'k0_')}) * h, y1 + ({_terms(rows, 'k1_')}) * h))")
+    """Source lines that evaluate stage s at t + c h from the stages that rows combine."""
+    return (f"    k0_{s} = y1 + ({_terms(rows, 'k1_')}) * h\n"
+            f"    k1_{s} = fun(t + {c!r} * h, y0 + ({_terms(rows, 'k0_')}) * h, k0_{s})")
 
 
 def _step_source():
-    """Source of one trial step, _step(fun, t, h, t_new, y0, y1, k0_0, k1_0, atol, rtol).
+    """Source of one trial step, _step(fun, t, h, t_new, y0, y1, k1_0, atol, rtol).
 
-    The step of size h goes from (t, y) with first stage k_0 = fun(t, y) to
-    t_new, which the caller has clamped to the end of the interval.  It
-    returns (n0, n1, e5, e3, k0, k1): the new state, the squared norms
-    (sum over components, not halved) of the E5 and E3 error sums scaled by
-    atol + max(|y|, |n|) rtol, and the 13 stages of each component, the
-    last one evaluated at (t_new, n).
+    The step of size h goes from (t, y0, y1) with first stage (k0_0, k1_0) =
+    (y1, fun(t, y0, y1)) to t_new, which the caller has clamped to the end
+    of the interval.  It returns (n0, n1, e5, e3, k0, k1): the new state,
+    the squared norms (sum over components, not halved) of the E5 and E3
+    error sums scaled by atol + max(|y|, |n|) rtol, and the 13 stages of
+    each component, the last one evaluated at (t_new, n0, n1).
     """
     stages = range(N_STAGES + 1)
     return "\n".join([
-        "def _step(fun, t, h, t_new, y0, y1, k0_0, k1_0, atol, rtol):",
+        "def _step(fun, t, h, t_new, y0, y1, k1_0, atol, rtol):",
+        "    k0_0 = y1",
         *(_stage(s, _C[s], _A[s]) for s in range(1, N_STAGES)),
         *(f"    n{i} = y{i} + h * ({_terms(_B, f'k{i}_')})" for i in (0, 1)),
-        f"    k0_{N_STAGES}, k1_{N_STAGES} = fun(t_new, (n0, n1))",
+        f"    k0_{N_STAGES} = n1",
+        f"    k1_{N_STAGES} = fun(t_new, n0, n1)",
         *(f"    sc{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in (0, 1)),
         *(f"    e{i} = ({_terms(_E5, f'k{i}_')}) / sc{i}" for i in (0, 1)),
         *(f"    d{i} = ({_terms(_E3, f'k{i}_')}) / sc{i}" for i in (0, 1)),
@@ -214,20 +218,21 @@ def _norm(a, b):
     return math.sqrt(a * a + b * b) / SQRT2
 
 
-def _initial_step(fun, t0, y0, y1, f0, f1, interval, sign, rtol, atol):
-    """scipy's select_initial_step for error estimator order 7."""
+def _initial_step(fun, t0, y0, y1, f1, interval, sign, rtol, atol):
+    """scipy's select_initial_step for error estimator order 7; f1 = fun(t0, y0, y1)."""
     sc0 = atol + abs(y0) * rtol
     sc1 = atol + abs(y1) * rtol
     d0 = _norm(y0 / sc0, y1 / sc1)
-    d1 = _norm(f0 / sc0, f1 / sc1)
+    d1 = _norm(y1 / sc0, f1 / sc1)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval)
     if h0 == 0.0:
         # the scaled derivative overflowed d1; scipy's 0/0 for d2 then gives
         # h1 = 0, and the solve starts from the minimum step
         return 0.0
-    g0, g1 = fun(t0 + h0 * sign, (y0 + h0 * sign * f0, y1 + h0 * sign * f1))
-    d2 = _norm((g0 - f0) / sc0, (g1 - f1) / sc1) / h0
+    g0 = y1 + h0 * sign * f1
+    g1 = fun(t0 + h0 * sign, y0 + h0 * sign * y1, g0)
+    d2 = _norm((g0 - y1) / sc0, (g1 - f1) / sc1) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -251,12 +256,12 @@ def _interpolant(t_old, h, y0, y1, c0, c1):
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
-    """Integrate y' = fun(t, y) for a two-component y over t_span with DOP853.
+    """Integrate y'' = fun(t, y, y') over t_span with DOP853, from y0 = (y, y').
 
-    fun(t, (y0, y1)) returns the pair of derivatives.  With stop_at set, the
-    solve ends at the first time the first component y0 crosses that level,
-    in either sense; the crossing is the last entry of t and y.  Returns an
-    OdeResult with scipy's t, y (shape (2, steps + 1)), sol (None unless
+    fun(t, y, yp) returns the acceleration, one float.  With stop_at set,
+    the solve ends at the first time y crosses that level, in either sense;
+    the crossing is the last entry of t and y.  Returns an OdeResult with
+    scipy's t, y (shape (2, steps + 1), rows y and y'), sol (None unless
     dense_output), status (0 end reached, 1 stop level crossed, -1 step size
     underflow), message, nfev, and the counts naccept and nreject of trial
     steps.  rtol must lie in [100 eps, inf) and atol in (0, inf).
@@ -271,8 +276,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     sign = 1.0 if t_bound > t else -1.0
     y0, y1 = float(y0[0]), float(y0[1])
 
-    f0, f1 = fun(t, (y0, y1))
-    h_abs = _initial_step(fun, t, y0, y1, f0, f1, abs(t_bound - t), sign, rtol, atol)
+    f1 = fun(t, y0, y1)
+    h_abs = _initial_step(fun, t, y0, y1, f1, abs(t_bound - t), sign, rtol, atol)
     nfev = 2
     naccept = nreject = 0
     if stop_at is not None:
@@ -293,7 +298,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
                 t_new = t_bound
             h = t_new - t
             h_abs = abs(h)
-            n0, n1, e5, e3, k0, k1 = _step(fun, t, h, t_new, y0, y1, f0, f1, atol, rtol)
+            n0, n1, e5, e3, k0, k1 = _step(fun, t, h, t_new, y0, y1, f1, atol, rtol)
             nfev += N_STAGES
             err = 0.0 if e5 == 0.0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
             if err < 1.0:
@@ -312,7 +317,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
 
         t_old, o0, o1 = t, y0, y1
         t, y0, y1 = t_new, n0, n1
-        f0, f1 = k0[N_STAGES], k1[N_STAGES]
+        f1 = k1[N_STAGES]
         if sign * (t - t_bound) >= 0.0:
             status = 0
         coef = None

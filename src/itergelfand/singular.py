@@ -99,26 +99,30 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
     dense_output is set.  integrate_down and the log-variable phase of
     branch.shoot_regular both run through it.
 
-    A trial step whose force exp(G_m(w) - 2t) leaves the double range gets
-    an infinite force, which solve_ivp rejects as it does any step with an
-    inf error norm, retrying a smaller one.  DescentError is raised when the
-    force is past the double range at the start or at an accepted state,
-    where no smaller step helps, and when the descent reaches t_floor
-    without a zero, unless stop_at_floor is set, which returns (None, sol)
-    then.
+    The right-hand side forms the force exp(G_m(w) - 2t) itself, G_m by m
+    calls of math.exp.  A trial step whose force leaves the double range
+    gets an infinite force, which solve_ivp rejects as it does any step
+    with an inf error norm, retrying a smaller one.  DescentError is raised
+    when the force is past the double range at the start or at an accepted
+    state, where no smaller step helps, and when the descent reaches
+    t_floor without a zero, unless stop_at_floor is set, which returns
+    (None, sol) then.
     """
-    c = n - 2
+    c = float(n - 2)
+    levels = range(m)
 
-    def rhs(tt, y):
+    def rhs(tt, ww, ww_t):
         try:
-            expo = g_tower(m, y[0]) - 2.0 * tt
+            for _ in levels:
+                ww = math.exp(ww)
+            expo = ww - 2.0 * tt
             f = math.exp(expo) if expo > -745.0 else 0.0
         except OverflowError:
             f = math.inf
-        return [y[1], c * y[1] - f]
+        return c * ww_t - f
 
     def out_of_range(tt, ww):
-        return rhs(tt, (ww, 0.0))[1] == -math.inf
+        return rhs(tt, ww, 0.0) == -math.inf
 
     if out_of_range(t, w):
         raise DescentError(f"the descent from t = {t:.6g} left the double range: "

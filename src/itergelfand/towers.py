@@ -54,8 +54,10 @@ def g_tower(m, y):
     """G_m(y): m-fold iterated exponential of y.
 
     A float y (np.float64 included) is evaluated with math.exp and gives a
-    float: the shooting right-hand sides call this on every evaluation,
-    where numpy's per-call overhead on a 0-d array would dominate.
+    float, without numpy's per-call overhead on a 0-d array: a branch shot
+    forms its chain G_0(rho), ..., G_m(rho) this way.  No right-hand side
+    calls it per evaluation; the shooting right-hand sides form their
+    forces with math.exp themselves.
     """
     if m < 0:
         raise ValueError("tower height must be >= 0")

@@ -10,8 +10,9 @@ copy of a branch shot instead of its dense output, a branch shot whose
 descent runs all the way to its zero instead of being matched to w*, and
 the corrector derivative from its first-order representation instead of
 the Psi sweeps, and the DOP853 trial step and interpolant by loops over the
-tableau rows instead of the straight-line code that itergelfand.rk
-generates from them.  g_diff, the tower difference by its level recursion, is
+tableau rows, applied to the first-order system (y, y')' = (y', a), instead
+of the straight-line code that itergelfand.rk generates from them for the
+acceleration a.  g_diff, the tower difference by its level recursion, is
 checked against plain subtraction.  miyamoto_profile is the characterized
 profile U(r) = F^{-1}(r^2/(2(n-2))) that the tail-integral traces identify
 the constructed solution with.
@@ -240,16 +241,25 @@ def _combine(rows, k0, k1):
     return d0, d1
 
 
-def dop853_step(fun, t, h, t_new, y0, y1, f0, f1, atol, rtol):
-    """rk._step by loops over the tableau rows: (n0, n1, e5, e3, k0, k1)."""
-    k0 = [f0] + [0.0] * rk.N_STAGES
+def first_order(fun):
+    """The system (y, y')' = (y', a(t, y, y')) of an acceleration a, as a pair-valued RHS."""
+    return lambda t, y: (y[1], fun(t, y[0], y[1]))
+
+
+def dop853_step(fun, t, h, t_new, y0, y1, f1, atol, rtol):
+    """rk._step by loops over the tableau rows of the first-order system.
+
+    Returns (n0, n1, e5, e3, k0, k1) like rk._step.
+    """
+    f = first_order(fun)
+    k0 = [y1] + [0.0] * rk.N_STAGES
     k1 = [f1] + [0.0] * rk.N_STAGES
     for s in range(1, rk.N_STAGES):
         d0, d1 = _combine(rk._A[s], k0, k1)
-        k0[s], k1[s] = fun(t + rk._C[s] * h, (y0 + d0 * h, y1 + d1 * h))
+        k0[s], k1[s] = f(t + rk._C[s] * h, (y0 + d0 * h, y1 + d1 * h))
     d0, d1 = _combine(rk._B, k0, k1)
     n0, n1 = y0 + h * d0, y1 + h * d1
-    k0[rk.N_STAGES], k1[rk.N_STAGES] = fun(t_new, (n0, n1))
+    k0[rk.N_STAGES], k1[rk.N_STAGES] = f(t_new, (n0, n1))
     sc0 = atol + max(abs(y0), abs(n0)) * rtol
     sc1 = atol + max(abs(y1), abs(n1)) * rtol
     e0, e1 = _combine(rk._E5, k0, k1)
@@ -260,12 +270,16 @@ def dop853_step(fun, t, h, t_new, y0, y1, f0, f1, atol, rtol):
 
 
 def dop853_dense(fun, t, h, y0, y1, n0, n1, k0, k1):
-    """rk._dense by loops over the tableau rows: the 7 coefficients of each component."""
+    """rk._dense by loops over the tableau rows of the first-order system.
+
+    Returns the 7 interpolant coefficients of each component.
+    """
+    f = first_order(fun)
     k0, k1 = list(k0) + [0.0] * 3, list(k1) + [0.0] * 3
     for i, rows in enumerate(rk._A_EXTRA):
         d0, d1 = _combine(rows, k0, k1)
         s = rk.N_STAGES + 1 + i
-        k0[s], k1[s] = fun(t + rk._C_EXTRA[i] * h, (y0 + d0 * h, y1 + d1 * h))
+        k0[s], k1[s] = f(t + rk._C_EXTRA[i] * h, (y0 + d0 * h, y1 + d1 * h))
     c0, c1 = [], []
     for c, y, n, k in ((c0, y0, n0, k0), (c1, y1, n1, k1)):
         dy = n - y

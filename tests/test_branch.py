@@ -3,15 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import itergelfand.branch as br
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
 from itergelfand.singular import DescentError, descend, ode_residual
-from itergelfand.towers import g_tower, h_tower
+from itergelfand.towers import g_tower
 from oracles import full_descent_shot, g_diff, sampled_branch
 
 
@@ -57,41 +55,18 @@ def test_gelfand_oracle_branch_limit():
 @pytest.mark.parametrize("m, rho", [(0, 5.0), (1, 3.0), (1, 8.0), (2, 1.5), (2, 1.9),
                                     (3, 1.0)])
 def test_inner_exponent_is_the_level_difference(m, rho):
-    # G_m(rho) is below 700 at (1, 3) and (2, 1.5) and above it at (1, 8),
-    # (2, 1.9) and (3, 1); one recursion serves both sides, also for v near
-    # rho, where G_m(v) - G_m(rho) would cancel
-    force = br._InnerForce(m, rho)
+    # the force exp(G_m(v) - G_m(rho)) of the inner acceleration, read at
+    # v' = 0: G_m(rho) is below 700 at (1, 3) and (2, 1.5) and above it at
+    # (1, 8), (2, 1.9) and (3, 1); one recursion serves both sides, also for
+    # v near rho, where G_m(v) - G_m(rho) would cancel.  An exponent good to
+    # 1e-13 relative gives a force good to 1e-13 max(1, |exponent|)
+    _, accel = br._inner_acceleration(3, m, rho)
     for delta in np.geomspace(1e-12, rho + 1.0, 30):
         v = rho - float(delta)
-        assert force.exponent(v) == pytest.approx(g_diff(m, rho, v - rho), rel=1e-13, abs=0.0)
-
-
-# rho at which G_m(rho) = 2 T1_BUDGET: shots above it start their descent past the budget
-_RHO_SHOT_MAX = {m: h_tower(m, 2.0 * br.T1_BUDGET) for m in range(4)}
-
-
-@settings(max_examples=400, deadline=None)
-@given(m=st.integers(min_value=0, max_value=3),
-       u=st.floats(min_value=1e-6, max_value=1.0))
-def test_handoff_level_inverts_the_exponent_property(m, u):
-    # the level where the inner force falls to exp(HANDOFF_EXPONENT) has that
-    # exponent to the rounding of v (eps rho, times the exponent's slope there)
-    # and of the recursion itself; where it is 0.0 the exponent at v = 0 is
-    # still above HANDOFF_EXPONENT, so the zero of v comes first
-    rho = u * _RHO_SHOT_MAX[m]
-    force = br._InnerForce(m, rho)
-    expo = br.HANDOFF_EXPONENT
-    v = force.level(expo)
-    if v == 0.0:
-        assert force.exponent(0.0) > expo
-        return
-    assert 0.0 < v < rho
-    d, slope = v - rho, 1.0
-    for g in force.levels:
-        slope *= g * math.exp(d)
-        d = g * math.expm1(d)
-    eps = np.finfo(float).eps
-    assert abs(force.exponent(v) - expo) <= 4.0 * eps * (abs(expo) + rho * slope)
+        expo = g_diff(m, rho, v - rho)
+        force = math.exp(expo) if expo > -745.0 else 0.0
+        assert -accel(1.0, v, 0.0) == pytest.approx(force, rel=1e-13 * max(1.0, abs(expo)),
+                                                    abs=0.0)
 
 
 @pytest.mark.parametrize("m, rho, reachable", [(0, 1.0, False), (0, 61.0, True),
@@ -99,13 +74,11 @@ def test_handoff_level_inverts_the_exponent_property(m, u):
                                                (2, 0.5, False), (2, 1.5, True),
                                                (3, 0.1, False), (3, 0.5, True)])
 def test_handoff_level_decides_the_phase_of_the_zero(m, rho, reachable):
-    # G_m(rho) < 60 at the small rho, so the force never falls to the handoff
-    # level: the level is 0.0 and the shot stops at its zero in the inner
-    # phase; at the larger rho the inner phase ends short of the zero and the
-    # shot descends in log variables
-    level = br._InnerForce(m, rho).level(br.HANDOFF_EXPONENT)
+    # the inner phase stops at the zero of v or at s = 100: at the small rho
+    # (G_m(rho) < 60) the force is still alive where v reaches 0, and the shot
+    # ends in the inner phase; at the larger rho it dies first, v levels off
+    # above 0, and the shot descends in log variables from s = 100
     point = shoot_regular(3, m, rho)
-    assert (level > 0.0) == reachable
     assert (point.descent != []) == reachable
 
 

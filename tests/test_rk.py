@@ -1,5 +1,8 @@
 """itergelfand.rk against scipy as the oracle: solve_ivp(method="DOP853"), its
-tableau, and brentq for the stop-level crossings."""
+tableau, and brentq for the stop-level crossings.
+
+rk integrates y'' = a(t, y, y'); scipy is given the first-order system
+(y, y')' = (y', a(t, y, y'))."""
 
 import math
 import struct
@@ -14,7 +17,7 @@ from scipy.optimize import brentq
 import itergelfand.branch as br
 import itergelfand.rk as rk
 import itergelfand.singular as sg
-from oracles import dop853_dense, dop853_step
+from oracles import dop853_dense, dop853_step, first_order
 from itergelfand.rk import solve_ivp
 from itergelfand.singular import assemble_w, integrate_down
 
@@ -33,12 +36,12 @@ def _captured(monkeypatch, module, run):
     return calls[0]
 
 
-def _oscillator(t, y):
-    return (y[1], -y[0])
+def _oscillator(t, y, yp):
+    return -y
 
 
-def _squared(t, y):
-    return (y[0] * y[0], 0.0)
+def _cubic(t, y, yp):
+    return 2.0 * y * y * y
 
 
 def _oscillator_problem():
@@ -53,9 +56,10 @@ def problems(sol_n3m1):
     with pytest.MonkeyPatch.context() as mp:
         descent = _captured(mp, sg, lambda: integrate_down(prof, 3, 1))
         inner = _captured(mp, br, lambda: br.shoot_regular(3, 1, 2.0))
-    # y' = y^2, y(0) = 1 blows up at t = 1: it ends in a step size underflow
-    # after rejecting about half its trials
-    blow_up = (_squared, (0.0, 2.0), [1.0, 0.0], dict(rtol=1e-10, atol=1e-12))
+    # y'' = 2 y^3, y(0) = y'(0) = 1 is 1 / (1 - t) and blows up at t = 1: at
+    # rtol = 1e-8 it ends in a step size underflow after rejecting about half
+    # its trials (at 1e-10 it rejects only 9)
+    blow_up = (_cubic, (0.0, 2.0), [1.0, 1.0], dict(rtol=1e-8, atol=1e-10))
     return {"descent": descent, "inner": inner, "oscillator": _oscillator_problem(),
             "blow-up": blow_up}
 
@@ -72,7 +76,8 @@ def test_matches_scipy_dop853(problems, name):
     crossing.terminal = True
 
     ours = solve_ivp(fun, t_span, y0, stop_at=level, **kwargs)
-    ref = scipy_solve_ivp(fun, t_span, y0, method="DOP853", events=crossing, **kwargs)
+    ref = scipy_solve_ivp(first_order(fun), t_span, y0, method="DOP853", events=crossing,
+                          **kwargs)
 
     assert ours.status == ref.status == 1
     assert ours.message == ref.message
@@ -122,11 +127,12 @@ def test_generated_step_is_the_coefficient_loops(problems, name, monkeypatch):
 
 
 def test_overflowing_trial_step_is_the_coefficient_loops():
-    # y' = y^2 from y = 1e150 with h = 1: the second stage overflows to inf,
-    # and the error norm is not finite, so the solver would reject the trial
-    args = (_squared, 0.0, 1.0, 1.0, 1e150, 1.0, *_squared(0.0, (1e150, 1.0)), 1e-12, 1e-10)
+    # y'' = 2 y^3 from y = 1, y' = 1e150 with h = 1: the second stage sits at
+    # y of about 5e148, where the acceleration overflows to inf, and the error
+    # norm is not finite, so the solver would reject the trial
+    args = (_cubic, 0.0, 1.0, 1.0, 1.0, 1e150, _cubic(0.0, 1.0, 1e150), 1e-12, 1e-10)
     out = rk._step(*args)
-    assert math.isinf(out[4][1]) and not math.isfinite(out[2])
+    assert math.isinf(out[5][1]) and not math.isfinite(out[2])
     assert _bits(out) == _bits(dop853_step(*args))
 
 
@@ -134,11 +140,11 @@ def test_last_stage_is_at_the_given_end():
     # the loop clamps t_new to the end of the interval; t + h can round past it
     times = []
 
-    def fun(t, y):
+    def fun(t, y, yp):
         times.append(t)
-        return (y[1], -y[0])
+        return -y
 
-    rk._step(fun, 0.1, 0.2, 0.3, 1.0, 0.0, 0.0, -1.0, 1e-12, 1e-10)
+    rk._step(fun, 0.1, 0.2, 0.3, 1.0, 0.0, -1.0, 1e-12, 1e-10)
     assert 0.1 + 0.2 != 0.3
     assert times[-1] == 0.3 and len(times) == rk.N_STAGES
 
@@ -208,8 +214,8 @@ def test_stop_level_ends_at_first_crossing():
 
 def test_without_events_reaches_the_end():
     sol = solve_ivp(_oscillator, (0.0, 2.0 * math.pi), [1.0, 0.0], rtol=1e-11, atol=1e-13)
-    ref = scipy_solve_ivp(_oscillator, (0.0, 2.0 * math.pi), [1.0, 0.0], method="DOP853",
-                          rtol=1e-11, atol=1e-13)
+    ref = scipy_solve_ivp(first_order(_oscillator), (0.0, 2.0 * math.pi), [1.0, 0.0],
+                          method="DOP853", rtol=1e-11, atol=1e-13)
     assert sol.status == ref.status == 0
     assert sol.sol is None
     assert sol.t[-1] == 2.0 * math.pi
@@ -218,10 +224,11 @@ def test_without_events_reaches_the_end():
 
 
 def test_blow_up_fails_without_warning():
-    # y' = y^2, y(0) = 1 blows up at t = 1: the step size underflows
+    # y'' = 2 y^3, y(0) = y'(0) = 1 is 1 / (1 - t): the step size underflows
+    # at the blow-up t = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_ivp(_squared, (0.0, 2.0), [1.0, 0.0], rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(_cubic, (0.0, 2.0), [1.0, 1.0], rtol=1e-10, atol=1e-12)
     assert sol.status == -1
     assert "step size" in sol.message
     assert sol.t[-1] == pytest.approx(1.0, abs=1e-6)
@@ -236,19 +243,20 @@ def test_rejects_bad_tolerances(rtol, atol):
 
 
 def test_overflowing_initial_trial_step_starts_from_the_minimum_step():
-    # the trial step of the initial-step rule sees a derivative 1e184 while
-    # the state is 1: its scaled squared norm overflows to inf, so the solve
-    # starts from the minimum step, as scipy's does, without raising or warning
-    def fun(t, y):
-        return (0.0, 1e190 * t)
+    # the trial step of the initial-step rule sees an acceleration 1e184
+    # while the state is (1, 0): its scaled squared norm overflows to inf, so
+    # the solve starts from the minimum step, as scipy's does, without
+    # raising or warning
+    def fun(t, y, yp):
+        return 1e190 * t
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_ivp(fun, (0.0, 1.0), [1.0, 1.0], rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(fun, (0.0, 1.0), [1.0, 0.0], rtol=1e-10, atol=1e-12)
     with warnings.catch_warnings():
         # numpy warns about the same overflow
         warnings.simplefilter("ignore", RuntimeWarning)
-        ref = scipy_solve_ivp(fun, (0.0, 1.0), [1.0, 1.0], method="DOP853",
+        ref = scipy_solve_ivp(first_order(fun), (0.0, 1.0), [1.0, 0.0], method="DOP853",
                               rtol=1e-10, atol=1e-12)
     assert sol.status == ref.status == 0
     assert sol.t[1] == ref.t[1] == 10.0 * math.ulp(0.0)
@@ -257,20 +265,20 @@ def test_overflowing_initial_trial_step_starts_from_the_minimum_step():
 
 
 def test_overflowing_initial_derivative_fails_without_raising():
-    # the scaled initial derivative 1e300 / 1e-10 overflows, so the initial
-    # step rule's h0 is 0; like scipy's, the solve then starts from the
-    # minimum step, whose error norm overflows too, and ends in a step-size
-    # failure instead of dividing by h0
-    def fun(t, y):
-        return (1e300, 0.0)
+    # y' = 1e300 at y = 1: the scaled initial derivative 1e300 / 1e-10
+    # overflows, so the initial step rule's h0 is 0; like scipy's, the solve
+    # then starts from the minimum step, whose error norm overflows too, and
+    # ends in a step-size failure instead of dividing by h0
+    def fun(t, y, yp):
+        return 0.0
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_ivp(fun, (0.0, 1.0), [1.0, 1.0], rtol=1e-10, atol=1e-12)
+        sol = solve_ivp(fun, (0.0, 1.0), [1.0, 1e300], rtol=1e-10, atol=1e-12)
     with warnings.catch_warnings():
         # numpy warns about the overflow and the 0 / 0 that follows
         warnings.simplefilter("ignore", RuntimeWarning)
-        ref = scipy_solve_ivp(fun, (0.0, 1.0), [1.0, 1.0], method="DOP853",
+        ref = scipy_solve_ivp(first_order(fun), (0.0, 1.0), [1.0, 1e300], method="DOP853",
                               rtol=1e-10, atol=1e-12)
     assert sol.status == ref.status == -1
     assert sol.message == ref.message

@@ -173,8 +173,8 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:
+        raise ValueError("rho must be finite and positive")
     chain, accel = _inner_acceleration(n, m, rho)
     L = chain[-1]
     # ln G'_m(rho) = G_0(rho) + ... + G_{m-1}(rho)

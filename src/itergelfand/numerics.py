@@ -179,9 +179,14 @@ def envelope_slope(t, diff):
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+# a CSV column's printf conversion by its dtype kind: integers as integers, floats
+# and flags as 17 significant digits, which read back as the same double; text as is
+_CONVERSIONS = {"i": "%d", "u": "%d", "f": "%.17g", "b": "%.17g"}
+
+
 def fmt(x):
-    """Round-trip decimal formatting for CSV output."""
-    return format(float(x), ".17g")
+    """One number as write_csv writes a float (for meta.txt and printed results)."""
+    return _CONVERSIONS["f"] % float(x)
 
 
 def atomic_write_text(path, text):
@@ -198,17 +203,8 @@ def atomic_write_text(path, text):
         raise
 
 
-def _cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return fmt(v)
-
-
 def write_csv(path, header, columns):
+    """CSV of equal-length columns; one printf format from their dtypes writes each row."""
     cols = [np.asarray(c) for c in columns]
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_cell(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    row = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols)
+    atomic_write_text(path, "\n".join([",".join(header), *map(row.__mod__, zip(*cols))]) + "\n")

@@ -263,8 +263,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     the crossing is the last entry of t and y.  Returns an OdeResult with
     scipy's t, y (shape (2, steps + 1), rows y and y'), sol (None unless
     dense_output), status (0 end reached, 1 stop level crossed, -1 step size
-    underflow), message, nfev, and the counts naccept and nreject of trial
-    steps.  rtol must lie in [100 eps, inf) and atol in (0, inf).
+    underflow or NaN), message, nfev, and the trial step counts naccept and
+    nreject.  rtol must lie in [100 eps, inf), atol in (0, inf), and y0 be finite.
     """
     if not 100.0 * EPS <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")
@@ -275,6 +275,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
         raise ValueError(f"t_span must be two distinct finite times, got {t_span}")
     sign = 1.0 if t_bound > t else -1.0
     y0, y1 = float(y0[0]), float(y0[1])
+    if not (math.isfinite(y0) and math.isfinite(y1)):
+        raise ValueError(f"y0 must be finite, got ({y0}, {y1})")
 
     f1 = fun(t, y0, y1)
     h_abs = _initial_step(fun, t, y0, y1, f1, abs(t_bound - t), sign, rtol, atol)
@@ -290,7 +292,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:   # a NaN first acceleration gives a NaN step
                 status = -1
                 break
             t_new = t + h_abs * sign

@@ -12,8 +12,11 @@ the corrector derivative from its first-order representation instead of
 the Psi sweeps, and the DOP853 trial step and interpolant by loops over the
 tableau rows, applied to the first-order system (y, y')' = (y', a), instead
 of the straight-line code that itergelfand.rk generates from them for the
-acceleration a.  g_diff, the tower difference by its level recursion, is
-checked against plain subtraction.  miyamoto_profile is the characterized
+acceleration a.  csv_text writes a CSV one cell at a time, where write_csv
+applies one row format per file, and h_deriv_fd_worst takes verify
+iterexp's finite differences one scalar t at a time, where the suite takes
+them on the whole t array.  g_diff, the tower difference by its level
+recursion, is checked against plain subtraction.  miyamoto_profile is the characterized
 profile U(r) = F^{-1}(r^2/(2(n-2))) that the tail-integral traces identify
 the constructed solution with.
 """
@@ -28,7 +31,8 @@ import itergelfand.rk as rk
 from itergelfand.corrector import (PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan,
                                    _sweep, phi_m)
 from itergelfand.numerics import panel_nodes, scalar_or_array
-from itergelfand.towers import MAX_EXP_ARG, TowerOverflowError, f_tail_inverse_log, f_tail_log
+from itergelfand.towers import (MAX_EXP_ARG, TowerOverflowError, f_tail_inverse_log, f_tail_log,
+                                h_deriv, h_tower, tower_domain_lower)
 from itergelfand.transform import LogProfile
 
 
@@ -289,3 +293,38 @@ def dop853_dense(fun, t, h, y0, y1, n0, n1, k0, k1):
         c0.append(h * d0)
         c1.append(h * d1)
     return c0, c1
+
+
+def csv_cell(v):
+    """One CSV cell: text as it is, integers by str, anything else as a 17-digit float."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    return format(float(v), ".17g")
+
+
+def csv_text(header, columns):
+    """The text of numerics.write_csv(path, header, columns), formed cell by cell."""
+    cols = [np.asarray(c) for c in columns]
+    lines = [",".join(header)]
+    for row in zip(*cols):
+        lines.append(",".join(csv_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def h_deriv_fd_worst(m):
+    """The value of verify iterexp's h_deriv_fd_m<m> check, one scalar t at a time.
+
+    The largest relative gap between H_m^(k) and the central difference of
+    H_m^(k-1), over k = 1, 2, 3 and the suite's 25 t.
+    """
+    ts = np.geomspace(max(tower_domain_lower(m), 0.5) + 4.0, 1e3, 25)
+    worst = 0.0
+    h = 1e-3
+    for k in (1, 2, 3):
+        lower = (lambda x: h_tower(m, x)) if k == 1 else (lambda x: h_deriv(m, k - 1, x))
+        for t in ts:
+            fd = (lower(t + h) - lower(t - h)) / (2 * h)
+            worst = max(worst, abs(h_deriv(m, k, t) - fd) / max(abs(fd), 1e-300))
+    return worst

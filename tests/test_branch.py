@@ -112,6 +112,12 @@ def test_profile_invariants():
     assert ode_residual(log_profile, 3, 1) < 1e-7
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_shoot_refuses_rho_that_is_not_finite_and_positive(rho):
+    with pytest.raises(ValueError, match="finite and positive"):
+        shoot_regular(3, 1, rho)
+
+
 def test_trace_curve_validation():
     with pytest.raises(ValueError):
         trace_curve(3, 1, np.array([]))

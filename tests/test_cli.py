@@ -14,6 +14,7 @@ from itergelfand import branch as br
 from itergelfand import cli, corrector
 from itergelfand.cli import main
 from itergelfand.singular import DescentError, build_singular
+from oracles import h_deriv_fd_worst
 
 
 def run_cli(args):
@@ -171,6 +172,14 @@ def test_verify_iterexp_json(tmp_path, capsys):
     assert payload["suite"] == "iterexp"
     assert payload["passed"] is True
     assert (tmp_path / "verify_iterexp.csv").exists()
+
+
+def test_iterexp_fd_checks_are_the_scalar_loop():
+    # the suite takes its central differences on the whole t array; the
+    # values it reports are those of one scalar t at a time, bit for bit
+    checks = {c.label: c.value for c in cli._suite_iterexp(cli.RunConfig(), None)}
+    for m in (1, 2, 3):
+        assert checks[f"h_deriv_fd_m{m}"].hex() == h_deriv_fd_worst(m).hex(), m
 
 
 def test_verify_miyamoto(tmp_path, capsys):

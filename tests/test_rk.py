@@ -283,3 +283,29 @@ def test_overflowing_initial_derivative_fails_without_raising():
     assert sol.status == ref.status == -1
     assert sol.message == ref.message
     assert sol.nfev == ref.nfev
+
+
+@pytest.mark.parametrize("y0", [[math.nan, 0.0], [0.0, math.nan], [math.inf, 0.0],
+                                [0.0, -math.inf]])
+def test_rejects_non_finite_start(y0):
+    with pytest.raises(ValueError, match="y0 must be finite"):
+        solve_ivp(_oscillator, (0.0, 1.0), y0, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("y0", [[1.0, 0.0], [1e-20, 0.0]])
+def test_nan_first_acceleration_fails_at_once(y0):
+    # a NaN acceleration makes the initial step NaN (from y = 1), or the
+    # error norms of the trial steps NaN (from y = 1e-20, where the rule takes
+    # h0 = 1e-6 and the first trial step is finite); either way the solve
+    # ends in a step-size failure after a bounded number of calls
+    calls = []
+
+    def fun(t, y, yp):
+        calls.append(t)
+        if len(calls) > 1000:
+            raise RuntimeError("the solve does not end")
+        return math.nan
+
+    sol = solve_ivp(fun, (1.0, 2.0), y0, rtol=1e-10, atol=1e-12)
+    assert sol.status == -1
+    assert sol.naccept == 0

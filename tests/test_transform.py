@@ -147,16 +147,14 @@ def test_hermite_reproduces_cubics(t0, gaps, coef, frac, outside):
 
 
 @settings(max_examples=300, deadline=None)
-@given(t=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=30,
+# |t| <= 1e307 keeps the differences of the t samples finite
+@given(t=st.lists(st.floats(min_value=-1e307, max_value=1e307), min_size=2, max_size=30,
                   unique=True),
        w=st.lists(st.floats(allow_nan=False), min_size=30, max_size=30),
        w_t=st.lists(st.floats(allow_nan=False), min_size=30, max_size=30))
 def test_profile_csv_roundtrip_is_exact_property(tmp_path_factory, t, w, w_t):
     # %.17g reads back as the same double, -0.0, subnormals and infinities included
-    t = np.sort(t)
-    if np.any(np.diff(t) <= 0):   # 0.0 and -0.0 are one t
-        return
-    lp = LogProfile(t, w[:len(t)], w_t[:len(t)])
+    lp = LogProfile(np.sort(t), w[:len(t)], w_t[:len(t)])
     path = tmp_path_factory.mktemp("profile") / "p.csv"
     write_profile_csv(path, lp)
     lp2 = read_profile_csv(path)

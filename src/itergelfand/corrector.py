@@ -71,13 +71,6 @@ class PsiKernel:
         """Imaginary part of lam_+; zero for n >= 10."""
         return self.lam_plus.imag
 
-    @property
-    def tail_constant(self):
-        """C with |integral tail| <= C * sup s^2|F| / t_max^2."""
-        if self.freq:
-            return 1.0 / (self.damping * self.freq)
-        return 1.0 / (2.0 * (self.n - 2))
-
 
 # most points a construction may allocate: the descent samples below the
 # handoff (about 100 T, singular.SAMPLE_STEP apart) and the corrector's Gauss

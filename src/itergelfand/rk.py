@@ -7,10 +7,9 @@ calls on 2-vectors, not in the right-hand side.  solve_ivp below runs the
 same method by the same rules on the first-order system (y, y')' = (y', a)
 in plain floats:
 
-* the Dormand-Prince 8(5,3) tableau is scipy's: its module
-  scipy/integrate/_ivp/dop853_coefficients.py needs only numpy, so it is
-  loaded from its file location and the scipy.integrate package (with
-  scipy.optimize behind it) is never imported;
+* the Dormand-Prince 8(5,3) tableau is written below as literals: its
+  nonzero coefficients, each the repr of the double that scipy's
+  dop853_coefficients holds, so the module needs numpy alone;
 * scipy's initial-step rule, error norm and step-size controller are
   reproduced (Hairer, Norsett and Wanner, Solving ODEs I, II.4-II.5);
 * instead of scipy's event functions there is one stop level: the first
@@ -38,9 +37,7 @@ and is rejected, as in scipy, instead of raising.
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -49,47 +46,82 @@ import numpy as np
 
 from .numerics import BRENT_TOL, brent
 
-
-def _load_tableau():
-    """scipy's dop853_coefficients module, executed from its file location."""
-    scipy = importlib.util.find_spec("scipy")
-    if scipy is None:
-        raise ImportError("itergelfand.rk reads the DOP853 tableau from scipy, "
-                          "which is not installed")
-    path = os.path.join(scipy.submodule_search_locations[0],
-                        "integrate", "_ivp", "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_TABLEAU = _load_tableau()
 EPS = sys.float_info.epsilon
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 # DOP853's error estimator has order 7
 ERROR_EXPONENT = -1.0 / 8.0
-N_STAGES = _TABLEAU.N_STAGES
+N_STAGES = 12
 SQRT2 = math.sqrt(2.0)
 
-
-def _nonzero(row):
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
-
-
-# stage s combines the earlier stages j < s with the nonzero A[s, j]
-_A = tuple(_nonzero(_TABLEAU.A[s, :s]) for s in range(N_STAGES))
-_C = tuple(float(c) for c in _TABLEAU.C[:N_STAGES])
-_B = _nonzero(_TABLEAU.B)
-_E5 = _nonzero(_TABLEAU.E5)
-_E3 = _nonzero(_TABLEAU.E3)
+# The Dormand-Prince 8(5,3) tableau, each row as the (j, a) pairs of its nonzero
+# entries in j order.  Stage s combines the earlier stages j < s with A[s][j].
+_A = (
+    (),
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+      0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571,
+      1.0)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+      (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+       (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+       (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
 # the three extra stages of the dense output, then its four upper coefficients
-_A_EXTRA = tuple(_nonzero(_TABLEAU.A[s, :s])
-                 for s in range(N_STAGES + 1, _TABLEAU.N_STAGES_EXTENDED))
-_C_EXTRA = tuple(float(c) for c in _TABLEAU.C[N_STAGES + 1:])
-_D = tuple(_nonzero(row) for row in _TABLEAU.D)
+_A_EXTRA = (
+    ((0, 0.056167502283047954), (6, 0.25350021021662483), (7, -0.2462390374708025),
+     (8, -0.12419142326381637), (9, 0.15329179827876568), (10, 0.00820105229563469),
+     (11, 0.007567897660545699), (12, -0.008298)),
+    ((0, 0.03183464816350214), (5, 0.028300909672366776), (6, 0.053541988307438566),
+     (7, -0.05492374857139099), (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+     (12, -0.00034046500868740456), (13, 0.1413124436746325)),
+    ((0, -0.42889630158379194), (5, -4.697621415361164), (6, 7.683421196062599),
+     (7, 4.06898981839711), (8, 0.3567271874552811), (12, -0.0013990241651590145),
+     (13, 2.9475147891527724), (14, -9.15095847217987)),
+)
+_C_EXTRA = (0.1, 0.2, 0.7777777777777778)
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777), (6, -3.0689499459498917),
+     (7, 2.38466765651207), (8, 2.117034582445028), (9, -0.871391583777973),
+     (10, 2.2404374302607883), (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356), (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817), (6, 165.20045171727028),
+     (7, -374.5467547226902), (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229), (12, 15.697238121770845),
+     (13, -31.139403219565178), (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518), (6, -189.17813819516758),
+     (7, 527.8081592054236), (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443), (12, -2.778205752353508),
+     (13, -60.19669523126412), (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643), (6, -231.5293791760455),
+     (7, 357.6391179106141), (8, 93.40532418362432), (9, -37.45832313645163),
+     (10, 104.0996495089623), (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544), (15, -149.72683625798564)),
+)
 # doubles per step in the dense buffer: t_old, h, y_old (2), then 7 coefficients
 # of the first component and 7 of the second
 _STRIDE = 18
@@ -166,6 +198,8 @@ MESSAGES = {0: "The solver successfully reached the end of the integration inter
             # scipy's words; here the stop level was crossed
             1: "A termination event occurred.",
             -1: "Required step size is less than spacing between numbers."}
+# the message of status -1 when the acceleration at the state reached is NaN
+NAN_MESSAGE = "The acceleration is NaN at the state reached."
 
 
 @dataclass
@@ -263,7 +297,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     the crossing is the last entry of t and y.  Returns an OdeResult with
     scipy's t, y (shape (2, steps + 1), rows y and y'), sol (None unless
     dense_output), status (0 end reached, 1 stop level crossed, -1 step size
-    underflow or NaN), message, nfev, and the trial step counts naccept and
+    underflow or NaN), message (NAN_MESSAGE at status -1 when the acceleration
+    at the state reached is NaN), nfev, and the trial step counts naccept and
     nreject.  rtol must lie in [100 eps, inf), atol in (0, inf), and y0 be finite.
     """
     if not 100.0 * EPS <= rtol < math.inf:
@@ -348,5 +383,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
 
     ts = np.array(ts)
     sol = DenseSolution(ts, np.frombuffer(dense)) if dense_output else None
-    return OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=MESSAGES[status], nfev=nfev,
-                     naccept=naccept, nreject=nreject)
+    message = NAN_MESSAGE if status == -1 and math.isnan(f1) else MESSAGES[status]
+    return OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=message,
+                     nfev=nfev, naccept=naccept, nreject=nreject)

@@ -5,15 +5,16 @@ H_0(y) = y, H_m(y) = ln(H_{m-1}(y)).  The tail integral
 
     F(t) = integral_t^inf exp(-e^s) ds = E_1(e^t)
 
-is evaluated through the exponential integral, with a log-domain asymptotic
-series once E_1 underflows and E_1(x) = -gamma - ln x once x = e^t leaves
-the normal double range.  Only the E_1 branch imports scipy (scipy.special),
-and only when it runs.  Everything here is pure and reentrant.
+is evaluated through the exponential integral by two formulas (Abramowitz
+and Stegun 5.1.11 and 5.1.22): its power series for x = e^t <= 1 and its
+continued fraction for x > 1; past MAX_EXP_ARG, where e^t overflows, log F
+is -inf.  Everything here needs numpy alone and is pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -21,8 +22,7 @@ from .numerics import brent, scalar_or_array
 
 # exp overflows doubles just above this argument
 MAX_EXP_ARG = 709.78
-# switch point between scipy's E1 and the log-domain asymptotic series
-_E1_ASYMPTOTIC_CUT = 40.0
+EPS = sys.float_info.epsilon
 
 
 class TowerOverflowError(OverflowError):
@@ -159,61 +159,85 @@ def g_deriv(m, k, y):
     return scalar_or_array(out)
 
 
-def _e1_log_series(x):
-    """log(E_1(x)) for large x via the asymptotic series e^-x/x sum (-1)^k k!/x^k."""
-    x = np.asarray(x, dtype=float)
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    k = 1
-    while True:
-        term = term * (-k / x)
-        s = s + term
-        k += 1
-        if np.all(np.abs(term) < 1e-18) or k > 60:
-            break
-    return -x - np.log(x) + np.log(s)
+def _any(flags):
+    """Whether a flag, or any flag of an array, is set."""
+    return flags if isinstance(flags, bool) else np.any(flags)
 
 
-def _e1_of_exp(t):
-    """E_1(e^t) by scipy's exp1, and -gamma - t where e^t is below the normal range.
+def _e1_series(t, x):
+    """E_1(x) = -gamma - t - sum_{k>=1} (-x)^k / (k k!) for x = e^t <= 1.
 
-    There (t < -708.39) E_1(x) = -gamma - ln x + O(x) is exact in doubles,
-    while exp1 would see e^t rounded to a subnormal, or to 0 below
-    t = -745.13, where it returns inf.
+    t and x are both floats or both arrays.  The terms shrink from the first
+    on, and the sum stops once a power (-x)^k / k! is below EPS of the
+    partial sum.  Where x is subnormal or 0 the sum is at most x and the
+    value is -gamma - t.
     """
-    from scipy.special import exp1
-    x = np.exp(t)
-    out = -np.euler_gamma - t
-    normal = x >= np.finfo(float).tiny
-    out[normal] = exp1(x[normal])
-    return out
+    power = -x   # (-x)^k / k!
+    s = power
+    k = 1
+    while _any(abs(power) > EPS * abs(s)):
+        k += 1
+        power = power * (-x / k)
+        s = s + power / k
+    return -np.euler_gamma - t - s
+
+
+def _e1_fraction(x):
+    """1 / (e^x E_1(x)) for x > 1, the continued fraction x + 1 - 1/(x + 3 - 4/(x + 5 - ...)).
+
+    Lentz's method: f = c_0 = x + 1 and q_0 = inf, then with b_i = x + 2i + 1
+    c_i = b_i - i^2 / c_{i-1}, q_i = b_i - i^2 / q_{i-1} and f *= c_i / q_i,
+    until every factor is within EPS of 1 (90 terms just above x = 1, 7 at
+    x = 40).  For x > 0 neither ratio vanishes, so no tiny-value guard is
+    needed.  x is a float or an array.
+    """
+    f = c = x + 1.0
+    q = math.inf
+    i = 0
+    while True:
+        i += 1
+        b = x + (2 * i + 1)
+        c = b - i * i / c
+        q = b - i * i / q
+        ratio = c / q
+        f = f * ratio
+        if not _any(abs(ratio - 1.0) > EPS):
+            return f
 
 
 def f_tail_log(t):
-    """log F(t) = log E_1(e^t), valid far past the underflow point of F."""
+    """log F(t) = log E_1(e^t), valid far past the underflow point of F.
+
+    A float t (np.float64 included) is evaluated in floats and gives a float,
+    without numpy's per-call overhead: the Brent iterations of
+    f_tail_inverse_log call it so.
+    """
+    if isinstance(t, float):
+        if t <= 0.0:
+            return math.log(_e1_series(t, math.exp(t)))
+        if t > MAX_EXP_ARG:
+            return -math.inf
+        x = math.exp(t)   # NaN lands here and stays NaN
+        return -x - math.log(_e1_fraction(x))
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    big = ts > MAX_EXP_ARG
-    out[big] = -np.inf
-    mid = ~big & (ts > math.log(_E1_ASYMPTOTIC_CUT))
-    if np.any(mid):
-        x = np.exp(ts[mid])
-        out[mid] = -x - ts[mid] + (_e1_log_series(x) + x + np.log(x))
-    lowmask = ~big & ~mid
-    if np.any(lowmask):
-        out[lowmask] = np.log(_e1_of_exp(ts[lowmask]))
+    out = np.full_like(ts, -np.inf)   # past MAX_EXP_ARG
+    low = ts <= 0.0
+    out[low] = np.log(_e1_series(ts[low], np.exp(ts[low])))
+    mid = ~low & ~(ts > MAX_EXP_ARG)   # and NaN, which stays NaN
+    x = np.exp(ts[mid])
+    out[mid] = -x - np.log(_e1_fraction(x))
     return scalar_or_array(out.reshape(np.shape(t)))
 
 
 def f_tail(t):
     """F(t) = integral_t^inf exp(-e^s) ds; underflows smoothly to 0 for large t."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(ts)
-    low = ts <= math.log(_E1_ASYMPTOTIC_CUT)
-    if np.any(low):
-        out[low] = _e1_of_exp(ts[low])
-    if np.any(~low):
-        out[~low] = np.exp(f_tail_log(ts[~low]))
+    out = np.zeros_like(ts)   # past MAX_EXP_ARG
+    low = ts <= 0.0
+    out[low] = _e1_series(ts[low], np.exp(ts[low]))
+    mid = ~low & ~(ts > MAX_EXP_ARG)   # and NaN, which stays NaN
+    x = np.exp(ts[mid])
+    out[mid] = np.exp(-x) / _e1_fraction(x)
     return scalar_or_array(out.reshape(np.shape(t)))
 
 

@@ -64,6 +64,13 @@ def g_diff(m, y0, dy):
     return scalar_or_array(d)
 
 
+def tail_constant(kernel):
+    """C with |integral tail| <= C * sup s^2|F| / t_max^2 for the kernel's roots."""
+    if kernel.freq:
+        return 1.0 / (kernel.damping * kernel.freq)
+    return 1.0 / (2.0 * (kernel.n - 2))
+
+
 def psi_apply(kernel, forcing, t, t_max, tol=None, tail_scale=None):
     """Evaluate Psi[eta](t) for a forcing map s -> F(s, eta(s)) truncated at t_max.
 
@@ -90,7 +97,7 @@ def psi_apply(kernel, forcing, t, t_max, tol=None, tail_scale=None):
         K = (np.exp(-(a + d) * tau) - np.exp(-(a - d) * tau)) / (2.0 * d)
     val = np.sum(weights * K * forcing(nodes))
     if tail_scale is not None:
-        bound = tail_scale * kernel.tail_constant / t_max ** 2 * math.exp(-a * (t_max - t))
+        bound = tail_scale * tail_constant(kernel) / t_max ** 2 * math.exp(-a * (t_max - t))
         if tol is not None and bound > tol:
             raise PicardConvergenceError(
                 f"truncation tail bound {bound:.3e} exceeds tolerance {tol:.3e}")
@@ -119,14 +126,14 @@ def x_star_factored(n, t, eta_sol):
     """x* evaluated through the factored ansatz pieces instead of exp(w*).
 
     Uses e^{w*} = (2t + phi) e^eta and w* = ln(2t + phi) + eta so the
-    exponent 2t - e^{w*} - w* + log-series never subtracts large numbers.
+    exponent 2t - e^{w*} - w* + log S never subtracts large numbers.
     """
     t = np.asarray(t, dtype=float)
     phi, _, _ = phi_m(n, 1, t)
     z = 2.0 * t + phi
     eta = PchipInterpolator(eta_sol.grid, eta_sol.eta)(t)
     ew = z * np.exp(eta)
-    # log F(w*) = -e^{w*} - w* + log S(e^{w*}) with the asymptotic series S
+    # log F(w*) = -e^{w*} - w* + log S(e^{w*}) with S(x) = x e^x E_1(x)
     logS = f_tail_log(np.log(ew)) + ew + np.log(ew)
     expo = -phi - z * np.expm1(eta) - np.log(z) - eta + logS
     return scalar_or_array(2.0 * (n - 2) * np.exp(expo) - 1.0)

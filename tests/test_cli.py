@@ -296,13 +296,17 @@ def test_overflowing_trial_steps_are_not_a_numeric_failure(tmp_path, capsys, mon
 
 
 def test_construct_and_trace_load_no_scipy(tmp_path):
-    # scipy is needed only by verify and iterexp eval ftail*: a fresh
-    # interpreter that imports the CLI, constructs and traces never loads it
+    # the package needs numpy alone: in a fresh interpreter where scipy cannot
+    # be imported (sys.modules["scipy"] = None also makes find_spec("scipy")
+    # None), importing the CLI and every command below runs, and each exits
+    # with the code it gives with scipy installed
     script = textwrap.dedent("""
         import contextlib, io, json, sys
 
+        sys.modules["scipy"] = None
+
         def scipy_modules():
-            return sorted(k for k in sys.modules if k == "scipy" or k.startswith("scipy."))
+            return sorted(k for k in sys.modules if k.startswith("scipy."))
 
         import itergelfand.cli as cli
         loaded = {"import": scipy_modules()}
@@ -315,13 +319,33 @@ def test_construct_and_trace_load_no_scipy(tmp_path):
     runs = {"construct": ["singular", "construct", "--n", "3", "--m", "1",
                           "--outdir", str(tmp_path / "construct")],
             "trace": ["bifurcation", "trace", "--n", "3", "--m", "1", "--rho-min", "0.5",
-                      "--rho-max", "1", "--rho-step", "0.1", "--outdir", str(tmp_path / "trace")]}
+                      "--rho-max", "1", "--rho-step", "0.1", "--outdir", str(tmp_path / "trace")],
+            "verify31": ["verify", "all", "--n", "3", "--m", "1",
+                         "--outdir", str(tmp_path / "verify31")],
+            "verify52": ["verify", "all", "--n", "5", "--m", "2",
+                         "--outdir", str(tmp_path / "verify52")],
+            "ftail": ["iterexp", "eval", "--kind", "ftail", "--at", "0"],
+            "ftail-log": ["iterexp", "eval", "--kind", "ftail-log", "--at", "3"],
+            "ftail-inv": ["iterexp", "eval", "--kind", "ftail-inv", "--at", "0.5"]}
     src = os.path.dirname(os.path.dirname(itergelfand.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     loaded = json.loads(done.stdout)
-    assert loaded == {"import": [], "construct": [0, []], "trace": [0, []]}
+    assert loaded == {"import": [], **{name: [0, []] for name in runs}}
+
+
+@pytest.mark.parametrize("T, code", [("2", 1), ("5", 1), ("5.01", 1), ("5.5", 0)])
+def test_asymptotics_windows_too_short_is_usage_error(tmp_path, capsys, T, code):
+    # verify asymptotics checks on the windows (T + 5, 2T) and (T + 5, 4T): at
+    # T <= 5 the first is empty, at 5.01 it holds too few samples for a slope
+    argv = ["verify", "asymptotics", "--n", "3", "--m", "1", "--T", T, "--outdir", str(tmp_path)]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(f"usage error: T = {T} ")
+        assert "(T + 5, 2T)" in err and "(T + 5, 4T)" in err
 
 
 def test_negative_handoff_is_numeric_failure(tmp_path, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853
 from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.optimize import brentq
 
 import itergelfand.branch as br
@@ -159,19 +160,36 @@ def test_counts_trial_steps(problems):
     assert sol.naccept == len(sol.t) - 1
 
 
+def _nonzero_bits(row):
+    """(j, a) of a tableau row's nonzero entries in j order, each a by its IEEE bits."""
+    return tuple((j, float(a).hex()) for j, a in enumerate(row) if a != 0.0)
+
+
 def test_tableau_is_scipy_dop853():
-    # the tableau read from scipy's coefficient file, bit for bit as
-    # scipy.integrate.DOP853 holds it
-    nz = rk._nonzero
-    assert rk.N_STAGES == DOP853.n_stages
+    # the literal tableau is scipy's dop853_coefficients bit for bit: every
+    # nonzero entry of A, B, C, E3, E5 and D is there with its double, and
+    # every entry that is zero there is absent here
+    n, n_ext = dop853_coefficients.N_STAGES, dop853_coefficients.N_STAGES_EXTENDED
+    A, C = dop853_coefficients.A, dop853_coefficients.C
+
+    def bits(rows):
+        return tuple((j, a.hex()) for j, a in rows)
+
+    assert rk.N_STAGES == n == DOP853.n_stages
     assert rk.ERROR_EXPONENT == -1.0 / (DOP853.error_estimator_order + 1)
-    assert rk._A == tuple(nz(row[:s]) for s, row in enumerate(DOP853.A))
-    assert rk._C == tuple(float(c) for c in DOP853.C)
-    assert (rk._B, rk._E3, rk._E5) == (nz(DOP853.B), nz(DOP853.E3), nz(DOP853.E5))
-    assert rk._A_EXTRA == tuple(nz(row[:DOP853.n_stages + 1 + i])
-                                for i, row in enumerate(DOP853.A_EXTRA))
-    assert rk._C_EXTRA == tuple(float(c) for c in DOP853.C_EXTRA)
-    assert rk._D == tuple(nz(row) for row in DOP853.D)
+    # explicit: no stage reads itself or a later one
+    assert not np.any(np.triu(A))
+    assert tuple(map(bits, rk._A)) == tuple(_nonzero_bits(A[s, :s]) for s in range(n))
+    assert tuple(map(bits, rk._A_EXTRA)) == tuple(_nonzero_bits(A[s, :s])
+                                                  for s in range(n + 1, n_ext))
+    # the last stage, at the step's end, combines the earlier ones by B
+    assert bits(rk._B) == _nonzero_bits(A[n, :n]) == _nonzero_bits(dop853_coefficients.B)
+    assert C[n] == 1.0
+    assert tuple(c.hex() for c in rk._C + rk._C_EXTRA) == tuple(
+        float(c).hex() for c in np.delete(C, n))
+    assert bits(rk._E3) == _nonzero_bits(dop853_coefficients.E3)
+    assert bits(rk._E5) == _nonzero_bits(dop853_coefficients.E5)
+    assert tuple(map(bits, rk._D)) == tuple(map(_nonzero_bits, dop853_coefficients.D))
 
 
 @pytest.mark.parametrize("name", ["descent", "inner", "oscillator"])
@@ -297,7 +315,7 @@ def test_nan_first_acceleration_fails_at_once(y0):
     # a NaN acceleration makes the initial step NaN (from y = 1), or the
     # error norms of the trial steps NaN (from y = 1e-20, where the rule takes
     # h0 = 1e-6 and the first trial step is finite); either way the solve
-    # ends in a step-size failure after a bounded number of calls
+    # ends at status -1 after a bounded number of calls
     calls = []
 
     def fun(t, y, yp):
@@ -309,3 +327,5 @@ def test_nan_first_acceleration_fails_at_once(y0):
     sol = solve_ivp(fun, (1.0, 2.0), y0, rtol=1e-10, atol=1e-12)
     assert sol.status == -1
     assert sol.naccept == 0
+    # its message names the NaN, not a step-size underflow
+    assert sol.message == rk.NAN_MESSAGE != rk.MESSAGES[-1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import exp1
 
 from itergelfand.towers import (TowerDomainError, TowerOverflowError, f_tail,
                                 f_tail_inverse, f_tail_inverse_log, f_tail_log,
@@ -148,6 +149,38 @@ def test_f_tail_where_exp_leaves_the_normal_range():
     assert f_tail_inverse(800.0) == pytest.approx(-800.0 - np.euler_gamma, rel=8 * EPS)
 
 
+def test_f_tail_against_exp1_and_mpmath():
+    # a dense t-grid over [-800, 709], finest across the split of the two
+    # formulas at t = 0, against a 50-digit E_1(e^t): F within 2e-14 relative
+    # up to t = ln 40, log F within 1e-15 relative above it (there F's own
+    # condition, about t e^t, outgrows F's accuracy)
+    ts = np.union1d(np.linspace(-800.0, 709.0, 1511), np.linspace(-5.0, 5.0, 2001))
+    with mpmath.workdps(50):
+        e1 = [mpmath.e1(mpmath.exp(mpmath.mpf(t))) for t in ts]
+        ref = np.array([float(v) for v in e1])
+        ref_log = np.array([float(mpmath.log(v)) for v in e1])
+    F, log_f = f_tail(ts), f_tail_log(ts)
+    low = ts <= math.log(40.0)
+    assert np.max(np.abs(F[low] / ref[low] - 1.0)) <= 2e-14
+    assert np.max(np.abs(log_f[~low] / ref_log[~low] - 1.0)) <= 1e-15
+    # log F to the same relative accuracy of F below ln 40, also on the float
+    # path that the Brent iterations of f_tail_inverse_log take
+    log_f_float = np.array([f_tail_log(float(t)) for t in ts])
+    for got in (log_f, log_f_float):
+        assert np.max(np.abs(got[low] - ref_log[low])) <= 2e-14
+    assert np.max(np.abs(log_f_float[~low] / ref_log[~low] - 1.0)) <= 1e-15
+    # scipy's exp1, where e^t and its E_1 are normal doubles (t in about
+    # [-708, 6.5]); exp1 is itself up to 1.9e-14 off the 50-digit values here
+    head = ts < 7.0
+    ref_scipy = exp1(np.exp(ts[head]))
+    normal = (ts[head] > -708.0) & (ref_scipy >= sys.float_info.min)
+    assert np.count_nonzero(normal) > 2500
+    F, log_f = F[head][normal], log_f[head][normal]
+    assert np.max(np.abs(F / ref_scipy[normal] - 1.0)) <= 4e-14
+    log_err = np.abs(log_f - np.log(ref_scipy[normal]))
+    assert np.max(log_err / np.maximum(1.0, np.abs(log_f))) <= 4e-14
+
+
 def test_f_tail_inverse_roundtrip():
     assert f_tail_inverse(f_tail(1.0)) == pytest.approx(1.0, abs=1e-10)
     assert f_tail_inverse(0.2193839343955203) == pytest.approx(0.0, abs=1e-10)
@@ -269,8 +302,8 @@ def test_tower_roundtrip_property(m, y):
 @given(t=st.floats(min_value=-1e6, max_value=6.5))
 def test_f_tail_inverse_roundtrip_property(t):
     back = f_tail_inverse(f_tail(t))
-    # F(t) carries a relative error of a few ulps of 1 + |ln F| (exp1, or the
-    # log-domain series then exp), which moves the root by that times
+    # F(t) carries a relative error of a few ulps of 1 + |ln F| (the series,
+    # or the continued fraction), which moves the root by that times
     # F / |F'| = exp(ln F + e^t); Brent's method stops within
     # 4 eps (1 + |t|) of the root.  4e4 random cases used at most 0.18 of
     # the bound

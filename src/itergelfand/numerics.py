@@ -23,8 +23,8 @@ def scalar_or_array(out):
 
     Reads the ``ndim`` attribute directly (plain Python numbers have none and
     count as 0-d) instead of calling np.ndim, which goes through numpy's
-    function dispatch; scalar callers such as the Brent iterations of
-    towers.f_tail_inverse_log pay that on every call.
+    function dispatch; scalar callers such as the h_tower round trips of
+    verify iterexp pay that on every call.
     """
     return out if getattr(out, "ndim", 0) else float(out)
 

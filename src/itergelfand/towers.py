@@ -14,7 +14,6 @@ is -inf.  Everything here needs numpy alone and is pure and reentrant.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -22,7 +21,11 @@ from .numerics import brent, scalar_or_array
 
 # exp overflows doubles just above this argument
 MAX_EXP_ARG = 709.78
-EPS = sys.float_info.epsilon
+# terms of the power series of E_1: for x <= 1 the last is below 1e-19 of E_1(x)
+_SERIES_TERMS = 20
+# levels of its continued fraction: for x > 1 the truncation there stays below
+# 1e-19 relative (about exp(-4 sqrt(depth x))), under the rounding of the levels
+_FRACTION_DEPTH = 120
 
 
 class TowerOverflowError(OverflowError):
@@ -159,24 +162,16 @@ def g_deriv(m, k, y):
     return scalar_or_array(out)
 
 
-def _any(flags):
-    """Whether a flag, or any flag of an array, is set."""
-    return flags if isinstance(flags, bool) else np.any(flags)
-
-
 def _e1_series(t, x):
     """E_1(x) = -gamma - t - sum_{k>=1} (-x)^k / (k k!) for x = e^t <= 1.
 
-    t and x are both floats or both arrays.  The terms shrink from the first
-    on, and the sum stops once a power (-x)^k / k! is below EPS of the
-    partial sum.  Where x is subnormal or 0 the sum is at most x and the
-    value is -gamma - t.
+    t and x are both floats or both arrays.  The sum takes _SERIES_TERMS
+    terms; where x is subnormal or 0 it is at most x and the value is
+    -gamma - t.
     """
-    power = -x   # (-x)^k / k!
-    s = power
-    k = 1
-    while _any(abs(power) > EPS * abs(s)):
-        k += 1
+    power = 1.0   # (-x)^k / k!
+    s = 0.0
+    for k in range(1, _SERIES_TERMS + 1):
         power = power * (-x / k)
         s = s + power / k
     return -np.euler_gamma - t - s
@@ -185,24 +180,15 @@ def _e1_series(t, x):
 def _e1_fraction(x):
     """1 / (e^x E_1(x)) for x > 1, the continued fraction x + 1 - 1/(x + 3 - 4/(x + 5 - ...)).
 
-    Lentz's method: f = c_0 = x + 1 and q_0 = inf, then with b_i = x + 2i + 1
-    c_i = b_i - i^2 / c_{i-1}, q_i = b_i - i^2 / q_{i-1} and f *= c_i / q_i,
-    until every factor is within EPS of 1 (90 terms just above x = 1, 7 at
-    x = 40).  For x > 0 neither ratio vanishes, so no tiny-value guard is
-    needed.  x is a float or an array.
+    x is a float or an array.  The fraction is evaluated backwards from its
+    _FRACTION_DEPTH-th level, g = x + 2i - 1 - i^2 / g for i = _FRACTION_DEPTH
+    down to 1, which damps the rounding of each level; a forward (Lentz)
+    evaluation keeps it, up to 39 eps just above x = 1.
     """
-    f = c = x + 1.0
-    q = math.inf
-    i = 0
-    while True:
-        i += 1
-        b = x + (2 * i + 1)
-        c = b - i * i / c
-        q = b - i * i / q
-        ratio = c / q
-        f = f * ratio
-        if not _any(abs(ratio - 1.0) > EPS):
-            return f
+    g = x + (2 * _FRACTION_DEPTH + 1)
+    for i in range(_FRACTION_DEPTH, 0, -1):
+        g = x + (2 * i - 1) - i * i / g
+    return g
 
 
 def f_tail_log(t):

@@ -305,7 +305,7 @@ def test_f_tail_inverse_roundtrip_property(t):
     # F(t) carries a relative error of a few ulps of 1 + |ln F| (the series,
     # or the continued fraction), which moves the root by that times
     # F / |F'| = exp(ln F + e^t); Brent's method stops within
-    # 4 eps (1 + |t|) of the root.  4e4 random cases used at most 0.18 of
+    # 4 eps (1 + |t|) of the root.  4e4 random cases used at most 0.13 of
     # the bound
     log_f = f_tail_log(t)
     spread = math.exp(log_f + math.exp(t))

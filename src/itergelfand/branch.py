@@ -38,7 +38,7 @@ import numpy as np
 
 from .corrector import EtaSpaceConfig, PicardConvergenceError, PsiKernel
 from .numerics import scalar_or_array
-from .rk import EPS, solve_ivp
+from .rk import EPS, acceleration, solve_ivp
 from .singular import DescentError, build_singular, descend, singular_state
 from .towers import TowerOverflowError, g_tower
 
@@ -153,15 +153,13 @@ def _inner_acceleration(n, m, rho):
         chain = tuple(g_tower(j, rho) for j in range(m + 1))
     except TowerOverflowError as exc:
         raise ShootError(f"G_m(rho) not representable at rho = {rho}") from exc
-    # chain[0] is rho as a Python float, cheaper per call than a numpy scalar
-    rho, levels, damping = chain[0], chain[1:], float(-(n - 1))
-
-    def accel(s, v, p):
-        d = v - rho if v < rho else 0.0
-        for g in levels:
-            d = g * math.expm1(d)
-        return damping / s * p - (math.exp(d) if d > -745.0 else 0.0)
-
+    # the level recursion unrolled; chain[0] is rho as a Python float, cheaper
+    # per evaluation than a numpy scalar
+    levels = "".join(f"d = g{j} * expm1(d)\n" for j in range(1, m + 1))
+    accel = acceleration(f"d = y - rho if y < rho else 0.0\n{levels}"
+                         "a = damping / t * p - (exp(d) if d > -745.0 else 0.0)",
+                         rho=chain[0], damping=float(-(n - 1)),
+                         **{f"g{j}": chain[j] for j in range(1, m + 1)})
     return chain, accel
 
 

@@ -35,6 +35,10 @@ EXIT_NUMERIC = 2
 
 # largest rho grid bifurcation trace accepts
 MAX_RHO_POINTS = 10 ** 6
+# most work bifurcation trace accepts, in shots times n: a shot costs about
+# linearly in n.  The default 236-point grid meets it at n = 423, where the
+# trace takes about 20 s on a shared 2-vCPU host
+MAX_TRACE_WORK = 10 ** 5
 # dimensions from here on are not exact doubles, and past about 1e308 not
 # doubles at all; the solvers compute with n as a double
 MAX_DIMENSION = 2 ** 53
@@ -237,6 +241,10 @@ def cmd_bifurcation(cfg):
     # a float quotient, possibly inf, so the bound holds before anything is allocated
     if (cfg.rho_max - cfg.rho_min) / cfg.rho_step > MAX_RHO_POINTS:
         raise UsageError(f"rho grid would have more than {MAX_RHO_POINTS} points")
+    shots = (cfg.rho_max - cfg.rho_min) / cfg.rho_step + 1.0
+    if shots * cfg.n > MAX_TRACE_WORK:
+        raise UsageError(f"a trace of {shots:.6g} shots at n = {cfg.n} is {shots * cfg.n:.4g} "
+                         f"shots times n, more than {MAX_TRACE_WORK:.0e}")
     grid = np.arange(cfg.rho_min, cfg.rho_max + 0.5 * cfg.rho_step, cfg.rho_step)
     if len(grid) < 3:
         raise UsageError("rho grid has fewer than 3 points")

@@ -63,10 +63,6 @@ class PsiKernel:
         return cls(n, 0.5 * ((n - 2) + d), 0.5 * ((n - 2) - d))
 
     @property
-    def damping(self):
-        return 0.5 * (self.n - 2)
-
-    @property
     def freq(self):
         """Imaginary part of lam_+; zero for n >= 10."""
         return self.lam_plus.imag

@@ -20,25 +20,32 @@ in plain floats:
 * the dense output of all steps is kept in one flat array('d') buffer and
   evaluated vectorised.
 
-One trial step is straight-line code generated at import from the
-tableau (_step_source).  Each of the 12 stages after the first is
-evaluated at y + (sum_j a_sj k0_j) h, y' + (sum_j a_sj k1_j) h: the stage's
-first component k0_s is that y', written inline, and its second k1_s the
-one call a(t + c_s h, y_s, k0_s).  The B sum then gives the new state, the
-last stage is evaluated at the step's end and the E5 and E3 error sums are
-formed.  The stages are locals and every coefficient is a literal written
-with repr.  The three extra stages and the four upper coefficients of the
-dense output are generated the same way (_dense_source).  Every sum adds
-its terms in the tableau's order, left to right; scipy forms them as matrix
-products, so results agree with scipy's to rounding.  Squares are products,
-never powers, so an overflowing trial step yields an inf or nan error norm
-and is rejected, as in scipy, instead of raising.
+The integrator is one solve loop per acceleration, generated from the
+tableau as straight-line code (_loop_source) and compiled on its first use
+in the process, then cached by the acceleration's source.  An acceleration
+is declared once (acceleration()) as a few statements that set a from t, y,
+p = y' and named float constants.  The loop inlines them into each of the 12
+stages of a trial step, into its last stage at the step's end and into the
+3 extra stages of the dense output.  Stage s is evaluated at y + (sum_j a_sj
+k0_j) h, y' + (sum_j a_sj k1_j) h: its first component k0_s is that y', and
+its second k1_s the acceleration there.  The step-size controller, the
+stop-level check and the appends to the output arrays run inside the loop
+too.  The same statements compile to a plain callable, which the initial
+step rule and any caller that wants one value use.  A plain callable passed
+to solve_ivp gets the loop of the body a = fun(t, y, p), so there is one
+integrator either way.  Every sum adds its terms in the tableau's order,
+left to right, with each coefficient a literal written with repr; scipy
+forms them as matrix products, so results agree with scipy's to rounding.
+Squares are products, never powers, so an overflowing trial step yields an
+inf or nan error norm and is rejected, as in scipy, instead of raising.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
+import textwrap
 from array import array
 from dataclasses import dataclass
 
@@ -132,67 +139,152 @@ def _terms(rows, k):
     return " + ".join(f"{a!r} * {k}{j}" for j, a in rows)
 
 
-def _stage(s, c, rows):
-    """Source lines that evaluate stage s at t + c h from the stages that rows combine."""
-    return (f"    k0_{s} = y1 + ({_terms(rows, 'k1_')}) * h\n"
-            f"    k1_{s} = fun(t + {c!r} * h, y0 + ({_terms(rows, 'k0_')}) * h, k0_{s})")
+def _lines(body, depth):
+    """The statements of body, indented to depth."""
+    return "\n".join("    " * depth + line
+                     for line in textwrap.dedent(body).strip("\n").splitlines())
 
 
-def _step_source():
-    """Source of one trial step, _step(fun, t, h, t_new, y0, y1, k1_0, atol, rtol).
+def _stage(s, c, rows, body):
+    """Source that evaluates stage s at t0 + c h from the stages that rows combine."""
+    return "\n".join([f"            p = k0_{s} = y1 + ({_terms(rows, 'k1_')}) * h",
+                      f"            t = t0 + {c!r} * h",
+                      f"            y = y0 + ({_terms(rows, 'k0_')}) * h",
+                      _lines(body, 3),
+                      f"            k1_{s} = a"])
 
-    The step of size h goes from (t, y0, y1) with first stage (k0_0, k1_0) =
-    (y1, fun(t, y0, y1)) to t_new, which the caller has clamped to the end
-    of the interval.  It returns (n0, n1, e5, e3, k0, k1): the new state,
-    the squared norms (sum over components, not halved) of the E5 and E3
-    error sums scaled by atol + max(|y|, |n|) rtol, and the 13 stages of
-    each component, the last one evaluated at (t_new, n0, n1).
-    """
-    stages = range(N_STAGES + 1)
+
+def _loop_source(body, names):
+    """Source of solve(consts, ...), the solve loop of one acceleration body, consts the
+    values of the constants names.  It appends to the arrays ts, ys0, ys1 and dense and
+    returns (status, the last accepted acceleration, nfev - 2, naccept, nreject)."""
+    last = N_STAGES
+    coef = [f"            c{i} = (dy{i}, h * k{i}_0 - dy{i}, "
+            f"2.0 * dy{i} - h * (k{i}_{last} + k{i}_0), "
+            + ", ".join(f"h * ({_terms(rows, f'k{i}_')})" for rows in _D) + ")" for i in (0, 1)]
     return "\n".join([
-        "def _step(fun, t, h, t_new, y0, y1, k1_0, atol, rtol):",
-        "    k0_0 = y1",
-        *(_stage(s, _C[s], _A[s]) for s in range(1, N_STAGES)),
-        *(f"    n{i} = y{i} + h * ({_terms(_B, f'k{i}_')})" for i in (0, 1)),
-        f"    k0_{N_STAGES} = n1",
-        f"    k1_{N_STAGES} = fun(t_new, n0, n1)",
-        *(f"    sc{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in (0, 1)),
-        *(f"    e{i} = ({_terms(_E5, f'k{i}_')}) / sc{i}" for i in (0, 1)),
-        *(f"    d{i} = ({_terms(_E3, f'k{i}_')}) / sc{i}" for i in (0, 1)),
-        "    return (n0, n1, e0 * e0 + e1 * e1, d0 * d0 + d1 * d1,",
-        *(f"            ({', '.join(f'k{i}_{j}' for j in stages)})," for i in (0, 1)),
-        "            )",
+        "def solve(consts, t0, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at,",
+        "          dense_output, ts, ys0, ys1, dense):",
+        f"    ({''.join(f'{name}, ' for name in names)}) = consts",
+        "    nfev = naccept = nreject = 0",
+        "    g = None if stop_at is None else y0 - stop_at",
+        "    status = None",
+        "    while status is None:",
+        "        min_step = 10.0 * abs(nextafter(t0, sign * inf) - t0)",
+        "        h_abs = max(h_abs, min_step)",
+        "        rejected = False",
+        "        while True:",
+        "            if not h_abs >= min_step:   # a NaN first acceleration gives a NaN step",
+        "                return -1, f1, nfev, naccept, nreject",
+        "            t_new = t0 + h_abs * sign",
+        "            if sign * (t_new - t_bound) > 0.0:",
+        "                t_new = t_bound",
+        "            h = t_new - t0",
+        "            h_abs = abs(h)",
+        "            k0_0, k1_0 = y1, f1",
+        *(_stage(s, _C[s], _A[s], body) for s in range(1, last)),
+        *(f"            n{i} = y{i} + h * ({_terms(_B, f'k{i}_')})" for i in (0, 1)),
+        f"            p = k0_{last} = n1",
+        "            t, y = t_new, n0",
+        _lines(body, 3),
+        f"            k1_{last} = a",
+        *(f"            sc{i} = atol + max(abs(y{i}), abs(n{i})) * rtol" for i in (0, 1)),
+        *(f"            e{i} = ({_terms(_E5, f'k{i}_')}) / sc{i}" for i in (0, 1)),
+        *(f"            d{i} = ({_terms(_E3, f'k{i}_')}) / sc{i}" for i in (0, 1)),
+        "            e5, e3 = e0 * e0 + e1 * e1, d0 * d0 + d1 * d1",
+        f"            nfev += {last}",
+        "            err = 0.0 if e5 == 0.0 else h_abs * e5 / sqrt((e5 + 0.01 * e3) * 2.0)",
+        "            if err < 1.0:",
+        f"                factor = {MAX_FACTOR!r}",
+        "                if err > 0.0:",
+        f"                    factor = min({MAX_FACTOR!r}, "
+        f"{SAFETY!r} * err ** {ERROR_EXPONENT!r})",
+        "                h_abs *= min(1.0, factor) if rejected else factor",
+        "                break",
+        "            # inf and nan error norms land here too",
+        f"            h_abs *= max({MIN_FACTOR!r}, {SAFETY!r} * err ** {ERROR_EXPONENT!r})",
+        "            rejected = True",
+        "            nreject += 1",
+        "        naccept += 1",
+        "        if sign * (t_new - t_bound) >= 0.0:",
+        "            status = 0",
+        "        crossed = False",
+        "        if stop_at is not None:",
+        "            g_new = n0 - stop_at",
+        "            crossed = g <= 0.0 <= g_new or g >= 0.0 >= g_new",
+        "            g = g_new",
+        "        if dense_output or crossed:",
+        *(_stage(last + 1 + i, _C_EXTRA[i], rows, body) for i, rows in enumerate(_A_EXTRA)),
+        "            dy0, dy1 = n0 - y0, n1 - y1",
+        *coef,
+        "            nfev += 3",
+        "            if dense_output:",
+        "                dense.extend((t0, h, y0, y1, *c0, *c1))",
+        "            if crossed:",
+        "                t_new, n0, n1 = _crossing(stop_at, t0, h, y0, y1, c0, c1, t_new)",
+        "                status = 1",
+        f"        t0, y0, y1, f1 = t_new, n0, n1, k1_{last}",
+        "        if dense_output and len(ts) > 1 and ts[-1] == t0:",
+        "            # a crossing at the start of the step: drop its interpolant",
+        f"            del dense[-{_STRIDE}:]",
+        "        else:",
+        "            ts.append(t0)",
+        "            ys0.append(y0)",
+        "            ys1.append(y1)",
+        "    return status, f1, nfev, naccept, nreject",
     ])
 
 
-def _dense_source():
-    """Source of _dense(fun, t, h, y0, y1, n0, n1, k0, k1): the step's interpolant.
+def _crossing(level, t_old, h, y0, y1, c0, c1, t_new):
+    """(t, y, y') where the interpolant (coefficients c0, c1) of the step from
+    (t_old, y0, y1) to t_new crosses y = level, located by brent."""
 
-    For the step (t, y) -> (t + h, n) with the 13 stages k0, k1 of _step it
-    evaluates the three extra stages and returns the 7 interpolant
-    coefficients of each component.
-    """
-    stages = range(N_STAGES + 1)
-    return "\n".join([
-        "def _dense(fun, t, h, y0, y1, n0, n1, k0, k1):",
-        *(f"    {', '.join(f'k{i}_{j}' for j in stages)} = k{i}" for i in (0, 1)),
-        *(_stage(N_STAGES + 1 + i, _C_EXTRA[i], rows) for i, rows in enumerate(_A_EXTRA)),
-        *(f"    dy{i} = n{i} - y{i}" for i in (0, 1)),
-        "    return (",
-        *(f"        (dy{i}, h * k{i}_0 - dy{i}, 2.0 * dy{i} - h * (k{i}_{N_STAGES} + k{i}_0), "
-          + ", ".join(f"h * ({_terms(rows, f'k{i}_')})" for rows in _D) + ")," for i in (0, 1)),
-        "    )",
-    ])
+    def at(t):
+        x = (t - t_old) / h
+        v0 = v1 = 0.0
+        for i in range(6, -1, -1):
+            w = x if i % 2 == 0 else 1.0 - x
+            v0 = (v0 + c0[i]) * w
+            v1 = (v1 + c1[i]) * w
+        return (v0 + y0, v1 + y1)
+
+    t = brent(lambda tt: at(tt)[0] - level, t_old, t_new)
+    return (t, *at(t))
 
 
 def _compile(source, name):
-    namespace = {}
+    """The function name that source defines; its globals are math's names and _crossing."""
+    namespace = {key: value for key, value in vars(math).items() if not key.startswith("_")}
+    namespace["_crossing"] = _crossing
     exec(compile(source, f"<DOP853 {name}>", "exec"), namespace)
     return namespace[name]
 
 
-_step = _compile(_step_source(), "_step")
-_dense = _compile(_dense_source(), "_dense")
+@functools.cache
+def _loop(body, names):
+    """The solve loop of an acceleration body, compiled on its first use in the process."""
+    return _compile(_loop_source(body, names), "solve")
+
+
+@functools.cache
+def _scalar(body, names):
+    """make(*values) -> the callable a(t, y, p) of an acceleration body."""
+    return _compile("\n".join([f"def make({', '.join(names)}):", "    def accel(t, y, p):",
+                               _lines(body, 2), "        return a", "    return accel"]), "make")
+
+
+def acceleration(body, **consts):
+    """The acceleration a(t, y, p) that the statements body compute, as a callable.
+
+    body sets a from t, y, p, the float constants consts by name and math's
+    names, as in "a = c * p - exp(y)"; its other locals must not be names of
+    the solve loop.  solve_ivp inlines body into every stage; the callable runs it once.
+    """
+    names, values = tuple(consts), tuple(consts.values())
+    fun = _scalar(body, names)(*values)
+    fun.inline = (body, names, values)
+    return fun
+
 
 MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
             # scipy's words; here the stop level was crossed
@@ -274,25 +366,12 @@ def _initial_step(fun, t0, y0, y1, f1, interval, sign, rtol, atol):
     return min(100.0 * h0, h1, interval)
 
 
-def _interpolant(t_old, h, y0, y1, c0, c1):
-    """The step interpolant t -> (y0(t), y1(t)) on plain floats."""
-
-    def at(t):
-        x = (t - t_old) / h
-        v0 = v1 = 0.0
-        for i in range(6, -1, -1):
-            w = x if i % 2 == 0 else 1.0 - x
-            v0 = (v0 + c0[i]) * w
-            v1 = (v1 + c1[i]) * w
-        return (v0 + y0, v1 + y1)
-
-    return at
-
-
 def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     """Integrate y'' = fun(t, y, y') over t_span with DOP853, from y0 = (y, y').
 
-    fun(t, y, yp) returns the acceleration, one float.  With stop_at set,
+    fun(t, y, yp) returns the acceleration, one float; the statements of one
+    made by acceleration() run inlined in the solve loop, and any other
+    callable is called from it.  With stop_at set,
     the solve ends at the first time y crosses that level, in either sense;
     the crossing is the last entry of t and y.  Returns an OdeResult with
     scipy's t, y (shape (2, steps + 1), rows y and y'), sol (None unless
@@ -315,74 +394,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
 
     f1 = fun(t, y0, y1)
     h_abs = _initial_step(fun, t, y0, y1, f1, abs(t_bound - t), sign, rtol, atol)
-    nfev = 2
-    naccept = nreject = 0
-    if stop_at is not None:
-        g = y0 - stop_at
-    ts, ys0, ys1 = array("d", [t]), array("d", [y0]), array("d", [y1])
-    dense = array("d")
-    status = None
-    while status is None:
-        min_step = 10.0 * abs(math.nextafter(t, sign * math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if not h_abs >= min_step:   # a NaN first acceleration gives a NaN step
-                status = -1
-                break
-            t_new = t + h_abs * sign
-            if sign * (t_new - t_bound) > 0.0:
-                t_new = t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            n0, n1, e5, e3, k0, k1 = _step(fun, t, h, t_new, y0, y1, f1, atol, rtol)
-            nfev += N_STAGES
-            err = 0.0 if e5 == 0.0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
-            if err < 1.0:
-                factor = MAX_FACTOR
-                if err > 0.0:
-                    factor = min(MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            # inf and nan error norms land here too
-            h_abs *= max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
-            rejected = True
-            nreject += 1
-        if status == -1:
-            break
-        naccept += 1
-
-        t_old, o0, o1 = t, y0, y1
-        t, y0, y1 = t_new, n0, n1
-        f1 = k1[N_STAGES]
-        if sign * (t - t_bound) >= 0.0:
-            status = 0
-        coef = None
-        if dense_output:
-            coef = _dense(fun, t_old, h, o0, o1, y0, y1, k0, k1)
-            nfev += 3
-            dense.extend((t_old, h, o0, o1, *coef[0], *coef[1]))
-        if stop_at is not None:
-            g_new = y0 - stop_at
-            if g <= 0.0 <= g_new or g >= 0.0 >= g_new:
-                if coef is None:
-                    coef = _dense(fun, t_old, h, o0, o1, y0, y1, k0, k1)
-                    nfev += 3
-                at = _interpolant(t_old, h, o0, o1, *coef)
-                t = brent(lambda tt: at(tt)[0] - stop_at, t_old, t)
-                y0, y1 = at(t)
-                status = 1
-            g = g_new
-        if dense_output and len(ts) > 1 and ts[-1] == t:
-            # a crossing at the start of the step: drop its interpolant
-            del dense[-_STRIDE:]
-        else:
-            ts.append(t)
-            ys0.append(y0)
-            ys1.append(y1)
-
+    # a plain callable is the body that calls it
+    body, names, values = getattr(fun, "inline", ("a = fun(t, y, p)", ("fun",), (fun,)))
+    ts, ys0, ys1, dense = array("d", [t]), array("d", [y0]), array("d", [y1]), array("d")
+    status, f1, nfev, naccept, nreject = _loop(body, names)(
+        values, t, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at, dense_output,
+        ts, ys0, ys1, dense)
     ts = np.array(ts)
     sol = DenseSolution(ts, np.frombuffer(dense)) if dense_output else None
     message = NAN_MESSAGE if status == -1 and math.isnan(f1) else MESSAGES[status]
     return OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=message,
-                     nfev=nfev, naccept=naccept, nreject=nreject)
+                     nfev=2 + nfev, naccept=naccept, nreject=nreject)

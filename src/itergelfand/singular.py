@@ -22,7 +22,7 @@ import numpy as np
 from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
                         phi_m, picard_solve)
 from .numerics import differentiate
-from .rk import solve_ivp
+from .rk import acceleration, solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
 from .transform import LogProfile
 
@@ -99,35 +99,31 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
     dense_output is set.  integrate_down and the log-variable phase of
     branch.shoot_regular both run through it.
 
-    The right-hand side forms the force exp(G_m(w) - 2t) itself, G_m by m
-    calls of math.exp.  A trial step whose force leaves the double range
-    gets an infinite force, which solve_ivp rejects as it does any step
-    with an inf error norm, retrying a smaller one.  DescentError is raised
-    when the force is past the double range at the start or at an accepted
-    state, where no smaller step helps, and when the descent reaches
-    t_floor without a zero, unless stop_at_floor is set, which returns
-    (None, sol) then.
+    The acceleration, whose statements solve_ivp inlines into every stage,
+    forms the force exp(G_m(w) - 2t) itself, G_m by m nested calls of exp.
+    A trial step whose force leaves the double range gets an infinite force
+    (each stage catches the OverflowError), which solve_ivp rejects as it
+    does any step with an inf error norm, retrying a smaller one.
+    DescentError is raised when the force is past the double range at the
+    start or at an accepted state, where no smaller step helps, and when
+    the descent reaches t_floor without a zero, unless stop_at_floor is
+    set, which returns (None, sol) then.
     """
-    c = float(n - 2)
-    levels = range(m)
-
-    def rhs(tt, ww, ww_t):
+    accel = acceleration(f"""
         try:
-            for _ in levels:
-                ww = math.exp(ww)
-            expo = ww - 2.0 * tt
-            f = math.exp(expo) if expo > -745.0 else 0.0
+            x = {"exp(" * m}y{")" * m} - 2.0 * t
+            f = exp(x) if x > -745.0 else 0.0
         except OverflowError:
-            f = math.inf
-        return c * ww_t - f
+            f = inf
+        a = c * p - f""", c=float(n - 2))
 
     def out_of_range(tt, ww):
-        return rhs(tt, ww, 0.0) == -math.inf
+        return accel(tt, ww, 0.0) == -math.inf
 
     if out_of_range(t, w):
         raise DescentError(f"the descent from t = {t:.6g} left the double range: "
                            f"exp(G_m(w) - 2t) overflows at its start, w = {w:.6g}")
-    sol = solve_ivp(rhs, (t, t_floor), [w, w_t], rtol=rtol, atol=atol,
+    sol = solve_ivp(accel, (t, t_floor), [w, w_t], rtol=rtol, atol=atol,
                     dense_output=dense_output, stop_at=0.0)
     if sol.status != 1:
         if stop_at_floor and sol.status == 0:

@@ -9,10 +9,10 @@ one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
 descent runs all the way to its zero instead of being matched to w*, and
 the corrector derivative from its first-order representation instead of
-the Psi sweeps, and the DOP853 trial step and interpolant by loops over the
-tableau rows, applied to the first-order system (y, y')' = (y', a), instead
-of the straight-line code that itergelfand.rk generates from them for the
-acceleration a.  csv_text writes a CSV one cell at a time, where write_csv
+the Psi sweeps, and a DOP853 solver whose trial step and interpolant loop
+over the tableau rows, applied to the first-order system (y, y')' = (y', a)
+with the acceleration a called, instead of the straight-line solve loop
+that itergelfand.rk generates from them with a inlined.  csv_text writes a CSV one cell at a time, where write_csv
 applies one row format per file, and h_deriv_fd_worst takes verify
 iterexp's finite differences one scalar t at a time, where the suite takes
 them on the whole t array.  g_diff, the tower difference by its level
@@ -64,10 +64,15 @@ def g_diff(m, y0, dy):
     return scalar_or_array(d)
 
 
+def damping(kernel):
+    """Real part (n - 2) / 2 of the kernel's roots lam_+ and lam_- for n <= 9."""
+    return 0.5 * (kernel.n - 2)
+
+
 def tail_constant(kernel):
     """C with |integral tail| <= C * sup s^2|F| / t_max^2 for the kernel's roots."""
     if kernel.freq:
-        return 1.0 / (kernel.damping * kernel.freq)
+        return 1.0 / (damping(kernel) * kernel.freq)
     return 1.0 / (2.0 * (kernel.n - 2))
 
 
@@ -258,9 +263,14 @@ def first_order(fun):
 
 
 def dop853_step(fun, t, h, t_new, y0, y1, f1, atol, rtol):
-    """rk._step by loops over the tableau rows of the first-order system.
+    """One trial step of rk's solve loop by loops over the tableau rows of the first-order
+    system.
 
-    Returns (n0, n1, e5, e3, k0, k1) like rk._step.
+    The step of size h goes from (t, y0, y1), of acceleration f1, to t_new.
+    Returns (n0, n1, e5, e3, k0, k1): the new state, the squared norms (sum
+    over components, not halved) of the E5 and E3 error sums scaled by
+    atol + max(|y|, |n|) rtol, and the 13 stages of each component, the last
+    one evaluated at (t_new, n0, n1).
     """
     f = first_order(fun)
     k0 = [y1] + [0.0] * rk.N_STAGES
@@ -281,9 +291,12 @@ def dop853_step(fun, t, h, t_new, y0, y1, f1, atol, rtol):
 
 
 def dop853_dense(fun, t, h, y0, y1, n0, n1, k0, k1):
-    """rk._dense by loops over the tableau rows of the first-order system.
+    """The interpolant of rk's solve loop by loops over the tableau rows of the first-order
+    system.
 
-    Returns the 7 interpolant coefficients of each component.
+    For the step (t, y) -> (t + h, n) with the 13 stages k0, k1 of dop853_step
+    it evaluates the three extra stages and returns the 7 interpolant
+    coefficients of each component.
     """
     f = first_order(fun)
     k0, k1 = list(k0) + [0.0] * 3, list(k1) + [0.0] * 3
@@ -300,6 +313,79 @@ def dop853_dense(fun, t, h, y0, y1, n0, n1, k0, k1):
         c0.append(h * d0)
         c1.append(h * d1)
     return c0, c1
+
+
+def dop853_solve(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
+    """rk.solve_ivp as a Python loop that calls dop853_step and dop853_dense.
+
+    The loop rk generates for an acceleration body, written out by hand and
+    driven by the callable fun; it shares only the initial step rule and the
+    crossing search with rk.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    sign = 1.0 if t_bound > t else -1.0
+    y0, y1 = float(y0[0]), float(y0[1])
+    f1 = fun(t, y0, y1)
+    h_abs = rk._initial_step(fun, t, y0, y1, f1, abs(t_bound - t), sign, rtol, atol)
+    nfev, naccept, nreject = 2, 0, 0
+    g = None if stop_at is None else y0 - stop_at
+    ts, ys0, ys1, dense = [t], [y0], [y1], []
+    status = None
+    while status is None:
+        min_step = 10.0 * abs(math.nextafter(t, sign * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                status = -1
+                break
+            t_new = t + h_abs * sign
+            if sign * (t_new - t_bound) > 0.0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            n0, n1, e5, e3, k0, k1 = dop853_step(fun, t, h, t_new, y0, y1, f1, atol, rtol)
+            nfev += rk.N_STAGES
+            err = 0.0 if e5 == 0.0 else h_abs * e5 / math.sqrt((e5 + 0.01 * e3) * 2.0)
+            if err < 1.0:
+                factor = rk.MAX_FACTOR
+                if err > 0.0:
+                    factor = min(rk.MAX_FACTOR, rk.SAFETY * err ** rk.ERROR_EXPONENT)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(rk.MIN_FACTOR, rk.SAFETY * err ** rk.ERROR_EXPONENT)
+            rejected = True
+            nreject += 1
+        if status == -1:
+            break
+        naccept += 1
+        if sign * (t_new - t_bound) >= 0.0:
+            status = 0
+        crossed = False
+        if stop_at is not None:
+            g_new = n0 - stop_at
+            crossed = g <= 0.0 <= g_new or g >= 0.0 >= g_new
+            g = g_new
+        if dense_output or crossed:
+            c0, c1 = dop853_dense(fun, t, h, y0, y1, n0, n1, k0, k1)
+            nfev += 3
+            if dense_output:
+                dense += [t, h, y0, y1, *c0, *c1]
+            if crossed:
+                t_new, n0, n1 = rk._crossing(stop_at, t, h, y0, y1, c0, c1, t_new)
+                status = 1
+        t, y0, y1, f1 = t_new, n0, n1, k1[rk.N_STAGES]
+        if dense_output and len(ts) > 1 and ts[-1] == t:
+            del dense[-rk._STRIDE:]
+        else:
+            ts.append(t)
+            ys0.append(y0)
+            ys1.append(y1)
+    ts = np.array(ts)
+    sol = rk.DenseSolution(ts, np.array(dense)) if dense_output else None
+    message = rk.NAN_MESSAGE if status == -1 and math.isnan(f1) else rk.MESSAGES[status]
+    return rk.OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=message,
+                        nfev=nfev, naccept=naccept, nreject=nreject)
 
 
 def csv_cell(v):

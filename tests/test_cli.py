@@ -357,13 +357,32 @@ def test_negative_handoff_is_numeric_failure(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_failed_inner_phase_names_the_dimension(tmp_path, capsys):
-    # at n = 2**53 - 1 the step size of the first shot's inner phase underflows
+def test_failed_inner_phase_names_the_dimension(tmp_path, capsys, monkeypatch):
+    # at n = 2**53 - 1 the step size of the first shot's inner phase underflows;
+    # the work bound, which refuses such a trace up front, is lifted to reach it
+    monkeypatch.setattr(cli, "MAX_TRACE_WORK", math.inf)
     code = run_cli(["bifurcation", "trace", "--n", "9007199254740991", "--outdir", str(tmp_path)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("numeric failure:") and "n = 9007199254740991, m = 1" in err
     assert "Traceback" not in err
+
+
+def test_trace_work_bound_is_usage_error(tmp_path, capsys, monkeypatch):
+    # shots times n past MAX_TRACE_WORK is refused before any shot: the
+    # default 236-point grid at n = 424 and at n = 2**53 - 1
+    def shots(*args, **kwargs):
+        raise AssertionError("a refused trace shot")
+    monkeypatch.setattr(br, "trace_curve", shots)
+    for n in ("424", "9007199254740991"):
+        assert run_cli(["bifurcation", "trace", "--n", n, "--outdir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: a trace of 236 shots at n = " + n)
+        assert "more than 1e+05" in err and "Traceback" not in err
+    monkeypatch.undo()
+    # three shots at n = 1000 are well inside it
+    assert run_cli(["bifurcation", "trace", "--n", "1000", "--rho-max", "0.14",
+                    "--outdir", str(tmp_path)]) == 0
 
 
 def _write_reference(ref, n=3, lam="0.8", meta=True, profile=True, extra=""):
@@ -451,6 +470,7 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (TRACE[:2] + ["--n", "1" + "0" * 400], "below 2**53"),
     (["verify", "all", "--n", "1" + "0" * 300], "below 2**53"),
     (["singular", "construct", "--n", str(2 ** 53)], "below 2**53"),
+    (["bifurcation", "trace", "--n", "1000"], "shots times n"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange

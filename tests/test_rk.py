@@ -5,7 +5,6 @@ rk integrates y'' = a(t, y, y'); scipy is given the first-order system
 (y, y')' = (y', a(t, y, y'))."""
 
 import math
-import struct
 import warnings
 
 import numpy as np
@@ -18,7 +17,7 @@ from scipy.optimize import brentq
 import itergelfand.branch as br
 import itergelfand.rk as rk
 import itergelfand.singular as sg
-from oracles import dop853_dense, dop853_step, first_order
+from oracles import dop853_solve, first_order
 from itergelfand.rk import solve_ivp
 from itergelfand.singular import assemble_w, integrate_down
 
@@ -95,59 +94,126 @@ def test_matches_scipy_dop853(problems, name):
     assert np.max(np.abs(ours.sol(tt) - ref.sol(tt))) <= 1e-12 * scale
 
 
-def _bits(out):
-    """The floats of a step's or interpolant's output, flattened, as IEEE bit
-    patterns; every NaN is one key."""
-    flat = []
-    for v in out:
-        flat.extend(v if isinstance(v, (tuple, list)) else (v,))
-    return [None if x != x else struct.pack("<d", x) for x in flat]
+def _assert_same(ours, ref):
+    """Bit equality of two OdeResults: t, y, the dense buffer, status, message and counts."""
+    assert ours.t.tobytes() == ref.t.tobytes()
+    assert ours.y.tobytes() == ref.y.tobytes()
+    assert (ours.sol is None) == (ref.sol is None)
+    if ours.sol is not None:
+        assert ours.sol.coef.tobytes() == ref.sol.coef.tobytes()
+    assert ((ours.status, ours.message, ours.nfev, ours.naccept, ours.nreject)
+            == (ref.status, ref.message, ref.nfev, ref.naccept, ref.nreject))
 
 
 @pytest.mark.parametrize("name", ["descent", "inner", "oscillator", "blow-up"])
-def test_generated_step_is_the_coefficient_loops(problems, name, monkeypatch):
-    # every trial step of the solve, accepted or rejected, and every
-    # interpolant, recomputed by loops over the tableau rows: bit for bit
-    calls = {"_step": [], "_dense": []}
-    for attr, seen in calls.items():
-        def record(*args, real=getattr(rk, attr), seen=seen):
-            out = real(*args)
-            seen.append((args, out))
-            return out
-        monkeypatch.setattr(rk, attr, record)
+def test_generated_step_is_the_coefficient_loops(problems, name):
+    # the generated loop against the reference solver, whose trial steps and
+    # interpolants are loops over the tableau rows: every trial step, accepted
+    # or rejected, and every interpolant enter t, y, the dense buffer and the
+    # counts, which agree bit for bit, with and without dense output.  The
+    # descent and inner accelerations are inlined; the others are callables
     fun, t_span, y0, kwargs = problems[name]
-    sol = solve_ivp(fun, t_span, y0, **dict(kwargs, dense_output=True))
-    assert len(calls["_step"]) == sol.naccept + sol.nreject
-    assert len(calls["_dense"]) == sol.naccept
+    for dense_output in (True, False):
+        sol = solve_ivp(fun, t_span, y0, **dict(kwargs, dense_output=dense_output))
+        _assert_same(sol, dop853_solve(fun, t_span, y0,
+                                       **dict(kwargs, dense_output=dense_output)))
+        # 12 evaluations per trial step and 3 per interpolant
+        dense_steps = sol.naccept if dense_output else int(sol.status == 1)
+        assert sol.nfev == 2 + rk.N_STAGES * (sol.naccept + sol.nreject) + 3 * dense_steps
     if name == "blow-up":
         assert sol.nreject > 100
-    for args, out in calls["_step"]:
-        assert _bits(out) == _bits(dop853_step(*args))
-    for args, out in calls["_dense"]:
-        assert _bits(out) == _bits(dop853_dense(*args))
+
+
+def _jump(t, y, yp):
+    return 0.0 if t < 1.0 else 1e300 * y * y
 
 
 def test_overflowing_trial_step_is_the_coefficient_loops():
-    # y'' = 2 y^3 from y = 1, y' = 1e150 with h = 1: the second stage sits at
-    # y of about 5e148, where the acceleration overflows to inf, and the error
-    # norm is not finite, so the solver would reject the trial
-    args = (_cubic, 0.0, 1.0, 1.0, 1.0, 1e150, _cubic(0.0, 1.0, 1e150), 1e-12, 1e-10)
-    out = rk._step(*args)
-    assert math.isinf(out[5][1]) and not math.isfinite(out[2])
-    assert _bits(out) == _bits(dop853_step(*args))
+    # y'' = 0 until t = 1, then 1e300 y^2: a trial step past t = 1 takes its
+    # later stages at y of about 1e299, where the acceleration overflows to
+    # inf, and the error norm is not finite, so the trial is rejected; the
+    # solve ends in a step size failure just below t = 1.  The generated loop
+    # of a plain callable and of the same acceleration as a body both agree
+    # with the reference solver bit for bit
+    seen = []
+
+    def fun(t, y, yp):
+        seen.append(_jump(t, y, yp))
+        return seen[-1]
+
+    args = ((0.0, 2.0), [1.0, 0.0])
+    kwargs = dict(rtol=1e-10, atol=1e-12, dense_output=True)
+    sol = solve_ivp(fun, *args, **kwargs)
+    assert math.inf in seen and sol.nreject > 0
+    assert sol.status == -1 and 1.0 - 1e-14 < sol.t[-1] < 1.0
+    ref = dop853_solve(_jump, *args, **kwargs)
+    _assert_same(sol, ref)
+    _assert_same(solve_ivp(rk.acceleration("a = 0.0 if t < 1.0 else 1e300 * y * y"),
+                           *args, **kwargs), ref)
 
 
 def test_last_stage_is_at_the_given_end():
-    # the loop clamps t_new to the end of the interval; t + h can round past it
+    # the loop clamps t_new to the end of the interval and evaluates the
+    # step's last stage there, not at t + h, which can round past it: y'' = 0
+    # has error norm 0, so the steps from t = 0.1 grow tenfold until the last
     times = []
 
     def fun(t, y, yp):
         times.append(t)
-        return -y
+        return 0.0
 
-    rk._step(fun, 0.1, 0.2, 0.3, 1.0, 0.0, -1.0, 1e-12, 1e-10)
-    assert 0.1 + 0.2 != 0.3
-    assert times[-1] == 0.3 and len(times) == rk.N_STAGES
+    sol = solve_ivp(fun, (0.1, 0.85), [1.0, 0.0], rtol=1e-10, atol=1e-12)
+    t_last = sol.t[-2]
+    assert t_last + (0.85 - t_last) != 0.85
+    assert times[-1] == sol.t[-1] == 0.85 and len(times) == sol.nfev
+
+
+def _shot_solves(monkeypatch, n, m, rho):
+    """(fun, t_span, y0, kwargs) of every solve of the shot (n, m, rho), its
+    descent unmatched."""
+    calls = []
+    for module in (br, sg):
+        def record(fun, t_span, y0, real=module.solve_ivp, **kwargs):
+            calls.append((fun, t_span, list(y0), kwargs))
+            return real(fun, t_span, y0, **kwargs)
+        monkeypatch.setattr(module, "solve_ivp", record)
+    monkeypatch.setattr(br, "MATCH_DEPTH", math.inf)
+    br.shoot_regular(n, m, rho)
+    return calls
+
+
+@pytest.mark.parametrize("m, rho", [(0, 61.0), (1, 4.2), (2, 1.5), (3, 0.86)])
+def test_inlined_loop_is_the_plain_callable_path(monkeypatch, m, rho):
+    # the loop generated for a package acceleration and the loop of a plain
+    # callable that returns its values, which the tracer and the scipy
+    # replays see, give the same OdeResult bit for bit, on the inner phase and
+    # the descent of a shot.  At m = 3 one trial step of the descent, near
+    # t = 16147, overflows exp(G_3(w) - 2t); its replay stops at t = 16000
+    solves = _shot_solves(monkeypatch, 3, m, rho)
+    assert len(solves) == 2
+    overflowed = []
+    for fun, t_span, y0, kwargs in solves:
+        if m == 3 and t_span[1] < t_span[0]:
+            t_span = (t_span[0], 16000.0)
+
+        def plain(t, y, p, fun=fun):
+            a = fun(t, y, p)
+            overflowed.append(a == -math.inf)
+            return a
+
+        _assert_same(solve_ivp(fun, t_span, y0, **kwargs),
+                     solve_ivp(plain, t_span, y0, **kwargs))
+    assert any(overflowed) == (m == 3)
+
+
+def test_package_bodies_use_no_loop_names(monkeypatch):
+    # the locals and constants of the inner and descent bodies share no name
+    # with the solve loop they are inlined into, apart from t, y, p and a
+    loop = set(rk._loop("a = fun(t, y, p)", ("fun",)).__code__.co_varnames)
+    loop -= {"fun", "t", "y", "p", "a"}
+    for fun, *_ in _shot_solves(monkeypatch, 3, 3, 0.5):
+        names = fun.inline[1]
+        assert names and not loop & (set(fun.__code__.co_varnames) | set(names))
 
 
 def test_counts_trial_steps(problems):

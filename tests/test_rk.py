@@ -130,7 +130,7 @@ def _jump(t, y, yp):
 
 def test_overflowing_trial_step_is_the_coefficient_loops():
     # y'' = 0 until t = 1, then 1e300 y^2: a trial step past t = 1 takes its
-    # later stages at y of about 1e299, where the acceleration overflows to
+    # later stages at y far above 1e8, where the acceleration overflows to
     # inf, and the error norm is not finite, so the trial is rejected; the
     # solve ends in a step size failure just below t = 1.  The generated loop
     # of a plain callable and of the same acceleration as a body both agree

@@ -204,7 +204,10 @@ def atomic_write_text(path, text):
 
 
 def write_csv(path, header, columns):
-    """CSV of equal-length columns; one printf format from their dtypes writes each row."""
+    """CSV of equal-length columns; their dtypes' row format, repeated, formats every cell."""
     cols = [np.asarray(c) for c in columns]
-    row = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols)
-    atomic_write_text(path, "\n".join([",".join(header), *map(row.__mod__, zip(*cols))]) + "\n")
+    row = ",".join(_CONVERSIONS.get(c.dtype.kind, "%s") for c in cols) + "\n"
+    cells = [None] * (len(cols) * len(cols[0]))
+    for j, c in enumerate(cols):
+        cells[j::len(cols)] = c.tolist()
+    atomic_write_text(path, ",".join(header) + "\n" + row * len(cols[0]) % tuple(cells))

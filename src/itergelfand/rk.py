@@ -17,27 +17,29 @@ in plain floats:
   which `brent` (itergelfand.numerics), the algorithm of scipy's brentq in
   plain floats, locates on the interpolant of that step with xtol = rtol =
   BRENT_TOL = 4 eps (Hairer, Norsett and Wanner, II.6);
-* the dense output of all steps is kept in one flat array('d') buffer and
-  evaluated vectorised.
+* the dense output is built after the solve: the loop records the 22 floats
+  a step's interpolant reads (_RECORD_NAMES), and one builder forms its extra
+  stages and coefficients, in floats at a crossing, on arrays after the solve.
 
 The integrator is one solve loop per acceleration, generated from the
 tableau as straight-line code (_loop_source) and compiled on its first use
 in the process, then cached by the acceleration's source.  An acceleration
 is declared once (acceleration()) as a few statements that set a from t, y,
 p = y' and named float constants.  The loop inlines them into each of the 12
-stages of a trial step, into its last stage at the step's end and into the
-3 extra stages of the dense output.  Stage s is evaluated at y + (sum_j a_sj
-k0_j) h, y' + (sum_j a_sj k1_j) h: its first component k0_s is that y', and
-its second k1_s the acceleration there.  The step-size controller, the
-stop-level check and the appends to the output arrays run inside the loop
-too.  The same statements compile to a plain callable, which the initial
-step rule and any caller that wants one value use.  A plain callable passed
-to solve_ivp gets the loop of the body a = fun(t, y, p), so there is one
-integrator either way.  Every sum adds its terms in the tableau's order,
-left to right, with each coefficient a literal written with repr; scipy
-forms them as matrix products, so results agree with scipy's to rounding.
-Squares are products, never powers, so an overflowing trial step yields an
-inf or nan error norm and is rejected, as in scipy, instead of raising.
+stages of a trial step and into its last stage at the step's end.  Stage s
+is evaluated at y + (sum_j a_sj k0_j) h, y' + (sum_j a_sj k1_j) h: its first
+component k0_s is that y', and its second k1_s the acceleration there.  The
+step-size controller, the stop-level check and the appends to the output
+arrays run inside the loop too.  The same statements compile to a plain
+callable, which the initial step rule, the interpolant builder (element by
+element on arrays: numpy's exp and expm1 differ from math's by an ulp on a
+few percent of arguments) and any caller that wants one value use.  A plain
+callable passed to solve_ivp gets the loop of the body a = fun(t, y, p).
+Every sum adds its terms in the tableau's order, left to right, with each
+coefficient a literal written with repr; scipy forms them as matrix
+products, so results agree with scipy's to rounding.  Squares are products,
+never powers, so an overflowing trial step yields an inf or nan error norm
+and is rejected, as in scipy, instead of raising.
 """
 
 from __future__ import annotations
@@ -132,6 +134,11 @@ _D = (
 # doubles per step in the dense buffer: t_old, h, y_old (2), then 7 coefficients
 # of the first component and 7 of the second
 _STRIDE = 18
+# what a step's interpolant reads: the step, its end and the stages it combines,
+# but k0_0 and k0_12, which are y1 and n1
+_KEPT = sorted({j for rows in _A_EXTRA + _D for j, _ in rows if j <= N_STAGES})
+_RECORD_NAMES = ("t0", "h", "y0", "y1", "n0", "n1", *(f"k0_{j}" for j in _KEPT[1:-1]),
+                 *(f"k1_{j}" for j in _KEPT))
 
 
 def _terms(rows, k):
@@ -155,16 +162,13 @@ def _stage(s, c, rows, body):
 
 
 def _loop_source(body, names):
-    """Source of solve(consts, ...), the solve loop of one acceleration body, consts the
-    values of the constants names.  It appends to the arrays ts, ys0, ys1 and dense and
-    returns (status, the last accepted acceleration, nfev - 2, naccept, nreject)."""
+    """Source of solve(consts, fun, ...), the solve loop of one acceleration body fun,
+    consts the values of the constants names.  It appends to the arrays ts, ys0, ys1 and
+    records and returns (status, the last accepted acceleration, nfev - 2, naccept, nreject)."""
     last = N_STAGES
-    coef = [f"            c{i} = (dy{i}, h * k{i}_0 - dy{i}, "
-            f"2.0 * dy{i} - h * (k{i}_{last} + k{i}_0), "
-            + ", ".join(f"h * ({_terms(rows, f'k{i}_')})" for rows in _D) + ")" for i in (0, 1)]
     return "\n".join([
-        "def solve(consts, t0, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at,",
-        "          dense_output, ts, ys0, ys1, dense):",
+        "def solve(consts, fun, t0, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at,",
+        "          dense_output, ts, ys0, ys1, records):",
         f"    ({''.join(f'{name}, ' for name in names)}) = consts",
         "    nfev = naccept = nreject = 0",
         "    g = None if stop_at is None else y0 - stop_at",
@@ -214,19 +218,18 @@ def _loop_source(body, names):
         "            crossed = g <= 0.0 <= g_new or g >= 0.0 >= g_new",
         "            g = g_new",
         "        if dense_output or crossed:",
-        *(_stage(last + 1 + i, _C_EXTRA[i], rows, body) for i, rows in enumerate(_A_EXTRA)),
-        "            dy0, dy1 = n0 - y0, n1 - y1",
-        *coef,
-        "            nfev += 3",
+        f"            record = ({', '.join(_RECORD_NAMES)})",
+        "            nfev += 3   # the interpolant's extra stages",
         "            if dense_output:",
-        "                dense.extend((t0, h, y0, y1, *c0, *c1))",
+        "                records.extend(record)",
         "            if crossed:",
-        "                t_new, n0, n1 = _crossing(stop_at, t0, h, y0, y1, c0, c1, t_new)",
+        "                t_new, n0, n1 = _crossing(stop_at, t0, h, y0, y1,",
+        "                                          *_interpolant()(fun, *record), t_new)",
         "                status = 1",
         f"        t0, y0, y1, f1 = t_new, n0, n1, k1_{last}",
         "        if dense_output and len(ts) > 1 and ts[-1] == t0:",
-        "            # a crossing at the start of the step: drop its interpolant",
-        f"            del dense[-{_STRIDE}:]",
+        "            # a crossing at the start of the step: drop its record",
+        f"            del records[-{len(_RECORD_NAMES)}:]",
         "        else:",
         "            ts.append(t0)",
         "            ys0.append(y0)",
@@ -237,25 +240,23 @@ def _loop_source(body, names):
 
 def _crossing(level, t_old, h, y0, y1, c0, c1, t_new):
     """(t, y, y') where the interpolant (coefficients c0, c1) of the step from
-    (t_old, y0, y1) to t_new crosses y = level, located by brent."""
+    (t_old, y0, y1) to t_new crosses y = level, located by brent on y's interpolant."""
 
-    def at(t):
+    def at(t, c, y):
         x = (t - t_old) / h
-        v0 = v1 = 0.0
+        v = 0.0
         for i in range(6, -1, -1):
-            w = x if i % 2 == 0 else 1.0 - x
-            v0 = (v0 + c0[i]) * w
-            v1 = (v1 + c1[i]) * w
-        return (v0 + y0, v1 + y1)
+            v = (v + c[i]) * (x if i % 2 == 0 else 1.0 - x)
+        return v + y
 
-    t = brent(lambda tt: at(tt)[0] - level, t_old, t_new)
-    return (t, *at(t))
+    t = brent(lambda tt: at(tt, c0, y0) - level, t_old, t_new)
+    return t, at(t, c0, y0), at(t, c1, y1)
 
 
 def _compile(source, name):
-    """The function name that source defines; its globals are math's names and _crossing."""
+    """The function name that source defines; its globals: math's names and rk's helpers."""
     namespace = {key: value for key, value in vars(math).items() if not key.startswith("_")}
-    namespace["_crossing"] = _crossing
+    namespace.update(_crossing=_crossing, _interpolant=_interpolant)
     exec(compile(source, f"<DOP853 {name}>", "exec"), namespace)
     return namespace[name]
 
@@ -264,6 +265,32 @@ def _compile(source, name):
 def _loop(body, names):
     """The solve loop of an acceleration body, compiled on its first use in the process."""
     return _compile(_loop_source(body, names), "solve")
+
+
+@functools.cache
+def _interpolant():
+    """interpolant(fun, *record) -> a step's (c0, c1), in floats or arrays; built on first use."""
+    last = N_STAGES
+    return _compile("\n".join([
+        f"def interpolant(fun, {', '.join(_RECORD_NAMES)}):",
+        f"            k0_0, k0_{last} = y1, n1",
+        *(_stage(last + 1 + i, _C_EXTRA[i], rows, "a = fun(t, y, p)")
+          for i, rows in enumerate(_A_EXTRA)),
+        "            dy0, dy1 = n0 - y0, n1 - y1",
+        *(f"            c{i} = (dy{i}, h * k{i}_0 - dy{i}, "
+          f"2.0 * dy{i} - h * (k{i}_{last} + k{i}_0), "
+          + ", ".join(f"h * ({_terms(rows, f'k{i}_')})" for rows in _D) + ")" for i in (0, 1)),
+        "            return c0, c1"]), "interpolant")
+
+
+def _dense_coefficients(fun, records):
+    """The (steps, _STRIDE) dense buffer of a dense solve, built on its records' columns
+    with fun called per element; Python floats overflow silently, numpy would warn."""
+    cols = np.frombuffer(records).reshape(-1, len(_RECORD_NAMES)).T
+    with np.errstate(all="ignore"):
+        c0, c1 = _interpolant()(lambda t, y, p: np.fromiter(
+            map(fun, t.tolist(), y.tolist(), p.tolist()), float, len(p)), *cols)
+        return np.column_stack((*cols[:4], *c0, *c1))
 
 
 @functools.cache
@@ -395,13 +422,13 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     f1 = fun(t, y0, y1)
     h_abs = _initial_step(fun, t, y0, y1, f1, abs(t_bound - t), sign, rtol, atol)
     # a plain callable is the body that calls it
-    body, names, values = getattr(fun, "inline", ("a = fun(t, y, p)", ("fun",), (fun,)))
-    ts, ys0, ys1, dense = array("d", [t]), array("d", [y0]), array("d", [y1]), array("d")
+    body, names, values = getattr(fun, "inline", ("a = fun(t, y, p)", (), ()))
+    ts, ys0, ys1, records = array("d", [t]), array("d", [y0]), array("d", [y1]), array("d")
     status, f1, nfev, naccept, nreject = _loop(body, names)(
-        values, t, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at, dense_output,
-        ts, ys0, ys1, dense)
+        values, fun, t, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at, dense_output,
+        ts, ys0, ys1, records)
     ts = np.array(ts)
-    sol = DenseSolution(ts, np.frombuffer(dense)) if dense_output else None
+    sol = DenseSolution(ts, _dense_coefficients(fun, records)) if dense_output else None
     message = NAN_MESSAGE if status == -1 and math.isnan(f1) else MESSAGES[status]
     return OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=message,
                      nfev=2 + nfev, naccept=naccept, nreject=nreject)

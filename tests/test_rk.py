@@ -105,18 +105,49 @@ def _assert_same(ours, ref):
             == (ref.status, ref.message, ref.nfev, ref.naccept, ref.nreject))
 
 
+def _built_records(monkeypatch):
+    """The (fun, records as floats) of every dense buffer that solve_ivp builds."""
+    built = []
+    real = rk._dense_coefficients
+
+    def record(fun, records):
+        built.append((fun, records.tolist()))
+        return real(fun, records)
+
+    monkeypatch.setattr(rk, "_dense_coefficients", record)
+    return built
+
+
+def _assert_rows_are_the_float_builder(sol, fun, records):
+    # row i of the dense buffer is the start, size and state of record i, then
+    # the coefficients that the builder forms from that record in floats
+    width = len(rk._RECORD_NAMES)
+    assert len(records) == width * len(sol.sol.coef) > 0
+    build = rk._interpolant()
+    for i, row in enumerate(sol.sol.coef):
+        record = records[i * width:(i + 1) * width]
+        c0, c1 = build(fun, *record)
+        assert np.array([*record[:4], *c0, *c1]).tobytes() == row.tobytes()
+
+
 @pytest.mark.parametrize("name", ["descent", "inner", "oscillator", "blow-up"])
-def test_generated_step_is_the_coefficient_loops(problems, name):
+def test_generated_step_is_the_coefficient_loops(problems, monkeypatch, name):
     # the generated loop against the reference solver, whose trial steps and
     # interpolants are loops over the tableau rows: every trial step, accepted
     # or rejected, and every interpolant enter t, y, the dense buffer and the
     # counts, which agree bit for bit, with and without dense output.  The
     # descent and inner accelerations are inlined; the others are callables
     fun, t_span, y0, kwargs = problems[name]
+    built = _built_records(monkeypatch)
     for dense_output in (True, False):
         sol = solve_ivp(fun, t_span, y0, **dict(kwargs, dense_output=dense_output))
         _assert_same(sol, dop853_solve(fun, t_span, y0,
                                        **dict(kwargs, dense_output=dense_output)))
+        if dense_output:
+            _assert_rows_are_the_float_builder(sol, *built.pop())
+            if sol.status == 1:
+                # the crossing is the last step's interpolant at the root, y' too
+                assert sol.sol(sol.t[-1:]).tobytes() == sol.y[:, -1:].tobytes()
         # 12 evaluations per trial step and 3 per interpolant
         dense_steps = sol.naccept if dense_output else int(sol.status == 1)
         assert sol.nfev == 2 + rk.N_STAGES * (sol.naccept + sol.nreject) + 3 * dense_steps
@@ -187,10 +218,12 @@ def test_inlined_loop_is_the_plain_callable_path(monkeypatch, m, rho):
     # the loop generated for a package acceleration and the loop of a plain
     # callable that returns its values, which the tracer and the scipy
     # replays see, give the same OdeResult bit for bit, on the inner phase and
-    # the descent of a shot.  At m = 3 one trial step of the descent, near
-    # t = 16147, overflows exp(G_3(w) - 2t); its replay stops at t = 16000
+    # the descent of a shot; the dense rows of the first are the builder's on
+    # floats.  At m = 3 one trial step of the descent, near t = 16147,
+    # overflows exp(G_3(w) - 2t); its replay stops at t = 16000
     solves = _shot_solves(monkeypatch, 3, m, rho)
     assert len(solves) == 2
+    built = _built_records(monkeypatch)
     overflowed = []
     for fun, t_span, y0, kwargs in solves:
         if m == 3 and t_span[1] < t_span[0]:
@@ -201,16 +234,46 @@ def test_inlined_loop_is_the_plain_callable_path(monkeypatch, m, rho):
             overflowed.append(a == -math.inf)
             return a
 
-        _assert_same(solve_ivp(fun, t_span, y0, **kwargs),
-                     solve_ivp(plain, t_span, y0, **kwargs))
+        sol = solve_ivp(fun, t_span, y0, **kwargs)
+        _assert_rows_are_the_float_builder(sol, *built[0])
+        _assert_same(sol, solve_ivp(plain, t_span, y0, **kwargs))
+        built.clear()
     assert any(overflowed) == (m == 3)
+
+
+def test_infinite_extra_stages_are_the_coefficient_loops_without_warning():
+    # an acceleration that is inf wherever the solve without dense output
+    # takes no stage: the trial steps are the same with dense output, and only
+    # the 3 extra stages of each interpolant see inf, so every row's
+    # coefficients hold inf or nan, formed without a numpy warning and equal
+    # to the reference solver's bit for bit
+    stage_times = set()
+
+    def probe(t, y, yp):
+        stage_times.add(t)
+        return -y
+
+    args = ((0.0, 10.0), [1.0, 0.0])
+    kwargs = dict(rtol=1e-10, atol=1e-12)
+    solve_ivp(probe, *args, **kwargs)
+
+    def fun(t, y, yp):
+        return -y if t in stage_times else math.inf
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_ivp(fun, *args, dense_output=True, **kwargs)
+    _assert_same(sol, dop853_solve(fun, *args, dense_output=True, **kwargs))
+    assert sol.status == 0
+    assert not np.isfinite(sol.sol.coef[:, 4:]).all(axis=1).any()
 
 
 def test_package_bodies_use_no_loop_names(monkeypatch):
     # the locals and constants of the inner and descent bodies share no name
-    # with the solve loop they are inlined into, apart from t, y, p and a
-    loop = set(rk._loop("a = fun(t, y, p)", ("fun",)).__code__.co_varnames)
-    loop -= {"fun", "t", "y", "p", "a"}
+    # with the solve loop they are inlined into, apart from t, y, p and a; fun,
+    # the plain callable the loop hands to the interpolant builder, is one
+    loop = set(rk._loop("a = fun(t, y, p)", ()).__code__.co_varnames)
+    loop -= {"t", "y", "p", "a"}
     for fun, *_ in _shot_solves(monkeypatch, 3, 3, 0.5):
         names = fun.inline[1]
         assert names and not loop & (set(fun.__code__.co_varnames) | set(names))

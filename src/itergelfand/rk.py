@@ -396,16 +396,16 @@ def _initial_step(fun, t0, y0, y1, f1, interval, sign, rtol, atol):
 def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     """Integrate y'' = fun(t, y, y') over t_span with DOP853, from y0 = (y, y').
 
-    fun(t, y, yp) returns the acceleration, one float; the statements of one
-    made by acceleration() run inlined in the solve loop, and any other
-    callable is called from it.  With stop_at set,
-    the solve ends at the first time y crosses that level, in either sense;
-    the crossing is the last entry of t and y.  Returns an OdeResult with
-    scipy's t, y (shape (2, steps + 1), rows y and y'), sol (None unless
-    dense_output), status (0 end reached, 1 stop level crossed, -1 step size
-    underflow or NaN), message (NAN_MESSAGE at status -1 when the acceleration
-    at the state reached is NaN), nfev, and the trial step counts naccept and
-    nreject.  rtol must lie in [100 eps, inf), atol in (0, inf), and y0 be finite.
+    fun(t, y, yp) returns the acceleration, one float; the statements of one made
+    by acceleration() run inlined in the solve loop, any other callable is called
+    from it, and the 3 extra stages of each interpolant call fun (those of sol
+    after the loop).  With stop_at set, the solve ends at the first time y crosses
+    that level, in either sense; the crossing is the last entry of t and y.
+    Returns an OdeResult with scipy's t, y (shape (2, steps + 1), rows y and y'),
+    sol (None unless dense_output), status (0 end reached, 1 stop level crossed,
+    -1 step size underflow or NaN), message (NAN_MESSAGE at status -1 when the
+    acceleration at the state reached is NaN), nfev (with the extra stages), and
+    naccept and nreject.  rtol in [100 eps, inf), atol in (0, inf), y0 finite.
     """
     if not 100.0 * EPS <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")

@@ -162,9 +162,9 @@ def _stage(s, c, rows, body):
 
 
 def _loop_source(body, names):
-    """Source of solve(consts, fun, ...), the solve loop of one acceleration body fun,
-    consts the values of the constants names.  It appends to the arrays ts, ys0, ys1 and
-    records and returns (status, the last accepted acceleration, nfev - 2, naccept, nreject)."""
+    """Source of solve(consts, fun, ...), the solve loop of one acceleration body: consts
+    the values of the constants names, fun the body's callable.  It appends to the arrays
+    ts, ys0, ys1 and records; returns (status, last acceleration, nfev - 2, naccept, nreject)."""
     last = N_STAGES
     return "\n".join([
         "def solve(consts, fun, t0, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at,",

@@ -32,12 +32,12 @@ expm1/log1p, never forming exp(-2t + e^w) as a difference of large numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .numerics import hermite, panel_nodes, scalar_or_array
-from .towers import _h_derivative_chains
+from .towers import _h_derivative_chains, tower_domain_lower
 
 
 class PicardConvergenceError(RuntimeError):
@@ -115,6 +115,16 @@ class EtaSpaceConfig:
         if T < 1.0 or (m == 1 and T == 1.0):
             raise ValueError("T must be >= 1, and > 1 at m = 1, whose ansatz shift "
                              "is defined for t > 1")
+        # H_m(2T) needs T > G_{m-1}(0) / 2: e/2 at m = 3, 7.58 at m = 4, 1.9e6 at m = 5
+        try:
+            floor = 0.5 * tower_domain_lower(m)
+        except OverflowError:
+            raise ValueError(f"T = {T:g} is refused at m = {m}: the ansatz H_{m}(2T) is "
+                             f"defined only for T > G_{m - 1}(0) / 2, which is not a double"
+                             ) from None
+        if T <= floor:
+            raise ValueError(f"T = {T:g} is at or below G_{m - 1}(0) / 2 = {floor:.6g}: the "
+                             f"ansatz H_{m}(2T) of height m = {m} is defined only above it")
         if 100.0 * T > MAX_POINTS:
             raise ValueError(f"T = {T:g} asks for about {100.0 * T:.3g} descent samples, "
                              f"more than {MAX_POINTS:.0e}")
@@ -333,9 +343,16 @@ class _QuadPlan:
                 ((k.lam_plus * J_plus - k.lam_minus * J_minus) / d).real)
 
 
-def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
-    """Picard iteration on the geometric grid of _grid_size(n, T, t_max, n_nodes) nodes;
-    returns (EtaSolution or None, defects)."""
+def _solve_on_grid(n, m, cfg, T, t_usable, n_nodes):
+    """Picard iteration on [T, t_max], t_max = t_usable + cfg.pad(n), over the geometric
+    grid of _grid_size(n, T, t_max, n_nodes) nodes.
+
+    Returns the EtaSolution, or raises PicardConvergenceError naming n, m, T
+    and the last defect when the defect does not reach cfg.tol: it stalls
+    (three ratios of successive defects at or above 0.995), grows past 50
+    times the first, or cfg.max_iter sweeps run out.
+    """
+    t_max = t_usable + cfg.pad(n)
     grid = np.geomspace(T, t_max, _grid_size(n, T, t_max, n_nodes))
     grid[0], grid[-1] = T, t_max
     # from t of about 1e14 up, geomspace over a window a few units wide repeats nodes
@@ -365,25 +382,26 @@ def _solve_on_grid(n, m, cfg, T, t_usable, t_max, n_nodes):
             return EtaSolution(
                 n=n, m=m, config=cfg, grid=grid, eta=eta, eta_t=eta_t,
                 iterations=len(defects), final_defect=defect, defects=defects,
-                T=T, t_max=t_max, t_usable=t_usable, M=M, contraction_ratios=ratios), defects
+                T=T, t_max=t_max, t_usable=t_usable, M=M, contraction_ratios=ratios)
         # F at the current iterate: the next iteration's forcing
         Fq = forcing.total(plan.at_nodes(eta, eta_t))
         if len(ratios) >= 3 and min(ratios[-3:]) >= 0.995:
             break
         if defect > 50.0 * defects[0]:
             break
-    return None, defects
+    raise PicardConvergenceError(
+        f"the corrector iteration does not contract from T = {T:.6g} (n = {n}, m = {m}): "
+        f"the weighted defect is {defects[-1]:.3e} after {len(defects)} sweeps, "
+        f"tol {cfg.tol:g}")
 
 
 def picard_solve(n, m, cfg=None):
     """Construct the corrector for dimension n and tower height m >= 0.
 
-    Iterates eta <- Psi[eta] from eta = 0 on a geometric grid over
-    [T, t_max]; if the defect sequence stalls, T is doubled (up to four
-    times) and the solve restarts, mirroring the requirement that the
-    contraction only holds for T large.  Each escalated window meets the
-    cap of `EtaSpaceConfig.resolved`, or the solve ends before building it.
-    At m = 0 the first sweep gives eta = 0.
+    Iterates eta <- Psi[eta] from eta = 0 on a geometric grid over the
+    window [T, t_max] that `EtaSpaceConfig.resolved` gives, once: a solve
+    that does not contract there raises PicardConvergenceError, and the
+    window is never moved.  At m = 0 the first sweep gives eta = 0.
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
@@ -391,20 +409,4 @@ def picard_solve(n, m, cfg=None):
         raise ValueError("tower height must be >= 0")
     cfg = cfg if cfg is not None else EtaSpaceConfig()
     T, t_usable, n_nodes = cfg.resolved(m, n)
-    pad = cfg.pad(n)
-    for escalation in range(5):
-        if escalation:
-            T *= 2.0
-            try:
-                T, t_usable, n_nodes = replace(cfg, T=T, t_max=max(4.0 * T, t_usable),
-                                               n_nodes=None).resolved(m, n)
-            except ValueError as exc:
-                raise PicardConvergenceError(
-                    f"no contraction up to T = {T / 2.0:g} (n={n}, m={m}), and the "
-                    f"escalated window is refused: {exc}") from exc
-        sol, defects = _solve_on_grid(n, m, cfg, T, t_usable, t_usable + pad, n_nodes)
-        if sol is not None:
-            return sol
-    raise PicardConvergenceError(
-        f"no contraction after T escalation (n={n}, m={m}); defects={defects}")
-
+    return _solve_on_grid(n, m, cfg, T, t_usable, n_nodes)

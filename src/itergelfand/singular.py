@@ -147,13 +147,9 @@ def singular_state(n, m, t):
     does not contract there or its grid repeats nodes (t of about 1e14 and
     above; the ansatz, which overflows far above that, is formed after it).
     """
-    cfg = EtaSpaceConfig()
-    t_usable = t + HANDOFF_OFFSET
     try:
-        eta_sol, _ = _solve_on_grid(n, m, cfg, t, t_usable, t_usable + cfg.pad(n), STATE_NODES)
+        eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), t, t + HANDOFF_OFFSET, STATE_NODES)
     except PicardConvergenceError:
-        return None
-    if eta_sol is None:
         return None
     f, f_t = (float(v) for v in ansatz_terms(n, m, t))
     return f + float(eta_sol.eta[0]), f_t + float(eta_sol.eta_t[0])

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import itergelfand
 from itergelfand import branch as br
@@ -105,20 +111,22 @@ def test_height_zero_is_the_oracle(tmp_path):
                             "--outdir", str(tmp_path / "trace")]) == 0
 
 
-def test_escalation_past_the_cap_is_numeric_failure(tmp_path, capsys, monkeypatch):
-    # with every corrector solve stalling, the window after T = 6000 is over
-    # the allocation cap: the run ends with exit 2 before that window is built
+def test_failed_corrector_solve_is_numeric_failure(tmp_path, capsys, monkeypatch):
+    # just above T = e/2 at m = 3 the n = 9 iteration does not contract: the run
+    # ends with exit 2 naming n, m and T after one solve of the window asked for
     windows = []
+    solve = corrector._solve_on_grid
 
-    def stalled(n, m, cfg, T, t_usable, t_max, n_nodes):
-        windows.append(T)
-        return None, [1.0]
-    monkeypatch.setattr(corrector, "_solve_on_grid", stalled)
-    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--T", "6000",
+    def recorded(n, m, cfg, T, t_usable, n_nodes):
+        windows.append((T, t_usable))
+        return solve(n, m, cfg, T, t_usable, n_nodes)
+    monkeypatch.setattr(corrector, "_solve_on_grid", recorded)
+    assert run_cli(["singular", "construct", "--n", "9", "--m", "3", "--T", "1.35915",
                     "--outdir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numeric failure:") and "more than 1e+06" in err
-    assert windows == [6000.0]
+    assert err.startswith("numeric failure:") and "does not contract" in err
+    assert "T = 1.35915 (n = 9, m = 3)" in err
+    assert windows == [(1.35915, 200.0)]
 
 
 def test_bifurcation_trace_artifacts(tmp_path):
@@ -471,6 +479,13 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["verify", "all", "--n", "1" + "0" * 300], "below 2**53"),
     (["singular", "construct", "--n", str(2 ** 53)], "below 2**53"),
     (["bifurcation", "trace", "--n", "1000"], "shots times n"),
+    # T at or below G_{m-1}(0) / 2, where the ansatz H_m(2T) is undefined
+    (["singular", "construct", "--n", "3", "--m", "3", "--T", "1.2"], "T = 1.2"),
+    (["singular", "construct", "--m", "5"], "G_4(0) / 2 = 1.90714e+06"),
+    (["singular", "construct", "--m", "6"], "not a double"),
+    (["singular", "construct", "--m", "100"], "not a double"),
+    # a rho grid whose point count is an inf quotient meets the work bound
+    (["bifurcation", "trace", "--rho-step", "1e-320"], "shots times n"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange
@@ -490,6 +505,23 @@ def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     assert err.startswith("usage error:") and "Traceback" not in err
     if named is not None:
         assert named.format(tmp=bad_inputs) in err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(m=st.integers(0, 4), T=st.floats(1.0, 8.0))
+def test_construct_ends_every_window_as_documented(m, T):
+    # every T in [1, 8] at m = 0..4 builds (0), is refused (1: T = 1 at m = 1, T at
+    # or below G_{m-1}(0) / 2) or fails numerically (2: no contraction, or w <= 0
+    # at the handoff), without a traceback or a warning
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(["singular", "construct", "--n", "3", "--m", str(m), "--T", repr(T),
+                        "--outdir", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
 
 
 def test_trace_ignores_corrector_fields(tmp_path):

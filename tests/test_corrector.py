@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -376,8 +378,7 @@ def test_config_validation():
         EtaSpaceConfig(T=60.0, t_max=100.0).resolved(1)
     with pytest.raises(ValueError):
         EtaSpaceConfig(tol=-1.0).resolved(1)
-    # the allocation cap refuses oversized windows before anything is built,
-    # well above the largest grid of the T escalation ladder
+    # the allocation cap refuses oversized windows before anything is built
     with pytest.raises(ValueError, match="descent samples"):
         EtaSpaceConfig(T=1e8).resolved(1)
     with pytest.raises(ValueError, match="quadrature nodes"):
@@ -427,25 +428,34 @@ def test_resolved_counts_the_grid_the_solve_builds(n, m, t_max):
 
 
 def test_picard_escalation_exhaustion_raises():
-    # an unreachable tolerance exhausts the T escalation ladder
+    # an unreachable tolerance ends the one solve of the window asked for
     with pytest.raises(PicardConvergenceError):
         picard_solve(3, 1, EtaSpaceConfig(tol=1e-30, max_iter=2))
 
 
-def test_escalation_stops_at_the_allocation_cap(monkeypatch):
-    # every window of the T escalation meets the cap of EtaSpaceConfig.resolved:
-    # with every solve stalling, T = 6000 is the last window built, since
-    # T = 12000 asks for 1.2e6 descent samples
-    windows = []
+def test_picard_fails_just_above_the_domain_floor_without_warning():
+    # at m = 3 H_2(2T) -> 0 as T -> e/2: the n = 9 iteration does not contract
+    # there, and the solve says so for the T asked, without moving the window
+    T = math.e / 2 + 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PicardConvergenceError, match=f"T = {T:.6g} [(]n = 9, m = 3[)]"):
+            picard_solve(9, 3, EtaSpaceConfig(T=T))
 
-    def stalled(n, m, cfg, T, t_usable, t_max, n_nodes):
-        windows.append((T, t_usable))
-        return None, [1.0]
-    monkeypatch.setattr(corrector, "_solve_on_grid", stalled)
-    with pytest.raises(PicardConvergenceError, match="more than 1e[+]06"):
-        picard_solve(3, 1, EtaSpaceConfig(T=3000.0))
-    assert windows == [(3000.0, 12000.0), (6000.0, 24000.0)]
-    for T, t_usable in windows:
-        EtaSpaceConfig(T=T, t_max=t_usable).resolved(1, 3)
-    with pytest.raises(ValueError, match="descent samples"):
-        EtaSpaceConfig(T=12000.0, t_max=48000.0).resolved(1, 3)
+
+@pytest.mark.parametrize("m, T, named", [
+    (3, 1.2, "G_2(0) / 2 = 1.35914"), (3, math.e / 2, "G_2(0) / 2 = 1.35914"),
+    (4, 7.5, "G_3(0) / 2 = 7.57713"), (5, None, "G_4(0) / 2 = 1.90714e+06"),
+    (6, None, "not a double"), (100, None, "not a double")])
+def test_resolved_refuses_T_at_or_below_the_domain_floor(m, T, named):
+    # H_m(2T) is undefined for 2T <= G_{m-1}(0); from m = 6 on that floor is no double
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EtaSpaceConfig(T=T).resolved(m)
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (5, 1), (9, 2), (3, 2), (3, 3), (10, 1), (12, 1)])
+def test_picard_solves_the_window_asked_for(n, m):
+    cfg = EtaSpaceConfig()
+    T, t_usable, _ = cfg.resolved(m, n)
+    sol = picard_solve(n, m, cfg)
+    assert (sol.T, sol.t_usable, sol.t_max) == (T, t_usable, t_usable + cfg.pad(n))

@@ -148,7 +148,7 @@ def test_singular_state_far_up_is_none_without_warning():
         for t in (1e14, 1e15, 1e300):
             assert singular_state(3, 1, t) is None
     with pytest.raises(PicardConvergenceError, match="strictly increasing"):
-        _solve_on_grid(3, 1, EtaSpaceConfig(), 1e15, 1e15 + 5.0, 1e15 + 50.0, 128)
+        _solve_on_grid(3, 1, EtaSpaceConfig(), 1e15, 1e15 + 5.0, 128)
 
 
 def test_build_rejects_bad_arguments():

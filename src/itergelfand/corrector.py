@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import hermite, panel_nodes, scalar_or_array
-from .towers import _h_derivative_chains, tower_domain_lower
+from .towers import TowerDomainError, _h_derivative_chains, h_tower, tower_domain_lower
 
 
 class PicardConvergenceError(RuntimeError):
@@ -92,6 +92,15 @@ def _grid_size(n, T, t_max, n_nodes):
     return max(n_nodes, 1 + math.ceil(need))
 
 
+def _h_defined(m, y):
+    """Whether H_m(y) is defined in floats: H_0(y), ..., H_{m-1}(y) all > 0."""
+    try:
+        h_tower(m, y)
+    except TowerDomainError:
+        return False
+    return True
+
+
 @dataclass
 class EtaSpaceConfig:
     """Numerical policy for the weighted-space fixed point solve."""
@@ -122,9 +131,11 @@ class EtaSpaceConfig:
             raise ValueError(f"T = {T:g} is refused at m = {m}: the ansatz H_{m}(2T) is "
                              f"defined only for T > G_{m - 1}(0) / 2, which is not a double"
                              ) from None
-        if T <= floor:
-            raise ValueError(f"T = {T:g} is at or below G_{m - 1}(0) / 2 = {floor:.6g}: the "
-                             f"ansatz H_{m}(2T) of height m = {m} is defined only above it")
+        # a T a few ulps above the floor can still round H_{m-1}(2T) to 0
+        if T <= floor or not _h_defined(m, 2.0 * T):
+            raise ValueError(f"T = {T:g} is not above G_{m - 1}(0) / 2 = {floor:.6g} by more "
+                             f"than rounding: the ansatz H_{m}(2T) of height m = {m} is "
+                             f"defined only where H_{m - 1}(2T) > 0")
         if 100.0 * T > MAX_POINTS:
             raise ValueError(f"T = {T:g} asks for about {100.0 * T:.3g} descent samples, "
                              f"more than {MAX_POINTS:.0e}")

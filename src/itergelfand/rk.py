@@ -17,9 +17,10 @@ in plain floats:
   which `brent` (itergelfand.numerics), the algorithm of scipy's brentq in
   plain floats, locates on the interpolant of that step with xtol = rtol =
   BRENT_TOL = 4 eps (Hairer, Norsett and Wanner, II.6);
-* the dense output is built after the solve: the loop records the 22 floats
+* the dense output is built on first read: the loop records the 22 floats
   a step's interpolant reads (_RECORD_NAMES), and one builder forms its extra
-  stages and coefficients, in floats at a crossing, on arrays after the solve.
+  stages and coefficients, in floats at a crossing, on arrays when the
+  solve's DenseSolution is first evaluated or its coef read.
 
 The integrator is one solve loop per acceleration, generated from the
 tableau as straight-line code (_loop_source) and compiled on its first use
@@ -336,12 +337,23 @@ class OdeResult:
 
 
 class DenseSolution:
-    """The step interpolants of one solve, evaluated like scipy's OdeSolution."""
+    """The step interpolants of one solve, evaluated like scipy's OdeSolution.
 
-    def __init__(self, ts, coef):
+    build() returns the solve's dense buffer; it runs on the first read of
+    coef, which keeps the (steps, _STRIDE) result and drops build.
+    """
+
+    def __init__(self, ts, build):
         self.ts = ts
-        self.coef = coef.reshape(-1, _STRIDE)
+        self._build = build
         self.ascending = ts[-1] >= ts[0]
+
+    @functools.cached_property
+    def coef(self):
+        """The (steps, _STRIDE) dense buffer, built on first read."""
+        coef = self._build().reshape(-1, _STRIDE)
+        self._build = None
+        return coef
 
     def __call__(self, t):
         """(2, len(t)) array of the solution at the 1-d array of times t."""
@@ -355,15 +367,20 @@ class DenseSolution:
         seg = np.clip(seg, 0, nseg - 1)
         if not self.ascending:
             seg = nseg - 1 - seg
-        c = self.coef[seg]
-        x = ((t - c[:, 0]) / c[:, 1])[:, None]
-        F = c[:, 4:].reshape(-1, 2, 7)
-        y = np.zeros((len(t), 2))
-        for i in range(6, -1, -1):
-            y += F[:, :, i]
-            y *= x if i % 2 == 0 else 1.0 - x
-        y += c[:, 2:4]
-        return y.T
+        c = self.coef[seg].T
+        x = (t - c[0]) / c[1]
+        xm = 1.0 - x
+        out = np.empty((2, len(t)))
+        for j in (0, 1):
+            # Horner on the 7 coefficients of component j, from a zero sum:
+            # its first add turns a -0.0 coefficient into +0.0
+            y = np.zeros(len(t))
+            for i in range(6, -1, -1):
+                y += c[4 + 7 * j + i]
+                y *= x if i % 2 == 0 else xm
+            y += c[2 + j]
+            out[j] = y
+        return out
 
 
 def _norm(a, b):
@@ -399,13 +416,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     fun(t, y, yp) returns the acceleration, one float; the statements of one made
     by acceleration() run inlined in the solve loop, any other callable is called
     from it, and the 3 extra stages of each interpolant call fun (those of sol
-    after the loop).  With stop_at set, the solve ends at the first time y crosses
-    that level, in either sense; the crossing is the last entry of t and y.
-    Returns an OdeResult with scipy's t, y (shape (2, steps + 1), rows y and y'),
-    sol (None unless dense_output), status (0 end reached, 1 stop level crossed,
-    -1 step size underflow or NaN), message (NAN_MESSAGE at status -1 when the
-    acceleration at the state reached is NaN), nfev (with the extra stages), and
-    naccept and nreject.  rtol in [100 eps, inf), atol in (0, inf), y0 finite.
+    when sol is first read).  With stop_at set, the solve ends at the first time
+    y crosses that level, in either sense; the crossing is the last entry of t
+    and y.  Returns an OdeResult with scipy's t, y (shape (2, steps + 1), rows y
+    and y'), sol (None unless dense_output), status (0 end reached, 1 stop level
+    crossed, -1 step size underflow or NaN), message (NAN_MESSAGE at status -1
+    when the acceleration at the state reached is NaN), nfev (with the extra
+    stages, whether sol is read or not), and naccept and nreject.  rtol in
+    [100 eps, inf), atol in (0, inf), y0 finite.
     """
     if not 100.0 * EPS <= rtol < math.inf:
         raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")
@@ -428,7 +446,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
         values, fun, t, t_bound, sign, y0, y1, f1, h_abs, rtol, atol, stop_at, dense_output,
         ts, ys0, ys1, records)
     ts = np.array(ts)
-    sol = DenseSolution(ts, _dense_coefficients(fun, records)) if dense_output else None
+    sol = (DenseSolution(ts, functools.partial(_dense_coefficients, fun, records))
+           if dense_output else None)
     message = NAN_MESSAGE if status == -1 and math.isnan(f1) else MESSAGES[status]
     return OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=message,
                      nfev=2 + nfev, naccept=naccept, nreject=nreject)

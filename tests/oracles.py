@@ -12,7 +12,9 @@ the corrector derivative from its first-order representation instead of
 the Psi sweeps, and a DOP853 solver whose trial step and interpolant loop
 over the tableau rows, applied to the first-order system (y, y')' = (y', a)
 with the acceleration a called, instead of the straight-line solve loop
-that itergelfand.rk generates from them with a inlined.  csv_text writes a CSV one cell at a time, where write_csv
+that itergelfand.rk generates from them with a inlined.  dense_eval
+evaluates an rk dense solution for both components at once, where
+DenseSolution takes one component at a time.  csv_text writes a CSV one cell at a time, where write_csv
 applies one row format per file, and h_deriv_fd_worst takes verify
 iterexp's finite differences one scalar t at a time, where the suite takes
 them on the whole t array.  g_diff, the tower difference by its level
@@ -382,10 +384,38 @@ def dop853_solve(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
             ys0.append(y0)
             ys1.append(y1)
     ts = np.array(ts)
-    sol = rk.DenseSolution(ts, np.array(dense)) if dense_output else None
+    # the ready buffer, through the constructor's build on first read
+    sol = rk.DenseSolution(ts, lambda: np.array(dense)) if dense_output else None
     message = rk.NAN_MESSAGE if status == -1 and math.isnan(f1) else rk.MESSAGES[status]
     return rk.OdeResult(t=ts, y=np.array([ys0, ys1]), sol=sol, status=status, message=message,
                         nfev=nfev, naccept=naccept, nreject=nreject)
+
+
+def dense_eval(sol, t):
+    """sol(t) for an rk.DenseSolution sol, both components in one (N, 2) sum.
+
+    The Horner sums of the two components run side by side on the step's
+    coefficients as (N, 2, 7) blocks, where DenseSolution runs one 1-d sum per
+    component; the operations and their order are the same.
+    """
+    t = np.asarray(t, dtype=float)
+    nseg = len(sol.coef)
+    if sol.ascending:
+        seg = np.searchsorted(sol.ts, t, side="left") - 1
+    else:
+        seg = np.searchsorted(sol.ts[::-1], t, side="right") - 1
+    seg = np.clip(seg, 0, nseg - 1)
+    if not sol.ascending:
+        seg = nseg - 1 - seg
+    c = sol.coef[seg]
+    x = ((t - c[:, 0]) / c[:, 1])[:, None]
+    F = c[:, 4:].reshape(-1, 2, 7)
+    y = np.zeros((len(t), 2))
+    for i in range(6, -1, -1):
+        y += F[:, :, i]
+        y *= x if i % 2 == 0 else 1.0 - x
+    y += c[:, 2:4]
+    return y.T
 
 
 def csv_cell(v):

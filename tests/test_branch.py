@@ -6,6 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import itergelfand.branch as br
+import itergelfand.rk as rk
+import itergelfand.singular as sg
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
 from itergelfand.singular import DescentError, descend, ode_residual
@@ -298,6 +300,41 @@ def test_matched_profile_continues_below_t_match():
     assert abs(point.eval_w(t_zero + 1e-6)) < 1e-5
     assert np.isnan(point.eval_w(t_zero - 1.0))
     assert point.t_max > t_match + 39.0
+
+
+def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
+    # a kept matched shot builds no dense buffer while it shoots; eval_w
+    # builds those of the solves it reads, and its values are those of a shot
+    # whose solves build their buffers as soon as they end
+    def eager(module):
+        def solve(*args, real=module.solve_ivp, **kwargs):
+            sol = real(*args, **kwargs)
+            if sol.sol is not None:
+                sol.sol.coef
+            return sol
+        return solve
+
+    t = np.linspace(-2.0, 130.0, 3001)
+    with monkeypatch.context() as mp:
+        for module in (br, sg):
+            mp.setattr(module, "solve_ivp", eager(module))
+        want = shoot_regular(3, 1, 9.0).eval_w(t)
+
+    built = []
+    real = rk._dense_coefficients
+
+    def counted(fun, records):
+        built.append(len(records) // len(rk._RECORD_NAMES))
+        return real(fun, records)
+
+    monkeypatch.setattr(rk, "_dense_coefficients", counted)
+    point = shoot_regular(3, 1, 9.0)
+    assert point.t_match is not None and not built
+    got = point.eval_w(t)
+    # the inner phase, the descent above t_match and the resumed one below it
+    assert len(built) == 3 and len(point.descent) == 2
+    assert built == [len(sol.t) - 1 for sol in (*point.descent, point.inner)]
+    assert got.tobytes() == want.tobytes() and np.isfinite(got[t > -math.log(point.R)]).all()
 
 
 def test_match_rule():

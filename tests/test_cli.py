@@ -486,6 +486,9 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--m", "100"], "not a double"),
     # a rho grid whose point count is an inf quotient meets the work bound
     (["bifurcation", "trace", "--rho-step", "1e-320"], "shots times n"),
+    # one ulp above e/2, where H_2(2T) rounds to 0 and H_3(2T) is undefined
+    (["singular", "construct", "--n", "3", "--m", "3", "--T", "1.3591409142295228"],
+     "T = 1.35914"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange
@@ -521,6 +524,57 @@ def test_construct_ends_every_window_as_documented(m, T):
                         "--outdir", out])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []
+
+
+# values of the numeric flags beyond their finite ranges: not finite, negative,
+# zero, tiny, and no number at all
+_ODD_VALUES = ["nan", "inf", "-inf", "-1", "-1e-300", "0", "1e-300", "5e-324", "1e-9",
+               "abc", "", "1e", "0x10", "1,5", "--"]
+# the finite range each flag is drawn from; --rho-max is always given and at most
+# 1.2 unless it is the odd one, so a trace is a few dozen short shots
+_FLAG_RANGES = {"--T": (0.5, 40.0), "--t-max": (50.0, 2000.0), "--tol": (1e-14, 1e-2),
+                "--rho-min": (1e-3, 1.0), "--rho-max": (0.05, 1.2),
+                "--rho-step": (0.01, 0.5)}
+
+
+@st.composite
+def _cli_runs(draw):
+    """argv of one run: a command, --n, --m, each numeric flag absent or finite, and
+    at most one of them given an odd value instead."""
+    command = draw(st.sampled_from([["singular", "construct"], ["bifurcation", "trace"],
+                                    ["verify", "asymptotics"], ["verify", "miyamoto"],
+                                    ["verify", "iterexp"], ["verify", "all"]]))
+    flags = ["--T", "--t-max", "--tol"]
+    if command[0] == "bifurcation":
+        flags += ["--rho-min", "--rho-max", "--rho-step"]
+    values = {flag: draw(st.floats(*_FLAG_RANGES[flag]).map(repr) if flag == "--rho-max"
+                         else st.one_of(st.none(), st.floats(*_FLAG_RANGES[flag]).map(repr)))
+              for flag in flags}
+    odd = draw(st.one_of(st.none(), st.sampled_from(flags)))
+    if odd is not None:
+        values[odd] = draw(st.sampled_from(_ODD_VALUES))
+    argv = command + ["--n", str(draw(st.sampled_from([3, 4, 5]))),
+                      "--m", str(draw(st.integers(0, 3)))]
+    for flag, value in values.items():
+        if value is not None:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(argv=_cli_runs())
+def test_every_run_ends_as_documented(argv):
+    # any command with any of these values exits 0, 1 (usage) or 2 (numeric
+    # failure), without a traceback or a warning
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as outdir, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(argv + ["--outdir", outdir])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
     assert [str(w.message) for w in caught] == []
 
 

@@ -446,9 +446,11 @@ def test_picard_fails_just_above_the_domain_floor_without_warning():
 @pytest.mark.parametrize("m, T, named", [
     (3, 1.2, "G_2(0) / 2 = 1.35914"), (3, math.e / 2, "G_2(0) / 2 = 1.35914"),
     (4, 7.5, "G_3(0) / 2 = 7.57713"), (5, None, "G_4(0) / 2 = 1.90714e+06"),
-    (6, None, "not a double"), (100, None, "not a double")])
+    (6, None, "not a double"), (100, None, "not a double"),
+    (3, 1.3591409142295228, "G_2(0) / 2 = 1.35914")])
 def test_resolved_refuses_T_at_or_below_the_domain_floor(m, T, named):
-    # H_m(2T) is undefined for 2T <= G_{m-1}(0); from m = 6 on that floor is no double
+    # H_m(2T) is undefined for 2T <= G_{m-1}(0); from m = 6 on that floor is no
+    # double.  One ulp above e/2, log(2T) rounds to 1 and H_2(2T) to 0
     with pytest.raises(ValueError, match=re.escape(named)):
         EtaSpaceConfig(T=T).resolved(m)
 

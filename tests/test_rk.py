@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 import itergelfand.branch as br
 import itergelfand.rk as rk
 import itergelfand.singular as sg
-from oracles import dop853_solve, first_order
+from oracles import dense_eval, dop853_solve, first_order
 from itergelfand.rk import solve_ivp
 from itergelfand.singular import assemble_w, integrate_down
 
@@ -141,6 +141,8 @@ def test_generated_step_is_the_coefficient_loops(problems, monkeypatch, name):
     built = _built_records(monkeypatch)
     for dense_output in (True, False):
         sol = solve_ivp(fun, t_span, y0, **dict(kwargs, dense_output=dense_output))
+        assert not built
+        # reads sol.sol.coef, which builds the buffer
         _assert_same(sol, dop853_solve(fun, t_span, y0,
                                        **dict(kwargs, dense_output=dense_output)))
         if dense_output:
@@ -153,6 +155,59 @@ def test_generated_step_is_the_coefficient_loops(problems, monkeypatch, name):
         assert sol.nfev == 2 + rk.N_STAGES * (sol.naccept + sol.nreject) + 3 * dense_steps
     if name == "blow-up":
         assert sol.nreject > 100
+
+
+def test_dense_buffer_is_built_once_on_first_read(problems, monkeypatch):
+    # a dense solve that is never read never builds its buffer; the first
+    # evaluation builds it, later reads and evaluations reuse it, and it is
+    # the reference solver's byte for byte
+    fun, t_span, y0, kwargs = problems["descent"]
+    kwargs = dict(kwargs, dense_output=True)
+    built = _built_records(monkeypatch)
+    unread = solve_ivp(fun, t_span, y0, **kwargs)
+    assert unread.sol is not None and not built
+    sol = solve_ivp(fun, t_span, y0, **kwargs)
+    values = sol.sol(sol.t)
+    assert len(built) == 1
+    coef = sol.sol.coef
+    assert sol.sol.coef is coef and sol.sol(sol.t).tobytes() == values.tobytes()
+    assert len(built) == 1 and sol.sol._build is None
+    assert coef.tobytes() == dop853_solve(fun, t_span, y0, **kwargs).sol.coef.tobytes()
+
+
+def _still(t, y, yp):
+    return 0.0 * y
+
+
+@pytest.mark.parametrize("name", ["descent", "inner", "oscillator", "signed-zero"])
+def test_evaluation_is_the_two_component_sum(problems, name):
+    # one Horner sum per component gives the (N, 2) sum of both bit for bit,
+    # ascending (inner, oscillator) and descending (descent, signed-zero), at
+    # the step ends, between them and at times outside the solve, which take
+    # the first or last step's interpolant.  A solve's own buffer ends each
+    # sum with +0.0 or a nonzero, so signed zeros are checked on the steps of
+    # y'' = 0 solved down with every state and coefficient set to -0.0: the
+    # zero each sum starts from turns the first -0.0 into +0.0, and every
+    # value is +0.0, where a sum started from its top coefficient gives -0.0
+    if name == "signed-zero":
+        sol = solve_ivp(_still, (1.0, 0.0), [0.0, 0.0], rtol=1e-10, atol=1e-12,
+                        dense_output=True)
+        coef = sol.sol.coef.copy()
+        coef[:, 2:] = -0.0
+        sol.sol = rk.DenseSolution(sol.t, lambda: coef)
+    else:
+        fun, t_span, y0, kwargs = problems[name]
+        sol = solve_ivp(fun, t_span, y0, **dict(kwargs, dense_output=True))
+    lo, hi = sorted((sol.t[0], sol.t[-1]))
+    span = hi - lo
+    for t in (sol.t, sol.t[::-1], 0.5 * (sol.t[1:] + sol.t[:-1]),
+              np.array([lo - span, lo - 1e-3 * span, hi + 1e-3 * span, hi + span]),
+              np.linspace(lo - 0.1 * span, hi + 0.1 * span, 1001), np.array([])):
+        got = sol.sol(t)
+        assert got.shape == (2, len(t))
+        assert got.tobytes() == dense_eval(sol.sol, t).tobytes()
+    if name == "signed-zero":
+        assert not np.signbit(sol.sol(sol.t)).any()
 
 
 def _jump(t, y, yp):
@@ -235,6 +290,8 @@ def test_inlined_loop_is_the_plain_callable_path(monkeypatch, m, rho):
             return a
 
         sol = solve_ivp(fun, t_span, y0, **kwargs)
+        # the first read builds the buffer, one row per step
+        assert not built and len(sol.sol.coef) == len(sol.t) - 1
         _assert_rows_are_the_float_builder(sol, *built[0])
         _assert_same(sol, solve_ivp(plain, t_span, y0, **kwargs))
         built.clear()
@@ -263,9 +320,11 @@ def test_infinite_extra_stages_are_the_coefficient_loops_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sol = solve_ivp(fun, *args, dense_output=True, **kwargs)
+        # the first read builds the buffer, from the extra stages that see inf
+        coef = sol.sol.coef
     _assert_same(sol, dop853_solve(fun, *args, dense_output=True, **kwargs))
     assert sol.status == 0
-    assert not np.isfinite(sol.sol.coef[:, 4:]).all(axis=1).any()
+    assert not np.isfinite(coef[:, 4:]).all(axis=1).any()
 
 
 def test_package_bodies_use_no_loop_names(monkeypatch):

@@ -31,6 +31,7 @@ expm1/log1p, never forming exp(-2t + e^w) as a difference of large numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -92,8 +93,12 @@ def _grid_size(n, T, t_max, n_nodes):
     return max(n_nodes, 1 + math.ceil(need))
 
 
+@functools.cache
 def _h_defined(m, y):
-    """Whether H_m(y) is defined in floats: H_0(y), ..., H_{m-1}(y) all > 0."""
+    """Whether H_m(y) is defined in floats: H_0(y), ..., H_{m-1}(y) all > 0.
+
+    Cached: every branch shot that descends resolves the default window.
+    """
     try:
         h_tower(m, y)
     except TowerDomainError:

@@ -14,10 +14,10 @@ over the tableau rows, applied to the first-order system (y, y')' = (y', a)
 with the acceleration a called, instead of the straight-line solve loop
 that itergelfand.rk generates from them with a inlined.  dense_eval
 evaluates an rk dense solution for both components at once, where
-DenseSolution takes one component at a time.  csv_text writes a CSV one cell at a time, where write_csv
-applies one row format per file, and h_deriv_fd_worst takes verify
-iterexp's finite differences one scalar t at a time, where the suite takes
-them on the whole t array.  g_diff, the tower difference by its level
+DenseSolution takes one component at a time.  csv_text writes a CSV one
+cell at a time, where write_csv applies one row format per file, and
+h_deriv_fd_worst takes verify iterexp's finite differences one scalar t at
+a time, where the suite takes them on the whole t array.  g_diff, the tower difference by its level
 recursion, is checked against plain subtraction.  miyamoto_profile is the characterized
 profile U(r) = F^{-1}(r^2/(2(n-2))) that the tail-integral traces identify
 the constructed solution with.

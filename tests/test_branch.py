@@ -310,7 +310,7 @@ def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
         def solve(*args, real=module.solve_ivp, **kwargs):
             sol = real(*args, **kwargs)
             if sol.sol is not None:
-                sol.sol.coef
+                sol.sol.coef   # the first read builds the buffer
             return sol
         return solve
 

@@ -6,10 +6,15 @@ A regular profile with center value rho solves
 
 and lambda(rho) = R^2 with R its first zero.  Shooting always starts in the
 rescaled inner variables s = r exp(G_m(rho)/2), where the nonlinearity is
-exp(G_m(v) - G_m(rho)) and the center layer has unit scale.  The inner
-phase ends at its zero or at s = 100; from there the descent continues in
-log variables (t, w) where the remaining range is logarithmically
-compressed.
+exp(G_m(v) - G_m(rho)) and the center layer has unit scale.  Near the
+center v is its Taylor series rho + sum_{k<=K} c_k s^{2k}: the ODE gives
+c_{k+1} (2k+2)(2k+n) = -[exp(D_m)]_k, with D_m from the level recursion
+D_0 = v - rho, D_j = G_j(rho) expm1(D_{j-1}) run on truncated series by the
+series recurrence of exp (Corliss and Chang 1982), in O(m K^2) operations.
+The inner phase is integrated from where that series stops converging to
+rtol, and ends at its zero or at s = S_CAP; from there the descent
+continues in log variables (t, w) where the remaining range is
+logarithmically compressed.
 
 A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
 picture: the rescaled inner solution glued onto u*) first descends only
@@ -22,8 +27,9 @@ by rounding, the shot returns lambda* of the default build_singular(n, m)
 (computed once per process).  Otherwise, or when that build fails, the
 descent goes on to the zero.
 
-A shot that keeps its profile keeps the dense output of its solves and is
-evaluated from it directly; it is never sampled.  A matched shot integrates
+A shot that keeps its profile keeps the dense output of its solves and,
+above the integrated start, its center series, and is evaluated from them
+directly; it is never sampled.  A matched shot integrates
 the rest of its descent below t_match only when its profile is first asked
 for there.
 """
@@ -40,8 +46,16 @@ from .corrector import EtaSpaceConfig, PicardConvergenceError, PsiKernel
 from .numerics import scalar_or_array
 from .rk import EPS, acceleration, solve_ivp
 from .singular import DescentError, build_singular, descend, singular_state
-from .towers import TowerOverflowError, g_tower
+from .towers import TowerOverflowError, check_height, g_tower
 
+# terms of the center series; a shot starts where each of the last two terms of
+# its v' is below SERIES_TOL rtol times the first, and x^2 below SERIES_RADIUS of
+# the radius that the last coefficient ratio estimates
+SERIES_TERMS = 10
+SERIES_TOL = 0.1
+SERIES_RADIUS = 0.25
+# the inner phase ends at its zero or at s = S_CAP
+S_CAP = 100.0
 # descent budget: refuse shots whose log-variable start would need more work
 # than roughly a million steps
 T1_BUDGET = 2.0e5
@@ -65,8 +79,8 @@ class BranchPoint:
 
     t_match is where a matched shot left its descent for w* (lambda is then
     lambda*); None for a shot that descended to its own zero.  A shot that
-    keeps its profile also holds the dense solutions of its inner phase
-    (in s = exp(L/2 - t), L = G_m(rho)) and the list of its log-variable
+    keeps its profile also holds the dense inner solve and the center series
+    above it (in s = exp(L/2 - t), L = G_m(rho)) and the list of its log-variable
     descent solves, top first (empty when the inner phase reaches the zero
     itself).  A matched shot holds the descent above t_match and, in resume,
     the call that integrates the rest.
@@ -78,21 +92,24 @@ class BranchPoint:
     n: int
     m: int
     inner: object = field(default=None, repr=False)
+    start: CenterSeries | None = field(default=None, repr=False)
     descent: list | None = field(default=None, repr=False)
     L: float | None = None
     t_match: float | None = None
     resume: object = field(default=None, repr=False)
 
-    def _inner_range(self):
+    def _inner_pieces(self):
+        """(t_lo, t_hi, piece) of the inner solve, then of the center series above it."""
         if self.inner is None:
             raise ValueError("branch point must carry its profile")
-        s_lo, s_hi = sorted((float(self.inner.t[0]), float(self.inner.t[-1])))
-        return 0.5 * self.L - math.log(s_hi), 0.5 * self.L - math.log(s_lo)
+        for piece in (self.inner, self.start):
+            if piece is not None:
+                yield (*sorted(0.5 * self.L - math.log(s) for s in piece.t[[0, -1]]), piece)
 
     @property
     def t_max(self):
-        """Top of the kept t-range: the start of the inner phase."""
-        return self._inner_range()[1]
+        """Top of the kept t-range: the top of the center series."""
+        return max(hi for _, hi, _ in self._inner_pieces())
 
     def descents(self, t_lo=-math.inf):
         """The kept descent solves, top first, once they reach down to t_lo.
@@ -106,22 +123,45 @@ class BranchPoint:
         return self.descent or []
 
     def eval_w(self, t):
-        """w(t) from the kept dense solutions; NaN outside their t-range."""
+        """w(t) from the kept pieces, NaN outside them: the descent solves (top first),
+        the inner solve and the center series, each keeping the t it shares with a
+        later one; a piece that holds none of the t left is not evaluated (or built)."""
         shape = np.shape(t)
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.full(t.shape, np.nan)
-        lo, hi = self._inner_range()
-        inner = (t >= lo - 1e-12) & (t <= hi + 1e-12)
+        inner = [(lo, hi, lambda tt, sol=piece.sol: sol(np.exp(0.5 * self.L - tt)))
+                 for lo, hi, piece in self._inner_pieces()]
         # a NaN in t must not hide the finite t below t_match from the resume
         t_lo = float(np.min(t, initial=math.inf, where=~np.isnan(t)))
-        for sol in self.descents(t_lo):
-            dlo, dhi = sorted((float(sol.t[0]), float(sol.t[-1])))
-            # an earlier (higher) solve keeps the t it shares with this one
-            below = (t >= dlo - 1e-12) & (t <= dhi + 1e-12) & np.isnan(out)
-            out[below] = sol.sol(np.clip(t[below], dlo, dhi))[0]
-            inner &= ~below
-        out[inner] = self.inner.sol(np.exp(0.5 * self.L - np.clip(t[inner], lo, hi)))[0]
+        for lo, hi, w_of in [(*sorted((float(sol.t[0]), float(sol.t[-1]))), sol.sol)
+                             for sol in self.descents(t_lo)] + inner:
+            sel = (t >= lo - 1e-12) & (t <= hi + 1e-12) & np.isnan(out)
+            if sel.any():
+                out[sel] = w_of(np.clip(t[sel], lo, hi))[0]
         return scalar_or_array(out.reshape(shape))
+
+
+@dataclass
+class CenterSeries:
+    """v = rho + s^2 sum_{k=1}^K b_k x^{2k-2}, x = s sqrt(G'_m(rho)), each b_k of order one.
+
+    Read like the inner solve: t is its s-range, from the top of the kept
+    profile to the start s0, and sol(s) is (v, v') at a float or an array s.
+    """
+
+    rho: float
+    b: tuple
+    root_grad: float
+    t: np.ndarray | None = None
+
+    def sol(self, s):
+        x = s * self.root_grad
+        z = x * x
+        q = dq = 0.0
+        for k in range(len(self.b), 0, -1):
+            q = q * z + self.b[k - 1]
+            dq = dq * z + k * self.b[k - 1]
+        return np.array([self.rho + s * s * q, 2.0 * s * dq])
 
 
 @dataclass
@@ -163,6 +203,34 @@ def _inner_acceleration(n, m, rho):
     return chain, accel
 
 
+def _series_start(n, rho, chain, rtol):
+    """The CenterSeries of a shot with chain (G_0(rho), ..., G_m(rho)), from its start s0 up."""
+    m = len(chain) - 1
+    # levels B_0 = G'_m(rho) D_0 = sum_k b_k x^{2k}, B_j = D_j G_{j+1}(rho)...G_m(rho) =
+    # P expm1(B_{j-1} / P), P = G_j(rho)...G_m(rho), then exp(B_m) - 1 at P = 1; F = P
+    # expm1(B / P) has k F_k = k B_k + (1 / P) sum_{0<i<k} i B_i F_{k-i}, and 1/P may be 0
+    inv = [math.exp(-sum(chain[j - 1:m])) for j in range(1, m + 1)] + [1.0]
+    levels = [[0.0, -1.0 / (2 * n)]] + [[0.0] for _ in inv]
+    for k in range(1, SERIES_TERMS):
+        for below, level, q in zip(levels, levels[1:], inv):
+            level.append(below[k] + q / k * sum(i * below[i] * level[k - i] for i in range(1, k)))
+        levels[0].append(-levels[-1][k] / ((2 * k + 2) * (2 * k + n)))
+    b = levels[0][1:]
+    # v' = 2s sum_k k b_k x^{2k-2}
+    ln_z = [(math.log(SERIES_TOL * rtol * abs(b[0])) - math.log(k * abs(b[k - 1]))) / (k - 1)
+            for k in (SERIES_TERMS - 1, SERIES_TERMS) if b[k - 1]]
+    if b[-1] and b[-2]:
+        ln_z.append(math.log(SERIES_RADIUS * abs(b[-2] / b[-1])))
+    series = CenterSeries(rho, tuple(b), math.exp(0.5 * sum(chain[:-1])))
+    s0 = min(math.exp(0.5 * min(ln_z, default=math.inf)) / series.root_grad, 0.5 * S_CAP)
+    # stay in the core, before the zero
+    while series.sol(s0)[0] < 0.5 * rho:
+        s0 *= 0.5
+    # the kept profile reaches up to where v - rho falls below rounding of rho
+    series.t = np.array([min(s0, math.sqrt(2.0 * n * EPS * rho)), s0])
+    return series
+
+
 def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     """Integrate the center problem to the first zero; lambda(rho) = R^2.
 
@@ -173,30 +241,23 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         raise ValueError("dimension must be >= 3")
     if not 0 < rho < math.inf:
         raise ValueError("rho must be finite and positive")
+    m = check_height(m)
     chain, accel = _inner_acceleration(n, m, rho)
     L = chain[-1]
-    # ln G'_m(rho) = G_0(rho) + ... + G_{m-1}(rho)
-    ln_grad = sum(chain[:-1])
-
-    # series start: v = rho - s^2/(2n) + G'_m(rho) s^4/(8n(n+2)); keep s0 well
-    # inside the series radius ~ 1/sqrt(G'_m(rho))
-    ln_s0 = math.log(1e-4) - 0.5 * max(0.0, ln_grad - math.log(2.0 * n))
-    s0 = math.exp(ln_s0)
-    # ln G'_m + 4 ln_s0 <= ln(2n) - 36.8 < 0 by the choice of s0
-    quart = math.exp(ln_grad + 4.0 * ln_s0) / (8.0 * n * (n + 2))
-    v0 = rho - s0 * s0 / (2.0 * n) + quart
-    p0 = -s0 / n + 4.0 * quart / s0
-
-    # stop at the zero of v; the cap at s = 100 bounds the inner phase for
-    # slowly-dying nonlinearities
-    sol_a = solve_ivp(accel, (s0, 100.0), [v0, p0], rtol=rtol,
+    start = _series_start(n, rho, chain, rtol)
+    s0 = float(start.t[-1])
+    # stop at the zero of v; the cap bounds the inner phase for slowly-dying
+    # nonlinearities
+    sol_a = solve_ivp(accel, (s0, S_CAP), start.sol(s0), rtol=rtol,
                       atol=atol, dense_output=keep_profile, stop_at=0.0)
     if sol_a.status < 0:
         raise ShootError(f"the inner phase of n = {n}, m = {m} at rho = {rho} failed: "
                          f"{sol_a.message}")
     s1 = float(sol_a.t[-1])
+    descents = []
+    kept = {"inner": sol_a, "start": start, "descent": descents, "L": L} if keep_profile else {}
     if sol_a.status == 1:
-        return _finish(n, m, rho, math.log(s1) - 0.5 * L, sol_a, [], L, keep_profile)
+        return _finish(n, m, rho, math.log(s1) - 0.5 * L, kept)
     v1, p1 = float(sol_a.y[0, -1]), float(sol_a.y[1, -1])
 
     t1, y1 = 0.5 * L - math.log(s1), (v1, -s1 * p1)
@@ -204,27 +265,24 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         raise ShootError(
             f"rho = {rho} puts the log-variable start at t = {t1:.3g}, beyond the "
             f"practical descent budget {T1_BUDGET:.0e}")
-    descents = []
     t_match = t1 - MATCH_DEPTH
     if t_match >= EtaSpaceConfig().resolved(m)[0]:
         t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, t_match,
                                 dense_output=keep_profile, stop_at_floor=True)
         descents.append(sol_b)
         if t_zero is not None:
-            return _finish(n, m, rho, -t_zero, sol_a, descents, L, keep_profile)
+            return _finish(n, m, rho, -t_zero, kept)
         # stop at t_match when the shot sits on w*, else go on from there
         t1, y1 = t_match, (float(sol_b.y[0, -1]), float(sol_b.y[1, -1]))
         lam_star = _matched_lambda(n, m, t1, *y1)
         if lam_star is not None:
-            kept = {}
             if keep_profile:
-                kept = {"inner": sol_a, "descent": descents, "L": L,
-                        "resume": partial(descend, n, m, t1, *y1, rtol, atol, dense_output=True)}
+                kept["resume"] = partial(descend, n, m, t1, *y1, rtol, atol, dense_output=True)
             return BranchPoint(rho=rho, R=math.sqrt(lam_star), lam=lam_star, n=n, m=m,
                                t_match=t_match, **kept)
     t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, dense_output=keep_profile)
     descents.append(sol_b)
-    return _finish(n, m, rho, -t_zero, sol_a, descents, L, keep_profile)
+    return _finish(n, m, rho, -t_zero, kept)
 
 
 def _singular_lambda(n, m):
@@ -257,9 +315,8 @@ def _matched_lambda(n, m, t, w, w_t):
     return lam_star if dev < MATCH_TOL_CAP and dev * decay < 0.5 * EPS else None
 
 
-def _finish(n, m, rho, ln_R, sol_a, descents, L, keep_profile):
-    """BranchPoint of a shot from its inner solve sol_a and its descent solves."""
-    kept = {"inner": sol_a, "descent": descents, "L": L} if keep_profile else {}
+def _finish(n, m, rho, ln_R, kept):
+    """BranchPoint of a shot whose first zero is R = exp(ln_R), with the pieces it keeps."""
     return BranchPoint(rho=rho, R=math.exp(ln_R), lam=math.exp(2.0 * ln_R), n=n, m=m, **kept)
 
 

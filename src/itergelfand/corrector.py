@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import hermite, panel_nodes, scalar_or_array
-from .towers import TowerDomainError, _h_derivative_chains, h_tower, tower_domain_lower
+from .towers import (TowerDomainError, _h_derivative_chains, check_height, h_tower,
+                     tower_domain_lower)
 
 
 class PicardConvergenceError(RuntimeError):
@@ -125,8 +126,11 @@ class EtaSpaceConfig:
         [T, t_max], which no dimension's grid falls below.  The grid's
         12 (n_nodes - 1) Gauss nodes meet MAX_POINTS.
         """
+        # each check is written so that a NaN fails it
+        if not self.max_iter >= 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         T = self.T if self.T is not None else (30.0 if m <= 1 else 60.0)
-        if T < 1.0 or (m == 1 and T == 1.0):
+        if not T >= 1.0 or (m == 1 and T == 1.0):
             raise ValueError("T must be >= 1, and > 1 at m = 1, whose ansatz shift "
                              "is defined for t > 1")
         # H_m(2T) needs T > G_{m-1}(0) / 2: e/2 at m = 3, 7.58 at m = 4, 1.9e6 at m = 5
@@ -145,14 +149,14 @@ class EtaSpaceConfig:
             raise ValueError(f"T = {T:g} asks for about {100.0 * T:.3g} descent samples, "
                              f"more than {MAX_POINTS:.0e}")
         t_max = self.t_max if self.t_max is not None else max(4.0 * T, 200.0)
-        if t_max < 4.0 * T:
+        if not t_max >= 4.0 * T:
             raise ValueError("t_max must be >= 4*T")
         # the kernel bound alone puts more than 0.16 t_max intervals on [T, t_max]
         # (|lam_+| >= sqrt(2)), so this refuses no window the count would accept
         if t_max > MAX_POINTS:
             raise ValueError(f"t_max = {t_max:g} asks for more than {MAX_POINTS:.0e} "
                              f"quadrature nodes")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         # the default grid is spaced 0.16 at t = T
         n_nodes = self.n_nodes or max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
@@ -244,8 +248,7 @@ def phi_m(n, m, t):
     m = 1, which is then used for t > 1.  At m = 0 the line 2t + phi_0 =
     2t + ln(2(n-2)) is the exact plain-exponential profile.
     """
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
+    m = check_height(m)
     phi, phi_t, phi_tt, _, _, _ = _ansatz_shift(n, m, t)
     return scalar_or_array(phi), scalar_or_array(phi_t), scalar_or_array(phi_tt)
 
@@ -421,8 +424,7 @@ def picard_solve(n, m, cfg=None):
     """
     if n < 3:
         raise ValueError("dimension must be >= 3")
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
+    m = check_height(m)
     cfg = cfg if cfg is not None else EtaSpaceConfig()
     T, t_usable, n_nodes = cfg.resolved(m, n)
     return _solve_on_grid(n, m, cfg, T, t_usable, n_nodes)

@@ -14,6 +14,7 @@ is -inf.  Everything here needs numpy alone and is pure and reentrant.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -44,10 +45,16 @@ class TowerDomainError(ValueError):
         super().__init__(message or f"iterated log undefined: H_{level}(y) <= 0")
 
 
+def check_height(m):
+    """m as an int if it is a tower height, an integer >= 0; else a ValueError naming m."""
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise ValueError(f"tower height m must be an integer >= 0, got m = {m!r}")
+    return int(m)
+
+
 def tower_domain_lower(m):
     """Infimum of the domain of H_m, i.e. G_{m-1}(0)."""
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
+    m = check_height(m)
     if m == 0:
         return -math.inf
     return g_tower(m - 1, 0.0)
@@ -62,8 +69,7 @@ def g_tower(m, y):
     calls it per evaluation; the shooting right-hand sides form their
     forces with math.exp themselves.
     """
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
+    m = check_height(m)
     if isinstance(y, float):
         v = float(y)
         for j in range(1, m + 1):
@@ -92,8 +98,7 @@ def _h_chain(m, y):
 
 def h_tower(m, y):
     """H_m(y): m-fold iterated logarithm, inverse of g_tower."""
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
+    m = check_height(m)
     v = _h_chain(m, y)[-1]
     return scalar_or_array(v)
 
@@ -128,8 +133,7 @@ def h_deriv(m, k, t):
     """k-th derivative of H_m at t, k in {1, 2, 3}."""
     if k not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
-    if m < 0:
-        raise ValueError("tower height must be >= 0")
+    m = check_height(m)
     _, Hp, Hpp, Hppp = _h_derivative_chains(m, t)
     v = (Hp, Hpp, Hppp)[k - 1][m]
     return scalar_or_array(v)

@@ -210,10 +210,11 @@ def _segment_times(tlo, thi, focus_lo, focus_hi, fine=0.02, coarse=0.5):
 def sampled_branch(point):
     """LogProfile samples of a kept branch shot.
 
-    The descent and the inner phase are sampled from their dense output,
-    every 0.02 in t from just below the zero to 260 above it and every 0.5
-    elsewhere, mapped through s -> t = L/2 - ln s, w = v, w_t = -s v', and
-    cut at the zero.
+    The descent and the inner solve are sampled from their dense output,
+    and the center series above the inner solve from its sum, every 0.02 in
+    t from just below the zero to 260 above it and every 0.5 elsewhere,
+    mapped through s -> t = L/2 - ln s, w = v, w_t = -s v', and cut at the
+    zero.
     """
     t_zero = -math.log(point.R)
     focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
@@ -225,15 +226,16 @@ def sampled_branch(point):
         ts.append(tt)
         ws.append(yy[0])
         wts.append(yy[1])
-    sol_a, L = point.inner, point.L
-    t_of_s = 0.5 * L - np.log(np.array([sol_a.t[0], sol_a.t[-1]]))
-    tt = _segment_times(float(np.min(t_of_s)), float(np.max(t_of_s)), focus_lo, focus_hi)
-    ss = np.clip(np.exp(0.5 * L - tt), min(sol_a.t[0], sol_a.t[-1]),
-                 max(sol_a.t[0], sol_a.t[-1]))
-    yy = sol_a.sol(ss)
-    ts.append(tt)
-    ws.append(yy[0])
-    wts.append(-ss * yy[1])
+    L = point.L
+    for sol_a in (point.inner, point.start):
+        t_of_s = 0.5 * L - np.log(np.array([sol_a.t[0], sol_a.t[-1]]))
+        tt = _segment_times(float(np.min(t_of_s)), float(np.max(t_of_s)), focus_lo, focus_hi)
+        ss = np.clip(np.exp(0.5 * L - tt), min(sol_a.t[0], sol_a.t[-1]),
+                     max(sol_a.t[0], sol_a.t[-1]))
+        yy = sol_a.sol(ss)
+        ts.append(tt)
+        ws.append(yy[0])
+        wts.append(-ss * yy[1])
     t_all, w_all, wt_all = (np.concatenate(a) for a in (ts, ws, wts))
     order = np.argsort(t_all)
     t_all, w_all, wt_all = t_all[order], w_all[order], wt_all[order]

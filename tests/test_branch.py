@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,8 @@ import itergelfand.rk as rk
 import itergelfand.singular as sg
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
-from itergelfand.singular import DescentError, descend, ode_residual
+from itergelfand.corrector import picard_solve
+from itergelfand.singular import DescentError, build_singular, descend, ode_residual
 from itergelfand.towers import g_tower
 from oracles import full_descent_shot, g_diff, sampled_branch
 
@@ -213,6 +216,86 @@ def test_shoot_rejects_bad_input():
         shoot_regular(3, 1, -1.0)
 
 
+@pytest.mark.parametrize("m", [-1, 1.5, 2.0, "1", None])
+def test_every_entry_point_refuses_a_height_that_is_not_a_natural_number(m):
+    # one check of m for the shot, the singular build and the corrector: m = -1
+    # ended in an IndexError of the inner acceleration, m = 1.5 in a TypeError
+    # of range
+    for call in (lambda: shoot_regular(3, m, 1.0), lambda: build_singular(3, m),
+                 lambda: picard_solve(3, m)):
+        with pytest.raises(ValueError, match=re.escape(f"got m = {m!r}")):
+            call()
+
+
+def two_term_start(n, chain):
+    """(s0, v0, p0) of the start the center series replaced: two series terms at
+    x = s sqrt(G'_m(rho)) of about 1e-4 sqrt(2n)."""
+    ln_grad = sum(chain[:-1])
+    ln_s0 = math.log(1e-4) - 0.5 * max(0.0, ln_grad - math.log(2.0 * n))
+    s0 = math.exp(ln_s0)
+    quart = math.exp(ln_grad + 4.0 * ln_s0) / (8.0 * n * (n + 2))
+    return s0, chain[0] - s0 * s0 / (2.0 * n) + quart, -s0 / n + 4.0 * quart / s0
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000])
+@pytest.mark.parametrize("m, rho", [(0, 2.0), (1, 0.1), (1, 4.0), (2, 1.5), (3, 0.5)])
+def test_center_series_coefficients(n, m, rho):
+    # c_1 = -1/(2n) and c_2 = G'_m(rho)/(8n(n+2)) of v = sum_k c_k s^{2k}; the
+    # series holds b_k = c_k / G'_m(rho)^(k-1), b_2 to the last ulp
+    chain, _ = br._inner_acceleration(n, m, rho)
+    b = br._series_start(n, rho, chain, 1e-11).b
+    assert len(b) == br.SERIES_TERMS
+    assert b[0] == -1.0 / (2 * n)
+    assert b[1] == pytest.approx(1.0 / (8 * n * (n + 2)), rel=rk.EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000])
+@pytest.mark.parametrize("m, rho", [(0, 2.0), (1, 0.1), (1, 4.0), (2, 1.5), (3, 0.5)])
+def test_series_start_matches_the_integrated_two_term_start(n, m, rho):
+    # the state the series gives at s0 is the one DOP853 reaches from the old
+    # two-term start, to rtol
+    rtol = 1e-11
+    chain, accel = br._inner_acceleration(n, m, rho)
+    start = br._series_start(n, rho, chain, rtol)
+    s0 = float(start.t[-1])
+    v0, p0 = start.sol(s0)
+    s_old, *y_old = two_term_start(n, chain)
+    assert s_old < s0 and rho / 2 <= v0 < rho and p0 < 0.0
+    sol = rk.solve_ivp(accel, (s_old, s0), y_old, rtol=1e-13, atol=1e-300)
+    assert sol.status == 0
+    assert v0 == pytest.approx(sol.y[0, -1], rel=rtol, abs=0.0)
+    assert p0 == pytest.approx(sol.y[1, -1], rel=rtol, abs=0.0)
+    # the kept profile above s0 is the series itself
+    assert start.sol(np.array([s0]))[:, 0].tolist() == [v0, p0]
+
+
+# the top rho of each height whose descent starts below T1_BUDGET
+BUDGET_TOP_RHO = {0: 3.99e5, 1: 12.88, 2: 2.554, 3: 0.9379}
+
+
+@pytest.mark.parametrize("m", sorted(BUDGET_TOP_RHO))
+def test_series_start_is_quiet_up_to_the_budget(m):
+    # no RuntimeWarning from the series, the shot or the read of its kept
+    # profile above t_match, from rho = 0.1 to the top of the budget
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in np.geomspace(0.1, BUDGET_TOP_RHO[m], 7):
+            point = shoot_regular(3, m, float(rho))
+            t_lo = point.t_match if point.t_match is not None else -math.log(point.R)
+            w = point.eval_w(np.linspace(t_lo, point.t_max, 200))
+            assert np.all(np.isfinite(w)) and w[-1] == pytest.approx(rho, rel=1e-15)
+
+
+@pytest.mark.parametrize("rho", [2.0, 4.0, 6.0])
+def test_kept_profile_covers_the_two_term_start(rho):
+    # the center series stands for the profile above the integrated start, so
+    # a kept shot reaches at least as high in t as the two-term start did
+    point = shoot_regular(3, 1, rho)
+    chain, _ = br._inner_acceleration(3, 1, rho)
+    assert point.t_max >= 0.5 * point.L - math.log(two_term_start(3, chain)[0])
+    assert point.t_max > 0.5 * point.L - math.log(float(point.inner.t[0]))
+
+
 def test_gelfand_oracle_oscillation():
     # plain-exponential branch at n = 3: turning values alternate around
     # 2(n-2) = 2 with shrinking amplitude
@@ -304,8 +387,9 @@ def test_matched_profile_continues_below_t_match():
 
 def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
     # a kept matched shot builds no dense buffer while it shoots; eval_w
-    # builds those of the solves it reads, and its values are those of a shot
-    # whose solves build their buffers as soon as they end
+    # builds only those of the solves that hold some t it is asked for, and
+    # its values are those of a shot whose solves build their buffers as soon
+    # as they end
     def eager(module):
         def solve(*args, real=module.solve_ivp, **kwargs):
             sol = real(*args, **kwargs)
@@ -314,11 +398,17 @@ def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
             return sol
         return solve
 
-    t = np.linspace(-2.0, 130.0, 3001)
     with monkeypatch.context() as mp:
         for module in (br, sg):
             mp.setattr(module, "solve_ivp", eager(module))
-        want = shoot_regular(3, 1, 9.0).eval_w(t)
+        eager_point = shoot_regular(3, 1, 9.0)
+    s0, s1 = (math.log(float(s)) for s in eager_point.inner.t[[0, -1]])
+    half_L = 0.5 * eager_point.L
+    reads = [np.linspace(-2.0, 130.0, 3001),             # the descent resumed below t_match
+             np.array([eager_point.t_match + 1.0]),      # the descent above t_match
+             np.linspace(half_L - s1 + 0.5, half_L - s0 - 0.5, 50),   # the inner solve
+             np.array([eager_point.t_max - 1.0])]        # the center series: no interpolant
+    wants = [eager_point.eval_w(t) for t in reads]
 
     built = []
     real = rk._dense_coefficients
@@ -330,11 +420,12 @@ def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
     monkeypatch.setattr(rk, "_dense_coefficients", counted)
     point = shoot_regular(3, 1, 9.0)
     assert point.t_match is not None and not built
-    got = point.eval_w(t)
-    # the inner phase, the descent above t_match and the resumed one below it
-    assert len(built) == 3 and len(point.descent) == 2
-    assert built == [len(sol.t) - 1 for sol in (*point.descent, point.inner)]
-    assert got.tobytes() == want.tobytes() and np.isfinite(got[t > -math.log(point.R)]).all()
+    for t, want, builds in zip(reads, wants, (1, 2, 3, 3)):
+        got = point.eval_w(t)
+        assert len(built) == builds and got.tobytes() == want.tobytes()
+        assert np.isfinite(got[t > -math.log(point.R)]).all()
+    assert len(point.descent) == 2
+    assert built == [len(sol.t) - 1 for sol in (*point.descent[::-1], point.inner)]
 
 
 def test_match_rule():

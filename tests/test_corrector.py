@@ -396,6 +396,18 @@ def test_config_validation():
     assert EtaSpaceConfig(T=1.0).resolved(2)[0] == 1.0
 
 
+@pytest.mark.parametrize("field, value", [("T", math.nan), ("t_max", math.nan), ("tol", math.nan),
+                                          ("max_iter", 0), ("max_iter", -3)])
+def test_config_refuses_nan_fields_and_no_sweeps(field, value):
+    # comparisons let a NaN through: tol = nan ran all 60 sweeps, T = nan ended
+    # in a float-to-int conversion, and max_iter = 0 in an IndexError
+    cfg = EtaSpaceConfig(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must"):
+        cfg.resolved(1)
+    with pytest.raises(ValueError, match=f"{field} must"):
+        picard_solve(3, 1, cfg)
+
+
 @pytest.mark.parametrize("n, T, t_max", [(3, 30.0, 4.8e4), (12, 30.0, 1.6e4), (3, 6000.0, 2.4e4)])
 def test_tall_windows_stay_within_the_cap(n, T, t_max):
     # sub-panels at most 2/(n-2) wide (and an eighth of the kernel's period at

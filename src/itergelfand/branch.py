@@ -29,9 +29,8 @@ descent goes on to the zero.
 
 A shot that keeps its profile keeps the dense output of its solves and,
 above the integrated start, its center series, and is evaluated from them
-directly; it is never sampled.  A matched shot integrates
-the rest of its descent below t_match only when its profile is first asked
-for there.
+directly; it is never sampled.  A matched shot integrates the rest of its
+descent below t_match only when its profile is first asked for there.
 """
 
 from __future__ import annotations
@@ -204,7 +203,13 @@ def _inner_acceleration(n, m, rho):
 
 
 def _series_start(n, rho, chain, rtol):
-    """The CenterSeries of a shot with chain (G_0(rho), ..., G_m(rho)), from its start s0 up."""
+    """The CenterSeries of a shot with chain (G_0(rho), ..., G_m(rho)), from its start s0 up.
+
+    s0 is the largest s at which the last two terms of v' are below SERIES_TOL
+    rtol times its first, inside SERIES_RADIUS of the estimated radius and
+    below half the cap, then halved until v(s0) >= rho / 2: in the core,
+    before the zero.
+    """
     m = len(chain) - 1
     # levels B_0 = G'_m(rho) D_0 = sum_k b_k x^{2k}, B_j = D_j G_{j+1}(rho)...G_m(rho) =
     # P expm1(B_{j-1} / P), P = G_j(rho)...G_m(rho), then exp(B_m) - 1 at P = 1; F = P
@@ -223,7 +228,6 @@ def _series_start(n, rho, chain, rtol):
         ln_z.append(math.log(SERIES_RADIUS * abs(b[-2] / b[-1])))
     series = CenterSeries(rho, tuple(b), math.exp(0.5 * sum(chain[:-1])))
     s0 = min(math.exp(0.5 * min(ln_z, default=math.inf)) / series.root_grad, 0.5 * S_CAP)
-    # stay in the core, before the zero
     while series.sol(s0)[0] < 0.5 * rho:
         s0 *= 0.5
     # the kept profile reaches up to where v - rho falls below rounding of rho

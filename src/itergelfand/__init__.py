@@ -11,6 +11,6 @@ from .singular import (DescentError, SingularSolution, assemble_w, build_singula
 from .towers import (TowerDomainError, TowerOverflowError, f_tail, f_tail_inverse,
                      f_tail_inverse_log, f_tail_log, g_deriv, g_tower, h_deriv,
                      h_tower, tower_domain_lower)
-from .transform import LogProfile, read_profile_csv, write_profile_csv
+from .transform import LogProfile, write_profile_csv
 
 __version__ = "0.1.0"

@@ -25,9 +25,8 @@ from . import expansions as ex
 from . import towers as tw
 from .corrector import EtaSpaceConfig, PicardConvergenceError, phi_m
 from .numerics import atomic_write_text, fmt, panel_nodes, write_csv
-from .singular import (DescentError, SingularSolution, ansatz_terms, build_singular,
-                       ode_residual)
-from .transform import read_profile_csv, write_profile_csv
+from .singular import DescentError, ansatz_terms, build_singular, ode_residual
+from .transform import write_profile_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,6 +104,9 @@ class RunConfig:
 # casts config-file values and selects the fields that must be finite
 _FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
                 for name, hint in typing.get_type_hints(RunConfig).items()}
+# the fields that may be None, which meta.txt echoes as "None"
+_OPTIONAL = {name for name, hint in typing.get_type_hints(RunConfig).items()
+             if type(None) in typing.get_args(hint)}
 
 
 def _read_text(path, what):
@@ -115,17 +117,34 @@ def _read_text(path, what):
         raise UsageError(f"cannot read {what} {path}: {exc}") from exc
 
 
-def _load_config_file(path):
-    values = {}
-    for raw in _read_text(path, "config file").splitlines():
+def _read_sections(path, what):
+    """{section: {key: value string}} of a file of `[section]` and `key = value` lines,
+    `#` starting a comment; keys before the first header are in section "config"."""
+    sections = {"config": {}}
+    current = sections["config"]
+    for raw in _read_text(path, what).splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"bad config line: {raw.rstrip()}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        values[key] = val
-    return values
+        if line.startswith("[") and line.endswith("]"):
+            current = sections.setdefault(line[1:-1].strip(), {})
+        elif "=" in line:
+            key, val = (s.strip() for s in line.split("=", 1))
+            current[key] = val
+        elif line:
+            raise UsageError(f"bad line in {what} {path}: {raw.rstrip()}")
+    return sections
+
+
+def _set_fields(cfg, values):
+    """Set the RunConfig fields that {key: value string} names, each cast to its type."""
+    for key, val in values.items():
+        if key not in _FIELD_TYPES:
+            raise UsageError(f"unknown config key: {key}")
+        try:
+            setattr(cfg, key, None if val == "None" and key in _OPTIONAL
+                    else _FIELD_TYPES[key](val))
+        except ValueError as exc:
+            raise UsageError(f"bad value for config key {key}: {val}") from exc
+    return cfg
 
 
 def _corrector_heights(args, cfg):
@@ -139,14 +158,9 @@ def _corrector_heights(args, cfg):
 
 def _build_runconfig(args):
     cfg = RunConfig()
-    file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, val in file_values.items():
-        if key not in _FIELD_TYPES:
-            raise UsageError(f"unknown config key: {key}")
-        try:
-            setattr(cfg, key, _FIELD_TYPES[key](val))
-        except ValueError as exc:
-            raise UsageError(f"bad value for config key {key}: {val}") from exc
+    if getattr(args, "config", None):
+        # a meta.txt is a config file too: its other sections are not read
+        _set_fields(cfg, _read_sections(args.config, "config file")["config"])
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
         if flag is not None:
@@ -196,42 +210,29 @@ def cmd_singular(cfg):
     return EXIT_OK
 
 
-def _read_meta(path):
-    """{section: {key: value string}} of a meta.txt written by _write_meta."""
-    sections, current = {}, {}
-    for line in _read_text(path, "singular reference").splitlines():
-        line = line.strip()
-        if line.startswith("[") and line.endswith("]"):
-            current = sections.setdefault(line[1:-1], {})
-        elif "=" in line:
-            key, val = (s.strip() for s in line.split("=", 1))
-            current[key] = val
-    return sections
-
-
 def _load_singular_reference(path, cfg):
-    """Reconstruct a singular reference from a `singular construct` output directory."""
+    """The singular solution rebuilt from the [config] of a `singular construct` output
+    directory (or its meta.txt); refused unless its n and m are the trace's and its
+    recorded lambda_star is the rebuilt one to all 17 digits."""
     meta_path = os.path.join(path, "meta.txt") if os.path.isdir(path) else path
-    meta = _read_meta(meta_path)
-    built = meta.get("config", {})
-    for key in ("n", "m"):
-        if built.get(key) != str(getattr(cfg, key)):
-            raise UsageError(f"singular reference {meta_path} has {key} = {built.get(key)}, "
-                             f"the trace has {key} = {getattr(cfg, key)}")
+    meta = _read_sections(meta_path, "singular reference")
     try:
-        lam = float(meta.get("results", {})["lambda_star"])
-    except (KeyError, ValueError):
-        raise UsageError(f"no numeric lambda_star entry in {meta_path}") from None
-    if not (math.isfinite(lam) and lam > 0):
-        raise UsageError(f"lambda_star = {lam} in {meta_path} is not a positive number")
-    profile_path = os.path.join(os.path.dirname(meta_path), "profile_log.csv")
+        ref = _set_fields(RunConfig(), meta["config"])
+        if (ref.n, ref.m) != (cfg.n, cfg.m):
+            raise UsageError(f"it has n = {ref.n}, m = {ref.m}, "
+                             f"the trace has n = {cfg.n}, m = {cfg.m}")
+        ref.validate((ref.m,))
+    except UsageError as exc:
+        raise UsageError(f"singular reference {meta_path}: {exc}") from exc
     try:
-        profile = read_profile_csv(profile_path)
-    except (OSError, ValueError) as exc:   # ValueError includes a bad encoding
-        raise UsageError(f"cannot read singular reference {profile_path}: {exc}") from exc
-    return SingularSolution(n=cfg.n, m=cfg.m, t_star=-0.5 * math.log(lam),
-                            lambda_star=lam, profile=profile, eta=None,
-                            handoff_t=profile.t_min, monotone=True)
+        sol = build_singular(ref.n, ref.m, ref.eta_config())
+    except (PicardConvergenceError, DescentError) as exc:
+        raise type(exc)(f"singular reference {meta_path} does not rebuild: {exc}") from exc
+    recorded = meta.get("results", {}).get("lambda_star")
+    if recorded != fmt(sol.lambda_star):
+        raise UsageError(f"singular reference {meta_path} records lambda_star = {recorded}, "
+                         f"but its [config] rebuilds lambda_star = {fmt(sol.lambda_star)}")
+    return sol
 
 
 def cmd_bifurcation(cfg):
@@ -476,8 +477,8 @@ def make_parser():
     p_bt.add_argument("--rho-max", dest="rho_max", type=float, default=None)
     p_bt.add_argument("--rho-step", dest="rho_step", type=float, default=None)
     p_bt.add_argument("--lambda-star", dest="singular_ref", type=str, default=None,
-                      help="singular construct output (dir or meta.txt) for "
-                           "turning-point annotation and intersection counts")
+                      help="singular construct output (dir or meta.txt), rebuilt from its "
+                           "[config], for turning-point annotation and intersection counts")
 
     p_v = sub.add_parser("verify", help="verification suites")
     p_v.add_argument("suite", choices=["asymptotics", "miyamoto", "iterexp", "all"])

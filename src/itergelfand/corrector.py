@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,8 +128,11 @@ class EtaSpaceConfig:
         12 (n_nodes - 1) Gauss nodes meet MAX_POINTS.
         """
         # each check is written so that a NaN fails it
-        if not self.max_iter >= 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        if self.n_nodes is not None and not (isinstance(self.n_nodes, numbers.Integral)
+                                             and self.n_nodes >= 2):
+            raise ValueError(f"n_nodes must be None or an integer >= 2, got {self.n_nodes!r}")
         T = self.T if self.T is not None else (30.0 if m <= 1 else 60.0)
         if not T >= 1.0 or (m == 1 and T == 1.0):
             raise ValueError("T must be >= 1, and > 1 at m = 1, whose ansatz shift "
@@ -156,8 +160,8 @@ class EtaSpaceConfig:
         if t_max > MAX_POINTS:
             raise ValueError(f"t_max = {t_max:g} asks for more than {MAX_POINTS:.0e} "
                              f"quadrature nodes")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
         # the default grid is spaced 0.16 at t = T
         n_nodes = self.n_nodes or max(320, int(math.ceil(T * math.log(t_max / T) / 0.16)))
         if n is not None:
@@ -289,10 +293,6 @@ class _ForcingM:
         for j in range(1, self.m + 1):
             D = self.Hz[self.m - j] * np.expm1(D)
         return D
-
-    def rho(self, eta):
-        """Quadratic Taylor remainder of G_m around H_m(z)."""
-        return self._taylor_increment(eta) - self.Q * np.asarray(eta, dtype=float)
 
     def pieces(self, eta):
         eta = np.asarray(eta, dtype=float)

@@ -49,7 +49,7 @@ class SingularSolution:
     t_star: float
     lambda_star: float
     profile: LogProfile
-    eta: EtaSolution | None
+    eta: EtaSolution
     handoff_t: float
     monotone: bool
 

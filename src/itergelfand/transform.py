@@ -1,4 +1,4 @@
-"""The package's one sampled profile, in log variables (t, w), and its CSV IO.
+"""The package's one sampled profile, in log variables (t, w), and its CSV writer.
 
 Conventions: u lives on the unit ball with u(1) = 0 and parameter lambda;
 v(x) = u(x / sqrt(lambda)) lives on the ball of radius sqrt(lambda); the log
@@ -67,12 +67,3 @@ def write_profile_csv(path, profile):
     """Profile CSV with `t,w,w_t` rows."""
     write_csv(path, ["t", "w", "w_t"], [profile.t, profile.w, profile.w_t])
 
-
-def read_profile_csv(path):
-    """Read a profile CSV written by write_profile_csv back into a LogProfile."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if header != "t,w,w_t":
-        raise ValueError(f"unrecognized profile header: {header!r}")
-    return LogProfile(data[:, 0], data[:, 1], data[:, 2])

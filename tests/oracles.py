@@ -45,7 +45,9 @@ def forcing_m(n, m, t, eta):
 
 def rho_remainder(n, m, t, eta):
     """Taylor remainder rho(eta) = G_m(H_m(z)+eta) - z - G'_m(H_m(z)) eta, z = 2t+phi."""
-    return scalar_or_array(_ForcingM(n, m, t).rho(eta))
+    forcing = _ForcingM(n, m, t)
+    eta = np.asarray(eta, dtype=float)
+    return scalar_or_array(forcing._taylor_increment(eta) - forcing.Q * eta)
 
 
 def g_diff(m, y0, dy):

@@ -19,6 +19,7 @@ import itergelfand
 from itergelfand import branch as br
 from itergelfand import cli, corrector
 from itergelfand.cli import main
+from itergelfand.numerics import fmt
 from itergelfand.singular import DescentError, build_singular
 from oracles import h_deriv_fd_worst
 
@@ -150,7 +151,7 @@ def test_bifurcation_trace_artifacts(tmp_path):
 
 
 def test_intersections_from_written_reference(tmp_path):
-    # the counts against a reference read back from profile_log.csv are the
+    # the counts against a reference rebuilt from its meta.txt are the
     # library's against the solution it was written from
     sing = tmp_path / "sing"
     assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--t-max", "280",
@@ -229,7 +230,7 @@ def test_verify_all_builds_each_height_once(tmp_path, capsys, monkeypatch, m, he
         assert list(rows[0]) == ["label", "value", "bound", "passed"]
         for row in rows:
             assert row["passed"] == str(int(float(row["value"]) <= float(row["bound"])))
-    meta = cli._read_meta(str(tmp_path / "meta.txt"))
+    meta = cli._read_sections(tmp_path / "meta.txt", "meta.txt")
     assert meta["config"]["m"] == str(m) and "M" not in meta["config"]
     assert meta["results"] == {"iterexp_m": "None", "iterexp_passed": "True",
                                "asymptotics_m": str(m), "asymptotics_passed": "True",
@@ -242,7 +243,7 @@ def test_verify_writes_meta_when_a_later_build_fails(tmp_path, capsys):
     assert run_cli(["verify", "all", "--n", "3", "--m", "4", "--outdir", str(tmp_path)]) == 2
     assert "numeric failure" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.txt", "verify_iterexp.csv"]
-    meta = cli._read_meta(str(tmp_path / "meta.txt"))
+    meta = cli._read_sections(tmp_path / "meta.txt", "meta.txt")
     assert meta["config"]["m"] == "4"
     assert meta["results"] == {"iterexp_m": "None", "iterexp_passed": "True"}
 
@@ -420,6 +421,10 @@ def bad_inputs(tmp_path):
     _write_reference(tmp_path / "ref-old-oracle", extra="oracle = True\n")
     for lam in ("nan", "inf", "0", "-0.5"):
         _write_reference(tmp_path / f"ref-lam{lam}", lam=lam)
+    # a corrector field that the corrector refuses at m = 1
+    _write_reference(tmp_path / "ref-T0.5", extra="T = 0.5\n")
+    # a corrector tolerance below rounding, at which the rebuild does not contract
+    _write_reference(tmp_path / "ref-tol", extra="tol = 1e-30\n")
     return tmp_path
 
 
@@ -433,7 +438,7 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["singular", "construct", "--config", "{tmp}/latin1.cfg"], "{tmp}/latin1.cfg"),
     (TRACE + ["--lambda-star", "{tmp}/nowhere"], "{tmp}/nowhere"),
     (TRACE + ["--lambda-star", "{tmp}/ref-no-meta"], "{tmp}/ref-no-meta/meta.txt"),
-    (TRACE + ["--lambda-star", "{tmp}/ref-no-profile"], "{tmp}/ref-no-profile/profile_log.csv"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-no-profile"], "{tmp}/ref-no-profile/meta.txt"),
     (TRACE + ["--lambda-star", "{tmp}/ref-lamnan"], "{tmp}/ref-lamnan/meta.txt"),
     (TRACE + ["--lambda-star", "{tmp}/ref-laminf"], "{tmp}/ref-laminf/meta.txt"),
     (TRACE + ["--lambda-star", "{tmp}/ref-lam0"], "{tmp}/ref-lam0/meta.txt"),
@@ -489,6 +494,8 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     # one ulp above e/2, where H_2(2T) rounds to 0 and H_3(2T) is undefined
     (["singular", "construct", "--n", "3", "--m", "3", "--T", "1.3591409142295228"],
      "T = 1.35914"),
+    # a reference whose [config] the corrector refuses
+    (TRACE + ["--lambda-star", "{tmp}/ref-T0.5"], "{tmp}/ref-T0.5/meta.txt"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange
@@ -508,6 +515,66 @@ def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     assert err.startswith("usage error:") and "Traceback" not in err
     if named is not None:
         assert named.format(tmp=bad_inputs) in err
+
+
+def test_reference_that_does_not_rebuild_is_numeric_failure(bad_inputs, capsys, monkeypatch):
+    # the reference is rebuilt before any shot; its corrector does not reach tol = 1e-30
+    monkeypatch.setattr(br, "trace_curve", lambda *a, **kw: pytest.fail("a trace shot"))
+    assert run_cli(TRACE + ["--lambda-star", str(bad_inputs / "ref-tol"),
+                            "--outdir", str(bad_inputs / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"numeric failure: singular reference {bad_inputs}/ref-tol/meta.txt "
+                          f"does not rebuild: ")
+    assert "does not contract" in err and "Traceback" not in err
+
+
+def test_trace_rebuilds_its_reference_from_meta(tmp_path, monkeypatch):
+    # the reference is the solution its [config] rebuilds, not its profile_log.csv
+    # (deleted here): turning points and intersection counts of the trace are the
+    # library's against build_singular at that config
+    sing, out = tmp_path / "sing", tmp_path / "bif"
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--T", "40",
+                    "--t-max", "300", "--outdir", str(sing)]) == 0
+    (sing / "profile_log.csv").unlink()
+    assert run_cli(["bifurcation", "trace", "--n", "3", "--m", "1", "--lambda-star", str(sing),
+                    "--outdir", str(out)]) == 0
+    ref = build_singular(3, 1, corrector.EtaSpaceConfig(T=40.0, t_max=300.0))
+    assert ref.lambda_star != build_singular(3, 1).lambda_star
+    tp = np.loadtxt(out / "turning_points.csv", delimiter=",", skiprows=1)
+    assert len(tp) == 15
+    assert tp[:, 2].tolist() == (tp[:, 1] - ref.lambda_star).tolist()
+    inter = np.loadtxt(out / "intersections.csv", delimiter=",", skiprows=1)
+    assert inter[:, 0].tolist() == [2.0, 4.0]
+    assert inter[:, 1].tolist() == [br.intersection_count(br.shoot_regular(3, 1, rho), ref)
+                                    for rho in (2.0, 4.0)]
+
+
+def test_reference_lambda_star_one_ulp_off_is_refused(tmp_path, capsys, monkeypatch):
+    sing = tmp_path / "sing"
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--outdir", str(sing)]) == 0
+    meta = (sing / "meta.txt").read_text()
+    lam = build_singular(3, 1).lambda_star
+    moved = fmt(np.nextafter(lam, np.inf))
+    assert f"lambda_star = {fmt(lam)}\n" in meta
+    (sing / "meta.txt").write_text(meta.replace(f"lambda_star = {fmt(lam)}\n",
+                                                f"lambda_star = {moved}\n"))
+    monkeypatch.setattr(br, "trace_curve", lambda *a, **kw: pytest.fail("a trace shot"))
+    assert run_cli(TRACE + ["--lambda-star", str(sing), "--outdir", str(tmp_path / "bif")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: singular reference {sing}/meta.txt records "
+                          f"lambda_star = {moved}")
+
+
+def test_meta_replays_as_config_file(tmp_path):
+    # a run's meta.txt, read as --config, echoes None as None and gives the same profile
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli(["singular", "construct", "--n", "4", "--T", "35", "--outdir",
+                    str(first)]) == 0
+    assert run_cli(["singular", "construct", "--config", str(first / "meta.txt"),
+                    "--outdir", str(second)]) == 0
+    for name in ("profile_log.csv", "meta.txt"):
+        assert ((second / name).read_text().replace(str(second), str(first))
+                == (first / name).read_text())
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

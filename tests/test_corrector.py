@@ -158,8 +158,7 @@ def test_rho_remainder_bound_on_ball():
     # |rho(eta)| <= c (ln t)^3 / t^3 for eta in the weighted ball
     t = np.geomspace(60.0, 400.0, 30)
     M = 1.0
-    fo = _ForcingM(3, 2, t)
-    vals = np.abs(fo.rho(M / t ** 2)) * t ** 3 / np.log(t) ** 3
+    vals = np.abs(rho_remainder(3, 2, t, M / t ** 2)) * t ** 3 / np.log(t) ** 3
     assert np.max(vals) < 10.0
 
 
@@ -330,7 +329,7 @@ def test_forcing_bounds_on_converged_eta(eta_n3m1):
     t = sol.grid[sel]
     fo = _ForcingM(3, 1, t)
     F0, F1eta, F2 = fo.pieces(sol.eta[sel])
-    quadratic = fo.ephi * fo.rho(sol.eta[sel])
+    quadratic = fo.ephi * rho_remainder(3, 1, t, sol.eta[sel])
     assert np.max(t ** 3 / np.log(t) * np.abs(F1eta)) < 10.0
     assert np.max(t ** 4 * np.abs(quadratic)) < 10.0
     assert np.max(t ** 3 * np.abs(F2 - quadratic)) < 10.0
@@ -397,10 +396,15 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [("T", math.nan), ("t_max", math.nan), ("tol", math.nan),
-                                          ("max_iter", 0), ("max_iter", -3)])
+                                          ("max_iter", 0), ("max_iter", -3),
+                                          ("max_iter", 2.5), ("n_nodes", -5), ("n_nodes", 0),
+                                          ("n_nodes", 1), ("n_nodes", 300.0),
+                                          ("tol", math.inf)])
 def test_config_refuses_nan_fields_and_no_sweeps(field, value):
     # comparisons let a NaN through: tol = nan ran all 60 sweeps, T = nan ended
-    # in a float-to-int conversion, and max_iter = 0 in an IndexError
+    # in a float-to-int conversion, and max_iter = 0 in an IndexError; max_iter =
+    # 2.5 ended in a TypeError from range, n_nodes = -5 silently gave a 61-node
+    # grid and n_nodes = 0 the default one, and tol = inf stopped after one sweep
     cfg = EtaSpaceConfig(**{field: value})
     with pytest.raises(ValueError, match=f"{field} must"):
         cfg.resolved(1)

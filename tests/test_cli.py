@@ -528,7 +528,7 @@ def test_reference_that_does_not_rebuild_is_numeric_failure(bad_inputs, capsys, 
     assert "does not contract" in err and "Traceback" not in err
 
 
-def test_trace_rebuilds_its_reference_from_meta(tmp_path, monkeypatch):
+def test_trace_rebuilds_its_reference_from_meta(tmp_path):
     # the reference is the solution its [config] rebuilds, not its profile_log.csv
     # (deleted here): turning points and intersection counts of the trace are the
     # library's against build_singular at that config

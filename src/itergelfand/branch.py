@@ -64,6 +64,11 @@ TAU_STEP = 0.02
 MATCH_DEPTH = 40.0
 # larger deviations from w* at t_match are not taken as linear perturbations
 MATCH_TOL_CAP = 1e-8
+# a matched shot's intersections are counted above t_match alone when the
+# difference stays within _GUARD_MARGIN of the noise tolerance over the
+# _GUARD_WINDOW above it
+_GUARD_WINDOW = 10.0
+_GUARD_MARGIN = 0.1
 # (n, m) -> lambda* of the default build_singular(n, m), or None when it fails
 _LAMBDA_STAR = {}
 
@@ -384,26 +389,52 @@ def turning_points(rho, lam, min_delta=None):
 def intersection_count(point, singular):
     """Number of crossings between the regular and singular boundary-normalized profiles.
 
-    Both are compared as functions of tau = -ln r on their shared range,
+    Both are compared as functions of tau = -ln r over the shot's range,
     i.e. u_rho(r) = w_b(t_zero + tau) against u*(r) = w*(t_star + tau),
     sampled every TAU_STEP.  A sign change only counts once the difference
     has cleared a noise tolerance on both sides (the regular solution tracks
     the singular one to rounding level deep in the overlap, where raw sign
-    flips are meaningless).  Raises ValueError for a point shot without its
-    profile.
+    flips are meaningless).
+
+    A matched shot is first compared at and above t_match only.  Below
+    t_match it solves w*'s equation, so its deviation decays on the way
+    down; when the difference stays within _GUARD_MARGIN of the tolerance
+    over the _GUARD_WINDOW above t_match, no sample below can count, and the
+    rest of its descent is not integrated.  Otherwise the whole range is
+    compared.  Raises ValueError for a point shot without its profile and
+    for a singular profile that ends below the shot's.
     """
     t_zero = -math.log(point.R)
     t_star = singular.t_star
     tau_hi = min(point.t_max - t_zero, singular.profile.t_max - t_star)
     if tau_hi <= 0:
         raise ValueError("profiles do not overlap")
+    if tau_hi < point.t_max - t_zero:
+        top = t_star + point.t_max - t_zero
+        raise ValueError(f"the singular profile ends at t = {singular.profile.t_max:.6g}, "
+                         f"below t = {top:.6g}, where the shot at rho = {point.rho:.6g} "
+                         f"ends: the count needs a singular profile up to that height, "
+                         f"so a t_max above {top:.6g}")
     tau = np.arange(1e-6, tau_hi, TAU_STEP)
-    d = point.eval_w(t_zero + tau) - singular.profile.eval_w(t_star + tau)
     scale = max(1.0, float(np.max(np.abs(singular.profile.w))))
     # the branch side is the shot's own dense output and the singular side
     # the cubic Hermite of its (w, w_t) samples, so evaluation noise stays
     # below 1e-11 of scale; crossings must clear it comfortably
     noise_tol = 1e-10 * scale
+
+    def difference(tau):
+        return point.eval_w(t_zero + tau) - singular.profile.eval_w(t_star + tau)
+
+    d = None
+    if point.t_match is not None:
+        above = tau[t_zero + tau >= point.t_match]
+        d = difference(above)
+        guard = np.abs(d[t_zero + above < point.t_match + _GUARD_WINDOW])
+        # an empty window, or a NaN in it, fails the guard
+        if not (guard.size and np.max(guard) <= _GUARD_MARGIN * noise_tol):
+            d = None
+    if d is None:
+        d = difference(tau)
     # profiles closer than this everywhere are taken to be the same solution
     if np.max(np.abs(d)) < 1e-5 * scale:
         raise ValueError("profiles coincide; intersection count undefined")

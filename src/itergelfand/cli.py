@@ -210,11 +210,16 @@ def cmd_singular(cfg):
     return EXIT_OK
 
 
+def _meta_path(path):
+    """The meta.txt of a `singular construct` output directory, or the file named."""
+    return os.path.join(path, "meta.txt") if os.path.isdir(path) else path
+
+
 def _load_singular_reference(path, cfg):
     """The singular solution rebuilt from the [config] of a `singular construct` output
     directory (or its meta.txt); refused unless its n and m are the trace's and its
     recorded lambda_star is the rebuilt one to all 17 digits."""
-    meta_path = os.path.join(path, "meta.txt") if os.path.isdir(path) else path
+    meta_path = _meta_path(path)
     meta = _read_sections(meta_path, "singular reference")
     try:
         ref = _set_fields(RunConfig(), meta["config"])
@@ -246,9 +251,16 @@ def cmd_bifurcation(cfg):
     grid = np.arange(cfg.rho_min, cfg.rho_max + 0.5 * cfg.rho_step, cfg.rho_step)
     if len(grid) < 3:
         raise UsageError("rho grid has fewer than 3 points")
-    reference = None
+    reference, rhos = None, []
     if cfg.singular_ref:
         reference = _load_singular_reference(cfg.singular_ref, cfg)
+        # counted before the trace, so a reference too short for them is refused first
+        rhos = sorted({2.0, 4.0, 6.0} & set(np.round(grid, 9)))
+        try:
+            counts = [br.intersection_count(br.shoot_regular(cfg.n, cfg.m, float(r)),
+                                            reference) for r in rhos]
+        except ValueError as exc:
+            raise UsageError(f"singular reference {_meta_path(cfg.singular_ref)}: {exc}") from exc
     curve = br.trace_curve(cfg.n, cfg.m, grid)
     rho = curve.rho
     lam = curve.lam
@@ -268,14 +280,10 @@ def cmd_bifurcation(cfg):
     # shots of the curve that returned lambda* once their descent sat on w*
     results = {"points": len(rho), "turning_points": len(curve.turning),
                "matched_shots": sum(p.t_match is not None for p in curve.points)}
-    if reference is not None:
-        rhos = sorted({2.0, 4.0, 6.0} & set(np.round(rho, 9)))
-        counts = [br.intersection_count(br.shoot_regular(cfg.n, cfg.m, float(r)),
-                                        reference) for r in rhos]
-        if rhos:
-            write_csv(os.path.join(cfg.outdir, "intersections.csv"), ["rho", "count"],
-                      [rhos, counts])
-            results["intersection_rhos"] = ";".join(fmt(r) for r in rhos)
+    if rhos:
+        write_csv(os.path.join(cfg.outdir, "intersections.csv"), ["rho", "count"],
+                  [rhos, counts])
+        results["intersection_rhos"] = ";".join(fmt(r) for r in rhos)
     _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
     print(f"traced {len(rho)} points, {len(curve.turning)} turning points")
     return EXIT_OK

@@ -12,7 +12,7 @@ import itergelfand.rk as rk
 import itergelfand.singular as sg
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
-from itergelfand.corrector import picard_solve
+from itergelfand.corrector import EtaSpaceConfig, picard_solve
 from itergelfand.singular import DescentError, build_singular, descend, ode_residual
 from itergelfand.towers import g_tower
 from oracles import full_descent_shot, g_diff, sampled_branch
@@ -207,6 +207,50 @@ def test_intersection_needs_kept_profile(sol_n3m1):
     assert point.inner is None and point.descent is None
     with pytest.raises(ValueError, match="carry its profile"):
         intersection_count(point, sol_n3m1)
+
+
+@pytest.mark.parametrize("cfg", [None, EtaSpaceConfig(t_max=150.0)])
+def test_intersection_refuses_a_singular_profile_below_the_shot(cfg):
+    # the rho = 6 shot reaches t = 217.944; the default reference ends at 199.016
+    short = build_singular(3, 1, cfg)
+    point = shoot_regular(3, 1, 6.0)
+    heights = f"ends at t = {short.profile.t_max:.6g}, below t = 217.944, where the shot"
+    with pytest.raises(ValueError, match=re.escape(heights)):
+        intersection_count(point, short)
+
+
+@pytest.mark.parametrize("n, m, rho", [(3, 1, 5.5), (3, 1, 6.0), (4, 1, 6.0), (5, 1, 6.0),
+                                       (7, 1, 6.0), (3, 2, 1.7), (9, 2, 1.8)])
+def test_matched_count_leaves_the_descent_below_t_match(monkeypatch, n, m, rho):
+    # below t_match the shot and w* solve one equation, so no sample there
+    # clears the noise tolerance: the count above t_match is the count over
+    # the whole range, which an empty guard window forces
+    ref = build_singular(n, m, EtaSpaceConfig(t_max=280.0 if m == 1 else 300.0))
+    point = shoot_regular(n, m, rho)
+    assert point.t_match is not None
+    fast = intersection_count(point, ref)
+    assert point.resume is not None and len(point.descent) == 1
+    assert np.isfinite(point.eval_w(point.t_match - 1.0))
+    assert point.resume is None
+    monkeypatch.setattr(br, "_GUARD_WINDOW", 0.0)
+    assert intersection_count(point, ref) == fast
+    fresh = shoot_regular(n, m, rho)
+    assert intersection_count(fresh, ref) == fast and fresh.resume is None
+
+
+def test_matched_count_resumes_when_the_guard_fails(monkeypatch, sol_n3m1):
+    # w* shifted by three noise tolerances just above t_match: the guard
+    # fails, and the count resumes the descent and compares the whole range
+    point = shoot_regular(3, 1, 6.0)
+    prof = sol_n3m1.profile
+    noise_tol = 1e-10 * max(1.0, float(np.max(np.abs(prof.w))))
+    lifted = (prof.t >= point.t_match) & (prof.t <= point.t_match + 2.0)
+    shifted = replace(sol_n3m1, profile=replace(prof, w=prof.w + 3.0 * noise_tol * lifted))
+    count = intersection_count(point, shifted)
+    assert point.resume is None and len(point.descent) == 2
+    monkeypatch.setattr(br, "_GUARD_WINDOW", 0.0)
+    assert intersection_count(shoot_regular(3, 1, 6.0), shifted) == count
+    assert count != intersection_count(point, sol_n3m1) == 13
 
 
 def test_shoot_rejects_bad_input():

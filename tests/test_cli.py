@@ -167,6 +167,23 @@ def test_intersections_from_written_reference(tmp_path):
     assert "matched_shots = 1" in (out / "meta.txt").read_text().splitlines()
 
 
+@pytest.mark.parametrize("flags", [[], ["--t-max", "150"]])
+def test_trace_refuses_a_reference_below_the_counted_shot(tmp_path, capsys, flags):
+    # the rho = 6 shot reaches t = 217.944: the default reference (t_max = 200)
+    # would cut its count short, and a t_max = 150 one would see them coincide
+    sing, out = tmp_path / "sing", tmp_path / "bif"
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", *flags,
+                    "--outdir", str(sing)]) == 0
+    capsys.readouterr()
+    assert run_cli(["bifurcation", "trace", "--n", "3", "--m", "1", "--rho-min", "5.9",
+                    "--rho-max", "6.04", "--lambda-star", str(sing),
+                    "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: singular reference {sing}/meta.txt: ")
+    assert "t_max above 217.944" in err and "Traceback" not in err
+    assert not any(out.iterdir())    # refused before the trace
+
+
 def test_bifurcation_empty_grid_usage_error(tmp_path):
     assert run_cli(["bifurcation", "trace", "--n", "3", "--m", "1",
                     "--rho-min", "2.0", "--rho-max", "1.0",

@@ -234,8 +234,6 @@ def test_matched_count_leaves_the_descent_below_t_match(monkeypatch, n, m, rho):
     assert point.resume is None
     monkeypatch.setattr(br, "_GUARD_WINDOW", 0.0)
     assert intersection_count(point, ref) == fast
-    fresh = shoot_regular(n, m, rho)
-    assert intersection_count(fresh, ref) == fast and fresh.resume is None
 
 
 def test_matched_count_resumes_when_the_guard_fails(monkeypatch, sol_n3m1):

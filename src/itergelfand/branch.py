@@ -18,7 +18,8 @@ logarithmically compressed.
 
 A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
 picture: the rescaled inner solution glued onto u*) first descends only
-to t_match = t1 - MATCH_DEPTH.  Below t1 its deviation from w* decays like
+to t_match = t1 - MATCH_DEPTH, where singular.singular_state reads w* from
+the corrector band that holds it.  Below t1 its deviation from w* decays like
 e^{-r (t1-t)}, with r = Re lam_- the slower root of the linearized equation
 ((n-2)/2 for n <= 10, tending to 2 as n grows).  If at t_match the
 deviation is below MATCH_TOL_CAP (the bound that binds for n >= 4) and so

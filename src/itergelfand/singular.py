@@ -8,12 +8,14 @@ with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
 a DOP853 descent with the package's own solve_ivp (itergelfand.rk), told to
 stop where w crosses 0, locates the crossing.  The same descent finishes
-every regular branch shot (branch.shoot_regular), and singular_state gives
-the (w*, w*_t) that a deep shot is matched against.
+every regular branch shot (branch.shoot_regular); singular_state gives the
+(w*, w*_t) a deep shot is matched against from fixed corrector bands, each
+solved once per process and shared by every shot that reads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,8 +33,8 @@ from .transform import LogProfile
 HANDOFF_OFFSET = 5.0
 # spacing of the descent samples kept below the handoff
 SAMPLE_STEP = 0.01
-# corrector grid size of singular_state's short-window solve (see corrector._grid_size)
-STATE_NODES = 128
+# width of the corrector bands above the default T that singular_state reads, on 128 nodes
+BAND_WIDTH = 100.0
 
 
 class DescentError(RuntimeError):
@@ -52,22 +54,6 @@ class SingularSolution:
     eta: EtaSolution
     handoff_t: float
     monotone: bool
-
-
-def log_force(n, m, t, w):
-    """exp(G_m(w) - 2t) on sample arrays, with the exponent formed before exponentiation.
-
-    Raises DescentError naming the first t where the exponent exceeds
-    MAX_EXP_ARG, where the force is not a double.
-    """
-    t = np.asarray(t, dtype=float)
-    expo = g_tower(m, w) - 2.0 * t
-    over = np.flatnonzero(expo > MAX_EXP_ARG)
-    if len(over):
-        i = over[0]
-        raise DescentError(f"exp(G_m(w) - 2t) overflows at t = {t[i]:.6g}: "
-                           f"the exponent is {expo[i]:.6g} > {MAX_EXP_ARG}")
-    return np.where(expo > -745.0, np.exp(expo), 0.0)
 
 
 def ansatz_terms(n, m, t):
@@ -138,21 +124,31 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
     return float(sol.t[-1]), sol
 
 
+@functools.cache
+def _corrector_band(n, m, lo):
+    """(eta, eta_t) of the solve on [lo, lo + BAND_WIDTH] as a LogProfile, None where it
+    fails.  Not bounded: a band holds about 3 KB, and T1_BUDGET admits 2 000 per (n, m)."""
+    try:
+        eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), lo, lo + BAND_WIDTH, 128)
+    except PicardConvergenceError:
+        return None
+    return LogProfile(eta_sol.grid, eta_sol.eta, eta_sol.eta_t)
+
+
 def singular_state(n, m, t):
     """(w*, w*_t)(t) for t at or above the default corrector T, or None.
 
-    The corrector eta(t) depends only on the forcing on [t, t_max], so one
-    Picard solve on the short window [t, t + HANDOFF_OFFSET + pad] gives it
-    without building w* over the whole height.  None when the iteration
-    does not contract there or its grid repeats nodes (t of about 1e14 and
+    eta(t) depends only on the forcing above t, so it is read from the solve on
+    the band [T + k BAND_WIDTH, T + (k + 1) BAND_WIDTH] that holds t.  None where
+    that solve does not contract or its grid repeats nodes (t of about 3e14 and
     above; the ansatz, which overflows far above that, is formed after it).
     """
-    try:
-        eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), t, t + HANDOFF_OFFSET, STATE_NODES)
-    except PicardConvergenceError:
+    T = EtaSpaceConfig().resolved(m)[0]
+    band = _corrector_band(n, m, T + (t - T) // BAND_WIDTH * BAND_WIDTH)
+    if band is None:
         return None
     f, f_t = (float(v) for v in ansatz_terms(n, m, t))
-    return f + float(eta_sol.eta[0]), f_t + float(eta_sol.eta_t[0])
+    return f + float(band.eval_w(t)), f_t + float(band.eval_wt(t))
 
 
 def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
@@ -213,10 +209,17 @@ def ode_residual(profile, n, m):
     w_tt is re-derived from the carried w_t samples by sliding finite
     difference stencils, so the measurement is independent of the equation
     being checked; the defect is normalized pointwise by the largest term.
+    The force exp(G_m(w) - 2t) is formed from its exponent, and DescentError
+    names the first t where that exceeds MAX_EXP_ARG: the force is no double.
     """
     t, w, w_t = profile.t, profile.w, profile.w_t
     w_tt = differentiate(t, w_t, order=1, stencil=7)
-    force = log_force(n, m, t, w)
+    expo = g_tower(m, w) - 2.0 * t
+    over = np.flatnonzero(expo > MAX_EXP_ARG)
+    if len(over):
+        raise DescentError(f"exp(G_m(w) - 2t) overflows at t = {t[over[0]]:.6g}: "
+                           f"the exponent is {expo[over[0]]:.6g} > {MAX_EXP_ARG}")
+    force = np.where(expo > -745.0, np.exp(expo), 0.0)
     res = w_tt - (n - 2) * w_t + force
     scale = np.maximum.reduce([np.abs(w_tt), (n - 2) * np.abs(w_t),
                                np.abs(force)])

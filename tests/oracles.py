@@ -7,8 +7,9 @@ family instead of the grid sweep, the factored ansatz pieces instead of
 the sampled profile for the tail-integral traces, Fornberg's recurrence
 one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
-descent runs all the way to its zero instead of being matched to w*, and
-the corrector derivative from its first-order representation instead of
+descent runs all the way to its zero instead of being matched to w*, w*
+at t from a corrector solve on a short window that starts at t instead of
+from the fixed band that holds t, and the corrector derivative from its first-order representation instead of
 the Psi sweeps, and a DOP853 solver whose trial step and interpolant loop
 over the tableau rows, applied to the first-order system (y, y')' = (y', a)
 with the acceleration a called, instead of the straight-line solve loop
@@ -30,9 +31,10 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import itergelfand.branch as br
 import itergelfand.rk as rk
-from itergelfand.corrector import (PicardConvergenceError, PsiKernel, _ForcingM, _QuadPlan,
-                                   _sweep, phi_m)
+from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel, _ForcingM,
+                                   _QuadPlan, _solve_on_grid, _sweep, phi_m)
 from itergelfand.numerics import panel_nodes, scalar_or_array
+from itergelfand.singular import HANDOFF_OFFSET, ansatz_terms
 from itergelfand.towers import (MAX_EXP_ARG, TowerOverflowError, f_tail_inverse_log, f_tail_log,
                                 h_deriv, h_tower, tower_domain_lower)
 from itergelfand.transform import LogProfile
@@ -252,6 +254,17 @@ def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13):
         return br.shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=False)
     finally:
         br.MATCH_DEPTH = saved
+
+
+def short_window_state(n, m, t):
+    """(w*, w*_t)(t) from one 128-node corrector solve on [t, t + 5 + pad], or None
+    when that solve fails: the per-call reading that singular_state's bands replace."""
+    try:
+        eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), t, t + HANDOFF_OFFSET, 128)
+    except PicardConvergenceError:
+        return None
+    f, f_t = (float(v) for v in ansatz_terms(n, m, t))
+    return f + float(eta_sol.eta[0]), f_t + float(eta_sol.eta_t[0])
 
 
 def _combine(rows, k0, k1):

@@ -265,6 +265,32 @@ def test_verify_writes_meta_when_a_later_build_fails(tmp_path, capsys):
     assert meta["results"] == {"iterexp_m": "None", "iterexp_passed": "True"}
 
 
+def test_verify_all_refuses_a_short_T_before_any_suite_writes(tmp_path, capsys):
+    # the iterexp suite, which runs first, must not run or write before the
+    # asymptotics windows (T + 5, 2T) and (T + 5, 4T) refuse T = 2
+    assert run_cli(["verify", "all", "--n", "3", "--m", "1", "--T", "2",
+                    "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error: T = 2 ") and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_config_replay_keeps_a_hash_in_a_path(tmp_path, monkeypatch):
+    # a # inside a value is kept; one at the start of a line or after a blank
+    # starts a comment
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["singular", "construct", "--outdir", "run#1"]) == 0
+    profile, meta = tmp_path / "run#1" / "profile_log.csv", tmp_path / "run#1" / "meta.txt"
+    first = meta.read_bytes()
+    profile.unlink()
+    assert run_cli(["singular", "construct", "--config", "run#1/meta.txt"]) == 0
+    assert profile.exists() and meta.read_bytes() == first
+    assert not (tmp_path / "run").exists()
+    (tmp_path / "commented.cfg").write_text("# n = 5\nn = 4 # not 5\nm = 1\t#\n")
+    sections = cli._read_sections(tmp_path / "commented.cfg", "config file")
+    assert sections == {"config": {"n": "4", "m": "1"}}
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("n = 4\nm = 1\n")

@@ -383,10 +383,9 @@ def _verify_heights(cfg, suite):
 
 
 def cmd_verify(cfg, suite):
-    heights = _verify_heights(cfg, suite)
     built = {}   # one singular solution per tower height, shared by the suites
     checked = {}
-    if "asymptotics" in heights:
+    if "asymptotics" in _verify_heights(cfg, suite):
         # its checks refuse a T too small for their windows before any suite prints or
         # writes; a build that fails here fails again in its turn, after the suites before it
         with contextlib.suppress(PicardConvergenceError, DescentError):
@@ -395,7 +394,7 @@ def cmd_verify(cfg, suite):
     results = {}
     any_fail = False
     try:
-        for name, m in heights.items():
+        for name, m in _verify_heights(cfg, suite).items():
             if m is not None and m not in built:
                 built[m] = build_singular(cfg.n, m, cfg.eta_config())
             rows = checked.pop(name, None) or _SUITES[name](cfg, built.get(m))

@@ -136,7 +136,7 @@ def _corrector_band(n, m, lo):
 
 
 def singular_state(n, m, t):
-    """(w*, w*_t)(t) for t at or above the default corrector T, or None.
+    """(w*, w*_t)(t) for t at or above the default corrector T (ValueError below), or None.
 
     eta(t) depends only on the forcing above t, so it is read from the solve on
     the band [T + k BAND_WIDTH, T + (k + 1) BAND_WIDTH] that holds t.  None where
@@ -144,6 +144,8 @@ def singular_state(n, m, t):
     above; the ansatz, which overflows far above that, is formed after it).
     """
     T = EtaSpaceConfig().resolved(m)[0]
+    if not t >= T:
+        raise ValueError(f"w* is read from corrector bands at t >= T = {T:g}, not at t = {t!r}")
     band = _corrector_band(n, m, T + (t - T) // BAND_WIDTH * BAND_WIDTH)
     if band is None:
         return None
@@ -209,8 +211,7 @@ def ode_residual(profile, n, m):
     w_tt is re-derived from the carried w_t samples by sliding finite
     difference stencils, so the measurement is independent of the equation
     being checked; the defect is normalized pointwise by the largest term.
-    The force exp(G_m(w) - 2t) is formed from its exponent, and DescentError
-    names the first t where that exceeds MAX_EXP_ARG: the force is no double.
+    DescentError names the first t where the force exp(G_m(w) - 2t) overflows.
     """
     t, w, w_t = profile.t, profile.w, profile.w_t
     w_tt = differentiate(t, w_t, order=1, stencil=7)

@@ -9,11 +9,12 @@ one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
 descent runs all the way to its zero instead of being matched to w*, w*
 at t from a corrector solve on a short window that starts at t instead of
-from the fixed band that holds t, and the corrector derivative from its first-order representation instead of
-the Psi sweeps, and a DOP853 solver whose trial step and interpolant loop
-over the tableau rows, applied to the first-order system (y, y')' = (y', a)
-with the acceleration a called, instead of the straight-line solve loop
-that itergelfand.rk generates from them with a inlined.  dense_eval
+from the fixed band that holds t, the corrector derivative from its
+first-order representation instead of the Psi sweeps, and a DOP853 solver
+whose trial step and interpolant loop over the tableau rows, applied to
+the first-order system (y, y')' = (y', a) with the acceleration a called,
+instead of the straight-line solve loop that itergelfand.rk generates from
+them with a inlined.  dense_eval
 evaluates an rk dense solution for both components at once, where
 DenseSolution takes one component at a time.  csv_text writes a CSV one
 cell at a time, where write_csv applies one row format per file, and
@@ -258,7 +259,7 @@ def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13):
 
 def short_window_state(n, m, t):
     """(w*, w*_t)(t) from one 128-node corrector solve on [t, t + 5 + pad], or None
-    when that solve fails: the per-call reading that singular_state's bands replace."""
+    when that solve fails: the reference for singular_state's bands."""
     try:
         eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), t, t + HANDOFF_OFFSET, 128)
     except PicardConvergenceError:

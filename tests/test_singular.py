@@ -166,6 +166,13 @@ def test_singular_state_agrees_with_a_short_window_solve(n, m):
         assert abs(got[0] - want[0]) <= 1e-11 and abs(got[1] - want[1]) <= 1e-10
 
 
+def test_singular_state_refuses_t_below_the_default_T():
+    # the bands start at the default corrector T: 30 at m = 1, 60 at m = 2
+    for m, t in ((1, 29.9), (2, 59.0), (1, math.nan)):
+        with pytest.raises(ValueError, match="t >= T"):
+            singular_state(3, m, t)
+
+
 def test_matched_shots_in_one_band_share_its_solve(monkeypatch):
     # rho = 8 and 8.02 match at t = 1446 and 1476, both in band 14 of (3, 1)
     windows = []

@@ -25,8 +25,12 @@ e^{-r (t1-t)}, with r = Re lam_- the slower root of the linearized equation
 deviation is below MATCH_TOL_CAP (the bound that binds for n >= 4) and so
 small that, decaying further down to t_star, it could not move the zero
 by rounding, the shot returns lambda* of the default build_singular(n, m)
-(computed once per process).  Otherwise, or when that build fails, the
-descent goes on to the zero.
+(built once per process).  A shot with t_match below T instead stops at a
+node t_s of that build's response table, aimed at where its deviation delta
+from w* has decayed below RESPONSE_TOL, and returns lambda* exp(-2 psi.delta)
+there, with psi the adjoint of the descent's linearisation along w*, which
+turns delta(t_s) into the shift of the zero (Cao, Li, Petzold and Serban
+2003).  Otherwise, or when that build fails, the descent goes on to the zero.
 
 A shot that keeps its profile keeps the dense output of its solves and,
 above the integrated start, its center series, and is evaluated from them
@@ -38,13 +42,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from .corrector import EtaSpaceConfig, PicardConvergenceError, PsiKernel
+from .corrector import EtaSpaceConfig, PicardConvergenceError, PsiKernel, check_dimension
 from .numerics import scalar_or_array
-from .rk import EPS, acceleration, solve_ivp
+from .rk import EPS, acceleration, check_tolerances, solve_ivp
 from .singular import DescentError, build_singular, descend, singular_state
 from .towers import TowerOverflowError, check_height, g_tower
 
@@ -65,13 +69,17 @@ TAU_STEP = 0.02
 MATCH_DEPTH = 40.0
 # larger deviations from w* at t_match are not taken as linear perturbations
 MATCH_TOL_CAP = 1e-8
+# a shot with t_match below the default T takes lambda from its linear response once
+# its deviation from w* is below RESPONSE_TOL, at a node of the adjoint table,
+# RESPONSE_STEP apart from t_star, that lies RESPONSE_GUARD or more above t_star
+RESPONSE_TOL = 1e-7
+RESPONSE_STEP = 0.02
+RESPONSE_GUARD = 12.0
 # a matched shot's intersections are counted above t_match alone when the
 # difference stays within _GUARD_MARGIN of the noise tolerance over the
 # _GUARD_WINDOW above it
 _GUARD_WINDOW = 10.0
 _GUARD_MARGIN = 0.1
-# (n, m) -> lambda* of the default build_singular(n, m), or None when it fails
-_LAMBDA_STAR = {}
 
 
 class ShootError(RuntimeError):
@@ -83,7 +91,8 @@ class BranchPoint:
     """One point of the regular branch: rho, first zero R, lambda = R^2.
 
     t_match is where a matched shot left its descent for w* (lambda is then
-    lambda*); None for a shot that descended to its own zero.  A shot that
+    lambda*) or, below the default T, for its linear response along w*; None
+    for a shot that descended to its own zero.  A shot that
     keeps its profile also holds the dense inner solve and the center series
     above it (in s = exp(L/2 - t), L = G_m(rho)) and the list of its log-variable
     descent solves, top first (empty when the inner phase reaches the zero
@@ -247,10 +256,10 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     Raises ShootError when the inner phase is refused or fails and
     singular.DescentError when the log-variable descent finds no zero.
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    check_dimension(n)
     if not 0 < rho < math.inf:
         raise ValueError("rho must be finite and positive")
+    check_tolerances(rtol, atol)
     m = check_height(m)
     chain, accel = _inner_acceleration(n, m, rho)
     L = chain[-1]
@@ -277,32 +286,66 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
             f"practical descent budget {T1_BUDGET:.0e}")
     t_match = t1 - MATCH_DEPTH
     if t_match >= EtaSpaceConfig().resolved(m)[0]:
-        t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, t_match,
+        stop, lam_at = t_match, _matched_lambda
+    else:
+        stop, lam_at = _response_stop(n, m, t1, *y1), _response_lambda
+    if stop is not None:
+        t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, stop,
                                 dense_output=keep_profile, stop_at_floor=True)
         descents.append(sol_b)
         if t_zero is not None:
             return _finish(n, m, rho, -t_zero, kept)
-        # stop at t_match when the shot sits on w*, else go on from there
-        t1, y1 = t_match, (float(sol_b.y[0, -1]), float(sol_b.y[1, -1]))
-        lam_star = _matched_lambda(n, m, t1, *y1)
-        if lam_star is not None:
+        # stop there when the shot sits on w* or near enough for its response, else go on
+        t1, y1 = stop, (float(sol_b.y[0, -1]), float(sol_b.y[1, -1]))
+        lam = lam_at(n, m, t1, *y1)
+        if lam is not None:
             if keep_profile:
                 kept["resume"] = partial(descend, n, m, t1, *y1, rtol, atol, dense_output=True)
-            return BranchPoint(rho=rho, R=math.sqrt(lam_star), lam=lam_star, n=n, m=m,
-                               t_match=t_match, **kept)
+            return BranchPoint(rho=rho, R=math.sqrt(lam), lam=lam, n=n, m=m, t_match=t1,
+                               **kept)
     t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, dense_output=keep_profile)
     descents.append(sol_b)
     return _finish(n, m, rho, -t_zero, kept)
 
 
-def _singular_lambda(n, m):
-    """lambda* of the default build_singular(n, m), built once per process; None if it fails."""
-    if (n, m) not in _LAMBDA_STAR:
-        try:
-            _LAMBDA_STAR[(n, m)] = build_singular(n, m).lambda_star
-        except (PicardConvergenceError, DescentError, ValueError, OverflowError):
-            _LAMBDA_STAR[(n, m)] = None
-    return _LAMBDA_STAR[(n, m)]
+def _adjoint(n, m, profile, top, h):
+    """Rows (a, b) = psi at t_star + k h up to top: the adjoint a' = F_w b, b' = -a - (n-2) b
+    of the descent's linearisation along w* = profile, F_w = exp(G_m(w*) - 2t) G'_m(w*).
+
+    psi . (dw, dw_t) is constant along it, and psi(t_star) = (-1 / w*_t(t_star), 0)
+    makes it the shift of the zero.  F_w (G'_0 = 1) is read at the nodes and
+    midpoints; RK4 forms one 2x2 step matrix per step, applied in floats from t_star up.
+    """
+    t = profile.t_min + 0.5 * h * np.arange(2 * int((top - profile.t_min) / h) + 1)
+    G, dG = profile.eval_w(t), 1.0
+    for _ in range(m):
+        G = np.exp(G)
+        dG = dG * G
+    A = np.zeros((len(t), 2, 2))
+    A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = np.exp(G - 2.0 * t) * dG, -1.0, -(n - 2.0)
+    A0, A1, A2, eye = A[:-1:2], A[1::2], A[2::2], np.eye(2)
+    K2 = A1 @ (eye + 0.5 * h * A0)
+    K3 = A1 @ (eye + 0.5 * h * K2)
+    K4 = A2 @ (eye + h * K3)
+    M = eye + h / 6.0 * (A0 + 2.0 * (K2 + K3) + K4)
+    a, b = -1.0 / float(profile.w_t[0]), 0.0
+    psi = [(a, b)]
+    for p, q, r, s in M.reshape(-1, 4).tolist():
+        a, b = p * a + q * b, r * a + s * b
+        psi.append((a, b))
+    return np.array(psi)
+
+
+@cache
+def _singular(n, m):
+    """(lambda*, profile, response table) of the default build_singular(n, m), built once
+    per process; None when the build fails.  The table is _adjoint's up to T + MATCH_DEPTH."""
+    try:
+        sol = build_singular(n, m)
+    except (PicardConvergenceError, DescentError, ValueError, OverflowError):
+        return None
+    top = EtaSpaceConfig().resolved(m)[0] + MATCH_DEPTH
+    return sol.lambda_star, sol.profile, _adjoint(n, m, sol.profile, top, RESPONSE_STEP)
 
 
 def _matched_lambda(n, m, t, w, w_t):
@@ -315,14 +358,48 @@ def _matched_lambda(n, m, t, w, w_t):
     the deviation itself below MATCH_TOL_CAP.  With t >= 30 the cap is the
     bound that binds for every n >= 4.
     """
-    lam_star = _singular_lambda(n, m)
-    star = singular_state(n, m, t) if lam_star is not None else None
-    if star is None:
+    star = _singular(n, m)
+    state = singular_state(n, m, t) if star is not None else None
+    if state is None:
         return None
-    dev = max(abs(w - star[0]), abs(w_t - star[1]))
+    lam_star = star[0]
+    dev = max(abs(w - state[0]), abs(w_t - state[1]))
     rate = PsiKernel.for_dimension(n).lam_minus.real
     decay = math.exp(-rate * (t + 0.5 * math.log(lam_star)))
     return lam_star if dev < MATCH_TOL_CAP and dev * decay < 0.5 * EPS else None
+
+
+def _response_stop(n, m, t, w, w_t):
+    """The response table's node at which a descent from (w, w_t) at t stops, or None.
+
+    The deviation from w* decays like e^{-r (t-s)} on the way down (r as in
+    _matched_lambda): the stop is the last node below t and 2 below where it
+    reaches RESPONSE_TOL.  None when the default build fails, the deviation
+    is 0 or NaN (t above the profile) or the stop lies below t_star + RESPONSE_GUARD,
+    where psi is not small.
+    """
+    star = _singular(n, m)
+    if star is None or t < star[1].t_min + RESPONSE_GUARD:
+        return None
+    _, profile, table = star
+    dev = max(abs(w - profile.eval_w(t)), abs(w_t - profile.eval_wt(t)))
+    if not dev > 0.0:
+        return None
+    rate = PsiKernel.for_dimension(n).lam_minus.real
+    aim = min(t - math.log(dev / RESPONSE_TOL) / rate - 2.0, t) - profile.t_min
+    k = min(math.ceil(aim / RESPONSE_STEP) - 1, len(table) - 1)
+    return profile.t_min + k * RESPONSE_STEP if k * RESPONSE_STEP >= RESPONSE_GUARD else None
+
+
+def _response_lambda(n, m, t, w, w_t):
+    """lambda* exp(-2 psi . (w - w*, w_t - w*_t)) at the response node t, or None when
+    the deviation is above RESPONSE_TOL."""
+    lam_star, profile, table = _singular(n, m)
+    dw, dw_t = w - profile.eval_w(t), w_t - profile.eval_wt(t)
+    if max(abs(dw), abs(dw_t)) > RESPONSE_TOL:
+        return None
+    a, b = table[round((t - profile.t_min) / RESPONSE_STEP)].tolist()
+    return lam_star * math.exp(-2.0 * (a * dw + b * dw_t))
 
 
 def _finish(n, m, rho, ln_R, kept):
@@ -354,6 +431,8 @@ def turning_points(rho, lam, min_delta=None):
     rounding, sheds spurious detections.
     """
     rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
+    if len(rho) != len(lam):
+        raise ValueError(f"rho has {len(rho)} samples and lam {len(lam)}: they must pair up")
     if len(rho) < 3:
         raise ValueError("need at least 3 branch points")
     if min_delta is None:

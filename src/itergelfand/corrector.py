@@ -57,8 +57,7 @@ class PsiKernel:
 
     @classmethod
     def for_dimension(cls, n):
-        if n < 3:
-            raise ValueError("dimension must be >= 3")
+        check_dimension(n)
         if n <= 9:
             a, b = 0.5 * (n - 2), 0.5 * math.sqrt((n - 2) * (10 - n))
             return cls(n, complex(a, b), complex(a, -b))
@@ -69,6 +68,13 @@ class PsiKernel:
     def freq(self):
         """Imaginary part of lam_+; zero for n >= 10."""
         return self.lam_plus.imag
+
+
+def check_dimension(n):
+    """n if it is a finite dimension >= 3; else a ValueError naming n."""
+    if not 3 <= n < math.inf:
+        raise ValueError(f"dimension n must be finite and >= 3, got n = {n!r}")
+    return n
 
 
 # most points a construction may allocate: the descent samples below the
@@ -422,8 +428,7 @@ def picard_solve(n, m, cfg=None):
     that does not contract there raises PicardConvergenceError, and the
     window is never moved.  At m = 0 the first sweep gives eta = 0.
     """
-    if n < 3:
-        raise ValueError("dimension must be >= 3")
+    check_dimension(n)
     m = check_height(m)
     cfg = cfg if cfg is not None else EtaSpaceConfig()
     T, t_usable, n_nodes = cfg.resolved(m, n)

@@ -410,6 +410,14 @@ def _initial_step(fun, t0, y0, y1, f1, interval, sign, rtol, atol):
     return min(100.0 * h0, h1, interval)
 
 
+def check_tolerances(rtol, atol):
+    """A ValueError naming rtol or atol when it lies outside solve_ivp's range."""
+    if not 100.0 * EPS <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")
+    if not 0.0 < atol < math.inf:
+        raise ValueError(f"atol must be finite and positive, got {atol}")
+
+
 def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     """Integrate y'' = fun(t, y, y') over t_span with DOP853, from y0 = (y, y').
 
@@ -425,10 +433,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, stop_at=None, dense_output=False):
     stages, whether sol is read or not), and naccept and nreject.  rtol in
     [100 eps, inf), atol in (0, inf), y0 finite.
     """
-    if not 100.0 * EPS <= rtol < math.inf:
-        raise ValueError(f"rtol must be finite and at least 100 eps, got {rtol}")
-    if not 0.0 < atol < math.inf:
-        raise ValueError(f"atol must be finite and positive, got {atol}")
+    check_tolerances(rtol, atol)
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t) and math.isfinite(t_bound)) or t == t_bound:
         raise ValueError(f"t_span must be two distinct finite times, got {t_span}")

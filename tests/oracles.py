@@ -7,7 +7,8 @@ family instead of the grid sweep, the factored ansatz pieces instead of
 the sampled profile for the tail-integral traces, Fornberg's recurrence
 one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
-descent runs all the way to its zero instead of being matched to w*, w*
+descent runs all the way to its zero instead of being matched to w* or
+taking its linear response along w*, w*
 at t from a corrector solve on a short window that starts at t instead of
 from the fixed band that holds t, the corrector derivative from its
 first-order representation instead of the Psi sweeps, and a DOP853 solver
@@ -248,13 +249,15 @@ def sampled_branch(point):
     return LogProfile(t_all[keep], w_all[keep], wt_all[keep])
 
 
-def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13):
-    """shoot_regular without matching: its descent always runs on to the zero of w."""
-    saved, br.MATCH_DEPTH = br.MATCH_DEPTH, math.inf
+def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=False):
+    """shoot_regular without matching and without the linear response (MATCH_DEPTH and
+    RESPONSE_GUARD infinite): its descent always runs on to the zero of w."""
+    saved = br.MATCH_DEPTH, br.RESPONSE_GUARD
+    br.MATCH_DEPTH = br.RESPONSE_GUARD = math.inf
     try:
-        return br.shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=False)
+        return br.shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=keep_profile)
     finally:
-        br.MATCH_DEPTH = saved
+        br.MATCH_DEPTH, br.RESPONSE_GUARD = saved
 
 
 def short_window_state(n, m, t):

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -121,6 +122,32 @@ def test_profile_invariants():
 def test_shoot_refuses_rho_that_is_not_finite_and_positive(rho):
     with pytest.raises(ValueError, match="finite and positive"):
         shoot_regular(3, 1, rho)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf, 2])
+def test_shoot_and_build_refuse_a_dimension_that_is_not_finite(n):
+    # NaN ended in "t_span must be two distinct finite times" (shoot) and "cannot
+    # convert float NaN to integer" (build), inf in a ShootError on a NaN acceleration
+    for call in (lambda: shoot_regular(n, 1, 2.0), lambda: build_singular(n, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"dimension n must be finite and >= 3, "
+                                                       f"got n = {n!r}")):
+            call()
+
+
+@pytest.mark.parametrize("rtol, atol, name", [(0.0, 1e-13, "rtol"), (1e-15, 1e-13, "rtol"),
+                                              (math.nan, 1e-13, "rtol"), (1e-11, 0.0, "atol"),
+                                              (1e-11, math.inf, "atol")])
+def test_shoot_refuses_tolerances_outside_the_solver_range(monkeypatch, rtol, atol, name):
+    # refused before the center series, whose start takes log(rtol): rtol = 0 ended
+    # in "math domain error"
+    monkeypatch.setattr(br, "_series_start", None)
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        shoot_regular(3, 1, 2.0, rtol=rtol, atol=atol)
+
+
+def test_turning_points_refuses_unequal_lengths():
+    with pytest.raises(ValueError, match="rho has 4 samples and lam 3"):
+        turning_points([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
 
 
 def test_trace_curve_validation():
@@ -403,11 +430,101 @@ def test_matched_shot_matches_full_descent(n, m, rho):
     assert abs(p.lam - full_descent_shot(n, m, rho).lam) / p.lam < 1e-10
 
 
-def test_matching_only_far_up_the_branch(curve_n3m1):
-    # the default (3, 1) grid ends at rho = 4.8, where t_match lies below T = 30
-    assert all(p.t_match is None for p in curve_n3m1.points)
+def test_matching_only_far_up_the_branch(curve_n3m1, monkeypatch):
+    # the default (3, 1) grid ends at rho = 4.8, where t1 - MATCH_DEPTH lies
+    # below T = 30: no shot there is matched to w*, and the shots with a t_match
+    # are exactly those that take the linear response, each within 2e-13 of
+    # its rtol 1e-13 full descent
+    matched = [p for p in curve_n3m1.points if p.t_match is not None]
+    responses = [p for p in curve_n3m1.points
+                 if takes_response(monkeypatch, 3, 1, p.rho, rtol=1e-10, atol=1e-12)[0]]
+    assert [p.rho for p in matched] == [p.rho for p in responses] and len(matched) == 26
+    for p in matched:
+        full = full_descent_shot(3, 1, p.rho, rtol=1e-13, atol=1e-15)
+        assert abs(p.lam / full.lam - 1.0) <= 2e-13
     for n, m, rho in ((5, 1, 9.0), (7, 2, 2.3), (3, 1, 8.0)):
         assert shoot_regular(n, m, rho, keep_profile=False).t_match is not None
+
+
+def takes_response(monkeypatch, n, m, rho, **kwargs):
+    """(whether the lambda of shoot_regular(n, m, rho) is its linear response, the shot)."""
+    taken = []
+
+    def response(*args, real=br._response_lambda):
+        lam = real(*args)
+        taken.append(lam is not None)
+        return lam
+
+    with monkeypatch.context() as mp:
+        mp.setattr(br, "_response_lambda", response)
+        point = shoot_regular(n, m, rho, keep_profile=False, **kwargs)
+    return any(taken), point
+
+
+@pytest.mark.parametrize("n, m, rhos", [(3, 1, (4.4, 4.7, 5.0)), (4, 1, (4.2, 4.6, 5.0)),
+                                        (5, 1, (4.2, 4.6, 5.0)), (12, 1, (4.2, 4.6, 5.0)),
+                                        (3, 2, (1.5, 1.58, 1.66))])
+def test_response_shot_is_within_its_full_descent(monkeypatch, n, m, rhos):
+    # below the default T a deep shot stops on w* and shifts lambda* by the
+    # adjoint response of its deviation there: the result is within 2e-13 of a
+    # full descent at rtol 1e-13, closer than the full descent at the default rtol
+    for rho in rhos:
+        taken, point = takes_response(monkeypatch, n, m, rho)
+        assert taken and point.t_match < EtaSpaceConfig().resolved(m)[0] + br.MATCH_DEPTH
+        full = full_descent_shot(n, m, rho, rtol=1e-13, atol=1e-15)
+        assert abs(point.lam / full.lam - 1.0) <= 2e-13
+
+
+def test_gelfand_oracle_response_is_as_close_as_lambda_star(monkeypatch):
+    # at m = 0 the response carries the default build's lambda* = 2(n-2)(1 + 9.1e-12),
+    # while a full descent at the default rtol reaches 2e-12 to 8e-11 of the rtol 1e-13
+    # one over these rho: each response is within lambda*'s own error plus 2e-13, and
+    # the worst of them is below the worst full descent
+    lam_star_error = abs(br._singular(3, 0)[0] / 2.0 - 1.0)
+    errors, full_errors = [], []
+    for rho in (95.0, 105.0, 115.0, 125.0, 135.0, 145.0):
+        taken, point = takes_response(monkeypatch, 3, 0, rho)
+        assert taken
+        ref = full_descent_shot(3, 0, rho, rtol=1e-13, atol=1e-15).lam
+        errors.append(abs(point.lam / ref - 1.0))
+        full_errors.append(abs(full_descent_shot(3, 0, rho).lam / ref - 1.0))
+    assert max(errors) <= lam_star_error + 2e-13 and max(errors) <= max(full_errors)
+
+
+@pytest.mark.parametrize("rho", [4.2, 4.28])
+def test_stop_below_the_guard_is_the_full_descent(monkeypatch, rho):
+    # these shots start their descent above t_star + RESPONSE_GUARD, but their
+    # deviation from w* there is too large for a stop above it: they descend
+    # exactly as without the response
+    t_star = br._singular(3, 1)[1].t_min
+    assert float(shoot_regular(3, 1, rho).descent[0].t[0]) > t_star + br.RESPONSE_GUARD + 2.0
+    taken, point = takes_response(monkeypatch, 3, 1, rho)
+    full = full_descent_shot(3, 1, rho)
+    assert not taken and point.t_match is None
+    assert float(point.lam).hex() == float(full.lam).hex() and point.R == full.R
+
+
+def test_kept_response_shot_resumes_and_counts_like_the_full_descent(sol_n3m1):
+    point = shoot_regular(3, 1, 4.5)
+    t_match = point.t_match
+    assert t_match is not None and point.resume is not None and len(point.descent) == 1
+    full = full_descent_shot(3, 1, 4.5, keep_profile=True)
+    t = np.array([t_match - 1.0, t_match - 5.0])
+    assert np.max(np.abs(point.eval_w(t) - full.eval_w(t))) < 1e-9
+    assert point.resume is None and len(point.descent) == 2
+    assert intersection_count(shoot_regular(3, 1, 4.5), sol_n3m1) \
+        == intersection_count(full, sol_n3m1)
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (5, 1), (12, 1), (3, 2), (9, 2)])
+def test_response_table_converges_in_its_step(n, m):
+    # psi on the 0.02 table agrees with psi on a 0.005 one above the guard,
+    # where the response reads it
+    lam_star, profile, table = br._singular(n, m)
+    top = EtaSpaceConfig().resolved(m)[0] + br.MATCH_DEPTH
+    fine = br._adjoint(n, m, profile, top, br.RESPONSE_STEP / 4.0)[::4][:len(table)]
+    guard = int(br.RESPONSE_GUARD / br.RESPONSE_STEP)
+    assert len(table) == len(fine) and np.max(np.abs(table[guard:] - fine[guard:])) < 1e-9
 
 
 def test_matched_profile_continues_below_t_match():
@@ -475,7 +592,7 @@ def test_match_rule():
     # below eps / 2 and d below 1e-8: at t = 30 (n = 3) the factor is 3.4e-7,
     # at t = 150 it is 3e-33
     from itergelfand.singular import singular_state
-    lam_star = br._singular_lambda(3, 1)
+    lam_star = br._singular(3, 1)[0]
     for t, d, matched in ((30.0, 1e-12, True), (30.0, 1e-9, False),
                           (150.0, 1e-9, True), (150.0, 1e-7, False)):
         w, w_t = singular_state(3, 1, t)
@@ -492,7 +609,7 @@ def test_failed_singular_build_falls_back_to_full_descent(monkeypatch):
         calls.append((n, m))
         raise DescentError("no zero")
     monkeypatch.setattr(br, "build_singular", failing)
-    monkeypatch.setattr(br, "_LAMBDA_STAR", {})
+    monkeypatch.setattr(br, "_singular", functools.cache(br._singular.__wrapped__))
     points = [shoot_regular(3, 1, rho) for rho in (8.0, 8.5)]
     assert calls == [(3, 1)]
     full = full_descent_shot(3, 1, 8.0)

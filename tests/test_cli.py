@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -337,7 +338,7 @@ def test_overflowing_trial_steps_are_not_a_numeric_failure(tmp_path, capsys, mon
     def failing(n, m):
         raise DescentError("no zero")
     monkeypatch.setattr(br, "build_singular", failing)
-    monkeypatch.setattr(br, "_LAMBDA_STAR", {})
+    monkeypatch.setattr(br, "_singular", functools.cache(br._singular.__wrapped__))
     code = run_cli(["bifurcation", "trace", "--n", "3", "--m", "3", "--rho-min", "0.85",
                     "--rho-max", "0.87", "--rho-step", "0.01", "--outdir", str(tmp_path)])
     assert code == 0

@@ -275,7 +275,7 @@ def cmd_bifurcation(cfg):
         tp_hdr.append("lambda_minus_lambda_star")
         tp_cols.append(tp_cols[1] - reference.lambda_star)
     write_csv(os.path.join(cfg.outdir, "turning_points.csv"), tp_hdr, tp_cols)
-    # shots of the curve that returned lambda* once their descent sat on w*
+    # shots of the curve that left their descent on w*: for lambda* or for its linear response
     results = {"points": len(rho), "turning_points": len(curve.turning),
                "matched_shots": sum(p.t_match is not None for p in curve.points)}
     if rhos:

@@ -71,10 +71,9 @@ class PsiKernel:
 
 
 def check_dimension(n):
-    """n if it is a finite dimension >= 3; else a ValueError naming n."""
+    """A ValueError naming n unless it is a finite dimension >= 3."""
     if not 3 <= n < math.inf:
         raise ValueError(f"dimension n must be finite and >= 3, got n = {n!r}")
-    return n
 
 
 # most points a construction may allocate: the descent samples below the

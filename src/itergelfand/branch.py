@@ -17,39 +17,41 @@ continues in log variables (t, w) where the remaining range is
 logarithmically compressed.
 
 A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
-picture: the rescaled inner solution glued onto u*) first descends only
-to t_match = t1 - MATCH_DEPTH, where singular.singular_state reads w* from
-the corrector band that holds it.  Below t1 its deviation from w* decays like
-e^{-r (t1-t)}, with r = Re lam_- the slower root of the linearized equation
-((n-2)/2 for n <= 10, tending to 2 as n grows).  If at t_match the
-deviation is below MATCH_TOL_CAP (the bound that binds for n >= 4) and so
-small that, decaying further down to t_star, it could not move the zero
-by rounding, the shot returns lambda* of the default build_singular(n, m)
-(built once per process).  A shot with t_match below T instead stops at a
-node t_s of that build's response table, aimed at where its deviation delta
-from w* has decayed below RESPONSE_TOL, and returns lambda* exp(-2 psi.delta)
-there, with psi the adjoint of the descent's linearisation along w*, which
-turns delta(t_s) into the shift of the zero (Cao, Li, Petzold and Serban
-2003).  Otherwise, or when that build fails, the descent goes on to the zero.
+picture: the rescaled inner solution glued onto u*) lies near w* = f + eta,
+f the ansatz, and the paper's fixed point puts the corrector in the ball
+t^2 |eta| <= M.  Below t1 a deviation delta from w* turns into the shift
+-2 psi.delta of ln(lambda), with psi the adjoint of the descent's
+linearisation along w* (Cao, Li, Petzold and Serban 2003), tabulated from
+the default build_singular(n, m) (built once per process) up to T +
+MATCH_DEPTH, T the left end of its corrector window.  A shot with t1 at or
+above that top returns lambda* at t1 itself when its state lies within
+BALL_CAP of f(t1), so within BALL_CAP + M / t1^2 of w*, and that bound
+times the table's psi near its top cannot move ln(lambda) by eps / 4.  A
+shot below it stops at a node t_s of the table, aimed at where delta has
+decayed below RESPONSE_TOL (like e^{-r (t1-t)}, with r = Re lam_- the slower
+root of the linearized equation: (n-2)/2 for n <= 10, tending to 2 as n
+grows), and returns lambda* exp(-2 psi.delta) there.  Otherwise, or when
+that build fails, the descent goes on to the zero.
 
 A shot that keeps its profile keeps the dense output of its solves and,
 above the integrated start, its center series, and is evaluated from them
-directly; it is never sampled.  A matched shot integrates the rest of its
-descent below t_match only when its profile is first asked for there.
+directly; it is never sampled.  A shot with a t_match integrates its descent
+below t_match only as far down as its profile is asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .corrector import EtaSpaceConfig, PicardConvergenceError, PsiKernel, check_dimension
+from .corrector import PicardConvergenceError, PsiKernel, check_dimension
 from .numerics import scalar_or_array
 from .rk import EPS, acceleration, check_tolerances, solve_ivp
-from .singular import DescentError, build_singular, descend, singular_state
+from .singular import FLOOR, DescentError, ansatz_terms, build_singular, descend
 from .towers import TowerOverflowError, check_height, g_tower
 
 # terms of the center series; a shot starts where each of the last two terms of
@@ -65,20 +67,24 @@ S_CAP = 100.0
 T1_BUDGET = 2.0e5
 # sampling step in tau = -ln r when scanning for profile intersections
 TAU_STEP = 0.02
-# a deep shot is compared with w* this far below its log-variable start
+# a shot that starts MATCH_DEPTH or more above the default T takes lambda* when its
+# state lies within BALL_CAP of the ansatz there; |psi| is read as its largest
+# |a| + |b| over the table's top PSI_SPAN, a full period of its oscillation
+# (2 pi / Im lam_- is at most 4.75)
 MATCH_DEPTH = 40.0
-# larger deviations from w* at t_match are not taken as linear perturbations
-MATCH_TOL_CAP = 1e-8
+BALL_CAP = 1e-3
+PSI_SPAN = 5.0
 # a shot with t_match below the default T takes lambda from its linear response once
 # its deviation from w* is below RESPONSE_TOL, at a node of the adjoint table,
 # RESPONSE_STEP apart from t_star, that lies RESPONSE_GUARD or more above t_star
 RESPONSE_TOL = 1e-7
 RESPONSE_STEP = 0.02
 RESPONSE_GUARD = 12.0
-# a matched shot's intersections are counted above t_match alone when the
-# difference stays within _GUARD_MARGIN of the noise tolerance over the
-# _GUARD_WINDOW above it
-_GUARD_WINDOW = 10.0
+# a shot with a t_match is counted down to _GUARD_WINDOW below where its difference
+# to w* is aimed to decay to half of _GUARD_MARGIN of the noise tolerance, when it
+# stays within _GUARD_MARGIN over that window (over 103 shots at n = 3..12 the
+# measured decay lagged the aim by up to a factor 1.5)
+_GUARD_WINDOW = 2.0
 _GUARD_MARGIN = 0.1
 
 
@@ -90,14 +96,16 @@ class ShootError(RuntimeError):
 class BranchPoint:
     """One point of the regular branch: rho, first zero R, lambda = R^2.
 
-    t_match is where a matched shot left its descent for w* (lambda is then
-    lambda*) or, below the default T, for its linear response along w*; None
-    for a shot that descended to its own zero.  A shot that
-    keeps its profile also holds the dense inner solve and the center series
-    above it (in s = exp(L/2 - t), L = G_m(rho)) and the list of its log-variable
-    descent solves, top first (empty when the inner phase reaches the zero
-    itself).  A matched shot holds the descent above t_match and, in resume,
-    the call that integrates the rest.
+    t_match is where a shot left its descent for w*: its descent start t1
+    (lambda is then lambda*) or, for t1 below T + MATCH_DEPTH, the node of its
+    linear response along w*, and y_match its state (w, w_t) there; None for a
+    shot that descended to its own zero.
+    A shot that keeps its profile also holds the dense inner solve and the
+    center series above it (in s = exp(L/2 - t), L = G_m(rho)) and the list of
+    its log-variable descent solves, top first (empty when the inner phase
+    reaches the zero itself, or while a shot with a t_match has none).  Such a
+    shot holds in resume(t, w, w_t, t_lo) the call that extends its descent from
+    its bottom state down to t_lo, until it reaches the zero.
     """
 
     rho: float
@@ -110,6 +118,7 @@ class BranchPoint:
     descent: list | None = field(default=None, repr=False)
     L: float | None = None
     t_match: float | None = None
+    y_match: tuple | None = field(default=None, repr=False)
     resume: object = field(default=None, repr=False)
 
     def _inner_pieces(self):
@@ -128,12 +137,16 @@ class BranchPoint:
     def descents(self, t_lo=-math.inf):
         """The kept descent solves, top first, once they reach down to t_lo.
 
-        A matched shot integrates its descent below t_match here, the first
-        time t_lo lies below it.
+        A shot with a t_match extends its descent here, only down to t_lo (or
+        to its zero, if that lies above); a later, lower t_lo continues from there.
         """
-        if self.resume is not None and t_lo < self.t_match:
-            self.descent.append(self.resume()[1])
-            self.resume = None
+        bottom, y = ((float(self.descent[-1].t[-1]), self.descent[-1].y[:, -1])
+                     if self.descent else (self.t_match, self.y_match))
+        if self.resume is not None and t_lo < bottom:
+            t_zero, sol = self.resume(bottom, *y, t_lo)
+            self.descent.append(sol)
+            if t_zero is not None:
+                self.resume = None
         return self.descent or []
 
     def eval_w(self, t):
@@ -145,7 +158,7 @@ class BranchPoint:
         out = np.full(t.shape, np.nan)
         inner = [(lo, hi, lambda tt, sol=piece.sol: sol(np.exp(0.5 * self.L - tt)))
                  for lo, hi, piece in self._inner_pieces()]
-        # a NaN in t must not hide the finite t below t_match from the resume
+        # a NaN in t must not hide the finite t below the kept descent from the resume
         t_lo = float(np.min(t, initial=math.inf, where=~np.isnan(t)))
         for lo, hi, w_of in [(*sorted((float(sol.t[0]), float(sol.t[-1]))), sol.sol)
                              for sol in self.descents(t_lo)] + inner:
@@ -284,25 +297,26 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
         raise ShootError(
             f"rho = {rho} puts the log-variable start at t = {t1:.3g}, beyond the "
             f"practical descent budget {T1_BUDGET:.0e}")
-    t_match = t1 - MATCH_DEPTH
-    if t_match >= EtaSpaceConfig().resolved(m)[0]:
-        stop, lam_at = t_match, _matched_lambda
-    else:
-        stop, lam_at = _response_stop(n, m, t1, *y1), _response_lambda
-    if stop is not None:
+    star, lam = _singular(n, m), None
+    if star is not None and t1 >= star.top:
+        lam = _ball_lambda(star, n, m, t1, *y1)
+    elif (stop := _response_stop(star, n, t1, *y1)) is not None:
         t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, stop,
                                 dense_output=keep_profile, stop_at_floor=True)
         descents.append(sol_b)
         if t_zero is not None:
             return _finish(n, m, rho, -t_zero, kept)
-        # stop there when the shot sits on w* or near enough for its response, else go on
+        # stop there when the shot sits near enough on w* for its response, else go on
         t1, y1 = stop, (float(sol_b.y[0, -1]), float(sol_b.y[1, -1]))
-        lam = lam_at(n, m, t1, *y1)
-        if lam is not None:
-            if keep_profile:
-                kept["resume"] = partial(descend, n, m, t1, *y1, rtol, atol, dense_output=True)
-            return BranchPoint(rho=rho, R=math.sqrt(lam), lam=lam, n=n, m=m, t_match=t1,
-                               **kept)
+        lam = _response_lambda(star, t1, *y1)
+    if lam is not None:
+        if keep_profile:
+            # the dense descent from (w, w_t) at t down to t_lo; below FLOOR, to the zero
+            kept["resume"] = lambda t, w, w_t, t_lo: descend(
+                n, m, t, w, w_t, rtol, atol, max(t_lo, FLOOR), dense_output=True,
+                stop_at_floor=t_lo > FLOOR)
+        return BranchPoint(rho=rho, R=math.sqrt(lam), lam=lam, n=n, m=m, t_match=t1,
+                           y_match=y1, **kept)
     t_zero, sol_b = descend(n, m, t1, *y1, rtol, atol, dense_output=keep_profile)
     descents.append(sol_b)
     return _finish(n, m, rho, -t_zero, kept)
@@ -336,70 +350,76 @@ def _adjoint(n, m, profile, top, h):
     return np.array(psi)
 
 
+class _Star(NamedTuple):
+    """The default build_singular(n, m) as shots read it: lambda*, w*, the response table
+    up to top = T + MATCH_DEPTH, psi bounding its |a| + |b| above top, and M."""
+
+    lam: float
+    profile: object
+    table: np.ndarray
+    top: float
+    psi: float
+    M: float
+
+
 @cache
 def _singular(n, m):
-    """(lambda*, profile, response table) of the default build_singular(n, m), built once
-    per process; None when the build fails.  The table is _adjoint's up to T + MATCH_DEPTH."""
+    """The _Star of the default build_singular(n, m), built once per process; None when
+    the build fails."""
     try:
         sol = build_singular(n, m)
     except (PicardConvergenceError, DescentError, ValueError, OverflowError):
         return None
-    top = EtaSpaceConfig().resolved(m)[0] + MATCH_DEPTH
-    return sol.lambda_star, sol.profile, _adjoint(n, m, sol.profile, top, RESPONSE_STEP)
+    top = sol.eta.T + MATCH_DEPTH
+    table = _adjoint(n, m, sol.profile, top, RESPONSE_STEP)
+    psi = float(np.max(np.abs(table[-round(PSI_SPAN / RESPONSE_STEP):]).sum(axis=1)))
+    return _Star(sol.lambda_star, sol.profile, table, top, psi, sol.eta.M)
 
 
-def _matched_lambda(n, m, t, w, w_t):
-    """lambda* when the descent state (w, w_t) at t sits on w*, else None.
+def _ball_lambda(star, n, m, t, w, w_t):
+    """lambda* when the descent state (w, w_t) at t >= star.top lies in the corrector's
+    ball around w*, else None.
 
-    The deviation from w*(t) decays like e^{-r (t-s)} on the way down to
-    s = t_star, with r = Re lam_- of PsiKernel ((n-2)/2 for n <= 10, the
-    real slower root for n >= 11), and moves t_star, and so ln(lambda) / 2,
-    by about that much; it matches when that effect is below eps / 2 and
-    the deviation itself below MATCH_TOL_CAP.  With t >= 30 the cap is the
-    bound that binds for every n >= 4.
+    The state lies within dev of the ansatz (f, f_t) at t, so within dev + M / t^2 of
+    w*, which moves ln(lambda) by at most 2 psi (dev + M / t^2); it is taken when dev
+    is within BALL_CAP and that shift below eps / 4.
     """
-    star = _singular(n, m)
-    state = singular_state(n, m, t) if star is not None else None
-    if state is None:
-        return None
-    lam_star = star[0]
-    dev = max(abs(w - state[0]), abs(w_t - state[1]))
-    rate = PsiKernel.for_dimension(n).lam_minus.real
-    decay = math.exp(-rate * (t + 0.5 * math.log(lam_star)))
-    return lam_star if dev < MATCH_TOL_CAP and dev * decay < 0.5 * EPS else None
+    f, f_t = ansatz_terms(n, m, t)
+    dev = max(abs(w - float(f)), abs(w_t - float(f_t)))
+    shift = 2.0 * star.psi * (dev + star.M / (t * t))
+    return star.lam if dev <= BALL_CAP and shift < 0.25 * EPS else None
 
 
-def _response_stop(n, m, t, w, w_t):
+def _response_stop(star, n, t, w, w_t):
     """The response table's node at which a descent from (w, w_t) at t stops, or None.
 
-    The deviation from w* decays like e^{-r (t-s)} on the way down (r as in
-    _matched_lambda): the stop is the last node below t and 2 below where it
-    reaches RESPONSE_TOL.  None when the default build fails, the deviation
-    is 0 or NaN (t above the profile) or the stop lies below t_star + RESPONSE_GUARD,
-    where psi is not small.
+    The deviation from w* decays like e^{-r (t-s)} on the way down, with
+    r = Re lam_- of PsiKernel: the stop is the last node below t and 2 below
+    where it reaches RESPONSE_TOL.  None when the default build failed (star
+    is None), the deviation is 0 or NaN (t above the profile) or the stop lies
+    below t_star + RESPONSE_GUARD, where psi is not small.
     """
-    star = _singular(n, m)
-    if star is None or t < star[1].t_min + RESPONSE_GUARD:
+    if star is None or t < star.profile.t_min + RESPONSE_GUARD:
         return None
-    _, profile, table = star
+    profile = star.profile
     dev = max(abs(w - profile.eval_w(t)), abs(w_t - profile.eval_wt(t)))
     if not dev > 0.0:
         return None
     rate = PsiKernel.for_dimension(n).lam_minus.real
     aim = min(t - math.log(dev / RESPONSE_TOL) / rate - 2.0, t) - profile.t_min
-    k = min(math.ceil(aim / RESPONSE_STEP) - 1, len(table) - 1)
+    k = min(math.ceil(aim / RESPONSE_STEP) - 1, len(star.table) - 1)
     return profile.t_min + k * RESPONSE_STEP if k * RESPONSE_STEP >= RESPONSE_GUARD else None
 
 
-def _response_lambda(n, m, t, w, w_t):
+def _response_lambda(star, t, w, w_t):
     """lambda* exp(-2 psi . (w - w*, w_t - w*_t)) at the response node t, or None when
     the deviation is above RESPONSE_TOL."""
-    lam_star, profile, table = _singular(n, m)
+    profile = star.profile
     dw, dw_t = w - profile.eval_w(t), w_t - profile.eval_wt(t)
     if max(abs(dw), abs(dw_t)) > RESPONSE_TOL:
         return None
-    a, b = table[round((t - profile.t_min) / RESPONSE_STEP)].tolist()
-    return lam_star * math.exp(-2.0 * (a * dw + b * dw_t))
+    a, b = star.table[round((t - profile.t_min) / RESPONSE_STEP)].tolist()
+    return star.lam * math.exp(-2.0 * (a * dw + b * dw_t))
 
 
 def _finish(n, m, rho, ln_R, kept):
@@ -476,13 +496,16 @@ def intersection_count(point, singular):
     the singular one to rounding level deep in the overlap, where raw sign
     flips are meaningless).
 
-    A matched shot is first compared at and above t_match only.  Below
-    t_match it solves w*'s equation, so its deviation decays on the way
-    down; when the difference stays within _GUARD_MARGIN of the tolerance
-    over the _GUARD_WINDOW above t_match, no sample below can count, and the
-    rest of its descent is not integrated.  Otherwise the whole range is
-    compared.  Raises ValueError for a point shot without its profile and
-    for a singular profile that ends below the shot's.
+    A shot with a t_match is first compared down to t_g - _GUARD_WINDOW only.
+    Below t_match it solves w*'s equation, so its difference to w* decays on
+    the way down, like e^{-r (t_match - t)} (r as in _response_stop): t_g is
+    where that reaches half of _GUARD_MARGIN of the tolerance from the larger
+    of the differences in w and w_t at t_match.  When the difference stays
+    within _GUARD_MARGIN of it over the _GUARD_WINDOW below t_g, no sample
+    below can count, and the descent is integrated no further down.
+    Otherwise the whole range is compared.
+    Raises ValueError for a point shot without its profile and for a
+    singular profile that ends below the shot's.
     """
     t_zero = -math.log(point.R)
     t_star = singular.t_star
@@ -507,11 +530,18 @@ def intersection_count(point, singular):
 
     d = None
     if point.t_match is not None:
-        above = tau[t_zero + tau >= point.t_match]
+        margin = _GUARD_MARGIN * noise_tol
+        t_ref = t_star + point.t_match - t_zero
+        delta = max(abs(point.y_match[0] - singular.profile.eval_w(t_ref)),
+                    abs(point.y_match[1] - singular.profile.eval_wt(t_ref)))
+        rate = PsiKernel.for_dimension(point.n).lam_minus.real
+        ratio = 2.0 * delta / margin
+        t_g = point.t_match - (math.log(ratio) / rate if ratio > 1.0 else 0.0)
+        above = tau[t_zero + tau >= t_g - _GUARD_WINDOW]
         d = difference(above)
-        guard = np.abs(d[t_zero + above < point.t_match + _GUARD_WINDOW])
+        guard = np.abs(d[t_zero + above < t_g])
         # an empty window, or a NaN in it, fails the guard
-        if not (guard.size and np.max(guard) <= _GUARD_MARGIN * noise_tol):
+        if not (guard.size and np.max(guard) <= margin):
             d = None
     if d is None:
         d = difference(tau)

@@ -7,22 +7,19 @@ The profile equation in log variables is
 with w > 0 to the right of its zero crossing t_star and lambda_star =
 exp(-2 t_star).  The corrector solve supplies (w, w_t) deep in the tail;
 a DOP853 descent with the package's own solve_ivp (itergelfand.rk), told to
-stop where w crosses 0, locates the crossing.  The same descent finishes
-every regular branch shot (branch.shoot_regular); singular_state gives the
-(w*, w*_t) a deep shot is matched against from fixed corrector bands, each
-solved once per process and shared by every shot that reads it.
+stop where w crosses 0, locates the crossing.  The same descent continues
+each regular branch shot (branch.shoot_regular) below its inner phase, as
+far down as that shot needs it.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import (EtaSolution, EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
-                        phi_m, picard_solve)
+from .corrector import EtaSolution, phi_m, picard_solve
 from .numerics import differentiate
 from .rk import acceleration, solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
@@ -33,8 +30,8 @@ from .transform import LogProfile
 HANDOFF_OFFSET = 5.0
 # spacing of the descent samples kept below the handoff
 SAMPLE_STEP = 0.01
-# width of the corrector bands above the default T that singular_state reads, on 128 nodes
-BAND_WIDTH = 100.0
+# the descent looks for the zero of w down to this t
+FLOOR = -10.0
 
 
 class DescentError(RuntimeError):
@@ -75,7 +72,7 @@ def assemble_w(n, m, eta_sol):
     return LogProfile(t, f + eta_sol.eta[sel], f_t + eta_sol.eta_t[sel])
 
 
-def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at_floor=False):
+def descend(n, m, t, w, w_t, rtol, atol, t_floor=FLOOR, *, dense_output, stop_at_floor=False):
     """Integrate the profile equation from (t, w, w_t) down to the first zero of w.
 
     One DOP853 pass towards t_floor that stops where w crosses 0: the
@@ -124,36 +121,7 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=-10.0, *, dense_output, stop_at
     return float(sol.t[-1]), sol
 
 
-@functools.cache
-def _corrector_band(n, m, lo):
-    """(eta, eta_t) of the solve on [lo, lo + BAND_WIDTH] as a LogProfile, None where it
-    fails.  Not bounded: a band holds about 3 KB, and T1_BUDGET admits 2 000 per (n, m)."""
-    try:
-        eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), lo, lo + BAND_WIDTH, 128)
-    except PicardConvergenceError:
-        return None
-    return LogProfile(eta_sol.grid, eta_sol.eta, eta_sol.eta_t)
-
-
-def singular_state(n, m, t):
-    """(w*, w*_t)(t) for t at or above the default corrector T (ValueError below), or None.
-
-    eta(t) depends only on the forcing above t, so it is read from the solve on
-    the band [T + k BAND_WIDTH, T + (k + 1) BAND_WIDTH] that holds t.  None where
-    that solve does not contract or its grid repeats nodes (t of about 3e14 and
-    above; the ansatz, which overflows far above that, is formed after it).
-    """
-    T = EtaSpaceConfig().resolved(m)[0]
-    if not t >= T:
-        raise ValueError(f"w* is read from corrector bands at t >= T = {T:g}, not at t = {t!r}")
-    band = _corrector_band(n, m, T + (t - T) // BAND_WIDTH * BAND_WIDTH)
-    if band is None:
-        return None
-    f, f_t = (float(v) for v in ansatz_terms(n, m, t))
-    return f + float(band.eval_w(t)), f_t + float(band.eval_wt(t))
-
-
-def integrate_down(profile, n, m, t_floor=-10.0, rtol=1e-12, atol=1e-14):
+def integrate_down(profile, n, m, t_floor=FLOOR, rtol=1e-12, atol=1e-14):
     """Integrate the profile equation downward to the first zero of w.
 
     Starts at the first profile node past t_min + HANDOFF_OFFSET (interior

@@ -250,19 +250,19 @@ def sampled_branch(point):
 
 
 def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=False):
-    """shoot_regular without matching and without the linear response (MATCH_DEPTH and
-    RESPONSE_GUARD infinite): its descent always runs on to the zero of w."""
-    saved = br.MATCH_DEPTH, br.RESPONSE_GUARD
-    br.MATCH_DEPTH = br.RESPONSE_GUARD = math.inf
+    """shoot_regular as if the default singular build had failed: with no lambda* and no
+    linear response, its descent always runs on to the zero of w."""
+    saved = br._singular
+    br._singular = lambda n, m: None
     try:
         return br.shoot_regular(n, m, rho, rtol=rtol, atol=atol, keep_profile=keep_profile)
     finally:
-        br.MATCH_DEPTH, br.RESPONSE_GUARD = saved
+        br._singular = saved
 
 
 def short_window_state(n, m, t):
     """(w*, w*_t)(t) from one 128-node corrector solve on [t, t + 5 + pad], or None
-    when that solve fails: the reference for singular_state's bands."""
+    when that solve fails: the reference for w* far up."""
     try:
         eta_sol = _solve_on_grid(n, m, EtaSpaceConfig(), t, t + HANDOFF_OFFSET, 128)
     except PicardConvergenceError:

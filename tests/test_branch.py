@@ -14,7 +14,8 @@ import itergelfand.singular as sg
 from itergelfand.branch import (BranchPoint, ShootError, intersection_count, shoot_regular,
                                 trace_curve, turning_points)
 from itergelfand.corrector import EtaSpaceConfig, picard_solve
-from itergelfand.singular import DescentError, build_singular, descend, ode_residual
+from itergelfand.singular import (DescentError, ansatz_terms, build_singular, descend,
+                                  ode_residual)
 from itergelfand.towers import g_tower
 from oracles import full_descent_shot, g_diff, sampled_branch
 
@@ -248,34 +249,33 @@ def test_intersection_refuses_a_singular_profile_below_the_shot(cfg):
 
 @pytest.mark.parametrize("n, m, rho", [(3, 1, 5.5), (3, 1, 6.0), (4, 1, 6.0), (5, 1, 6.0),
                                        (7, 1, 6.0), (3, 2, 1.7), (9, 2, 1.8)])
-def test_matched_count_leaves_the_descent_below_t_match(monkeypatch, n, m, rho):
-    # below t_match the shot and w* solve one equation, so no sample there
-    # clears the noise tolerance: the count above t_match is the count over
-    # the whole range, which an empty guard window forces
+def test_matched_count_leaves_the_descent_below_t_match(n, m, rho):
+    # below t_match the shot and w* solve one equation, so no sample below the guard
+    # window clears the noise tolerance: the count resumes the descent only down to
+    # that window, and is the count of the full descent over the whole range
     ref = build_singular(n, m, EtaSpaceConfig(t_max=280.0 if m == 1 else 300.0))
     point = shoot_regular(n, m, rho)
-    assert point.t_match is not None
-    fast = intersection_count(point, ref)
+    assert point.t_match is not None and point.descent == []
+    count = intersection_count(point, ref)
     assert point.resume is not None and len(point.descent) == 1
-    assert np.isfinite(point.eval_w(point.t_match - 1.0))
-    assert point.resume is None
-    monkeypatch.setattr(br, "_GUARD_WINDOW", 0.0)
-    assert intersection_count(point, ref) == fast
+    bottom = float(point.descent[0].t[-1])
+    assert -math.log(point.R) + 1.0 < bottom < point.t_match
+    assert count == intersection_count(full_descent_shot(n, m, rho, keep_profile=True), ref)
 
 
-def test_matched_count_resumes_when_the_guard_fails(monkeypatch, sol_n3m1):
-    # w* shifted by three noise tolerances just above t_match: the guard
-    # fails, and the count resumes the descent and compares the whole range
+def test_matched_count_resumes_when_the_guard_fails(sol_n3m1):
+    # w* shifted by three noise tolerances over the 40 units below t_match: the
+    # guard fails, and the count resumes the descent down to the zero and compares
+    # the whole range, as it does for the full descent
     point = shoot_regular(3, 1, 6.0)
     prof = sol_n3m1.profile
     noise_tol = 1e-10 * max(1.0, float(np.max(np.abs(prof.w))))
-    lifted = (prof.t >= point.t_match) & (prof.t <= point.t_match + 2.0)
+    lifted = (prof.t >= point.t_match - 40.0) & (prof.t <= point.t_match)
     shifted = replace(sol_n3m1, profile=replace(prof, w=prof.w + 3.0 * noise_tol * lifted))
     count = intersection_count(point, shifted)
-    assert point.resume is None and len(point.descent) == 2
-    monkeypatch.setattr(br, "_GUARD_WINDOW", 0.0)
-    assert intersection_count(shoot_regular(3, 1, 6.0), shifted) == count
-    assert count != intersection_count(point, sol_n3m1) == 13
+    assert len(point.descent) == 2 and point.descent[1].t[-1] < -math.log(point.R) + 1e-5
+    assert count == intersection_count(full_descent_shot(3, 1, 6.0, keep_profile=True), shifted)
+    assert count != intersection_count(shoot_regular(3, 1, 6.0), sol_n3m1) == 13
 
 
 def test_shoot_rejects_bad_input():
@@ -423,11 +423,15 @@ def test_dense_branch_matches_sampled_profile():
     assert type(point.eval_w(float(t[1000]))) is float
 
 
-@pytest.mark.parametrize("n, m, rho", [(3, 1, 9.0), (3, 1, 6.0), (3, 2, 2.0)])
+@pytest.mark.parametrize("n, m, rho", [(3, 1, 9.0), (3, 1, 6.0), (3, 2, 2.0), (5, 1, 6.0),
+                                       (5, 1, 9.0), (9, 2, 2.0), (9, 2, 2.2)])
 def test_matched_shot_matches_full_descent(n, m, rho):
+    # lambda* is within 2e-13 of a full descent at rtol 1e-13; one at the default
+    # rtol is off that by up to 1.8e-12 (at (5, 1, 9))
     p = shoot_regular(n, m, rho, keep_profile=False)
     assert p.t_match is not None
-    assert abs(p.lam - full_descent_shot(n, m, rho).lam) / p.lam < 1e-10
+    assert abs(p.lam - full_descent_shot(n, m, rho).lam) / p.lam < 2e-12
+    assert abs(p.lam / full_descent_shot(n, m, rho, rtol=1e-13, atol=1e-15).lam - 1.0) < 2e-13
 
 
 def test_matching_only_far_up_the_branch(curve_n3m1, monkeypatch):
@@ -511,7 +515,8 @@ def test_kept_response_shot_resumes_and_counts_like_the_full_descent(sol_n3m1):
     full = full_descent_shot(3, 1, 4.5, keep_profile=True)
     t = np.array([t_match - 1.0, t_match - 5.0])
     assert np.max(np.abs(point.eval_w(t) - full.eval_w(t))) < 1e-9
-    assert point.resume is None and len(point.descent) == 2
+    assert point.resume is not None and len(point.descent) == 2
+    assert point.descent[1].t[-1] == t_match - 5.0
     assert intersection_count(shoot_regular(3, 1, 4.5), sol_n3m1) \
         == intersection_count(full, sol_n3m1)
 
@@ -520,33 +525,56 @@ def test_kept_response_shot_resumes_and_counts_like_the_full_descent(sol_n3m1):
 def test_response_table_converges_in_its_step(n, m):
     # psi on the 0.02 table agrees with psi on a 0.005 one above the guard,
     # where the response reads it
-    lam_star, profile, table = br._singular(n, m)
-    top = EtaSpaceConfig().resolved(m)[0] + br.MATCH_DEPTH
-    fine = br._adjoint(n, m, profile, top, br.RESPONSE_STEP / 4.0)[::4][:len(table)]
+    star = br._singular(n, m)
+    table = star.table
+    fine = br._adjoint(n, m, star.profile, star.top, br.RESPONSE_STEP / 4.0)[::4][:len(table)]
     guard = int(br.RESPONSE_GUARD / br.RESPONSE_STEP)
     assert len(table) == len(fine) and np.max(np.abs(table[guard:] - fine[guard:])) < 1e-9
 
 
-def test_matched_profile_continues_below_t_match():
+def test_matched_profile_continues_below_t_match(sol_n3m1):
+    # a shot that takes lambda* at its descent start t_match integrates no descent;
+    # a read below t_match extends it only down to the lowest t asked for, a lower
+    # read continues from there, and a read below the zero reaches it
     point = shoot_regular(3, 1, 6.0)
     t_match = point.t_match
-    assert t_match is not None and len(point.descent) == 1
+    assert t_match is not None and point.descent == []
     above = point.eval_w([t_match, t_match + 1.0])
-    assert len(point.descent) == 1           # nothing below t_match asked yet
+    assert point.descent == []               # nothing below t_match asked yet
     # a NaN among the t asked for does not keep the part below t_match away
     below = point.eval_w(np.array([math.nan, t_match - 1e-9, t_match - 1.0]))
-    assert len(point.descent) == 2 and point.resume is None
+    assert len(point.descent) == 1 and point.descent[0].t[-1] == t_match - 1.0
     assert np.isnan(below[0]) and np.all(np.isfinite(below[1:]))
     assert abs(below[1] - above[0]) < 1e-10
+    # the first solve runs the full descent's steps, the last cut at its floor; below
+    # it each resume starts its own step sequence
+    full = full_descent_shot(3, 1, 6.0, keep_profile=True)
+    first = point.descent[0]
+    t = np.linspace(t_match - 1.0, t_match, 1001)
+    same = t >= first.t[-2]
+    assert point.eval_w(t[same]).tobytes() == full.eval_w(t[same]).tobytes()
+    assert np.max(np.abs(point.eval_w(t) - full.eval_w(t))) < 1e-12
     t_zero = -math.log(point.R)
     assert abs(point.eval_w(t_zero + 1e-6)) < 1e-5
+    assert len(point.descent) == 2 and point.descent[1].t[0] == t_match - 1.0
     assert np.isnan(point.eval_w(t_zero - 1.0))
-    assert point.t_max > t_match + 39.0
+    assert point.resume is None and len(point.descent) == 3
+    t = np.linspace(t_zero + 1e-6, t_match, 20001)
+    assert np.max(np.abs(point.eval_w(t) - full.eval_w(t))) < 1e-11
+    assert point.t_max > t_match
+    # the count resumes the descent down to its guard window alone
+    for rho in (6.0, 5.5):
+        point = shoot_regular(3, 1, rho)
+        full = full_descent_shot(3, 1, rho, keep_profile=True)
+        assert intersection_count(point, sol_n3m1) == intersection_count(full, sol_n3m1) == 13
+        assert point.resume is not None and len(point.descent) == 1
+        assert point.t_match - 40.0 < point.descent[0].t[-1] < point.t_match - 25.0
 
 
 def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
-    # a kept matched shot builds no dense buffer while it shoots; eval_w
-    # builds only those of the solves that hold some t it is asked for, and
+    # a kept shot that takes lambda* at its descent start builds no dense buffer
+    # while it shoots; eval_w builds only those of the solves that hold some t it
+    # is asked for (the resumed descent first), and
     # its values are those of a shot whose solves build their buffers as soon
     # as they end
     def eager(module):
@@ -564,7 +592,6 @@ def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
     s0, s1 = (math.log(float(s)) for s in eager_point.inner.t[[0, -1]])
     half_L = 0.5 * eager_point.L
     reads = [np.linspace(-2.0, 130.0, 3001),             # the descent resumed below t_match
-             np.array([eager_point.t_match + 1.0]),      # the descent above t_match
              np.linspace(half_L - s1 + 0.5, half_L - s0 - 0.5, 50),   # the inner solve
              np.array([eager_point.t_max - 1.0])]        # the center series: no interpolant
     wants = [eager_point.eval_w(t) for t in reads]
@@ -579,30 +606,38 @@ def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
     monkeypatch.setattr(rk, "_dense_coefficients", counted)
     point = shoot_regular(3, 1, 9.0)
     assert point.t_match is not None and not built
-    for t, want, builds in zip(reads, wants, (1, 2, 3, 3)):
+    for t, want, builds in zip(reads, wants, (1, 2, 2)):
         got = point.eval_w(t)
         assert len(built) == builds and got.tobytes() == want.tobytes()
         assert np.isfinite(got[t > -math.log(point.R)]).all()
-    assert len(point.descent) == 2
+    assert len(point.descent) == 1 and point.resume is None
     assert built == [len(sol.t) - 1 for sol in (*point.descent[::-1], point.inner)]
 
 
 def test_match_rule():
-    # a deviation d from w* at t matches when d e^{-(n-2)(t - t_star)/2} is
-    # below eps / 2 and d below 1e-8: at t = 30 (n = 3) the factor is 3.4e-7,
-    # at t = 150 it is 3e-33
-    from itergelfand.singular import singular_state
-    lam_star = br._singular(3, 1)[0]
-    for t, d, matched in ((30.0, 1e-12, True), (30.0, 1e-9, False),
-                          (150.0, 1e-9, True), (150.0, 1e-7, False)):
-        w, w_t = singular_state(3, 1, t)
-        got = br._matched_lambda(3, 1, t, w + d, w_t)
-        assert got == (lam_star if matched else None)
+    # a state within BALL_CAP of the ansatz at t >= T + MATCH_DEPTH takes lambda*
+    # when 2 psi (dev + M / t^2) is below eps / 4, psi the table's largest |a| + |b|
+    # over its top PSI_SPAN: at (3, 1) psi is below 1e-14, so the cap binds
+    star = br._singular(3, 1)
+    assert star.top == 70.0 and star.psi < 1e-14 and 1.0 < star.M < 2.0
+    for t in (star.top, 5000.0):
+        f, f_t = (float(v) for v in ansatz_terms(3, 1, t))
+        for dw, dw_t, taken in ((0.0, 0.0, True), (0.9e-3, 0.0, True), (0.0, -0.9e-3, True),
+                                (1.1e-3, 0.0, False), (0.0, -1.1e-3, False)):
+            got = br._ball_lambda(star, 3, 1, t, f + dw, f_t + dw_t)
+            assert got == (star.lam if taken else None)
+    # with psi = 1e-13 the shift binds: 2e-13 (dev + M / t^2) < eps / 4 needs dev +
+    # M / t^2 below 2.8e-4, and M / t^2 = 4.7e-8 at t = 5000
+    f, f_t = (float(v) for v in ansatz_terms(3, 1, 5000.0))
+    wide = star._replace(psi=1e-13)
+    assert br._ball_lambda(wide, 3, 1, 5000.0, f + 2.6e-4, f_t) == star.lam
+    assert br._ball_lambda(wide, 3, 1, 5000.0, f + 3e-4, f_t) is None
 
 
 def test_failed_singular_build_falls_back_to_full_descent(monkeypatch):
-    # a build_singular failure is cached per (n, m); the shot then goes on
-    # from t_match to its own zero
+    # a build_singular failure is cached per (n, m); every shot then descends to
+    # its own zero, bit for bit as the full descent: deep ones (rho = 8 and 8.5
+    # start at t1 >= T + MATCH_DEPTH) and one that would take the response (4.5)
     calls = []
 
     def failing(n, m):
@@ -610,13 +645,38 @@ def test_failed_singular_build_falls_back_to_full_descent(monkeypatch):
         raise DescentError("no zero")
     monkeypatch.setattr(br, "build_singular", failing)
     monkeypatch.setattr(br, "_singular", functools.cache(br._singular.__wrapped__))
-    points = [shoot_regular(3, 1, rho) for rho in (8.0, 8.5)]
+    points = [shoot_regular(3, 1, rho) for rho in (8.0, 8.5, 4.5)]
     assert calls == [(3, 1)]
-    full = full_descent_shot(3, 1, 8.0)
+    for p in points:
+        full = full_descent_shot(3, 1, p.rho)
+        assert p.t_match is None and len(p.descent) == 1
+        assert p.lam.hex() == full.lam.hex() and p.R == full.R
     p = points[0]
-    assert p.t_match is None and len(p.descent) == 2
-    assert abs(p.lam - full.lam) / full.lam < 1e-10
-    t_split = float(p.descent[0].t[-1])
-    w = p.eval_w([t_split + 1e-9, t_split - 1e-9])
-    assert abs(w[0] - w[1]) < 1e-10
+    assert float(p.descent[0].t[0]) >= 70.0
     assert abs(p.eval_w(-math.log(p.R))) < 1e-12
+
+
+@pytest.mark.parametrize("n, m, rho", [(3, 1, 9.0), (3, 2, 2.0), (3, 1, 6.0)])
+def test_shot_outside_the_ball_is_the_full_descent(monkeypatch, n, m, rho):
+    # a deep shot whose state lies farther than BALL_CAP from the ansatz descends
+    # from its start to its zero, bit for bit as with no default build
+    monkeypatch.setattr(br, "BALL_CAP", 1e-12)
+    p = shoot_regular(n, m, rho, keep_profile=False)
+    full = full_descent_shot(n, m, rho)
+    assert p.t_match is None and p.lam.hex() == full.lam.hex() and p.R == full.R
+
+
+def test_deep_shots_run_no_descent(monkeypatch):
+    # over rho 5..9 of (3, 1) every shot that starts at t1 >= T + MATCH_DEPTH takes
+    # lambda* there: the descents that run all start below that height
+    starts = []
+
+    def spy(n, m, t, *args, real=br.descend, **kwargs):
+        starts.append(t)
+        return real(n, m, t, *args, **kwargs)
+    monkeypatch.setattr(br, "descend", spy)
+    star = br._singular(3, 1)
+    curve = trace_curve(3, 1, np.round(np.arange(5.0, 9.0 + 1e-9, 0.1), 10))
+    deep = [p for p in curve.points if p.t_match is not None and p.t_match >= star.top]
+    assert len(deep) == 40 and all(p.lam == star.lam for p in deep)
+    assert len(starts) == len(curve.points) - len(deep) and max(starts) < star.top

@@ -256,14 +256,14 @@ def test_last_stage_is_at_the_given_end():
 
 def _shot_solves(monkeypatch, n, m, rho):
     """(fun, t_span, y0, kwargs) of every solve of the shot (n, m, rho), its
-    descent unmatched."""
+    descent run to the zero with no default singular build."""
     calls = []
     for module in (br, sg):
         def record(fun, t_span, y0, real=module.solve_ivp, **kwargs):
             calls.append((fun, t_span, list(y0), kwargs))
             return real(fun, t_span, y0, **kwargs)
         monkeypatch.setattr(module, "solve_ivp", record)
-    monkeypatch.setattr(br, "MATCH_DEPTH", math.inf)
+    monkeypatch.setattr(br, "_singular", lambda n, m: None)
     br.shoot_regular(n, m, rho)
     return calls
 

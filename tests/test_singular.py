@@ -1,15 +1,13 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
                                    picard_solve)
-import itergelfand.singular as sg
-from itergelfand.branch import shoot_regular
+import itergelfand.branch as br
 from itergelfand.singular import (DescentError, ansatz_terms, assemble_w, build_singular,
-                                  integrate_down, ode_residual, singular_state)
+                                  integrate_down, ode_residual)
 from itergelfand.towers import h_deriv
 from itergelfand.transform import LogProfile
 
@@ -141,59 +139,25 @@ def test_residual_refuses_force_beyond_double_range():
         ode_residual(prof, 3, 0)
 
 
-def test_singular_state_far_up_is_none_without_warning():
-    # np.geomspace over a band BAND_WIDTH wide repeats nodes from t of about
-    # 3e14; the solve refuses such a grid before dividing by its widths
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for t in (1e13, 1e14):
-            assert singular_state(3, 1, t) is not None
-        for t in (1e15, 1e16, 1e300):
-            assert singular_state(3, 1, t) is None
+def test_solve_refuses_a_grid_that_repeats_nodes():
+    # np.geomspace over a window 5 wide repeats nodes from t of about 3e14; the
+    # solve refuses such a grid before dividing by its widths
     with pytest.raises(PicardConvergenceError, match="strictly increasing"):
         _solve_on_grid(3, 1, EtaSpaceConfig(), 1e15, 1e15 + 5.0, 128)
 
 
-@pytest.mark.parametrize("n,m", [(3, 1), (5, 1), (9, 2), (3, 2), (3, 3), (10, 1), (12, 1),
-                                 (4, 1)])
-def test_singular_state_agrees_with_a_short_window_solve(n, m):
-    # w* read from the band that holds t against a solve on [t, t + 5 + pad] alone,
-    # over the lowest bands and far up to t = 5000
+@pytest.mark.parametrize("n,m", [(3, 1), (5, 1), (9, 2), (3, 2), (12, 1), (3, 3), (4, 1),
+                                 (10, 1), (11, 1)])
+def test_corrector_ball_holds_far_up(n, m):
+    # the paper's fixed point puts the corrector in the ball t^2 |eta| <= M of the
+    # default build: far up, where a branch shot takes lambda* without a descent, w*
+    # of a short-window solve lies within M / t^2 of the ansatz, and so does w*_t
     from oracles import short_window_state
-    T = EtaSpaceConfig().resolved(m)[0]
-    for t in np.concatenate([np.linspace(T, T + 250.0, 26), np.geomspace(T + 260.0, 5000.0, 12)]):
-        got, want = singular_state(n, m, t), short_window_state(n, m, t)
-        assert abs(got[0] - want[0]) <= 1e-11 and abs(got[1] - want[1]) <= 1e-10
-
-
-def test_singular_state_refuses_t_below_the_default_T():
-    # the bands start at the default corrector T: 30 at m = 1, 60 at m = 2
-    for m, t in ((1, 29.9), (2, 59.0), (1, math.nan)):
-        with pytest.raises(ValueError, match="t >= T"):
-            singular_state(3, m, t)
-
-
-def test_matched_shots_in_one_band_share_its_solve(monkeypatch):
-    # rho = 8 and 8.02 match at t = 1446 and 1476, both in band 14 of (3, 1)
-    windows = []
-
-    def recorded(n, m, cfg, T, t_usable, n_nodes):
-        windows.append((n, m, T, t_usable))
-        return _solve_on_grid(n, m, cfg, T, t_usable, n_nodes)
-    monkeypatch.setattr(sg, "_solve_on_grid", recorded)
-    sg._corrector_band.cache_clear()
-    points = [shoot_regular(3, 1, rho, keep_profile=False) for rho in (8.0, 8.02)]
-    assert all(p.t_match is not None for p in points)
-    assert windows == [(3, 1, 1430.0, 1530.0)]
-
-
-def test_singular_state_does_not_depend_on_which_band_was_solved_first():
-    ts = [30.0, 75.5, 129.9, 130.0, 1446.0, 4007.0]
-    reads = []
-    for order in (ts, ts[::-1]):
-        sg._corrector_band.cache_clear()
-        reads.append({t: np.array(singular_state(3, 1, t)).tobytes() for t in order})
-    assert reads[0] == reads[1]
+    eta = build_singular(n, m).eta
+    for t in np.geomspace(eta.T + br.MATCH_DEPTH, 1e5, 40):
+        w, w_t = short_window_state(n, m, t)
+        f, f_t = ansatz_terms(n, m, t)
+        assert t * t * abs(w - f) <= eta.M and t * t * abs(w_t - f_t) <= eta.M
 
 
 def test_build_rejects_bad_arguments():

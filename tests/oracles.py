@@ -7,10 +7,10 @@ family instead of the grid sweep, the factored ansatz pieces instead of
 the sampled profile for the tail-integral traces, Fornberg's recurrence
 one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
-descent runs all the way to its zero instead of being matched to w* or
-taking its linear response along w*, w*
-at t from a corrector solve on a short window that starts at t instead of
-from the fixed band that holds t, the corrector derivative from its
+descent runs all the way to its zero instead of taking lambda* or its
+linear response along w*, w* at t from a corrector solve on a short window
+that starts at t instead of the ansatz and the corrector's ball around it,
+the corrector derivative from its
 first-order representation instead of the Psi sweeps, and a DOP853 solver
 whose trial step and interpolant loop over the tableau rows, applied to
 the first-order system (y, y')' = (y', a) with the acceleration a called,

@@ -435,10 +435,10 @@ def test_matched_shot_matches_full_descent(n, m, rho):
 
 
 def test_matching_only_far_up_the_branch(curve_n3m1, monkeypatch):
-    # the default (3, 1) grid ends at rho = 4.8, where t1 - MATCH_DEPTH lies
-    # below T = 30: no shot there is matched to w*, and the shots with a t_match
-    # are exactly those that take the linear response, each within 2e-13 of
-    # its rtol 1e-13 full descent
+    # the default (3, 1) grid ends at rho = 4.8, where t1 lies below T +
+    # MATCH_DEPTH = 70: no shot there takes lambda* at its start, and the shots
+    # with a t_match are exactly those that take the linear response, each
+    # within 2e-13 of its rtol 1e-13 full descent
     matched = [p for p in curve_n3m1.points if p.t_match is not None]
     responses = [p for p in curve_n3m1.points
                  if takes_response(monkeypatch, 3, 1, p.rho, rtol=1e-10, atol=1e-12)[0]]
@@ -530,6 +530,16 @@ def test_response_table_converges_in_its_step(n, m):
     fine = br._adjoint(n, m, star.profile, star.top, br.RESPONSE_STEP / 4.0)[::4][:len(table)]
     guard = int(br.RESPONSE_GUARD / br.RESPONSE_STEP)
     assert len(table) == len(fine) and np.max(np.abs(table[guard:] - fine[guard:])) < 1e-9
+
+
+@pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (5, 1), (12, 1), (3, 2), (9, 2), (3, 3)])
+def test_psi_bound_holds_above_the_table(n, m):
+    # the ball rule bounds |a| + |b| above the table's top by its largest value over
+    # the top PSI_SPAN; the table's top row alone is not a bound (6.01e-16 at (3, 1),
+    # where psi reaches 6.08e-16 above it)
+    star = br._singular(n, m)
+    above = br._adjoint(n, m, star.profile, star.top + 30.0, br.RESPONSE_STEP)[len(star.table):]
+    assert len(above) == 1500 and 0.0 < np.max(np.abs(above).sum(axis=1)) <= star.psi
 
 
 def test_matched_profile_continues_below_t_match(sol_n3m1):

@@ -19,19 +19,21 @@ logarithmically compressed.
 A shot whose log-variable start t1 lies high up (Miyamoto's limit-equation
 picture: the rescaled inner solution glued onto u*) lies near w* = f + eta,
 f the ansatz, and the paper's fixed point puts the corrector in the ball
-t^2 |eta| <= M.  Below t1 a deviation delta from w* turns into the shift
--2 psi.delta of ln(lambda), with psi the adjoint of the descent's
-linearisation along w* (Cao, Li, Petzold and Serban 2003), tabulated from
-the default build_singular(n, m) (built once per process) up to T +
-MATCH_DEPTH, T the left end of its corrector window.  A shot with t1 at or
-above that top returns lambda* at t1 itself when its state lies within
-BALL_CAP of f(t1), so within BALL_CAP + M / t1^2 of w*, and that bound
-times the table's psi near its top cannot move ln(lambda) by eps / 4.  A
-shot below it stops at a node t_s of the table, aimed at where delta has
-decayed below RESPONSE_TOL (like e^{-r (t1-t)}, with r = Re lam_- the slower
-root of the linearized equation: (n-2)/2 for n <= 10, tending to 2 as n
-grows), and returns lambda* exp(-2 psi.delta) there.  Otherwise, or when
-that build fails, the descent goes on to the zero.
+t^2 |eta| <= M.  Below t1 a deviation d from w* moves the zero by psi.d +
+d^T P d / 2, with psi the adjoint of the descent's linearisation A along w*
+and P the Hessian of the zero's position, P' = -A^T P - P A + psi_b F_ww
+E_11 (Cao, Li, Petzold and Serban 2003), both tabulated from the default
+build_singular(n, m) (built once per process) up to T + MATCH_DEPTH, T the
+left end of its corrector window.  A shot with t1 at or above that top
+returns lambda* at t1 itself when its state lies within BALL_CAP of f(t1), so
+within BALL_CAP + M / t1^2 of w*, and that bound times the table's psi near
+its top cannot move ln(lambda) by eps / 4.  A shot below it stops at the
+highest node t_s of the table where K |d|^3, K the table's weight of the
+cubic remainder, is aimed to be at most REMAINDER_TOL (d decays like
+e^{-r (t1-t)}, with r = Re lam_- the slower root of the linearized equation:
+(n-2)/2 for n <= 10, tending to 2 as n grows), and returns lambda* exp(-2
+psi.d - d^T P d) there when the d it reaches meets that bound.  Otherwise,
+or when that build fails, the descent goes on to the zero.
 
 A shot that keeps its profile keeps the dense output of its solves and,
 above the integrated start, its center series, and is evaluated from them
@@ -74,12 +76,15 @@ TAU_STEP = 0.02
 MATCH_DEPTH = 40.0
 BALL_CAP = 1e-3
 PSI_SPAN = 5.0
-# a shot with t_match below the default T takes lambda from its linear response once
-# its deviation from w* is below RESPONSE_TOL, at a node of the adjoint table,
-# RESPONSE_STEP apart from t_star, that lies RESPONSE_GUARD or more above t_star
-RESPONSE_TOL = 1e-7
+# a shot with t_match below the default T stops at a node of the response table,
+# RESPONSE_STEP apart from t_star and RESPONSE_GUARD or more above it, and takes
+# lambda from its second-order response there when the table's cubic remainder
+# weight K times the cube of its deviation from w* is at most REMAINDER_TOL; the
+# table is built _TABLE_CHUNK steps at a time
+REMAINDER_TOL = 1e-14
 RESPONSE_STEP = 0.02
 RESPONSE_GUARD = 12.0
+_TABLE_CHUNK = 256
 # a shot with a t_match is counted down to _GUARD_WINDOW below where its difference
 # to w* is aimed to decay to half of _GUARD_MARGIN of the noise tolerance, when it
 # stays within _GUARD_MARGIN over that window (over 103 shots at n = 3..12 the
@@ -98,7 +103,7 @@ class BranchPoint:
 
     t_match is where a shot left its descent for w*: its descent start t1
     (lambda is then lambda*) or, for t1 below T + MATCH_DEPTH, the node of its
-    linear response along w*, and y_match its state (w, w_t) there; None for a
+    second-order response along w*, and y_match its state (w, w_t) there; None for a
     shot that descended to its own zero.
     A shot that keeps its profile also holds the dense inner solve and the
     center series above it (in s = exp(L/2 - t), L = G_m(rho)) and the list of
@@ -322,37 +327,104 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
     return _finish(n, m, rho, -t_zero, kept)
 
 
-def _adjoint(n, m, profile, top, h):
-    """Rows (a, b) = psi at t_star + k h up to top: the adjoint a' = F_w b, b' = -a - (n-2) b
-    of the descent's linearisation along w* = profile, F_w = exp(G_m(w*) - 2t) G'_m(w*).
-
-    psi . (dw, dw_t) is constant along it, and psi(t_star) = (-1 / w*_t(t_star), 0)
-    makes it the shift of the zero.  F_w (G'_0 = 1) is read at the nodes and
-    midpoints; RK4 forms one 2x2 step matrix per step, applied in floats from t_star up.
-    """
-    t = profile.t_min + 0.5 * h * np.arange(2 * int((top - profile.t_min) / h) + 1)
-    G, dG = profile.eval_w(t), 1.0
+def _forces(m, w, t):
+    """F_w, F_ww and F_www of F = exp(G_m(w) - 2t) at arrays w, t, with the derivatives of
+    G_m from the level recursion G_j = exp(G_{j-1}) from G_0 = w, G'_0 = 1."""
+    G, d1, d2, d3 = w, 1.0, 0.0, 0.0
     for _ in range(m):
         G = np.exp(G)
-        dG = dG * G
-    A = np.zeros((len(t), 2, 2))
-    A[:, 0, 1], A[:, 1, 0], A[:, 1, 1] = np.exp(G - 2.0 * t) * dG, -1.0, -(n - 2.0)
-    A0, A1, A2, eye = A[:-1:2], A[1::2], A[2::2], np.eye(2)
-    K2 = A1 @ (eye + 0.5 * h * A0)
-    K3 = A1 @ (eye + 0.5 * h * K2)
-    K4 = A2 @ (eye + h * K3)
-    M = eye + h / 6.0 * (A0 + 2.0 * (K2 + K3) + K4)
-    a, b = -1.0 / float(profile.w_t[0]), 0.0
-    psi = [(a, b)]
-    for p, q, r, s in M.reshape(-1, 4).tolist():
-        a, b = p * a + q * b, r * a + s * b
-        psi.append((a, b))
-    return np.array(psi)
+        d1, d2, d3 = G * d1, G * (d1 * d1 + d2), G * (d1 * (d1 * d1 + 3.0 * d2) + d3)
+    F = np.exp(G - 2.0 * t)
+    return F * d1, F * (d1 * d1 + d2), F * (d1 * (d1 * d1 + 3.0 * d2) + d3)
+
+
+def _blocks(F_w, F_ww, c):
+    """The right-hand side of (psi, P) as its blocks (psi <- psi, P <- psi, P <- P), P as
+    (x, y, z) = (P11, P12, P22), one matrix per entry of F_w and F_ww."""
+    k = len(F_w)
+    Sa, Sc, Sb = np.zeros((k, 2, 2)), np.zeros((k, 3, 2)), np.zeros((k, 3, 3))
+    Sa[:, 0, 1], Sa[:, 1, 0], Sa[:, 1, 1] = F_w, -1.0, -c
+    Sc[:, 0, 1] = F_ww
+    Sb[:, 0, 1], Sb[:, 1, 0], Sb[:, 1, 1], Sb[:, 1, 2] = 2.0 * F_w, -1.0, -c, F_w
+    Sb[:, 2, 1], Sb[:, 2, 2] = -2.0, -2.0 * c
+    return Sa, Sc, Sb
+
+
+def _times(X, Y):
+    """Product of two block lower-triangular matrices held as their blocks."""
+    return X[0] @ Y[0], X[1] @ Y[0] + X[2] @ Y[1], X[2] @ Y[2]
+
+
+def _plus_eye(X, s):
+    """The blocks of I + s X."""
+    return np.eye(2) + s * X[0], s * X[1], np.eye(3) + s * X[2]
+
+
+def _window_max(v, half):
+    """The largest of the v >= 0 within half entries of each (fewer at the ends)."""
+    return np.lib.stride_tricks.sliding_window_view(np.pad(v, half), 2 * half + 1).max(axis=1)
+
+
+def _remainder_weight(n, m, profile, table, h):
+    """K = (max |psi| F_www + 3 max |P| F_ww) / r at the nodes of an _adjoint table, each
+    max over the PSI_SPAN around the node and r = Re lam_-: the weight of the cube of a
+    deviation d in the remainder of the zero's shift psi.d + d^T P d / 2, as d decays
+    like e^{-r (t-s)} below the node."""
+    t = profile.t_min + h * np.arange(len(table))
+    _, F_ww, F_www = _forces(m, profile.eval_w(t), t)
+    half = round(0.5 * PSI_SPAN / h)
+    psi = _window_max(np.abs(table[:, :2]).max(axis=1), half)
+    hessian = _window_max(np.abs(table[:, 2:5]).max(axis=1), half)
+    return (psi * F_www + 3.0 * hessian * F_ww) / PsiKernel.for_dimension(n).lam_minus.real
+
+
+def _adjoint(n, m, profile, top, h):
+    """Rows (a, b, x, y, z, K) at t_star + k h up to top along w* = profile.
+
+    psi = (a, b) is the adjoint a' = F_w b, b' = -a - (n-2) b of the descent's
+    linearisation A = [[0, 1], [-F_w, n-2]] along w*, F_w = exp(G_m(w*) - 2t)
+    G'_m(w*): psi . (dw, dw_t) is constant along it, and psi(t_star) =
+    (-1 / w*_t, 0) makes it the shift of the zero.  P = [[x, y], [y, z]] is the
+    Hessian of the zero's position, P' = -A^T P - P A + b F_ww E_11 from
+    P(t_star) = [[-w*_tt / w*_t^3, 1 / w*_t^2], [1 / w*_t^2, 0]].  K is
+    _remainder_weight.  F_w and F_ww are read at the nodes and midpoints; RK4
+    forms one step matrix per step, block lower-triangular (psi drives P and not
+    the reverse), applied in floats from t_star up, _TABLE_CHUNK steps at a time.
+    """
+    steps, c = int((top - profile.t_min) / h), n - 2.0
+    w_t = float(profile.w_t[0])
+    w_tt = c * w_t - math.exp(g_tower(m, float(profile.w[0])) - 2.0 * profile.t_min)
+    a, b, x, y, z = -1.0 / w_t, 0.0, -w_tt / w_t ** 3, 1.0 / (w_t * w_t), 0.0
+    table = np.empty((steps + 1, 6))
+    table[0, :5] = a, b, x, y, z
+    for k0 in range(0, steps, _TABLE_CHUNK):
+        k1 = min(k0 + _TABLE_CHUNK, steps)
+        t = profile.t_min + 0.5 * h * np.arange(2 * k0, 2 * k1 + 1)
+        S = _blocks(*_forces(m, profile.eval_w(t), t)[:2], c)
+        S0, S1, S2 = ([X[i:i + 2 * (k1 - k0):2] for X in S] for i in (0, 1, 2))
+        K2 = _times(S1, _plus_eye(S0, 0.5 * h))
+        K3 = _times(S1, _plus_eye(K2, 0.5 * h))
+        K4 = _times(S2, _plus_eye(K3, h))
+        Ma, Mc, Mb = (eye + h / 6.0 * (X0 + 2.0 * (X2 + X3) + X4) for eye, X0, X2, X3, X4
+                      in zip((np.eye(2), 0.0, np.eye(3)), S0, K2, K3, K4))
+        rows = []
+        for (p, q, r, s, c11, c12, c21, c22, c31, c32, b11, b12, b13, b21, b22, b23, b31,
+             b32, b33) in np.concatenate([Ma.reshape(-1, 4), Mc.reshape(-1, 6),
+                                          Mb.reshape(-1, 9)], axis=1).tolist():
+            a, b, x, y, z = (p * a + q * b, r * a + s * b,
+                             b11 * x + b12 * y + b13 * z + c11 * a + c12 * b,
+                             b21 * x + b22 * y + b23 * z + c21 * a + c22 * b,
+                             b31 * x + b32 * y + b33 * z + c31 * a + c32 * b)
+            rows.append((a, b, x, y, z))
+        table[k0 + 1:k1 + 1, :5] = rows
+    table[:, 5] = _remainder_weight(n, m, profile, table, h)
+    return table
 
 
 class _Star(NamedTuple):
     """The default build_singular(n, m) as shots read it: lambda*, w*, the response table
-    up to top = T + MATCH_DEPTH, psi bounding its |a| + |b| above top, and M."""
+    (rows of _adjoint) up to top = T + MATCH_DEPTH, psi bounding its |a| + |b| above top,
+    and M."""
 
     lam: float
     profile: object
@@ -372,8 +444,14 @@ def _singular(n, m):
         return None
     top = sol.eta.T + MATCH_DEPTH
     table = _adjoint(n, m, sol.profile, top, RESPONSE_STEP)
-    psi = float(np.max(np.abs(table[-round(PSI_SPAN / RESPONSE_STEP):]).sum(axis=1)))
+    psi = float(np.max(np.abs(table[-round(PSI_SPAN / RESPONSE_STEP):, :2]).sum(axis=1)))
     return _Star(sol.lambda_star, sol.profile, table, top, psi, sol.eta.M)
+
+
+def _deviation(dw, dw_t):
+    """max(|dw|, |dw_t|), NaN when either is NaN, so that a NaN fails every bound on it."""
+    dw, dw_t = abs(dw), abs(dw_t)
+    return dw if dw >= dw_t else dw_t if dw_t > dw else math.nan
 
 
 def _ball_lambda(star, n, m, t, w, w_t):
@@ -385,7 +463,7 @@ def _ball_lambda(star, n, m, t, w, w_t):
     is within BALL_CAP and that shift below eps / 4.
     """
     f, f_t = ansatz_terms(n, m, t)
-    dev = max(abs(w - float(f)), abs(w_t - float(f_t)))
+    dev = _deviation(w - float(f), w_t - float(f_t))
     shift = 2.0 * star.psi * (dev + star.M / (t * t))
     return star.lam if dev <= BALL_CAP and shift < 0.25 * EPS else None
 
@@ -393,33 +471,39 @@ def _ball_lambda(star, n, m, t, w, w_t):
 def _response_stop(star, n, t, w, w_t):
     """The response table's node at which a descent from (w, w_t) at t stops, or None.
 
-    The deviation from w* decays like e^{-r (t-s)} on the way down, with
-    r = Re lam_- of PsiKernel: the stop is the last node below t and 2 below
-    where it reaches RESPONSE_TOL.  None when the default build failed (star
-    is None), the deviation is 0 or NaN (t above the profile) or the stop lies
-    below t_star + RESPONSE_GUARD, where psi is not small.
+    The deviation delta from w* decays like e^{-r (t-s)} on the way down, with
+    r = Re lam_- of PsiKernel: the stop is the highest node below t at which
+    K (2 delta e^{-r (t-s)})^3 is at most REMAINDER_TOL, the factor 2 a margin for
+    the decay's oscillation.  None when the default build failed (star is None),
+    the deviation is 0 or NaN (t above the profile) or no node from t_star +
+    RESPONSE_GUARD up, where psi is small, meets it.
     """
     if star is None or t < star.profile.t_min + RESPONSE_GUARD:
         return None
     profile = star.profile
-    dev = max(abs(w - profile.eval_w(t)), abs(w_t - profile.eval_wt(t)))
+    dev = _deviation(w - profile.eval_w(t), w_t - profile.eval_wt(t))
     if not dev > 0.0:
         return None
     rate = PsiKernel.for_dimension(n).lam_minus.real
-    aim = min(t - math.log(dev / RESPONSE_TOL) / rate - 2.0, t) - profile.t_min
-    k = min(math.ceil(aim / RESPONSE_STEP) - 1, len(star.table) - 1)
-    return profile.t_min + k * RESPONSE_STEP if k * RESPONSE_STEP >= RESPONSE_GUARD else None
+    guard = round(RESPONSE_GUARD / RESPONSE_STEP)
+    s = profile.t_min + RESPONSE_STEP * np.arange(
+        guard, min(math.ceil((t - profile.t_min) / RESPONSE_STEP), len(star.table)))
+    remainder = star.table[guard:guard + len(s), 5] * (2.0 * dev * np.exp(rate * (s - t))) ** 3
+    hits = np.flatnonzero(remainder <= REMAINDER_TOL)
+    return float(s[hits[-1]]) if hits.size else None
 
 
 def _response_lambda(star, t, w, w_t):
-    """lambda* exp(-2 psi . (w - w*, w_t - w*_t)) at the response node t, or None when
-    the deviation is above RESPONSE_TOL."""
+    """lambda* exp(-2 psi.d - d^T P d) at the response node t, d = (w - w*, w_t - w*_t),
+    or None when the table's K times the cube of d's larger component is above
+    REMAINDER_TOL."""
     profile = star.profile
     dw, dw_t = w - profile.eval_w(t), w_t - profile.eval_wt(t)
-    if max(abs(dw), abs(dw_t)) > RESPONSE_TOL:
+    a, b, x, y, z, K = star.table[round((t - profile.t_min) / RESPONSE_STEP)].tolist()
+    if not K * _deviation(dw, dw_t) ** 3 <= REMAINDER_TOL:
         return None
-    a, b = star.table[round((t - profile.t_min) / RESPONSE_STEP)].tolist()
-    return star.lam * math.exp(-2.0 * (a * dw + b * dw_t))
+    return star.lam * math.exp(-2.0 * (a * dw + b * dw_t)
+                               - (x * dw * dw + 2.0 * y * dw * dw_t + z * dw_t * dw_t))
 
 
 def _finish(n, m, rho, ln_R, kept):
@@ -532,11 +616,12 @@ def intersection_count(point, singular):
     if point.t_match is not None:
         margin = _GUARD_MARGIN * noise_tol
         t_ref = t_star + point.t_match - t_zero
-        delta = max(abs(point.y_match[0] - singular.profile.eval_w(t_ref)),
-                    abs(point.y_match[1] - singular.profile.eval_wt(t_ref)))
+        delta = _deviation(point.y_match[0] - singular.profile.eval_w(t_ref),
+                           point.y_match[1] - singular.profile.eval_wt(t_ref))
         rate = PsiKernel.for_dimension(point.n).lam_minus.real
         ratio = 2.0 * delta / margin
-        t_g = point.t_match - (math.log(ratio) / rate if ratio > 1.0 else 0.0)
+        # a NaN delta puts t_g at NaN, so the window below is empty
+        t_g = point.t_match - (0.0 if ratio <= 1.0 else math.log(ratio) / rate)
         above = tau[t_zero + tau >= t_g - _GUARD_WINDOW]
         d = difference(above)
         guard = np.abs(d[t_zero + above < t_g])

@@ -8,7 +8,7 @@ the sampled profile for the tail-integral traces, Fornberg's recurrence
 one stencil at a time instead of batched over all samples, a sampled
 copy of a branch shot instead of its dense output, a branch shot whose
 descent runs all the way to its zero instead of taking lambda* or its
-linear response along w*, w* at t from a corrector solve on a short window
+response along w*, w* at t from a corrector solve on a short window
 that starts at t instead of the ansatz and the corrector's ball around it,
 the corrector derivative from its
 first-order representation instead of the Psi sweeps, and a DOP853 solver
@@ -251,7 +251,7 @@ def sampled_branch(point):
 
 def full_descent_shot(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=False):
     """shoot_regular as if the default singular build had failed: with no lambda* and no
-    linear response, its descent always runs on to the zero of w."""
+    response along w*, its descent always runs on to the zero of w."""
     saved = br._singular
     br._singular = lambda n, m: None
     try:

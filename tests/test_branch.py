@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -437,12 +438,13 @@ def test_matched_shot_matches_full_descent(n, m, rho):
 def test_matching_only_far_up_the_branch(curve_n3m1, monkeypatch):
     # the default (3, 1) grid ends at rho = 4.8, where t1 lies below T +
     # MATCH_DEPTH = 70: no shot there takes lambda* at its start, and the shots
-    # with a t_match are exactly those that take the linear response, each
-    # within 2e-13 of its rtol 1e-13 full descent
+    # with a t_match are exactly the 40 (rho >= 4.02) that take the second-order
+    # response, each within 2e-13 of its rtol 1e-13 full descent
     matched = [p for p in curve_n3m1.points if p.t_match is not None]
     responses = [p for p in curve_n3m1.points
                  if takes_response(monkeypatch, 3, 1, p.rho, rtol=1e-10, atol=1e-12)[0]]
-    assert [p.rho for p in matched] == [p.rho for p in responses] and len(matched) == 26
+    assert [p.rho for p in matched] == [p.rho for p in responses] and len(matched) == 40
+    assert min(p.rho for p in matched) == pytest.approx(4.02)
     for p in matched:
         full = full_descent_shot(3, 1, p.rho, rtol=1e-13, atol=1e-15)
         assert abs(p.lam / full.lam - 1.0) <= 2e-13
@@ -451,7 +453,7 @@ def test_matching_only_far_up_the_branch(curve_n3m1, monkeypatch):
 
 
 def takes_response(monkeypatch, n, m, rho, **kwargs):
-    """(whether the lambda of shoot_regular(n, m, rho) is its linear response, the shot)."""
+    """(whether the lambda of shoot_regular(n, m, rho) is its response along w*, the shot)."""
     taken = []
 
     def response(*args, real=br._response_lambda):
@@ -470,7 +472,7 @@ def takes_response(monkeypatch, n, m, rho, **kwargs):
                                         (3, 2, (1.5, 1.58, 1.66))])
 def test_response_shot_is_within_its_full_descent(monkeypatch, n, m, rhos):
     # below the default T a deep shot stops on w* and shifts lambda* by the
-    # adjoint response of its deviation there: the result is within 2e-13 of a
+    # second-order response of its deviation there: the result is within 2e-13 of a
     # full descent at rtol 1e-13, closer than the full descent at the default rtol
     for rho in rhos:
         taken, point = takes_response(monkeypatch, n, m, rho)
@@ -495,10 +497,73 @@ def test_gelfand_oracle_response_is_as_close_as_lambda_star(monkeypatch):
     assert max(errors) <= lam_star_error + 2e-13 and max(errors) <= max(full_errors)
 
 
-@pytest.mark.parametrize("rho", [4.2, 4.28])
+SECOND_ORDER_SHOTS = {(3, 1): tuple(np.round(np.arange(4.02, 4.281, 0.02), 10)),
+                      (5, 1): (3.5, 3.6, 4.0), (12, 1): (3.5, 4.0, 4.5),
+                      (3, 2): (1.4, 1.42, 1.44), (9, 2): (1.28, 1.4, 1.6)}
+
+
+def first_order(star, n, m):
+    """star with its table's Hessian P set to 0, and its K recomputed without it."""
+    table = star.table.copy()
+    table[:, 2:5] = 0.0
+    table[:, 5] = br._remainder_weight(n, m, star.profile, table, br.RESPONSE_STEP)
+    return star._replace(table=table)
+
+
+def test_second_order_response_is_within_its_full_descent(monkeypatch):
+    # each of these shots stops where K delta^3 <= REMAINDER_TOL, at (3, 1,
+    # 4.02..4.28) with delta from 2.6e-6 to 1.7e-5, and is within 2e-13 of its
+    # rtol 1e-13 / atol 1e-15 full descent.  With P = 0, in the lambda formula
+    # and in K, at least one of them misses that bound
+    errors, first_errors = [], []
+    for (n, m), rhos in SECOND_ORDER_SHOTS.items():
+        star = br._singular(n, m)
+        for rho in rhos:
+            ref = full_descent_shot(n, m, rho, rtol=1e-13, atol=1e-15).lam
+            taken, point = takes_response(monkeypatch, n, m, rho)
+            assert taken and point.t_match < star.top
+            errors.append(abs(point.lam / ref - 1.0))
+            with monkeypatch.context() as mp:
+                mp.setattr(br, "_singular", lambda n, m, star=first_order(star, n, m): star)
+                first_errors.append(abs(shoot_regular(n, m, rho).lam / ref - 1.0))
+    assert len(errors) == 26 and max(errors) <= 2e-13 and max(first_errors) > 2e-13
+
+
+def test_deviation_with_a_nan_fails_every_rule():
+    # a NaN in either component of a deviation fails the ball rule and the response,
+    # whatever the other component is
+    star = br._singular(3, 1)
+    f, f_t = (float(v) for v in ansatz_terms(3, 1, 70.0))
+    assert br._ball_lambda(star, 3, 1, 70.0, f, f_t) == star.lam
+    assert br._ball_lambda(star, 3, 1, 70.0, f, math.nan) is None
+    assert br._ball_lambda(star, 3, 1, 70.0, math.nan, f_t) is None
+    t = star.profile.t_min + 1000 * br.RESPONSE_STEP
+    w, w_t = star.profile.eval_w(t), star.profile.eval_wt(t)
+    assert br._response_lambda(star, t, w, w_t) == star.lam
+    assert br._response_lambda(star, t, w, math.nan) is None
+    assert br._response_lambda(star, t, math.nan, w_t) is None
+    assert br._response_stop(star, 3, t, w, math.nan) is None
+
+
+def test_response_table_memory():
+    # the table of psi, P and K is built _TABLE_CHUNK steps at a time: its peak
+    # allocation stays within 0.2 MB of the 1.78 MB that the RK4 build of psi alone
+    # (one 2x2 step matrix array over the whole table) reached
+    star = br._singular(3, 1)
+    br._adjoint(3, 1, star.profile, star.top, br.RESPONSE_STEP)
+    tracemalloc.start()
+    try:
+        table = br._adjoint(3, 1, star.profile, star.top, br.RESPONSE_STEP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == star.table.shape and peak <= 1_782_968 + 200_000
+
+
+@pytest.mark.parametrize("rho", [3.9, 3.98])
 def test_stop_below_the_guard_is_the_full_descent(monkeypatch, rho):
     # these shots start their descent above t_star + RESPONSE_GUARD, but their
-    # deviation from w* there is too large for a stop above it: they descend
+    # deviation from w* there (8e-4) is too large for a stop above it: they descend
     # exactly as without the response
     t_star = br._singular(3, 1)[1].t_min
     assert float(shoot_regular(3, 1, rho).descent[0].t[0]) > t_star + br.RESPONSE_GUARD + 2.0
@@ -523,13 +588,16 @@ def test_kept_response_shot_resumes_and_counts_like_the_full_descent(sol_n3m1):
 
 @pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (5, 1), (12, 1), (3, 2), (9, 2)])
 def test_response_table_converges_in_its_step(n, m):
-    # psi on the 0.02 table agrees with psi on a 0.005 one above the guard,
-    # where the response reads it
+    # psi and the Hessian P on the 0.02 table agree with those on a 0.005 one
+    # above the guard, where the response reads them: psi within 1e-9, P within
+    # 1e-7 (2.7e-8 at (3, 2)), which moves d^T P d by below 1e-18 at the largest
+    # d that K admits there
     star = br._singular(n, m)
     table = star.table
     fine = br._adjoint(n, m, star.profile, star.top, br.RESPONSE_STEP / 4.0)[::4][:len(table)]
     guard = int(br.RESPONSE_GUARD / br.RESPONSE_STEP)
-    assert len(table) == len(fine) and np.max(np.abs(table[guard:] - fine[guard:])) < 1e-9
+    error = np.max(np.abs(table[guard:] - fine[guard:]), axis=0)
+    assert len(table) == len(fine) and max(error[:2]) < 1e-9 and max(error[2:5]) < 1e-7
 
 
 @pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (5, 1), (12, 1), (3, 2), (9, 2), (3, 3)])
@@ -539,7 +607,7 @@ def test_psi_bound_holds_above_the_table(n, m):
     # where psi reaches 6.08e-16 above it)
     star = br._singular(n, m)
     above = br._adjoint(n, m, star.profile, star.top + 30.0, br.RESPONSE_STEP)[len(star.table):]
-    assert len(above) == 1500 and 0.0 < np.max(np.abs(above).sum(axis=1)) <= star.psi
+    assert len(above) == 1500 and 0.0 < np.max(np.abs(above[:, :2]).sum(axis=1)) <= star.psi
 
 
 def test_matched_profile_continues_below_t_match(sol_n3m1):

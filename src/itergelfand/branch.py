@@ -43,6 +43,7 @@ below t_match only as far down as its profile is asked for.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -54,7 +55,7 @@ from .corrector import PicardConvergenceError, PsiKernel, check_dimension
 from .numerics import scalar_or_array
 from .rk import EPS, acceleration, check_tolerances, solve_ivp
 from .singular import FLOOR, DescentError, ansatz_terms, build_singular, descend
-from .towers import TowerOverflowError, check_height, g_tower
+from .towers import TowerOverflowError, _g_levels, check_height, g_tower
 
 # terms of the center series; a shot starts where each of the last two terms of
 # its v' is below SERIES_TOL rtol times the first, and x^2 below SERIES_RADIUS of
@@ -79,12 +80,10 @@ PSI_SPAN = 5.0
 # a shot with t_match below the default T stops at a node of the response table,
 # RESPONSE_STEP apart from t_star and RESPONSE_GUARD or more above it, and takes
 # lambda from its second-order response there when the table's cubic remainder
-# weight K times the cube of its deviation from w* is at most REMAINDER_TOL; the
-# table is built _TABLE_CHUNK steps at a time
+# weight K times the cube of its deviation from w* is at most REMAINDER_TOL
 REMAINDER_TOL = 1e-14
 RESPONSE_STEP = 0.02
 RESPONSE_GUARD = 12.0
-_TABLE_CHUNK = 256
 # a shot with a t_match is counted down to _GUARD_WINDOW below where its difference
 # to w* is aimed to decay to half of _GUARD_MARGIN of the noise tolerance, when it
 # stays within _GUARD_MARGIN over that window (over 103 shots at n = 3..12 the
@@ -329,35 +328,10 @@ def shoot_regular(n, m, rho, rtol=1e-11, atol=1e-13, keep_profile=True):
 
 def _forces(m, w, t):
     """F_w, F_ww and F_www of F = exp(G_m(w) - 2t) at arrays w, t, with the derivatives of
-    G_m from the level recursion G_j = exp(G_{j-1}) from G_0 = w, G'_0 = 1."""
-    G, d1, d2, d3 = w, 1.0, 0.0, 0.0
-    for _ in range(m):
-        G = np.exp(G)
-        d1, d2, d3 = G * d1, G * (d1 * d1 + d2), G * (d1 * (d1 * d1 + 3.0 * d2) + d3)
+    G_m from towers' level recursion."""
+    G, d1, d2, d3 = _g_levels(m, w)
     F = np.exp(G - 2.0 * t)
     return F * d1, F * (d1 * d1 + d2), F * (d1 * (d1 * d1 + 3.0 * d2) + d3)
-
-
-def _blocks(F_w, F_ww, c):
-    """The right-hand side of (psi, P) as its blocks (psi <- psi, P <- psi, P <- P), P as
-    (x, y, z) = (P11, P12, P22), one matrix per entry of F_w and F_ww."""
-    k = len(F_w)
-    Sa, Sc, Sb = np.zeros((k, 2, 2)), np.zeros((k, 3, 2)), np.zeros((k, 3, 3))
-    Sa[:, 0, 1], Sa[:, 1, 0], Sa[:, 1, 1] = F_w, -1.0, -c
-    Sc[:, 0, 1] = F_ww
-    Sb[:, 0, 1], Sb[:, 1, 0], Sb[:, 1, 1], Sb[:, 1, 2] = 2.0 * F_w, -1.0, -c, F_w
-    Sb[:, 2, 1], Sb[:, 2, 2] = -2.0, -2.0 * c
-    return Sa, Sc, Sb
-
-
-def _times(X, Y):
-    """Product of two block lower-triangular matrices held as their blocks."""
-    return X[0] @ Y[0], X[1] @ Y[0] + X[2] @ Y[1], X[2] @ Y[2]
-
-
-def _plus_eye(X, s):
-    """The blocks of I + s X."""
-    return np.eye(2) + s * X[0], s * X[1], np.eye(3) + s * X[2]
 
 
 def _window_max(v, half):
@@ -386,37 +360,39 @@ def _adjoint(n, m, profile, top, h):
     G'_m(w*): psi . (dw, dw_t) is constant along it, and psi(t_star) =
     (-1 / w*_t, 0) makes it the shift of the zero.  P = [[x, y], [y, z]] is the
     Hessian of the zero's position, P' = -A^T P - P A + b F_ww E_11 from
-    P(t_star) = [[-w*_tt / w*_t^3, 1 / w*_t^2], [1 / w*_t^2, 0]].  K is
-    _remainder_weight.  F_w and F_ww are read at the nodes and midpoints; RK4
-    forms one step matrix per step, block lower-triangular (psi drives P and not
-    the reverse), applied in floats from t_star up, _TABLE_CHUNK steps at a time.
+    P(t_star) = [[-w*_tt / w*_t^3, 1 / w*_t^2], [1 / w*_t^2, 0]]:
+    x' = 2 F_w y + F_ww b, y' = -x - (n-2) y + F_w z, z' = -2 y - 2 (n-2) z.
+    K is _remainder_weight.  The five floats are integrated from t_star up by
+    classical RK4, with F_w and F_ww read at the nodes and midpoints.
     """
     steps, c = int((top - profile.t_min) / h), n - 2.0
     w_t = float(profile.w_t[0])
     w_tt = c * w_t - math.exp(g_tower(m, float(profile.w[0])) - 2.0 * profile.t_min)
     a, b, x, y, z = -1.0 / w_t, 0.0, -w_tt / w_t ** 3, 1.0 / (w_t * w_t), 0.0
+    t = profile.t_min + 0.5 * h * np.arange(2 * steps + 1)
+    F_w, F_ww = (F.tolist() for F in _forces(m, profile.eval_w(t), t)[:2])
+    h2, h6 = 0.5 * h, h / 6.0
+    # raw doubles: a list of row tuples would hold 0.57 MB more at (3, 1)
+    rows = array.array("d", (a, b, x, y, z))
+    for u0, u1, u2, v0, v1, v2 in zip(F_w[:-1:2], F_w[1::2], F_w[2::2],
+                                      F_ww[:-1:2], F_ww[1::2], F_ww[2::2]):
+        a1, b1 = u0 * b, -a - c * b
+        x1, y1, z1 = 2.0 * u0 * y + v0 * b, -x - c * y + u0 * z, -2.0 * y - 2.0 * c * z
+        A, B, X, Y, Z = a + h2 * a1, b + h2 * b1, x + h2 * x1, y + h2 * y1, z + h2 * z1
+        a2, b2 = u1 * B, -A - c * B
+        x2, y2, z2 = 2.0 * u1 * Y + v1 * B, -X - c * Y + u1 * Z, -2.0 * Y - 2.0 * c * Z
+        A, B, X, Y, Z = a + h2 * a2, b + h2 * b2, x + h2 * x2, y + h2 * y2, z + h2 * z2
+        a3, b3 = u1 * B, -A - c * B
+        x3, y3, z3 = 2.0 * u1 * Y + v1 * B, -X - c * Y + u1 * Z, -2.0 * Y - 2.0 * c * Z
+        A, B, X, Y, Z = a + h * a3, b + h * b3, x + h * x3, y + h * y3, z + h * z3
+        a4, b4 = u2 * B, -A - c * B
+        x4, y4, z4 = 2.0 * u2 * Y + v2 * B, -X - c * Y + u2 * Z, -2.0 * Y - 2.0 * c * Z
+        a, b = a + h6 * (a1 + 2.0 * (a2 + a3) + a4), b + h6 * (b1 + 2.0 * (b2 + b3) + b4)
+        x, y = x + h6 * (x1 + 2.0 * (x2 + x3) + x4), y + h6 * (y1 + 2.0 * (y2 + y3) + y4)
+        z = z + h6 * (z1 + 2.0 * (z2 + z3) + z4)
+        rows.extend((a, b, x, y, z))
     table = np.empty((steps + 1, 6))
-    table[0, :5] = a, b, x, y, z
-    for k0 in range(0, steps, _TABLE_CHUNK):
-        k1 = min(k0 + _TABLE_CHUNK, steps)
-        t = profile.t_min + 0.5 * h * np.arange(2 * k0, 2 * k1 + 1)
-        S = _blocks(*_forces(m, profile.eval_w(t), t)[:2], c)
-        S0, S1, S2 = ([X[i:i + 2 * (k1 - k0):2] for X in S] for i in (0, 1, 2))
-        K2 = _times(S1, _plus_eye(S0, 0.5 * h))
-        K3 = _times(S1, _plus_eye(K2, 0.5 * h))
-        K4 = _times(S2, _plus_eye(K3, h))
-        Ma, Mc, Mb = (eye + h / 6.0 * (X0 + 2.0 * (X2 + X3) + X4) for eye, X0, X2, X3, X4
-                      in zip((np.eye(2), 0.0, np.eye(3)), S0, K2, K3, K4))
-        rows = []
-        for (p, q, r, s, c11, c12, c21, c22, c31, c32, b11, b12, b13, b21, b22, b23, b31,
-             b32, b33) in np.concatenate([Ma.reshape(-1, 4), Mc.reshape(-1, 6),
-                                          Mb.reshape(-1, 9)], axis=1).tolist():
-            a, b, x, y, z = (p * a + q * b, r * a + s * b,
-                             b11 * x + b12 * y + b13 * z + c11 * a + c12 * b,
-                             b21 * x + b22 * y + b23 * z + c21 * a + c22 * b,
-                             b31 * x + b32 * y + b33 * z + c31 * a + c32 * b)
-            rows.append((a, b, x, y, z))
-        table[k0 + 1:k1 + 1, :5] = rows
+    table[:, :5] = np.frombuffer(rows).reshape(-1, 5)
     table[:, 5] = _remainder_weight(n, m, profile, table, h)
     return table
 
@@ -524,13 +500,13 @@ def trace_curve(n, m, rho_grid, rtol=1e-11, atol=1e-13):
     return BifurcationCurve(points=points, turning=turning_points(rho_grid, lam))
 
 
-def turning_points(rho, lam, min_delta=None):
+def turning_points(rho, lam):
     """Sign changes of dlambda/drho on branch samples, each refined by a local quadratic.
 
     rho (increasing) and lam are the sample arrays; returns a list of
     (rho, lambda) vertices.  Sign changes whose local lambda variation stays
-    below min_delta (default 1e-9 of the curve's lambda scale) are treated
-    as integrator noise and dropped; without the filter the flat tail of the
+    below min_delta, 1e-9 of the curve's lambda scale, are treated as
+    integrator noise and dropped; without the filter the flat tail of the
     branch, where lambda has converged to the singular value within
     rounding, sheds spurious detections.
     """
@@ -539,8 +515,7 @@ def turning_points(rho, lam, min_delta=None):
         raise ValueError(f"rho has {len(rho)} samples and lam {len(lam)}: they must pair up")
     if len(rho) < 3:
         raise ValueError("need at least 3 branch points")
-    if min_delta is None:
-        min_delta = 1e-9 * float(np.max(np.abs(lam)))
+    min_delta = 1e-9 * float(np.max(np.abs(lam)))
     slopes = (lam[2:] - lam[:-2]) / (rho[2:] - rho[:-2])
     out = []
     for i in range(len(slopes) - 1):

@@ -149,7 +149,15 @@ def g_deriv(m, k, y):
         raise ValueError("derivative order must be 1, 2 or 3")
     if m < 1:
         raise ValueError("tower height must be >= 1 for derivatives")
-    v = np.asarray(y, dtype=float)
+    return scalar_or_array(_g_levels(m, np.asarray(y, dtype=float))[k])
+
+
+def _g_levels(m, v):
+    """(G_m, G'_m, G''_m, G'''_m) at the array v for a height m >= 0 (G'_0 = 1).
+
+    The level recursion G_j = exp(G_{j-1}) is differentiated level by level:
+    G'_j = G_j G'_{j-1}, G''_j = G'_j G'_{j-1} + G_j G''_{j-1}, and so on.
+    """
     G = v
     Gp = np.ones_like(v)
     Gpp = np.zeros_like(v)
@@ -162,8 +170,7 @@ def g_deriv(m, k, y):
         Gpp_new = Gp_new * Gp + Gj * Gpp
         Gppp_new = Gpp_new * Gp + 2.0 * Gp_new * Gpp + Gj * Gppp
         G, Gp, Gpp, Gppp = Gj, Gp_new, Gpp_new, Gppp_new
-    out = (Gp, Gpp, Gppp)[k - 1]
-    return scalar_or_array(out)
+    return G, Gp, Gpp, Gppp
 
 
 def _e1_series(t, x):

@@ -176,7 +176,7 @@ def test_turning_points_synthetic_oracle():
     # lambda = lambda* + e^-rho sin(rho) has extrema at rho = pi/4 + k pi
     rho = np.linspace(0.2, 10.0, 2000)
     lam = 0.7 + np.exp(-rho) * np.sin(rho)
-    found = turning_points(rho, lam, min_delta=1e-9)
+    found = turning_points(rho, lam)
     expected = [math.pi / 4 + k * math.pi for k in range(3)]
     assert len(found) >= 3
     for want, (got, _) in zip(expected, found):
@@ -545,10 +545,29 @@ def test_deviation_with_a_nan_fails_every_rule():
     assert br._response_stop(star, 3, t, w, math.nan) is None
 
 
+@pytest.mark.parametrize("m, w_top", [(0, 5.0), (1, 2.0), (2, 1.0), (3, 0.3)])
+def test_forces_match_central_differences(m, w_top):
+    # F_w, F_ww and F_www of F = exp(G_m(w) - 2t) against central differences of F and
+    # of _forces' own F_w and F_ww, with G_m(w) <= 50; m = 0 is a height that g_deriv
+    # refuses but the Gelfand response table needs
+    w = np.linspace(-2.0, w_top, 41)
+    t = np.linspace(0.0, 3.0, 41)
+    h = 1e-5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forces = br._forces(m, w, t)
+        up, down = br._forces(m, w + h, t), br._forces(m, w - h, t)
+        F_up, F_down = (np.exp(g_tower(m, v) - 2.0 * t) for v in (w + h, w - h))
+    diffs = [(F_up - F_down) / (2.0 * h)] + [(u - d) / (2.0 * h) for u, d in zip(up, down)]
+    for exact, diff in zip(forces, diffs):
+        assert np.max(np.abs(exact - diff) / exact) <= 1e-5
+
+
 def test_response_table_memory():
-    # the table of psi, P and K is built _TABLE_CHUNK steps at a time: its peak
+    # the table of psi, P and K is integrated as five floats per step: its peak
     # allocation stays within 0.2 MB of the 1.78 MB that the RK4 build of psi alone
-    # (one 2x2 step matrix array over the whole table) reached
+    # (one 2x2 step matrix array over the whole table) reached, so no per-step
+    # matrix array over the table comes back
     star = br._singular(3, 1)
     br._adjoint(3, 1, star.profile, star.top, br.RESPONSE_STEP)
     tracemalloc.start()

@@ -339,13 +339,11 @@ def _window_max(v, half):
     return np.lib.stride_tricks.sliding_window_view(np.pad(v, half), 2 * half + 1).max(axis=1)
 
 
-def _remainder_weight(n, m, profile, table, h):
-    """K = (max |psi| F_www + 3 max |P| F_ww) / r at the nodes of an _adjoint table, each
-    max over the PSI_SPAN around the node and r = Re lam_-: the weight of the cube of a
-    deviation d in the remainder of the zero's shift psi.d + d^T P d / 2, as d decays
-    like e^{-r (t-s)} below the node."""
-    t = profile.t_min + h * np.arange(len(table))
-    _, F_ww, F_www = _forces(m, profile.eval_w(t), t)
+def _remainder_weight(n, table, F_ww, F_www, h):
+    """K = (max |psi| F_www + 3 max |P| F_ww) / r at the nodes of an _adjoint table, given
+    F_ww and F_www there, each max over the PSI_SPAN around the node and r = Re lam_-: the
+    weight of the cube of a deviation d in the remainder of the zero's shift psi.d +
+    d^T P d / 2, as d decays like e^{-r (t-s)} below the node."""
     half = round(0.5 * PSI_SPAN / h)
     psi = _window_max(np.abs(table[:, :2]).max(axis=1), half)
     hessian = _window_max(np.abs(table[:, 2:5]).max(axis=1), half)
@@ -363,19 +361,19 @@ def _adjoint(n, m, profile, top, h):
     P(t_star) = [[-w*_tt / w*_t^3, 1 / w*_t^2], [1 / w*_t^2, 0]]:
     x' = 2 F_w y + F_ww b, y' = -x - (n-2) y + F_w z, z' = -2 y - 2 (n-2) z.
     K is _remainder_weight.  The five floats are integrated from t_star up by
-    classical RK4, with F_w and F_ww read at the nodes and midpoints.
+    classical RK4 from one _forces read at the nodes and midpoints.
     """
     steps, c = int((top - profile.t_min) / h), n - 2.0
     w_t = float(profile.w_t[0])
     w_tt = c * w_t - math.exp(g_tower(m, float(profile.w[0])) - 2.0 * profile.t_min)
     a, b, x, y, z = -1.0 / w_t, 0.0, -w_tt / w_t ** 3, 1.0 / (w_t * w_t), 0.0
     t = profile.t_min + 0.5 * h * np.arange(2 * steps + 1)
-    F_w, F_ww = (F.tolist() for F in _forces(m, profile.eval_w(t), t)[:2])
+    F_w, F_ww, F_www = _forces(m, profile.eval_w(t), t)
+    u, v = F_w.tolist(), F_ww.tolist()
     h2, h6 = 0.5 * h, h / 6.0
     # raw doubles: a list of row tuples would hold 0.57 MB more at (3, 1)
     rows = array.array("d", (a, b, x, y, z))
-    for u0, u1, u2, v0, v1, v2 in zip(F_w[:-1:2], F_w[1::2], F_w[2::2],
-                                      F_ww[:-1:2], F_ww[1::2], F_ww[2::2]):
+    for u0, u1, u2, v0, v1, v2 in zip(u[:-1:2], u[1::2], u[2::2], v[:-1:2], v[1::2], v[2::2]):
         a1, b1 = u0 * b, -a - c * b
         x1, y1, z1 = 2.0 * u0 * y + v0 * b, -x - c * y + u0 * z, -2.0 * y - 2.0 * c * z
         A, B, X, Y, Z = a + h2 * a1, b + h2 * b1, x + h2 * x1, y + h2 * y1, z + h2 * z1
@@ -393,7 +391,7 @@ def _adjoint(n, m, profile, top, h):
         rows.extend((a, b, x, y, z))
     table = np.empty((steps + 1, 6))
     table[:, :5] = np.frombuffer(rows).reshape(-1, 5)
-    table[:, 5] = _remainder_weight(n, m, profile, table, h)
+    table[:, 5] = _remainder_weight(n, table, F_ww[::2], F_www[::2], h)
     return table
 
 

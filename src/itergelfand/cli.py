@@ -24,7 +24,7 @@ from . import branch as br
 from . import equivalence as eq
 from . import expansions as ex
 from . import towers as tw
-from .corrector import EtaSpaceConfig, PicardConvergenceError, phi_m
+from .corrector import EtaSpaceConfig, PicardConvergenceError, check_dimension, phi_m
 from .numerics import atomic_write_text, fmt, panel_nodes, write_csv
 from .singular import DescentError, ansatz_terms, build_singular, ode_residual
 from .transform import write_profile_csv
@@ -38,9 +38,6 @@ EXIT_NUMERIC = 2
 # 236-point grid meets it at n = 423, where the trace takes about 20 s on a
 # shared 2-vCPU host
 MAX_TRACE_WORK = 10 ** 5
-# dimensions from here on are not exact doubles, and past about 1e308 not
-# doubles at all; the solvers compute with n as a double
-MAX_DIMENSION = 2 ** 53
 
 
 class UsageError(Exception):
@@ -75,24 +72,19 @@ class RunConfig:
     singular_ref: str | None = None
 
     def validate(self, heights=()):
-        """Refuse bad values; the corrector fields (T, t_max, tol) are checked
-        by the corrector's own rules at each tower height in `heights`."""
+        """Refuse bad values: n and m by the library's own rules, and the corrector
+        fields (T, t_max, tol) by the corrector's at each tower height in `heights`."""
         for name, cast in _FIELD_TYPES.items():
             value = getattr(self, name)
             if cast is float and value is not None and not math.isfinite(value):
                 raise UsageError(f"{name} must be finite")
-        if int(self.n) != self.n or self.n < 3:
-            raise UsageError("dimension n must be an integer >= 3")
-        if self.n >= MAX_DIMENSION:
-            raise UsageError("dimension n must be below 2**53, the range where a double "
-                             "holds it exactly")
-        if int(self.m) != self.m or self.m < 0:
-            raise UsageError("tower height m must be an integer >= 0")
-        for m in heights:
-            try:
+        try:
+            check_dimension(self.n)
+            tw.check_height(self.m)
+            for m in heights:
                 self.eta_config().resolved(m, self.n)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
     def eta_config(self):
         return EtaSpaceConfig(T=self.T, t_max=self.t_max, tol=self.tol)
@@ -425,9 +417,9 @@ _EVAL_KINDS = {
 def cmd_iterexp_eval(args):
     if not math.isfinite(args.at):
         raise UsageError(f"--at must be finite, not {args.at}")
-    m_min = 1 if args.kind == "gderiv" else 0
-    if args.m < m_min:
-        raise UsageError(f"--m must be >= {m_min} for --kind {args.kind}")
+    RunConfig(m=args.m).validate()
+    if args.kind == "gderiv" and args.m < 1:
+        raise UsageError("--m must be >= 1 for --kind gderiv")
     if args.kind == "ftail-inv" and args.at <= 0.0:
         raise UsageError("--kind ftail-inv needs --at > 0")
     try:

@@ -31,7 +31,6 @@ expm1/log1p, never forming exp(-2t + e^w) as a difference of large numbers.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -71,9 +70,14 @@ class PsiKernel:
 
 
 def check_dimension(n):
-    """A ValueError naming n unless it is a finite dimension >= 3."""
+    """A ValueError naming n unless it is a finite dimension >= 3 below 2**53."""
     if not 3 <= n < math.inf:
         raise ValueError(f"dimension n must be finite and >= 3, got n = {n!r}")
+    # dimensions from here on are not exact doubles, and past about 1e308 not
+    # doubles at all; the solvers compute with n as a double
+    if n >= 2 ** 53:
+        raise ValueError("dimension n must be below 2**53, the range where a double "
+                         "holds it exactly")
 
 
 # most points a construction may allocate: the descent samples below the
@@ -88,6 +92,9 @@ MAX_POINTS = 10 ** 6
 # Every default window stays below it (at most 8.04, at n = 12, m = 1).
 KERNEL_WIDTH = 12.0
 
+# most Picard sweeps of one solve
+MAX_SWEEPS = 60
+
 
 def _grid_size(n, T, t_max, n_nodes):
     """Nodes of the geometric corrector grid on [T, t_max]: n_nodes, raised where the
@@ -100,12 +107,8 @@ def _grid_size(n, T, t_max, n_nodes):
     return max(n_nodes, 1 + math.ceil(need))
 
 
-@functools.cache
 def _h_defined(m, y):
-    """Whether H_m(y) is defined in floats: H_0(y), ..., H_{m-1}(y) all > 0.
-
-    Cached: every branch shot that descends resolves the default window.
-    """
+    """Whether H_m(y) is defined in floats: H_0(y), ..., H_{m-1}(y) all > 0."""
     try:
         h_tower(m, y)
     except TowerDomainError:
@@ -120,7 +123,6 @@ class EtaSpaceConfig:
     T: float | None = None
     t_max: float | None = None
     tol: float = 1e-11
-    max_iter: int = 60
     n_nodes: int | None = None
 
     def resolved(self, m, n=None):
@@ -133,8 +135,6 @@ class EtaSpaceConfig:
         12 (n_nodes - 1) Gauss nodes meet MAX_POINTS.
         """
         # each check is written so that a NaN fails it
-        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
-            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.n_nodes is not None and not (isinstance(self.n_nodes, numbers.Integral)
                                              and self.n_nodes >= 2):
             raise ValueError(f"n_nodes must be None or an integer >= 2, got {self.n_nodes!r}")
@@ -257,6 +257,7 @@ def phi_m(n, m, t):
     m = 1, which is then used for t > 1.  At m = 0 the line 2t + phi_0 =
     2t + ln(2(n-2)) is the exact plain-exponential profile.
     """
+    check_dimension(n)
     m = check_height(m)
     phi, phi_t, phi_tt, _, _, _ = _ansatz_shift(n, m, t)
     return scalar_or_array(phi), scalar_or_array(phi_t), scalar_or_array(phi_tt)
@@ -374,7 +375,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, n_nodes):
     Returns the EtaSolution, or raises PicardConvergenceError naming n, m, T
     and the last defect when the defect does not reach cfg.tol: it stalls
     (three ratios of successive defects at or above 0.995), grows past 50
-    times the first, or cfg.max_iter sweeps run out.
+    times the first, or MAX_SWEEPS sweeps run out.
     """
     t_max = t_usable + cfg.pad(n)
     grid = np.geomspace(T, t_max, _grid_size(n, T, t_max, n_nodes))
@@ -391,7 +392,7 @@ def _solve_on_grid(n, m, cfg, T, t_usable, n_nodes):
     eta = np.zeros_like(grid)
     defects = []
     ratios = []
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_SWEEPS):
         eta_new, eta_t = plan.apply_psi(Fq)
         defect = float(np.max(grid ** 2 * np.abs(eta_new - eta)))
         if defects:

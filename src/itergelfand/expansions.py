@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corrector import check_dimension
 from .numerics import envelope_slope, scalar_or_array
-from .towers import _h_derivative_chains
+from .towers import _h_derivative_chains, check_height
 
 
 @dataclass
@@ -43,7 +44,10 @@ def expansion_w(n, m, t):
     sum_{j=1..m} H_j(2t), plus H'_1(2t) ln(t) / (2t) at m = 1, the first-order
     part of the ansatz term c = ln(1 + ln t / (2t)).  At n = 3, m = 1 this is
     the four-term expansion ln(2t) - ln(t)/(2t) - ln^2(t)/(8t^2) + ln(t)/(4t^2).
+    n and m are checked by check_dimension and check_height first.
     """
+    check_dimension(n)
+    m = check_height(m)
     if m < 1:
         raise ValueError("tower height must be >= 1")
     t = np.asarray(t, dtype=float)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import EtaSolution, phi_m, picard_solve
+from .corrector import EtaSolution, check_dimension, phi_m, picard_solve
 from .numerics import differentiate
 from .rk import acceleration, solve_ivp
-from .towers import MAX_EXP_ARG, _h_derivative_chains, g_tower
+from .towers import MAX_EXP_ARG, _h_derivative_chains, check_height, g_tower
 from .transform import LogProfile
 
 
@@ -92,6 +92,7 @@ def descend(n, m, t, w, w_t, rtol, atol, t_floor=FLOOR, *, dense_output, stop_at
     the descent reaches t_floor without a zero, unless stop_at_floor is
     set, which returns (None, sol) then.
     """
+    m = check_height(m)
     accel = acceleration(f"""
         try:
             x = {"exp(" * m}y{")" * m} - 2.0 * t
@@ -129,6 +130,7 @@ def integrate_down(profile, n, m, t_floor=FLOOR, rtol=1e-12, atol=1e-14):
     profile) where the extension carries integrator samples, SAMPLE_STEP
     apart, below the handoff and the original samples above it.
     """
+    check_dimension(n)
     t_hand_target = profile.t_min + HANDOFF_OFFSET
     idx = int(np.searchsorted(profile.t, t_hand_target))
     if idx >= len(profile.t):
@@ -181,6 +183,7 @@ def ode_residual(profile, n, m):
     being checked; the defect is normalized pointwise by the largest term.
     DescentError names the first t where the force exp(G_m(w) - 2t) overflows.
     """
+    check_dimension(n)
     t, w, w_t = profile.t, profile.w, profile.w_t
     w_tt = differentiate(t, w_t, order=1, stencil=7)
     expo = g_tower(m, w) - 2.0 * t

@@ -140,13 +140,14 @@ def h_deriv(m, k, t):
 
 
 def g_deriv(m, k, y):
-    """k-th derivative of G_m at y, k in {1, 2, 3}.
+    """k-th derivative of G_m at y, k in {1, 2, 3}, for a tower height m >= 1 (check_height).
 
     Chain rule gives G'_m = prod_{j=1..m} G_j; higher orders follow from
     differentiating the recursion G'_m = G_m G'_{m-1}.
     """
     if k not in (1, 2, 3):
         raise ValueError("derivative order must be 1, 2 or 3")
+    m = check_height(m)
     if m < 1:
         raise ValueError("tower height must be >= 1 for derivatives")
     return scalar_or_array(_g_levels(m, np.asarray(y, dtype=float))[k])

@@ -506,7 +506,9 @@ def first_order(star, n, m):
     """star with its table's Hessian P set to 0, and its K recomputed without it."""
     table = star.table.copy()
     table[:, 2:5] = 0.0
-    table[:, 5] = br._remainder_weight(n, m, star.profile, table, br.RESPONSE_STEP)
+    t = star.profile.t_min + br.RESPONSE_STEP * np.arange(len(table))
+    _, F_ww, F_www = br._forces(m, star.profile.eval_w(t), t)
+    table[:, 5] = br._remainder_weight(n, table, F_ww, F_www, br.RESPONSE_STEP)
     return star._replace(table=table)
 
 

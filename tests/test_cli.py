@@ -501,7 +501,7 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     (["bifurcation", "trace", "--rho-step", "1e-9"], None),
     (["iterexp", "eval", "--kind", "g", "--at", "nan"], "--at must be finite"),
     (["iterexp", "eval", "--kind", "ftail", "--at=-inf"], "--at must be finite"),
-    (["iterexp", "eval", "--kind", "h", "--m", "-1", "--at", "2"], "--m must be >= 0"),
+    (["iterexp", "eval", "--kind", "h", "--m", "-1", "--at", "2"], "m must be an integer >= 0"),
     (["iterexp", "eval", "--kind", "gderiv", "--m", "0", "--at", "1"], "--m must be >= 1"),
     (["iterexp", "eval", "--kind", "hderiv", "--k", "5", "--at", "20"], "--k"),
     (["iterexp", "eval", "--kind", "ftail-inv", "--at", "inf"], "--at must be finite"),

@@ -1,14 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, _solve_on_grid,
-                                   picard_solve)
+from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
+                                   _solve_on_grid, phi_m, picard_solve)
 import itergelfand.branch as br
+from itergelfand.expansions import expansion_w
 from itergelfand.singular import (DescentError, ansatz_terms, assemble_w, build_singular,
                                   integrate_down, ode_residual)
-from itergelfand.towers import h_deriv
+from itergelfand.towers import TowerOverflowError, g_deriv, g_tower, h_deriv
 from itergelfand.transform import LogProfile
 
 
@@ -31,7 +35,6 @@ def test_assembled_slope_approaches_reciprocal(sol_n3m1):
 
 def test_assembled_slope_m2(sol_n3m2):
     # t^2 |w_t - 2 H'_m(2t + phi)| bounded for m >= 2
-    from itergelfand.corrector import phi_m
     prof = sol_n3m2.profile
     sel = prof.t >= sol_n3m2.handoff_t
     t = prof.t[sel]
@@ -165,6 +168,71 @@ def test_build_rejects_bad_arguments():
         build_singular(2, 1)
     with pytest.raises(ValueError):
         build_singular(3, -1)
+
+
+# calls that break the rule on n or m, and the one they name
+_BAD_CALLS = {
+    "g_deriv(2.5, 1, 0)": (lambda p: g_deriv(2.5, 1, 0.0), "m"),
+    "expansion_w(3, 1.5, 5)": (lambda p: expansion_w(3, 1.5, 5.0), "m"),
+    "integrate_down(p, 3, 1.5)": (lambda p: integrate_down(p, 3, 1.5), "m"),
+    "integrate_down(p, 3, -1)": (lambda p: integrate_down(p, 3, -1), "m"),
+    "phi_m(2, 1, 5)": (lambda p: phi_m(2, 1, 5.0), "n"),
+    "ansatz_terms(2, 1, 5)": (lambda p: ansatz_terms(2, 1, 5.0), "n"),
+    "expansion_w(2, 1, 5)": (lambda p: expansion_w(2, 1, 5.0), "n"),
+    "phi_m(nan, 1, 5)": (lambda p: phi_m(math.nan, 1, 5.0), "n"),
+    "ode_residual(p, 2, 0)": (lambda p: ode_residual(p, 2, 0), "n"),
+    "ode_residual(p, nan, 0)": (lambda p: ode_residual(p, math.nan, 0), "n"),
+    "PsiKernel.for_dimension(10**400)": (lambda p: PsiKernel.for_dimension(10 ** 400), "n"),
+    "shoot_regular(10**400, 1, 2)": (lambda p: br.shoot_regular(10 ** 400, 1, 2.0), "n"),
+    "build_singular(10**400, 1)": (lambda p: build_singular(10 ** 400, 1), "n"),
+}
+
+
+@pytest.mark.parametrize("label", list(_BAD_CALLS))
+def test_every_entry_refuses_a_bad_dimension_or_height_by_name(sol_oracle_n3, label):
+    # these ended in a TypeError from range or from the descent's source text, a
+    # "math domain error", an OverflowError converting n to a double, or returned:
+    # phi_m at n = NaN a NaN, ode_residual at n = 2 or NaN a number, and
+    # integrate_down at m = -1 the zero of the m = 0 equation
+    call, named = _BAD_CALLS[label]
+    what = {"n": "dimension n must", "m": "tower height m must"}[named]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=what):
+            call(sol_oracle_n3.profile)
+
+
+# the package's documented exceptions; TowerDomainError is a ValueError
+_DOCUMENTED = (ValueError, TowerOverflowError, PicardConvergenceError, DescentError,
+               br.ShootError)
+# the exported functions that take n or m, at fixed other arguments
+_ENTRIES = [
+    lambda n, m, p: build_singular(n, m),
+    lambda n, m, p: picard_solve(n, m),
+    lambda n, m, p: br.shoot_regular(n, m, 1.0, keep_profile=False),
+    lambda n, m, p: phi_m(n, m, 20.0),
+    lambda n, m, p: ansatz_terms(n, m, 20.0),
+    lambda n, m, p: expansion_w(n, m, 20.0),
+    lambda n, m, p: g_deriv(m, 2, 0.5),
+    lambda n, m, p: h_deriv(m, 2, 20.0),
+    lambda n, m, p: g_tower(m, 0.5),
+    lambda n, m, p: ode_residual(p, n, m),
+    lambda n, m, p: PsiKernel.for_dimension(n),
+]
+_ODD = [math.nan, math.inf, -math.inf, -1, -2.5, 0, 2, 1.5, 3.5, 2.0, 2 ** 53, 10 ** 400]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from(_ODD + [3, 4, 12, 2 ** 53 - 1]), m=st.sampled_from(_ODD + [1, 3]))
+def test_every_entry_returns_or_raises_as_documented(sol_n3m1, n, m):
+    # any n and m, valid or not, give a value or a documented exception, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in _ENTRIES:
+            try:
+                call(n, m, sol_n3m1.profile)
+            except _DOCUMENTED:
+                pass
 
 
 def test_m2_descent(sol_n3m2):

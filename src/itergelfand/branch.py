@@ -84,6 +84,8 @@ PSI_SPAN = 5.0
 REMAINDER_TOL = 1e-14
 RESPONSE_STEP = 0.02
 RESPONSE_GUARD = 12.0
+# classical RK4 damps a mode of real rate -r at step h when r h <= RK4_STABLE
+RK4_STABLE = 2.785
 # a shot with a t_match is counted down to _GUARD_WINDOW below where its difference
 # to w* is aimed to decay to half of _GUARD_MARGIN of the noise tolerance, when it
 # stays within _GUARD_MARGIN over that window (over 103 shots at n = 3..12 the
@@ -361,16 +363,20 @@ def _adjoint(n, m, profile, top, h):
     P(t_star) = [[-w*_tt / w*_t^3, 1 / w*_t^2], [1 / w*_t^2, 0]]:
     x' = 2 F_w y + F_ww b, y' = -x - (n-2) y + F_w z, z' = -2 y - 2 (n-2) z.
     K is _remainder_weight.  The five floats are integrated from t_star up by
-    classical RK4 from one _forces read at the nodes and midpoints.
+    classical RK4 from one _forces read at the substeps' ends and midpoints, in as
+    many substeps per node as keep the fastest mode, z's -2 (n-2), inside RK4's
+    stability interval; every n <= 71 takes one.
     """
     steps, c = int((top - profile.t_min) / h), n - 2.0
+    sub = max(1, math.ceil(2.0 * c * h / RK4_STABLE))
     w_t = float(profile.w_t[0])
     w_tt = c * w_t - math.exp(g_tower(m, float(profile.w[0])) - 2.0 * profile.t_min)
     a, b, x, y, z = -1.0 / w_t, 0.0, -w_tt / w_t ** 3, 1.0 / (w_t * w_t), 0.0
-    t = profile.t_min + 0.5 * h * np.arange(2 * steps + 1)
+    hs = h / sub
+    t = profile.t_min + 0.5 * hs * np.arange(2 * sub * steps + 1)
     F_w, F_ww, F_www = _forces(m, profile.eval_w(t), t)
     u, v = F_w.tolist(), F_ww.tolist()
-    h2, h6 = 0.5 * h, h / 6.0
+    h2, h6 = 0.5 * hs, hs / 6.0
     # raw doubles: a list of row tuples would hold 0.57 MB more at (3, 1)
     rows = array.array("d", (a, b, x, y, z))
     for u0, u1, u2, v0, v1, v2 in zip(u[:-1:2], u[1::2], u[2::2], v[:-1:2], v[1::2], v[2::2]):
@@ -382,7 +388,7 @@ def _adjoint(n, m, profile, top, h):
         A, B, X, Y, Z = a + h2 * a2, b + h2 * b2, x + h2 * x2, y + h2 * y2, z + h2 * z2
         a3, b3 = u1 * B, -A - c * B
         x3, y3, z3 = 2.0 * u1 * Y + v1 * B, -X - c * Y + u1 * Z, -2.0 * Y - 2.0 * c * Z
-        A, B, X, Y, Z = a + h * a3, b + h * b3, x + h * x3, y + h * y3, z + h * z3
+        A, B, X, Y, Z = a + hs * a3, b + hs * b3, x + hs * x3, y + hs * y3, z + hs * z3
         a4, b4 = u2 * B, -A - c * B
         x4, y4, z4 = 2.0 * u2 * Y + v2 * B, -X - c * Y + u2 * Z, -2.0 * Y - 2.0 * c * Z
         a, b = a + h6 * (a1 + 2.0 * (a2 + a3) + a4), b + h6 * (b1 + 2.0 * (b2 + b3) + b4)
@@ -390,8 +396,8 @@ def _adjoint(n, m, profile, top, h):
         z = z + h6 * (z1 + 2.0 * (z2 + z3) + z4)
         rows.extend((a, b, x, y, z))
     table = np.empty((steps + 1, 6))
-    table[:, :5] = np.frombuffer(rows).reshape(-1, 5)
-    table[:, 5] = _remainder_weight(n, table, F_ww[::2], F_www[::2], h)
+    table[:, :5] = np.frombuffer(rows).reshape(-1, 5)[::sub]
+    table[:, 5] = _remainder_weight(n, table, F_ww[::2 * sub], F_www[::2 * sub], h)
     return table
 
 

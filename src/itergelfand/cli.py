@@ -9,7 +9,6 @@ artifact so runs can be reproduced from their outputs alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import os
@@ -313,12 +312,6 @@ def _suite_iterexp(cfg, sol):
     return [Check(label, float(value), bound) for label, value, bound in rows]
 
 
-def _write_records(path, records):
-    """CSV with one column per dataclass field and one row per record."""
-    header = [f.name for f in fields(records[0])]
-    write_csv(path, header, [[getattr(r, key) for r in records] for key in header])
-
-
 # slack on the 10 M weighted-sup bounds for rounding: at m = 0 the corrector
 # vanishes and M = 0, while t^2 |w_t - 2| reads up to 3.3e-12 (n <= 12) at the
 # descent's first samples in the window
@@ -357,7 +350,12 @@ def _suite_asymptotics(cfg, sol):
 
 
 def _suite_miyamoto(cfg, sol):
-    rep = eq.equivalence_report(sol)
+    try:
+        rep = eq.equivalence_report(sol)
+    except ValueError as exc:
+        # a window whose tail above the handoff holds too few profile samples
+        raise UsageError(f"T = {sol.eta.T:g} and t_max = {sol.eta.t_usable:g} are too close "
+                         f"for verify miyamoto: {exc}") from exc
     write_csv(os.path.join(cfg.outdir, "equivalence_trace.csv"),
               ["t", "x_star", "y_star"], [rep.t, rep.x_star, rep.y_star])
     return [Check("tail_sup", rep.tail_sup, eq.TAIL_BOUND),
@@ -376,30 +374,29 @@ def _verify_heights(cfg, suite):
 
 def cmd_verify(cfg, suite):
     built = {}   # one singular solution per tower height, shared by the suites
-    checked = {}
-    if "asymptotics" in _verify_heights(cfg, suite):
-        # its checks refuse a T too small for their windows before any suite prints or
-        # writes; a build that fails here fails again in its turn, after the suites before it
-        with contextlib.suppress(PicardConvergenceError, DescentError):
-            built[cfg.m] = build_singular(cfg.n, cfg.m, cfg.eta_config())
-            checked["asymptotics"] = _suite_asymptotics(cfg, built[cfg.m])
-    results = {}
-    any_fail = False
+    checked = {}   # suite name: (m, its checks), printed and written once all are checked
+    failure = None
     try:
         for name, m in _verify_heights(cfg, suite).items():
             if m is not None and m not in built:
                 built[m] = build_singular(cfg.n, m, cfg.eta_config())
-            rows = checked.pop(name, None) or _SUITES[name](cfg, built.get(m))
-            ok = all(r.passed for r in rows)
-            any_fail |= not ok
-            results.update({f"{name}_m": str(m), f"{name}_passed": str(ok)})
-            print(json.dumps({"suite": name, "m": m, "passed": ok, "checks": len(rows),
-                              "failed": [r.label for r in rows if not r.passed]}))
-            _write_records(os.path.join(cfg.outdir, f"verify_{name}.csv"), rows)
-    finally:
-        # also when a later suite's build fails: the CSVs written so far stay traceable
-        _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
-    return EXIT_NUMERIC if any_fail else EXIT_OK
+            checked[name] = m, _SUITES[name](cfg, built.get(m))
+    except (PicardConvergenceError, DescentError) as exc:
+        # a failed build still prints and writes the suites checked before it, and meta.txt
+        failure = exc
+    results = {}
+    header = [f.name for f in fields(Check)]
+    for name, (m, rows) in checked.items():
+        ok = all(r.passed for r in rows)
+        results.update({f"{name}_m": str(m), f"{name}_passed": str(ok)})
+        print(json.dumps({"suite": name, "m": m, "passed": ok, "checks": len(rows),
+                          "failed": [r.label for r in rows if not r.passed]}))
+        write_csv(os.path.join(cfg.outdir, f"verify_{name}.csv"), header,
+                  [[getattr(r, key) for r in rows] for key in header])
+    _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
+    if failure is not None:
+        raise failure
+    return EXIT_OK if all(r.passed for _, rows in checked.values() for r in rows) else EXIT_NUMERIC
 
 
 # `iterexp eval --kind` choices and the tower primitive each one evaluates
@@ -433,7 +430,7 @@ def cmd_iterexp_eval(args):
 
 def _add_common(p):
     p.add_argument("--n", type=int, default=None, help="space dimension (>= 3)")
-    p.add_argument("--m", type=int, default=None, help="tower height (>= 0; 0 is e^u)")
+    p.add_argument("--m", type=int, default=None, help="tower height (0 to 5; 0 is e^u)")
     p.add_argument("--oracle-gelfand", dest="oracle", action="store_true",
                    help="the Gelfand oracle m = 0, overriding --m")
     p.add_argument("--T", type=float, default=None)

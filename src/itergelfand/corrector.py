@@ -95,6 +95,9 @@ KERNEL_WIDTH = 12.0
 # most Picard sweeps of one solve
 MAX_SWEEPS = 60
 
+# the singular descent starts at the first grid node this far or farther above T
+HANDOFF_OFFSET = 5.0
+
 
 def _grid_size(n, T, t_max, n_nodes):
     """Nodes of the geometric corrector grid on [T, t_max]: n_nodes, raised where the
@@ -132,7 +135,8 @@ class EtaSpaceConfig:
         on [T, t_max + pad(n)]: the geometric count of [T, t_max] rescaled to
         the padded window, raised by _grid_size.  Without n it is the count of
         [T, t_max], which no dimension's grid falls below.  The grid's
-        12 (n_nodes - 1) Gauss nodes meet MAX_POINTS.
+        12 (n_nodes - 1) Gauss nodes meet MAX_POINTS.  Given n, the window must also
+        hold a grid node at or past T + HANDOFF_OFFSET, where the singular descent starts.
         """
         # each check is written so that a NaN fails it
         if self.n_nodes is not None and not (isinstance(self.n_nodes, numbers.Integral)
@@ -143,12 +147,7 @@ class EtaSpaceConfig:
             raise ValueError("T must be >= 1, and > 1 at m = 1, whose ansatz shift "
                              "is defined for t > 1")
         # H_m(2T) needs T > G_{m-1}(0) / 2: e/2 at m = 3, 7.58 at m = 4, 1.9e6 at m = 5
-        try:
-            floor = 0.5 * tower_domain_lower(m)
-        except OverflowError:
-            raise ValueError(f"T = {T:g} is refused at m = {m}: the ansatz H_{m}(2T) is "
-                             f"defined only for T > G_{m - 1}(0) / 2, which is not a double"
-                             ) from None
+        floor = 0.5 * tower_domain_lower(m)
         # a T a few ulps above the floor can still round H_{m-1}(2T) to 0
         if T <= floor or not _h_defined(m, 2.0 * T):
             raise ValueError(f"T = {T:g} is not above G_{m - 1}(0) / 2 = {floor:.6g} by more "
@@ -177,6 +176,11 @@ class EtaSpaceConfig:
         if gauss > MAX_POINTS:
             raise ValueError(f"the corrector on [T, t_max] = [{T:g}, {t_max:g}] asks for "
                              f"{gauss:.3g} quadrature nodes, more than {MAX_POINTS:.0e}")
+        if n is not None:
+            grid = np.geomspace(T, t_max + self.pad(n), n_nodes)
+            if not np.any((grid >= T + HANDOFF_OFFSET) & (grid <= t_max)):
+                raise ValueError(f"the window [T, t_max] = [{T:g}, {t_max:g}] holds no grid node "
+                                 f"at or past T + {HANDOFF_OFFSET:g}, where the descent starts")
         return T, t_max, n_nodes
 
     def pad(self, n):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corrector import check_dimension
 from .numerics import scalar_or_array
 from .towers import f_tail_log
 
@@ -45,6 +46,7 @@ def x_star(n, t, w):
     w holds the values w*(t).  The product of the huge e^{2t} and the tiny F
     is never formed; the exponent 2t + log F is built first.
     """
+    check_dimension(n)
     t = np.asarray(t, dtype=float)
     w = np.asarray(w, dtype=float)
     return scalar_or_array(2.0 * (n - 2) * np.exp(2.0 * t + f_tail_log(w)) - 1.0)
@@ -56,6 +58,7 @@ def y_star(n, t, w, w_t):
     w and w_t hold the values w*(t) and w*_t(t).  Both terms are assembled
     in log domain; the second uses the exponent 2t - e^{w*} directly.
     """
+    check_dimension(n)
     t = np.asarray(t, dtype=float)
     w = np.asarray(w, dtype=float)
     wt = np.asarray(w_t, dtype=float)

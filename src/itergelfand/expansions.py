@@ -27,7 +27,7 @@ class ExpansionReport:
     empirical_slope: float
 
 
-def expansion_grad_m1(n, r):
+def expansion_grad_m1(r):
     """Two-term gradient expansion 1/(r L) + ln(L)/(2 r L^2), L = ln(1/r)."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0) or np.any(r >= math.exp(-1.0)):
@@ -94,5 +94,5 @@ def gradient_residual_constant(sol, window):
     t = sol.profile.t[sel]
     r = np.exp(-t)
     measured = np.abs(sol.profile.w_t[sel]) / r
-    expected = expansion_grad_m1(sol.n, r)
+    expected = expansion_grad_m1(r)
     return float(np.max(np.abs(measured - expected) * r * t ** 2))

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import EtaSolution, check_dimension, phi_m, picard_solve
+from .corrector import HANDOFF_OFFSET, EtaSolution, check_dimension, phi_m, picard_solve
 from .numerics import differentiate
 from .rk import acceleration, solve_ivp
 from .towers import MAX_EXP_ARG, _h_derivative_chains, check_height, g_tower
 from .transform import LogProfile
 
 
-# the descent starts this far above the left end of the corrector window
-HANDOFF_OFFSET = 5.0
 # spacing of the descent samples kept below the handoff
 SAMPLE_STEP = 0.01
 # the descent looks for the zero of w down to this t

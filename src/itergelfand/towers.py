@@ -22,6 +22,8 @@ from .numerics import brent, scalar_or_array
 
 # exp overflows doubles just above this argument
 MAX_EXP_ARG = 709.78
+# tallest tower: G_6(y) > exp(G_5(-inf)) = exp(e^(e^e)), about e^(3.8e6), for every y
+MAX_HEIGHT = 5
 # terms of the power series of E_1: for x <= 1 the last is below 1e-19 of E_1(x)
 _SERIES_TERMS = 20
 # levels of its continued fraction: for x > 1 the truncation there stays below
@@ -46,9 +48,10 @@ class TowerDomainError(ValueError):
 
 
 def check_height(m):
-    """m as an int if it is a tower height, an integer >= 0; else a ValueError naming m."""
-    if not isinstance(m, numbers.Integral) or m < 0:
-        raise ValueError(f"tower height m must be an integer >= 0, got m = {m!r}")
+    """m as an int if it is a tower height, an integer from 0 to MAX_HEIGHT, else a ValueError."""
+    if not isinstance(m, numbers.Integral) or not 0 <= m <= MAX_HEIGHT:
+        raise ValueError(f"tower height m must be an integer >= 0 and <= {MAX_HEIGHT}, where "
+                         f"G_m(y) is a double for some y, got m = {m!r}")
     return int(m)
 
 

@@ -33,10 +33,10 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import itergelfand.branch as br
 import itergelfand.rk as rk
-from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel, _ForcingM,
-                                   _QuadPlan, _solve_on_grid, _sweep, phi_m)
+from itergelfand.corrector import (HANDOFF_OFFSET, EtaSpaceConfig, PicardConvergenceError,
+                                   PsiKernel, _ForcingM, _QuadPlan, _solve_on_grid, _sweep, phi_m)
 from itergelfand.numerics import panel_nodes, scalar_or_array
-from itergelfand.singular import HANDOFF_OFFSET, ansatz_terms
+from itergelfand.singular import ansatz_terms
 from itergelfand.towers import (MAX_EXP_ARG, TowerOverflowError, f_tail_inverse_log, f_tail_log,
                                 h_deriv, h_tower, tower_domain_lower)
 from itergelfand.transform import LogProfile

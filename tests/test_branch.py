@@ -621,6 +621,22 @@ def test_response_table_converges_in_its_step(n, m):
     assert len(table) == len(fine) and max(error[:2]) < 1e-9 and max(error[2:5]) < 1e-7
 
 
+@pytest.mark.parametrize("n", [72, 100, 150, 300])
+def test_response_table_stays_finite_in_high_dimension(n):
+    # the z mode decays at rate 2 (n-2): one RK4 step of 0.02 per node left P
+    # unstable from n = 72 (NaN at n = 100) and psi from n = 142; the substeps keep
+    # every entry finite, within the step tolerances above of a half-step table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        star = br._singular(n, 1)
+        table = star.table
+        half = br._adjoint(n, 1, star.profile, star.top, br.RESPONSE_STEP / 2.0)[::2]
+    assert np.all(np.isfinite(table)) and len(half) >= len(table)
+    guard = int(br.RESPONSE_GUARD / br.RESPONSE_STEP)
+    error = np.max(np.abs(table[guard:] - half[guard:len(table)]), axis=0)
+    assert max(error[:2]) < 1e-9 and max(error[2:5]) < 1e-7
+
+
 @pytest.mark.parametrize("n, m", [(3, 0), (3, 1), (5, 1), (12, 1), (3, 2), (9, 2), (3, 3)])
 def test_psi_bound_holds_above_the_table(n, m):
     # the ball rule bounds |a| + |b| above the table's top by its largest value over

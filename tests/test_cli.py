@@ -13,7 +13,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import itergelfand
@@ -256,10 +256,21 @@ def test_verify_all_builds_each_height_once(tmp_path, capsys, monkeypatch, m, he
     assert not (tmp_path / "expansion_reports.csv").exists()
 
 
-def test_verify_writes_meta_when_a_later_build_fails(tmp_path, capsys):
-    # the m = 4 profile is negative where the descent starts, after iterexp ran
+def test_verify_writes_meta_when_a_later_build_fails(tmp_path, capsys, monkeypatch):
+    # the m = 4 profile is negative where the descent starts, after iterexp ran:
+    # its corrector is solved once, and the iterexp suite is still printed and written
+    heights = []
+    solve = corrector._solve_on_grid
+
+    def recorded(n, m, *args):
+        heights.append(m)
+        return solve(n, m, *args)
+    monkeypatch.setattr(corrector, "_solve_on_grid", recorded)
     assert run_cli(["verify", "all", "--n", "3", "--m", "4", "--outdir", str(tmp_path)]) == 2
-    assert "numeric failure" in capsys.readouterr().err
+    assert heights == [4]
+    out, err = capsys.readouterr()
+    assert "numeric failure" in err and "Traceback" not in err
+    assert [json.loads(line)["suite"] for line in out.splitlines()] == ["iterexp"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["meta.txt", "verify_iterexp.csv"]
     meta = cli._read_sections(tmp_path / "meta.txt", "meta.txt")
     assert meta["config"]["m"] == "4"
@@ -273,6 +284,16 @@ def test_verify_all_refuses_a_short_T_before_any_suite_writes(tmp_path, capsys):
                     "--outdir", str(tmp_path)]) == 1
     out, err = capsys.readouterr()
     assert err.startswith("usage error: T = 2 ") and "Traceback" not in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_verify_refuses_a_thin_miyamoto_tail_before_it_writes(tmp_path, capsys):
+    # the m = 1 build succeeds, but above its handoff the window holds too few
+    # samples for the tail checks: a usage error naming T and t_max, with no output
+    assert run_cli(["verify", "miyamoto", "--n", "3", "--m", "1", "--T", "1.8",
+                    "--t-max", "7.2", "--outdir", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("usage error: T = 1.8 and t_max = 7.2 ") and "Traceback" not in err
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
@@ -531,8 +552,9 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
     # T at or below G_{m-1}(0) / 2, where the ansatz H_m(2T) is undefined
     (["singular", "construct", "--n", "3", "--m", "3", "--T", "1.2"], "T = 1.2"),
     (["singular", "construct", "--m", "5"], "G_4(0) / 2 = 1.90714e+06"),
-    (["singular", "construct", "--m", "6"], "not a double"),
-    (["singular", "construct", "--m", "100"], "not a double"),
+    # no G_m of height m >= 6 is a double
+    (["singular", "construct", "--m", "6"], "m must be an integer >= 0 and <= 5"),
+    (["singular", "construct", "--m", "100"], "m must be an integer >= 0 and <= 5"),
     # a rho grid whose point count is an inf quotient meets the work bound
     (["bifurcation", "trace", "--rho-step", "1e-320"], "shots times n"),
     # one ulp above e/2, where H_2(2T) rounds to 0 and H_3(2T) is undefined
@@ -540,6 +562,15 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
      "T = 1.35914"),
     # a reference whose [config] the corrector refuses
     (TRACE + ["--lambda-star", "{tmp}/ref-T0.5"], "{tmp}/ref-T0.5/meta.txt"),
+    # the tower height past 5 is refused by every command
+    (["bifurcation", "trace", "--m", "6"], "got m = 6"),
+    (["verify", "all", "--m", "6"], "got m = 6"),
+    (["iterexp", "eval", "--kind", "g", "--m", "6", "--at", "-5"], "got m = 6"),
+    # windows with no corrector grid node past T + 5, where the descent starts
+    (["singular", "construct", "--n", "3", "--m", "1", "--T", "1.01", "--t-max", "4.04"],
+     "[T, t_max] = [1.01, 4.04]"),
+    (["verify", "miyamoto", "--n", "3", "--m", "2", "--T", "1.2", "--t-max", "4.8"],
+     "[T, t_max] = [1.2, 4.8]"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange
@@ -642,8 +673,9 @@ def test_construct_ends_every_window_as_documented(m, T):
 # zero, tiny, and no number at all
 _ODD_VALUES = ["nan", "inf", "-inf", "-1", "-1e-300", "0", "1e-300", "5e-324", "1e-9",
                "abc", "", "1e", "0x10", "1,5", "--"]
-# the finite range each flag is drawn from; --rho-max is always given and at most
-# 1.2 unless it is the odd one, so a trace is a few dozen short shots
+# the finite range each flag is drawn from, --t-max only without --T (given T, it
+# is 4 to 16 times T); --rho-max is always given and at most 1.2 unless it is the
+# odd one, so a trace is a few dozen short shots
 _FLAG_RANGES = {"--T": (0.5, 40.0), "--t-max": (50.0, 2000.0), "--tol": (1e-14, 1e-2),
                 "--rho-min": (1e-3, 1.0), "--rho-max": (0.05, 1.2),
                 "--rho-step": (0.01, 0.5)}
@@ -662,6 +694,11 @@ def _cli_runs(draw):
     values = {flag: draw(st.floats(*_FLAG_RANGES[flag]).map(repr) if flag == "--rho-max"
                          else st.one_of(st.none(), st.floats(*_FLAG_RANGES[flag]).map(repr)))
               for flag in flags}
+    if values["--T"] is not None:
+        # given T, t_max is drawn from 4T up: a window may then end below the
+        # descent's start or leave the miyamoto tail too thin
+        values["--t-max"] = draw(st.one_of(st.none(), st.floats(4.0, 16.0).map(
+            lambda k: repr(k * float(values["--T"])))))
     odd = draw(st.one_of(st.none(), st.sampled_from(flags)))
     if odd is not None:
         values[odd] = draw(st.sampled_from(_ODD_VALUES))
@@ -675,6 +712,10 @@ def _cli_runs(draw):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(argv=_cli_runs())
+# windows that end below the descent's start, and one whose miyamoto tail is too thin
+@example(argv=["singular", "construct", "--n", "3", "--m", "1", "--T", "1.01", "--t-max", "4.04"])
+@example(argv=["verify", "miyamoto", "--n", "3", "--m", "2", "--T", "1.2", "--t-max", "4.8"])
+@example(argv=["verify", "miyamoto", "--n", "3", "--m", "1", "--T", "1.8", "--t-max", "7.2"])
 def test_every_run_ends_as_documented(argv):
     # any command with any of these values exits 0, 1 (usage) or 2 (numeric
     # failure), without a traceback or a warning

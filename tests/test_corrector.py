@@ -393,6 +393,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="> 1 at m = 1"):
         EtaSpaceConfig(T=1.0).resolved(1)
     assert EtaSpaceConfig(T=1.0).resolved(2)[0] == 1.0
+    # given n, the usable window must hold a grid node where the descent starts
+    with pytest.raises(ValueError, match=r"no grid node at or past T \+ 5"):
+        EtaSpaceConfig(T=1.01, t_max=4.04).resolved(1, 3)
 
 
 @pytest.mark.parametrize("field, value", [("T", math.nan), ("t_max", math.nan), ("tol", math.nan),
@@ -461,11 +464,12 @@ def test_picard_fails_just_above_the_domain_floor_without_warning():
 @pytest.mark.parametrize("m, T, named", [
     (3, 1.2, "G_2(0) / 2 = 1.35914"), (3, math.e / 2, "G_2(0) / 2 = 1.35914"),
     (4, 7.5, "G_3(0) / 2 = 7.57713"), (5, None, "G_4(0) / 2 = 1.90714e+06"),
-    (6, None, "not a double"), (100, None, "not a double"),
+    (6, None, "tower height m must"), (100, None, "tower height m must"),
     (3, 1.3591409142295228, "G_2(0) / 2 = 1.35914")])
 def test_resolved_refuses_T_at_or_below_the_domain_floor(m, T, named):
     # H_m(2T) is undefined for 2T <= G_{m-1}(0); from m = 6 on that floor is no
-    # double.  One ulp above e/2, log(2T) rounds to 1 and H_2(2T) to 0
+    # double, and the height itself is refused.  One ulp above e/2, log(2T)
+    # rounds to 1 and H_2(2T) to 0
     with pytest.raises(ValueError, match=re.escape(named)):
         EtaSpaceConfig(T=T).resolved(m)
 

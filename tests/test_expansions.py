@@ -76,9 +76,9 @@ def test_expansion_w_at_m1_is_four_term():
 def test_expansion_grad_m1_substitution():
     r = math.exp(-10.0)
     expect = 1.0 / (r * 10.0) + math.log(10.0) / (2.0 * r * 100.0)
-    assert expansion_grad_m1(3, r) == pytest.approx(expect, rel=1e-14)
+    assert expansion_grad_m1(r) == pytest.approx(expect, rel=1e-14)
     with pytest.raises(ValueError):
-        expansion_grad_m1(3, 0.5)
+        expansion_grad_m1(0.5)
 
 
 def test_expansion_w_m2_tower_values():

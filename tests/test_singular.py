@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from itergelfand.corrector import (EtaSpaceConfig, PicardConvergenceError, PsiKernel,
                                    _solve_on_grid, phi_m, picard_solve)
 import itergelfand.branch as br
+from itergelfand.equivalence import x_star, y_star
 from itergelfand.expansions import expansion_w
 from itergelfand.singular import (DescentError, ansatz_terms, assemble_w, build_singular,
                                   integrate_down, ode_residual)
@@ -176,6 +177,10 @@ _BAD_CALLS = {
     "expansion_w(3, 1.5, 5)": (lambda p: expansion_w(3, 1.5, 5.0), "m"),
     "integrate_down(p, 3, 1.5)": (lambda p: integrate_down(p, 3, 1.5), "m"),
     "integrate_down(p, 3, -1)": (lambda p: integrate_down(p, 3, -1), "m"),
+    "integrate_down(p, 3, 10**400)": (lambda p: integrate_down(p, 3, 10 ** 400), "m"),
+    "g_tower(6, -5)": (lambda p: g_tower(6, -5.0), "m"),
+    "x_star(2, 10, 3)": (lambda p: x_star(2, 10.0, 3.0), "n"),
+    "y_star(nan, 10, 3, 0.1)": (lambda p: y_star(math.nan, 10.0, 3.0, 0.1), "n"),
     "phi_m(2, 1, 5)": (lambda p: phi_m(2, 1, 5.0), "n"),
     "ansatz_terms(2, 1, 5)": (lambda p: ansatz_terms(2, 1, 5.0), "n"),
     "expansion_w(2, 1, 5)": (lambda p: expansion_w(2, 1, 5.0), "n"),
@@ -191,9 +196,10 @@ _BAD_CALLS = {
 @pytest.mark.parametrize("label", list(_BAD_CALLS))
 def test_every_entry_refuses_a_bad_dimension_or_height_by_name(sol_oracle_n3, label):
     # these ended in a TypeError from range or from the descent's source text, a
-    # "math domain error", an OverflowError converting n to a double, or returned:
-    # phi_m at n = NaN a NaN, ode_residual at n = 2 or NaN a number, and
-    # integrate_down at m = -1 the zero of the m = 0 equation
+    # "math domain error", an OverflowError converting n to a double or repeating
+    # "exp(" 10**400 times, a TowerOverflowError at m = 6, or returned: phi_m at
+    # n = NaN a NaN, ode_residual at n = 2 or NaN a number, integrate_down at
+    # m = -1 the zero of the m = 0 equation, and x_star at n = 2 -1.0
     call, named = _BAD_CALLS[label]
     what = {"n": "dimension n must", "m": "tower height m must"}[named]
     with warnings.catch_warnings():
@@ -218,6 +224,8 @@ _ENTRIES = [
     lambda n, m, p: g_tower(m, 0.5),
     lambda n, m, p: ode_residual(p, n, m),
     lambda n, m, p: PsiKernel.for_dimension(n),
+    lambda n, m, p: x_star(n, 10.0, 3.0),
+    lambda n, m, p: y_star(n, 10.0, 3.0, 0.1),
 ]
 _ODD = [math.nan, math.inf, -math.inf, -1, -2.5, 0, 2, 1.5, 3.5, 2.0, 2 ** 53, 10 ** 400]
 

@@ -1,8 +1,8 @@
 """Command-line surface: construct solutions, trace branches, run verification suites.
 
 Exit codes: 0 success, 1 usage error, 2 convergence or numeric failure.
-Configuration precedence is command-line flags over config-file entries over
-defaults; the resolved configuration is echoed into meta.txt next to every
+Each command takes only the options it reads: flags over config-file entries
+over defaults; the resolved options are echoed into meta.txt next to every
 artifact so runs can be reproduced from their outputs alone.
 """
 
@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-import typing
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -38,6 +38,10 @@ EXIT_NUMERIC = 2
 # shared 2-vCPU host
 MAX_TRACE_WORK = 10 ** 5
 
+# largest max relative ODE residual of a profile that singular construct writes
+# (criterion 3); every default build, n = 3..12 and m = 0..3, is at or below 2.7e-10
+MAX_RESIDUAL = 1e-7
+
 
 class UsageError(Exception):
     pass
@@ -57,53 +61,33 @@ class Check:
         self.passed = bool(self.value <= self.bound)
 
 
-@dataclass
-class RunConfig:
-    n: int = 3
-    m: int = 1
-    T: float | None = None
-    t_max: float | None = None
-    tol: float = 1e-11
-    rho_min: float = 0.1
-    rho_max: float = 4.8
-    rho_step: float = 0.02
-    outdir: str = "."
-    singular_ref: str | None = None
-
-    def validate(self, heights=()):
-        """Refuse bad values: n and m by the library's own rules, and the corrector
-        fields (T, t_max, tol) by the corrector's at each tower height in `heights`."""
-        for name, cast in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if cast is float and value is not None and not math.isfinite(value):
-                raise UsageError(f"{name} must be finite")
-        try:
-            check_dimension(self.n)
-            tw.check_height(self.m)
-            for m in heights:
-                self.eta_config().resolved(m, self.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-
-    def eta_config(self):
-        return EtaSpaceConfig(T=self.T, t_max=self.t_max, tol=self.tol)
-
-    def echo_lines(self):
-        return [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
-
-
-# declared type of each RunConfig field with an optional None stripped; it
-# casts config-file values and selects the fields that must be finite
-_FIELD_TYPES = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-                for name, hint in typing.get_type_hints(RunConfig).items()}
-# the fields that may be None, which meta.txt echoes as "None"
-_OPTIONAL = {name for name, hint in typing.get_type_hints(RunConfig).items()
-             if type(None) in typing.get_args(hint)}
+# a setting of the commands that build or check solutions: its config key, which is
+# also its name in meta.txt, its flag, its type, its default and the commands that read it
+_Option = namedtuple("_Option", "key flag cast default commands help", defaults=[None])
+_ALL = {"singular", "bifurcation", "verify"}
+# the commands that solve the corrector
+_SOLVERS = {"singular", "verify"}
+# in the order meta.txt echoes them
+_OPTIONS = (
+    _Option("n", "--n", int, 3, _ALL, "space dimension (>= 3)"),
+    _Option("m", "--m", int, 1, _ALL, "tower height (0 to 5; 0 is e^u)"),
+    _Option("T", "--T", float, None, _SOLVERS),
+    _Option("t_max", "--t-max", float, None, _SOLVERS),
+    _Option("tol", "--tol", float, 1e-11, _SOLVERS),
+    _Option("rho_min", "--rho-min", float, 0.1, {"bifurcation"}),
+    _Option("rho_max", "--rho-max", float, 4.8, {"bifurcation"}),
+    _Option("rho_step", "--rho-step", float, 0.02, {"bifurcation"}),
+    _Option("outdir", "--outdir", str, ".", _ALL),
+    _Option("singular_ref", "--lambda-star", str, None, {"bifurcation"},
+            "singular construct output (dir or meta.txt), rebuilt from its "
+            "[config], for turning-point annotation and intersection counts"),
+)
 
 
 def _read_sections(path, what):
     """{section: {key: value string}} of a UTF-8 file of `[section]` and `key = value` lines;
-    `#` at a line's start or after a blank opens a comment; keys before a header go in "config"."""
+    `#` at a line's start or after a blank opens a comment; keys before a header go in "config";
+    a key given twice in a section, also under two of its headers, is refused."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -117,60 +101,63 @@ def _read_sections(path, what):
             current = sections.setdefault(line[1:-1].strip(), {})
         elif "=" in line:
             key, val = (s.strip() for s in line.split("=", 1))
+            if key in current:
+                raise UsageError(f"key {key} is given twice in {what} {path}")
             current[key] = val
         elif line:
             raise UsageError(f"bad line in {what} {path}: {raw.rstrip()}")
     return sections
 
 
-def _set_fields(cfg, values):
-    """Set the RunConfig fields that {key: value string} names, each cast to its type."""
-    for key, val in values.items():
-        if key not in _FIELD_TYPES:
-            raise UsageError(f"unknown config key: {key}")
+def _settings(command, config, flags, suite=None):
+    """The options of `command`, each from `flags` ({key: value}, None when unset), else from
+    `config` ({key: value string}), else its default; refuses a config key the command does not
+    read, a value that does not cast or is not finite, n and m by the library's own rules, and
+    T, t_max and tol by the corrector's at each tower height where the command solves it."""
+    options = {o.key: o for o in _OPTIONS if command in o.commands}
+    cfg = argparse.Namespace(**{key: o.default for key, o in options.items()})
+    for key, val in config.items():
+        if key not in options:
+            raise UsageError(f"unknown config key: {key}, not one of {', '.join(options)}")
         try:
-            setattr(cfg, key, None if val == "None" and key in _OPTIONAL
-                    else _FIELD_TYPES[key](val))
+            setattr(cfg, key, None if val == "None" and options[key].default is None
+                    else options[key].cast(val))
         except ValueError as exc:
             raise UsageError(f"bad value for config key {key}: {val}") from exc
-    return cfg
-
-
-def _corrector_heights(args, cfg):
-    """Tower heights at which the command solves the corrector (none for a trace)."""
-    if args.command == "singular":
-        return (cfg.m,)
-    if args.command == "bifurcation":
-        return ()
-    return tuple(m for m in _verify_heights(cfg, args.suite).values() if m is not None)
-
-
-def _build_runconfig(args):
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        # a meta.txt is a config file too: its other sections are not read
-        _set_fields(cfg, _read_sections(args.config, "config file")["config"])
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            setattr(cfg, f.name, flag)
-    # the oracle flag is m = 0, the plain-exponential nonlinearity, whatever --m says
-    if args.oracle:
-        cfg.m = 0
-    cfg.validate(_corrector_heights(args, cfg))
+    for key, o in options.items():
+        if flags.get(key) is not None:
+            setattr(cfg, key, flags[key])
+        value = getattr(cfg, key)
+        if o.cast is float and value is not None and not math.isfinite(value):
+            raise UsageError(f"{key} must be finite")
+    heights = []   # a trace solves no corrector
+    if command == "singular":
+        heights = [cfg.m]
+    elif command == "verify":
+        heights = [m for m in _verify_heights(cfg.m, suite).values() if m is not None]
+    try:
+        check_dimension(cfg.n)
+        tw.check_height(cfg.m)
+        for m in heights:
+            EtaSpaceConfig(cfg.T, cfg.t_max, cfg.tol).resolved(m, cfg.n)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     return cfg
 
 
 def _write_meta(path, cfg, results):
-    lines = ["[config]"] + cfg.echo_lines() + ["", "[results]"]
+    lines = ["[config]"] + [f"{key} = {val}" for key, val in vars(cfg).items()] + ["", "[results]"]
     for key, val in results.items():
         lines.append(f"{key} = {val if isinstance(val, str) else fmt(val)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def cmd_singular(cfg):
-    sol = build_singular(cfg.n, cfg.m, cfg.eta_config())
+    sol = build_singular(cfg.n, cfg.m, EtaSpaceConfig(cfg.T, cfg.t_max, cfg.tol))
     res = ode_residual(sol.profile, cfg.n, cfg.m)
+    if not res <= MAX_RESIDUAL:
+        raise DescentError(f"the max relative residual {res:.3e} of the profile is above "
+                           f"{MAX_RESIDUAL:g}, the bound of criterion 3 (tol {cfg.tol:g})")
     p = sol.profile
     write_profile_csv(os.path.join(cfg.outdir, "profile_log.csv"), p)
     # the radial copy keeps the rows whose r = e^-t / sqrt(lambda*) is a normal
@@ -211,15 +198,14 @@ def _load_singular_reference(path, cfg):
     meta_path = _meta_path(path)
     meta = _read_sections(meta_path, "singular reference")
     try:
-        ref = _set_fields(RunConfig(), meta["config"])
+        ref = _settings("singular", meta["config"], {})
         if (ref.n, ref.m) != (cfg.n, cfg.m):
             raise UsageError(f"it has n = {ref.n}, m = {ref.m}, "
                              f"the trace has n = {cfg.n}, m = {cfg.m}")
-        ref.validate((ref.m,))
     except UsageError as exc:
         raise UsageError(f"singular reference {meta_path}: {exc}") from exc
     try:
-        sol = build_singular(ref.n, ref.m, ref.eta_config())
+        sol = build_singular(ref.n, ref.m, EtaSpaceConfig(ref.T, ref.t_max, ref.tol))
     except (PicardConvergenceError, DescentError) as exc:
         raise type(exc)(f"singular reference {meta_path} does not rebuild: {exc}") from exc
     recorded = meta.get("results", {}).get("lambda_star")
@@ -278,7 +264,7 @@ def cmd_bifurcation(cfg):
     return EXIT_OK
 
 
-def _suite_iterexp(cfg, sol):
+def _suite_iterexp(sol):
     rows = []   # (label, value, bound): each passes when value <= bound
     # upper ends keep G_m(y) representable
     for m, y_hi in ((1, 3.0), (2, 1.8), (3, 1.4)):
@@ -309,7 +295,7 @@ def _suite_iterexp(cfg, sol):
                  abs(tw.f_tail(5.0) * math.exp(5.0 + math.exp(5.0)) - 0.9933510653), 1e-6))
     rows.append(("f_tail_inverse_roundtrip",
                  abs(tw.f_tail_inverse(tw.f_tail(1.0)) - 1.0), 1e-10))
-    return [Check(label, float(value), bound) for label, value, bound in rows]
+    return [Check(label, float(value), bound) for label, value, bound in rows], {}
 
 
 # slack on the 10 M weighted-sup bounds for rounding: at m = 0 the corrector
@@ -318,7 +304,7 @@ def _suite_iterexp(cfg, sol):
 ROUNDING_ALLOWANCE = 1e-9
 
 
-def _suite_asymptotics(cfg, sol):
+def _suite_asymptotics(sol):
     n, m = sol.n, sol.m
     T = sol.eta.T
     win1 = (T + 5.0, 2.0 * T)
@@ -346,57 +332,61 @@ def _suite_asymptotics(cfg, sol):
     if m == 1:
         c1, c2 = (ex.gradient_residual_constant(sol, win) for win in (win1, win2))
         rows.append(Check("gradient_constant_stable", c2 / max(c1, 1e-300), 3.0))
-    return rows
+    return rows, {}
 
 
-def _suite_miyamoto(cfg, sol):
+def _suite_miyamoto(sol):
     try:
         rep = eq.equivalence_report(sol)
     except ValueError as exc:
         # a window whose tail above the handoff holds too few profile samples
         raise UsageError(f"T = {sol.eta.T:g} and t_max = {sol.eta.t_usable:g} are too close "
                          f"for verify miyamoto: {exc}") from exc
-    write_csv(os.path.join(cfg.outdir, "equivalence_trace.csv"),
-              ["t", "x_star", "y_star"], [rep.t, rep.x_star, rep.y_star])
-    return [Check("tail_sup", rep.tail_sup, eq.TAIL_BOUND),
-            Check("traces_decreasing", rep.shrink_ratio, 1.0)]
+    trace = (["t", "x_star", "y_star"], [rep.t, rep.x_star, rep.y_star])
+    return ([Check("tail_sup", rep.tail_sup, eq.TAIL_BOUND),
+             Check("traces_decreasing", rep.shrink_ratio, 1.0)], {"equivalence_trace.csv": trace})
 
 
+# each suite takes the singular solution of its height (None for iterexp) and returns
+# its checks and the other files it writes, {name: (header, columns)}
 _SUITES = {"iterexp": _suite_iterexp, "asymptotics": _suite_asymptotics,
            "miyamoto": _suite_miyamoto}
 
 
-def _verify_heights(cfg, suite):
+def _verify_heights(m, suite):
     """{suite name: tower height of the singular solution it checks, None for iterexp}."""
-    heights = {"iterexp": None, "asymptotics": cfg.m, "miyamoto": 1}
+    heights = {"iterexp": None, "asymptotics": m, "miyamoto": 1}
     return heights if suite == "all" else {suite: heights[suite]}
 
 
 def cmd_verify(cfg, suite):
     built = {}   # one singular solution per tower height, shared by the suites
-    checked = {}   # suite name: (m, its checks), printed and written once all are checked
+    # suite name: (m, its checks, its other files), printed and written once all are checked
+    checked = {}
     failure = None
     try:
-        for name, m in _verify_heights(cfg, suite).items():
+        for name, m in _verify_heights(cfg.m, suite).items():
             if m is not None and m not in built:
-                built[m] = build_singular(cfg.n, m, cfg.eta_config())
-            checked[name] = m, _SUITES[name](cfg, built.get(m))
+                built[m] = build_singular(cfg.n, m, EtaSpaceConfig(cfg.T, cfg.t_max, cfg.tol))
+            checked[name] = (m, *_SUITES[name](built.get(m)))
     except (PicardConvergenceError, DescentError) as exc:
         # a failed build still prints and writes the suites checked before it, and meta.txt
         failure = exc
     results = {}
     header = [f.name for f in fields(Check)]
-    for name, (m, rows) in checked.items():
+    for name, (m, rows, files) in checked.items():
         ok = all(r.passed for r in rows)
         results.update({f"{name}_m": str(m), f"{name}_passed": str(ok)})
         print(json.dumps({"suite": name, "m": m, "passed": ok, "checks": len(rows),
                           "failed": [r.label for r in rows if not r.passed]}))
         write_csv(os.path.join(cfg.outdir, f"verify_{name}.csv"), header,
                   [[getattr(r, key) for r in rows] for key in header])
+        for file, (columns, values) in files.items():
+            write_csv(os.path.join(cfg.outdir, file), columns, values)
     _write_meta(os.path.join(cfg.outdir, "meta.txt"), cfg, results)
     if failure is not None:
         raise failure
-    return EXIT_OK if all(r.passed for _, rows in checked.values() for r in rows) else EXIT_NUMERIC
+    return EXIT_NUMERIC if "False" in results.values() else EXIT_OK
 
 
 # `iterexp eval --kind` choices and the tower primitive each one evaluates
@@ -414,7 +404,10 @@ _EVAL_KINDS = {
 def cmd_iterexp_eval(args):
     if not math.isfinite(args.at):
         raise UsageError(f"--at must be finite, not {args.at}")
-    RunConfig(m=args.m).validate()
+    try:
+        tw.check_height(args.m)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     if args.kind == "gderiv" and args.m < 1:
         raise UsageError("--m must be >= 1 for --kind gderiv")
     if args.kind == "ftail-inv" and args.at <= 0.0:
@@ -428,17 +421,14 @@ def cmd_iterexp_eval(args):
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--n", type=int, default=None, help="space dimension (>= 3)")
-    p.add_argument("--m", type=int, default=None, help="tower height (0 to 5; 0 is e^u)")
-    p.add_argument("--oracle-gelfand", dest="oracle", action="store_true",
-                   help="the Gelfand oracle m = 0, overriding --m")
-    p.add_argument("--T", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--outdir", type=str, default=None)
-    p.add_argument("--config", type=str, default=None,
-                   help="key = value config file (flags take precedence)")
+def _add_options(parser, command):
+    """A flag for each option that `command` reads, --oracle-gelfand and --config."""
+    for o in _OPTIONS:
+        if command in o.commands:
+            parser.add_argument(o.flag, dest=o.key, type=o.cast, help=o.help)
+    parser.add_argument("--oracle-gelfand", dest="oracle", action="store_true",
+                        help="the Gelfand oracle m = 0, overriding --m")
+    parser.add_argument("--config", help="key = value config file (flags take precedence)")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -469,22 +459,16 @@ def make_parser():
     p_s = sub.add_parser("singular", help="singular solution construction")
     s_sub = p_s.add_subparsers(dest="subcommand", required=True)
     p_sc = s_sub.add_parser("construct", help="build (lambda*, u*)")
-    _add_common(p_sc)
+    _add_options(p_sc, "singular")
 
     p_b = sub.add_parser("bifurcation", help="regular branch tracing")
     b_sub = p_b.add_subparsers(dest="subcommand", required=True)
     p_bt = b_sub.add_parser("trace", help="trace lambda(rho) by shooting")
-    _add_common(p_bt)
-    p_bt.add_argument("--rho-min", dest="rho_min", type=float, default=None)
-    p_bt.add_argument("--rho-max", dest="rho_max", type=float, default=None)
-    p_bt.add_argument("--rho-step", dest="rho_step", type=float, default=None)
-    p_bt.add_argument("--lambda-star", dest="singular_ref", type=str, default=None,
-                      help="singular construct output (dir or meta.txt), rebuilt from its "
-                           "[config], for turning-point annotation and intersection counts")
+    _add_options(p_bt, "bifurcation")
 
     p_v = sub.add_parser("verify", help="verification suites")
     p_v.add_argument("suite", choices=["asymptotics", "miyamoto", "iterexp", "all"])
-    _add_common(p_v)
+    _add_options(p_v, "verify")
     return parser
 
 
@@ -495,7 +479,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.command == "iterexp":
             return cmd_iterexp_eval(args)
-        cfg = _build_runconfig(args)
+        # the oracle flag is m = 0, the plain-exponential nonlinearity, whatever --m says
+        if args.oracle:
+            args.m = 0
+        # a meta.txt is a config file too: its other sections are not read
+        config = _read_sections(args.config, "config file")["config"] if args.config else {}
+        cfg = _settings(args.command, config, vars(args), getattr(args, "suite", None))
         try:
             os.makedirs(cfg.outdir, exist_ok=True)
         except OSError as exc:

@@ -379,7 +379,8 @@ def _solve_on_grid(n, m, cfg, T, t_usable, n_nodes):
     Returns the EtaSolution, or raises PicardConvergenceError naming n, m, T
     and the last defect when the defect does not reach cfg.tol: it stalls
     (three ratios of successive defects at or above 0.995), grows past 50
-    times the first, or MAX_SWEEPS sweeps run out.
+    times the first, or MAX_SWEEPS sweeps run out.  When the defect fell to
+    rounding before it stalled, the error says so, and that tol lies below it.
     """
     t_max = t_usable + cfg.pad(n)
     grid = np.geomspace(T, t_max, _grid_size(n, T, t_max, n_nodes))
@@ -418,6 +419,14 @@ def _solve_on_grid(n, m, cfg, T, t_usable, n_nodes):
             break
         if defect > 50.0 * defects[0]:
             break
+    # the first defect is sup t^2 |eta| of the first iterate; rounding is ulps of it
+    low = min(defects)
+    if low <= 1e-13 * defects[0]:
+        raise PicardConvergenceError(
+            f"the corrector iteration from T = {T:.6g} (n = {n}, m = {m}) contracted: its "
+            f"weighted defect fell from {defects[0]:.3e} to {low:.3e} by sweep "
+            f"{defects.index(low) + 1} and then stalled at rounding: tol {cfg.tol:g} lies "
+            f"below that level")
     raise PicardConvergenceError(
         f"the corrector iteration does not contract from T = {T:.6g} (n = {n}, m = {m}): "
         f"the weighted defect is {defects[-1]:.3e} after {len(defects)} sweeps, "

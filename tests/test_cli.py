@@ -204,7 +204,9 @@ def test_verify_iterexp_json(tmp_path, capsys):
 def test_iterexp_fd_checks_are_the_scalar_loop():
     # the suite takes its central differences on the whole t array; the
     # values it reports are those of one scalar t at a time, bit for bit
-    checks = {c.label: c.value for c in cli._suite_iterexp(cli.RunConfig(), None)}
+    checks, files = cli._suite_iterexp(None)
+    assert files == {}
+    checks = {c.label: c.value for c in checks}
     for m in (1, 2, 3):
         assert checks[f"h_deriv_fd_m{m}"].hex() == h_deriv_fd_worst(m).hex(), m
 
@@ -488,8 +490,17 @@ def bad_inputs(tmp_path):
         _write_reference(tmp_path / f"ref-lam{lam}", lam=lam)
     # a corrector field that the corrector refuses at m = 1
     _write_reference(tmp_path / "ref-T0.5", extra="T = 0.5\n")
-    # a corrector tolerance below rounding, at which the rebuild does not contract
+    # a corrector tolerance below rounding, at which the rebuild stalls
     _write_reference(tmp_path / "ref-tol", extra="tol = 1e-30\n")
+    # written by a singular construct that echoed the trace's options too
+    _write_reference(tmp_path / "ref-old-construct",
+                     extra="rho_min = 0.1\nrho_max = 4.8\nrho_step = 0.02\nsingular_ref = None\n")
+    # one config file for each option that some command does not read
+    for key, val in (("T", "7"), ("t_max", "100"), ("tol", "1e-3"), ("rho_min", "0.1"),
+                     ("rho_max", "4.8"), ("rho_step", "0.02"), ("singular_ref", "None")):
+        (tmp_path / f"{key}.cfg").write_text(f"{key} = {val}\n")
+    # a key given twice, under two [config] headers
+    (tmp_path / "twice.cfg").write_text("n = 4\n[results]\n[config]\nn = 5\n")
     return tmp_path
 
 
@@ -571,6 +582,22 @@ TRACE = ["bifurcation", "trace", "--n", "3", "--m", "1",
      "[T, t_max] = [1.01, 4.04]"),
     (["verify", "miyamoto", "--n", "3", "--m", "2", "--T", "1.2", "--t-max", "4.8"],
      "[T, t_max] = [1.2, 4.8]"),
+    # a flag or config key that the command does not read: a trace solves no corrector,
+    # and construct and verify trace no branch
+    (TRACE + ["--T", "7"], "--T"),
+    (TRACE + ["--t-max", "100"], "--t-max"),
+    (TRACE + ["--tol", "1e-3"], "--tol"),
+    *[(TRACE + ["--config", f"{{tmp}}/{key}.cfg"], f"unknown config key: {key}")
+      for key in ("T", "t_max", "tol")],
+    *[(command + ["--config", f"{{tmp}}/{key}.cfg"], f"unknown config key: {key}")
+      for command in (["singular", "construct"], ["verify", "all"])
+      for key in ("rho_min", "rho_max", "rho_step", "singular_ref")],
+    (["singular", "construct", "--rho-min", "0.1"], "--rho-min"),
+    (["verify", "all", "--lambda-star", "{tmp}/ref"], "--lambda-star"),
+    (TRACE + ["--lambda-star", "{tmp}/ref-old-construct"], "unknown config key: rho_min"),
+    # a key given twice, also under two [config] headers
+    (["singular", "construct", "--config", "{tmp}/twice.cfg"],
+     "key n is given twice in config file {tmp}/twice.cfg"),
 ])
 def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
     real_arange = np.arange
@@ -593,14 +620,15 @@ def test_bad_input_is_usage_error(bad_inputs, capsys, monkeypatch, args, named):
 
 
 def test_reference_that_does_not_rebuild_is_numeric_failure(bad_inputs, capsys, monkeypatch):
-    # the reference is rebuilt before any shot; its corrector does not reach tol = 1e-30
+    # the reference is rebuilt before any shot; its corrector stalls at rounding,
+    # above tol = 1e-30
     monkeypatch.setattr(br, "trace_curve", lambda *a, **kw: pytest.fail("a trace shot"))
     assert run_cli(TRACE + ["--lambda-star", str(bad_inputs / "ref-tol"),
                             "--outdir", str(bad_inputs / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"numeric failure: singular reference {bad_inputs}/ref-tol/meta.txt "
                           f"does not rebuild: ")
-    assert "does not contract" in err and "Traceback" not in err
+    assert "stalled at rounding: tol 1e-30 lies below" in err and "Traceback" not in err
 
 
 def test_trace_rebuilds_its_reference_from_meta(tmp_path):
@@ -674,32 +702,35 @@ def test_construct_ends_every_window_as_documented(m, T):
 _ODD_VALUES = ["nan", "inf", "-inf", "-1", "-1e-300", "0", "1e-300", "5e-324", "1e-9",
                "abc", "", "1e", "0x10", "1,5", "--"]
 # the finite range each flag is drawn from, --t-max only without --T (given T, it
-# is 4 to 16 times T); --rho-max is always given and at most 1.2 unless it is the
+# is 4 to 16 times T); --T from 1.5 up, above the floor of every height drawn, so
+# small windows build; --rho-max is always given and at most 1.2 unless it is the
 # odd one, so a trace is a few dozen short shots
-_FLAG_RANGES = {"--T": (0.5, 40.0), "--t-max": (50.0, 2000.0), "--tol": (1e-14, 1e-2),
+_FLAG_RANGES = {"--T": (1.5, 40.0), "--t-max": (50.0, 2000.0), "--tol": (1e-14, 1e-2),
                 "--rho-min": (1e-3, 1.0), "--rho-max": (0.05, 1.2),
                 "--rho-step": (0.01, 0.5)}
+# the numeric flags each command takes
+_COMMAND_FLAGS = {"singular": ["--T", "--t-max", "--tol"],
+                  "bifurcation": ["--rho-min", "--rho-max", "--rho-step"],
+                  "verify": ["--T", "--t-max", "--tol"]}
 
 
 @st.composite
 def _cli_runs(draw):
-    """argv of one run: a command, --n, --m, each numeric flag absent or finite, and
-    at most one of them given an odd value instead."""
+    """argv of one run: a command, --n, --m, each numeric flag of the command absent or
+    finite, and at most one numeric flag given an odd value instead, which may be a flag
+    that the command does not take."""
     command = draw(st.sampled_from([["singular", "construct"], ["bifurcation", "trace"],
                                     ["verify", "asymptotics"], ["verify", "miyamoto"],
                                     ["verify", "iterexp"], ["verify", "all"]]))
-    flags = ["--T", "--t-max", "--tol"]
-    if command[0] == "bifurcation":
-        flags += ["--rho-min", "--rho-max", "--rho-step"]
     values = {flag: draw(st.floats(*_FLAG_RANGES[flag]).map(repr) if flag == "--rho-max"
                          else st.one_of(st.none(), st.floats(*_FLAG_RANGES[flag]).map(repr)))
-              for flag in flags}
-    if values["--T"] is not None:
+              for flag in _COMMAND_FLAGS[command[0]]}
+    if values.get("--T") is not None:
         # given T, t_max is drawn from 4T up: a window may then end below the
         # descent's start or leave the miyamoto tail too thin
         values["--t-max"] = draw(st.one_of(st.none(), st.floats(4.0, 16.0).map(
             lambda k: repr(k * float(values["--T"])))))
-    odd = draw(st.one_of(st.none(), st.sampled_from(flags)))
+    odd = draw(st.one_of(st.none(), st.sampled_from(list(_FLAG_RANGES))))
     if odd is not None:
         values[odd] = draw(st.sampled_from(_ODD_VALUES))
     argv = command + ["--n", str(draw(st.sampled_from([3, 4, 5]))),
@@ -718,19 +749,143 @@ def _cli_runs(draw):
 @example(argv=["verify", "miyamoto", "--n", "3", "--m", "1", "--T", "1.8", "--t-max", "7.2"])
 def test_every_run_ends_as_documented(argv):
     # any command with any of these values exits 0, 1 (usage) or 2 (numeric
-    # failure), without a traceback or a warning
+    # failure), without a traceback or a warning; given a flag it does not take, 1
+    foreign = set(argv) & set(_FLAG_RANGES) - set(_COMMAND_FLAGS[argv[0]])
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as outdir, \
             warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = run_cli(argv + ["--outdir", outdir])
-    assert code in (0, 1, 2)
+    assert code in ((1,) if foreign else (0, 1, 2))
     assert "Traceback" not in out.getvalue() + err.getvalue()
     assert [str(w.message) for w in caught] == []
 
 
-def test_trace_ignores_corrector_fields(tmp_path):
-    # the corrector's rules apply only to commands that solve it
-    assert run_cli(TRACE + ["--t-max", "100", "--outdir", str(tmp_path)]) == 0
-    assert "matched_shots = 0" in (tmp_path / "meta.txt").read_text().splitlines()
+
+# a finite value for each config key, beside _ODD_VALUES and "None"; outdir is
+# overridden by --outdir, and singular_ref names no directory
+_CONFIG_VALUES = {"n": st.sampled_from(["3", "4", "5"]), "m": st.integers(0, 3).map(str),
+                  "T": st.floats(1.5, 40.0).map(repr), "t_max": st.floats(50.0, 2000.0).map(repr),
+                  "tol": st.floats(1e-14, 1e-2).map(repr),
+                  "rho_min": st.floats(1e-3, 1.0).map(repr),
+                  "rho_max": st.floats(0.05, 1.2).map(repr),
+                  "rho_step": st.floats(0.01, 0.5).map(repr),
+                  "outdir": st.just("elsewhere"), "singular_ref": st.just("nowhere"),
+                  # keys of no command
+                  "M": st.just("1"), "oracle": st.just("true"), "lambda_star": st.just("1")}
+# the config keys each command reads, and its argv
+_CONFIG_KEYS = {"singular": ["n", "m", "T", "t_max", "tol", "outdir"],
+                "bifurcation": ["n", "m", "rho_min", "rho_max", "rho_step", "outdir",
+                                "singular_ref"],
+                "verify": ["n", "m", "T", "t_max", "tol", "outdir"]}
+_CONFIG_COMMANDS = {"singular": ["singular", "construct"], "bifurcation": ["bifurcation", "trace"],
+                    "verify": ["verify", "all"]}
+
+
+@st.composite
+def _config_runs(draw):
+    """(command, config lines) of one run: some of the command's keys with finite values,
+    a trace's always with rho_max (at most 1.2, so a few dozen short shots), and at most
+    one line more of any key, its own, another command's, no command's or a repeat,
+    with a finite or an odd value."""
+    command = draw(st.sampled_from(list(_CONFIG_KEYS)))
+    keys = draw(st.lists(st.sampled_from(_CONFIG_KEYS[command]), max_size=4, unique=True))
+    if command == "bifurcation" and "rho_max" not in keys:
+        keys.append("rho_max")
+    lines = [(key, draw(_CONFIG_VALUES[key])) for key in keys]
+    odd = draw(st.one_of(st.none(), st.sampled_from(list(_CONFIG_VALUES))))
+    if odd is not None:
+        lines.insert(draw(st.integers(0, len(lines))), (odd, draw(st.one_of(
+            _CONFIG_VALUES[odd], st.sampled_from(_ODD_VALUES + ["None"])))))
+    return command, lines
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(run=_config_runs())
+def test_every_config_file_ends_as_documented(run):
+    # a config file of any of these keys and values ends with exit 0, 1 or 2,
+    # without a traceback or a warning; one with a key that the command does not
+    # read, or with a key given twice, is a usage error (1)
+    command, lines = run
+    keys = [key for key, _ in lines]
+    refused = len(set(keys)) < len(keys) or not set(keys) <= set(_CONFIG_KEYS[command])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        config = os.path.join(tmp, "run.cfg")
+        with open(config, "w") as fh:
+            fh.write("".join(f"{key} = {val}\n" for key, val in lines))
+        code = run_cli(_CONFIG_COMMANDS[command] + ["--config", config,
+                                                    "--outdir", os.path.join(tmp, "out")])
+    assert code in ((1,) if refused else (0, 1, 2))
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert [str(w.message) for w in caught] == []
+
+
+def test_verify_writes_only_once_every_suite_is_checked(tmp_path, monkeypatch):
+    # the suites return their checks and files: every file, equivalence_trace.csv
+    # included, is written after the last suite returned
+    returned, writes = [], []   # suites returned; (file, suites returned before it)
+
+    def returning(name, suite):
+        def run(*args):
+            result = suite(*args)
+            returned.append(name)
+            return result
+        return run
+    for name, suite in cli._SUITES.items():
+        monkeypatch.setitem(cli._SUITES, name, returning(name, suite))
+    write_csv = cli.write_csv
+
+    def writing(path, *args):
+        writes.append((os.path.basename(path), list(returned)))
+        return write_csv(path, *args)
+    monkeypatch.setattr(cli, "write_csv", writing)
+    assert run_cli(["verify", "all", "--n", "3", "--m", "1", "--outdir", str(tmp_path)]) == 0
+    assert sorted(name for name, _ in writes) == [
+        "equivalence_trace.csv", "verify_asymptotics.csv", "verify_iterexp.csv",
+        "verify_miyamoto.csv"]
+    assert all(seen == ["iterexp", "asymptotics", "miyamoto"] for _, seen in writes)
+
+
+@pytest.mark.parametrize("tol, code", [("1", 2), ("1e-2", 2), ("1e-3", 0)])
+def test_construct_gates_its_residual(tmp_path, capsys, tol, code):
+    # criterion 3 bounds the max relative residual by 1e-7: tol 1 gives 1.5e-4 and
+    # 1e-2 gives 2.0e-6, which end with exit 2 before anything is written; 1e-3 gives 2.6e-8
+    assert run_cli(["singular", "construct", "--n", "3", "--m", "1", "--tol", tol,
+                    "--outdir", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("numeric failure: the max relative residual ")
+        assert "is above 1e-07, the bound of criterion 3" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        meta = cli._read_sections(tmp_path / "meta.txt", "meta.txt")
+        assert float(meta["results"]["max_relative_residual"]) <= 1e-7
+
+
+def test_meta_echoes_only_the_command_options(tmp_path):
+    # each command's [config] lists the options it reads, in one order
+    runs = {"singular": ["singular", "construct"], "bifurcation": TRACE,
+            "verify": ["verify", "iterexp"]}
+    for command, argv in runs.items():
+        assert run_cli(argv + ["--outdir", str(tmp_path / command)]) == 0
+        config = cli._read_sections(tmp_path / command / "meta.txt", "meta.txt")["config"]
+        assert list(config) == _CONFIG_KEYS[command]
+
+
+def test_construct_meta_replays_into_verify(tmp_path, capsys):
+    # a construct's [config] holds only options that verify reads too
+    sing, checks = tmp_path / "sing", tmp_path / "checks"
+    assert run_cli(["singular", "construct", "--n", "4", "--m", "2", "--T", "35",
+                    "--outdir", str(sing)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "asymptotics", "--config", str(sing / "meta.txt"),
+                    "--outdir", str(checks)]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == 2
+    built = cli._read_sections(sing / "meta.txt", "meta.txt")["config"]
+    checked = cli._read_sections(checks / "meta.txt", "meta.txt")["config"]
+    assert checked == {**built, "outdir": str(checks)}

@@ -32,10 +32,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-# most work bifurcation trace accepts, in shots times n: a shot costs about
-# linearly in n, and more at high rho, so this is an estimate.  The default
-# 236-point grid meets it at n = 423, where the trace takes about 20 s on a
-# shared 2-vCPU host
+# most work bifurcation trace accepts, in shots times n: a shot costs about linearly
+# in n, and more at high rho, so this is an estimate.  The default 236-point grid
+# meets it at n = 423, where the trace takes 6-8 s on one CPU of a shared 2-vCPU host
 MAX_TRACE_WORK = 10 ** 5
 
 # largest max relative ODE residual of a profile that singular construct writes

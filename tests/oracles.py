@@ -219,8 +219,8 @@ def sampled_branch(point):
     The descent and the inner solve are sampled from their dense output,
     and the center series above the inner solve from its sum, every 0.02 in
     t from just below the zero to 260 above it and every 0.5 elsewhere,
-    mapped through s -> t = L/2 - ln s, w = v, w_t = -s v', and cut at the
-    zero.
+    mapped through tau -> t = L/2 + tau (the inner solve) and s -> t = L/2 -
+    ln s (the series), w = v, w_t = v_tau, and cut at the zero.
     """
     t_zero = -math.log(point.R)
     focus_lo, focus_hi = t_zero - 1.0, t_zero + 260.0
@@ -232,16 +232,17 @@ def sampled_branch(point):
         ts.append(tt)
         ws.append(yy[0])
         wts.append(yy[1])
-    L = point.L
-    for sol_a in (point.inner, point.start):
-        t_of_s = 0.5 * L - np.log(np.array([sol_a.t[0], sol_a.t[-1]]))
-        tt = _segment_times(float(np.min(t_of_s)), float(np.max(t_of_s)), focus_lo, focus_hi)
-        ss = np.clip(np.exp(0.5 * L - tt), min(sol_a.t[0], sol_a.t[-1]),
-                     max(sol_a.t[0], sol_a.t[-1]))
-        yy = sol_a.sol(ss)
+    half = 0.5 * point.L
+    tau, s = sorted(point.inner.t[[0, -1]]), sorted(point.start.t)
+    for lo, hi, y_of in ((half + tau[0], half + tau[1],
+                          lambda tt: point.inner.sol(np.clip(tt - half, *tau))),
+                         (half - math.log(s[1]), half - math.log(s[0]),
+                          lambda tt: point.start.sol(np.clip(np.exp(half - tt), *s)))):
+        tt = _segment_times(lo, hi, focus_lo, focus_hi)
+        yy = y_of(tt)
         ts.append(tt)
         ws.append(yy[0])
-        wts.append(-ss * yy[1])
+        wts.append(yy[1])
     t_all, w_all, wt_all = (np.concatenate(a) for a in (ts, ws, wts))
     order = np.argsort(t_all)
     t_all, w_all, wt_all = t_all[order], w_all[order], wt_all[order]

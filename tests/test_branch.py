@@ -63,8 +63,8 @@ def test_gelfand_oracle_branch_limit():
 @pytest.mark.parametrize("m, rho", [(0, 5.0), (1, 3.0), (1, 8.0), (2, 1.5), (2, 1.9),
                                     (3, 1.0)])
 def test_inner_exponent_is_the_level_difference(m, rho):
-    # the force exp(G_m(v) - G_m(rho)) of the inner acceleration, read at
-    # v' = 0: G_m(rho) is below 700 at (1, 3) and (2, 1.5) and above it at
+    # the force exp(G_m(v) - G_m(rho) - 2 tau) of the inner acceleration, read at
+    # tau = 0 (s = 1) and v_tau = 0: G_m(rho) is below 700 at (1, 3) and (2, 1.5) and above it at
     # (1, 8), (2, 1.9) and (3, 1); one recursion serves both sides, also for
     # v near rho, where G_m(v) - G_m(rho) would cancel.  An exponent good to
     # 1e-13 relative gives a force good to 1e-13 max(1, |exponent|)
@@ -73,7 +73,7 @@ def test_inner_exponent_is_the_level_difference(m, rho):
         v = rho - float(delta)
         expo = g_diff(m, rho, v - rho)
         force = math.exp(expo) if expo > -745.0 else 0.0
-        assert -accel(1.0, v, 0.0) == pytest.approx(force, rel=1e-13 * max(1.0, abs(expo)),
+        assert -accel(0.0, v, 0.0) == pytest.approx(force, rel=1e-13 * max(1.0, abs(expo)),
                                                     abs=0.0)
 
 
@@ -110,6 +110,15 @@ def test_beyond_direct_range_converges_to_singular(sol_n3m1):
 def test_budget_guard():
     with pytest.raises(ShootError):
         shoot_regular(3, 2, 4.0, keep_profile=False)
+
+
+def test_budget_refuses_before_the_inner_phase(monkeypatch):
+    # past the budget G'_m(rho) is so steep that the force jumps from 0 to exp(-2 tau)
+    # within an ulp of rho: at (3, 2, 3.88) the inner phase stalled there in steps of
+    # 1e-12, so the shot is refused at t1 = L/2 - ln S_CAP before it solves anything
+    monkeypatch.setattr(br, "solve_ivp", None)
+    with pytest.raises(ShootError, match=re.escape("at t = 5.36e+20, beyond")):
+        shoot_regular(3, 2, 3.880000000000001, keep_profile=False)
 
 
 def test_profile_invariants():
@@ -212,21 +221,24 @@ def test_intersection_counts(sol_n3m1):
 
 
 def test_intersection_guards(sol_n3m1):
-    # a point whose inner solution is w* itself (L = 0, so t = -ln s)
+    # a point whose inner solution is w* itself (L = 0, so t = tau), under an empty
+    # center series at its top
     class SingularAsInner:
-        t = np.exp(-np.array([sol_n3m1.t_star, sol_n3m1.profile.t_max]))
+        t = np.array([sol_n3m1.profile.t_max, sol_n3m1.t_star])
 
         @staticmethod
-        def sol(s):
-            return np.atleast_2d(sol_n3m1.profile.eval_w(-np.log(s)))
+        def sol(tau):
+            return np.atleast_2d(sol_n3m1.profile.eval_w(tau))
 
+    s_top = math.exp(-sol_n3m1.profile.t_max)
+    pieces = {"inner": SingularAsInner(), "L": 0.0,
+              "start": br.CenterSeries(rho=1.0, b=(), root_grad=1.0, t=(s_top, s_top))}
     degenerate = BranchPoint(rho=1.0, R=math.exp(-sol_n3m1.t_star),
-                             lam=sol_n3m1.lambda_star, n=3, m=1,
-                             inner=SingularAsInner(), L=0.0)
+                             lam=sol_n3m1.lambda_star, n=3, m=1, **pieces)
     with pytest.raises(ValueError, match="coincide"):
         intersection_count(degenerate, sol_n3m1)
     beyond = BranchPoint(rho=1.0, R=math.exp(-sol_n3m1.profile.t_max - 1.0),
-                         lam=1.0, n=3, m=1, inner=SingularAsInner(), L=0.0)
+                         lam=1.0, n=3, m=1, **pieces)
     with pytest.raises(ValueError, match="do not overlap"):
         intersection_count(beyond, sol_n3m1)
 
@@ -319,24 +331,51 @@ def test_center_series_coefficients(n, m, rho):
     assert b[1] == pytest.approx(1.0 / (8 * n * (n + 2)), rel=rk.EPS, abs=0.0)
 
 
+# b of the center series at (n, m, rho), as recorded from the recurrence that formed
+# each convolution term as i * B_i * F_{k-i} in a generator sum
+SERIES_B = {
+    (3, 1, 2.0): "-0x1.5555555555555p-3 0x1.1111111111111p-7 -0x1.2cdd6a3f0c9b4p-11 "
+                 "0x1.7a9ebe555f6e5p-15 -0x1.008294ae488d4p-18 0x1.6c534557d69dcp-22 "
+                 "-0x1.0b4e7e83a5833p-25 0x1.91bd32859e8efp-29 -0x1.33749c48d40cdp-32 "
+                 "0x1.dd6d5cf9b7f53p-36",
+    (3, 0, 5.0): "-0x1.5555555555555p-3 0x1.1111111111111p-7 -0x1.1566abc011566p-11 "
+                 "0x1.395c46c142fe0p-15 -0x1.77fec47436ce4p-19 0x1.d50ec7c7b1683p-23 "
+                 "-0x1.2ca4376915d33p-26 0x1.8933365638a27p-30 -0x1.051e8fb3935c9p-33 "
+                 "0x1.5f11e73210905p-37",
+    (3, 3, 0.5): "-0x1.5555555555555p-3 0x1.1111111111111p-7 -0x1.16a70e27ac48cp-11 "
+                 "0x1.3cc24e1f20e09p-15 -0x1.7ed7c738d28f3p-19 0x1.e160a613a9545p-23 "
+                 "-0x1.371c2c50777c7p-26 0x1.9a69391d99838p-30 -0x1.12f8aa2a20a1fp-33 "
+                 "0x1.750c76e7a4101p-37"}
+
+
+@pytest.mark.parametrize("n, m, rho", sorted(SERIES_B))
+def test_center_series_is_bit_identical_to_the_recorded_one(n, m, rho):
+    # the recurrence sums precomputed i B_i times F_{k-i} by map; each product and the
+    # order of the sum are those of the recorded one, so every b_k is the same double
+    chain, _ = br._inner_acceleration(n, m, rho)
+    b = br._series_start(n, rho, chain, 1e-11).b
+    assert b == tuple(float.fromhex(x) for x in SERIES_B[n, m, rho].split())
+
+
 @pytest.mark.parametrize("n", [3, 10, 1000])
 @pytest.mark.parametrize("m, rho", [(0, 2.0), (1, 0.1), (1, 4.0), (2, 1.5), (3, 0.5)])
 def test_series_start_matches_the_integrated_two_term_start(n, m, rho):
-    # the state the series gives at s0 is the one DOP853 reaches from the old
-    # two-term start, to rtol
+    # the state (v, v_tau) the series gives at s0 is the one DOP853 reaches in tau =
+    # -ln s from the old two-term start, to rtol
     rtol = 1e-11
     chain, accel = br._inner_acceleration(n, m, rho)
     start = br._series_start(n, rho, chain, rtol)
     s0 = float(start.t[-1])
-    v0, p0 = start.sol(s0)
-    s_old, *y_old = two_term_start(n, chain)
-    assert s_old < s0 and rho / 2 <= v0 < rho and p0 < 0.0
-    sol = rk.solve_ivp(accel, (s_old, s0), y_old, rtol=1e-13, atol=1e-300)
+    v0, v0_tau = start.sol(s0)
+    s_old, v_old, p_old = two_term_start(n, chain)
+    assert s_old < s0 and rho / 2 <= v0 < rho and v0_tau > 0.0
+    sol = rk.solve_ivp(accel, (-math.log(s_old), -math.log(s0)), (v_old, -s_old * p_old),
+                       rtol=1e-13, atol=1e-300)
     assert sol.status == 0
     assert v0 == pytest.approx(sol.y[0, -1], rel=rtol, abs=0.0)
-    assert p0 == pytest.approx(sol.y[1, -1], rel=rtol, abs=0.0)
+    assert v0_tau == pytest.approx(sol.y[1, -1], rel=rtol, abs=0.0)
     # the kept profile above s0 is the series itself
-    assert start.sol(np.array([s0]))[:, 0].tolist() == [v0, p0]
+    assert [float(y[0]) for y in start.sol(np.array([s0]))] == [v0, v0_tau]
 
 
 # the top rho of each height whose descent starts below T1_BUDGET
@@ -363,7 +402,7 @@ def test_kept_profile_covers_the_two_term_start(rho):
     point = shoot_regular(3, 1, rho)
     chain, _ = br._inner_acceleration(3, 1, rho)
     assert point.t_max >= 0.5 * point.L - math.log(two_term_start(3, chain)[0])
-    assert point.t_max > 0.5 * point.L - math.log(float(point.inner.t[0]))
+    assert point.t_max > 0.5 * point.L + float(point.inner.t[0])
 
 
 def test_gelfand_oracle_oscillation():
@@ -422,6 +461,21 @@ def test_dense_branch_matches_sampled_profile():
     assert np.max(np.abs(point.eval_w(t) - log_profile.eval_w(t))) < 1e-6
     assert np.isnan(point.eval_w([log_profile.t_min - 1.0]))[0]
     assert type(point.eval_w(float(t[1000]))) is float
+
+
+@pytest.mark.parametrize("n, m, rhos", [(3, 0, (1.26, 4.32)), (3, 1, (0.52, 0.58, 0.6, 1.38)),
+                                        (5, 1, (1.3, 1.32)), (9, 1, (1.56, 1.62, 1.96)),
+                                        (12, 1, (0.68, 0.82, 1.72)), (3, 2, (0.22, 0.24, 0.56)),
+                                        (9, 2, (0.32, 0.54, 0.55, 0.56, 0.58, 0.6)),
+                                        (3, 3, (0.12, 0.14))])
+def test_shot_meets_its_tolerance(n, m, rhos):
+    # a shot at the default rtol 1e-11 is within 2e-11 of the same shot at rtol 1e-13 /
+    # atol 1e-15.  An inner phase in s bounded the error in v' by atol + rtol |v'|, that
+    # is s atol on v_tau, and missed it: these rho were up to 9.7e-11 off (9, 2, 0.55)
+    for rho in rhos:
+        lam = shoot_regular(n, m, rho, keep_profile=False).lam
+        ref = shoot_regular(n, m, rho, rtol=1e-13, atol=1e-15, keep_profile=False).lam
+        assert abs(lam / ref - 1.0) < 2e-11, rho
 
 
 @pytest.mark.parametrize("n, m, rho", [(3, 1, 9.0), (3, 1, 6.0), (3, 2, 2.0), (5, 1, 6.0),
@@ -704,10 +758,10 @@ def test_kept_shot_builds_its_interpolants_on_first_read(monkeypatch):
         for module in (br, sg):
             mp.setattr(module, "solve_ivp", eager(module))
         eager_point = shoot_regular(3, 1, 9.0)
-    s0, s1 = (math.log(float(s)) for s in eager_point.inner.t[[0, -1]])
+    tau0, tau1 = (float(tau) for tau in eager_point.inner.t[[0, -1]])
     half_L = 0.5 * eager_point.L
     reads = [np.linspace(-2.0, 130.0, 3001),             # the descent resumed below t_match
-             np.linspace(half_L - s1 + 0.5, half_L - s0 - 0.5, 50),   # the inner solve
+             np.linspace(half_L + tau1 + 0.5, half_L + tau0 - 0.5, 50),   # the inner solve
              np.array([eager_point.t_max - 1.0])]        # the center series: no interpolant
     wants = [eager_point.eval_w(t) for t in reads]
 

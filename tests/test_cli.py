@@ -708,10 +708,25 @@ _ODD_VALUES = ["nan", "inf", "-inf", "-1", "-1e-300", "0", "1e-300", "5e-324", "
 _FLAG_RANGES = {"--T": (1.5, 40.0), "--t-max": (50.0, 2000.0), "--tol": (1e-14, 1e-2),
                 "--rho-min": (1e-3, 1.0), "--rho-max": (0.05, 1.2),
                 "--rho-step": (0.01, 0.5)}
+# --T and --t-max are sampled from _LOG_STEPS + 1 log-spaced values, by index:
+# Hypothesis's float draws (and its small-integer draws) stick to their lower bounds
+_LOG_STEPS = 64
 # the numeric flags each command takes
 _COMMAND_FLAGS = {"singular": ["--T", "--t-max", "--tol"],
                   "bifurcation": ["--rho-min", "--rho-max", "--rho-step"],
                   "verify": ["--T", "--t-max", "--tol"]}
+
+
+def _log_spaced(lo, hi):
+    """lo (hi / lo)^(i / _LOG_STEPS) for an index i sampled from 0 to _LOG_STEPS."""
+    return st.sampled_from([lo * (hi / lo) ** (i / _LOG_STEPS) for i in range(_LOG_STEPS + 1)])
+
+
+def _finite_value(flag):
+    """A finite value of flag, from its _FLAG_RANGES."""
+    if flag in ("--T", "--t-max"):
+        return _log_spaced(*_FLAG_RANGES[flag]).map(repr)
+    return st.floats(*_FLAG_RANGES[flag]).map(repr)
 
 
 @st.composite
@@ -722,13 +737,13 @@ def _cli_runs(draw):
     command = draw(st.sampled_from([["singular", "construct"], ["bifurcation", "trace"],
                                     ["verify", "asymptotics"], ["verify", "miyamoto"],
                                     ["verify", "iterexp"], ["verify", "all"]]))
-    values = {flag: draw(st.floats(*_FLAG_RANGES[flag]).map(repr) if flag == "--rho-max"
-                         else st.one_of(st.none(), st.floats(*_FLAG_RANGES[flag]).map(repr)))
+    values = {flag: draw(_finite_value(flag) if flag == "--rho-max"
+                         else st.one_of(st.none(), _finite_value(flag)))
               for flag in _COMMAND_FLAGS[command[0]]}
     if values.get("--T") is not None:
         # given T, t_max is drawn from 4T up: a window may then end below the
         # descent's start or leave the miyamoto tail too thin
-        values["--t-max"] = draw(st.one_of(st.none(), st.floats(4.0, 16.0).map(
+        values["--t-max"] = draw(st.one_of(st.none(), _log_spaced(4.0, 16.0).map(
             lambda k: repr(k * float(values["--T"])))))
     odd = draw(st.one_of(st.none(), st.sampled_from(list(_FLAG_RANGES))))
     if odd is not None:

@@ -469,9 +469,9 @@ def test_dense_branch_matches_sampled_profile():
                                         (9, 2, (0.32, 0.54, 0.55, 0.56, 0.58, 0.6)),
                                         (3, 3, (0.12, 0.14))])
 def test_shot_meets_its_tolerance(n, m, rhos):
-    # a shot at the default rtol 1e-11 is within 2e-11 of the same shot at rtol 1e-13 /
-    # atol 1e-15.  An inner phase in s bounded the error in v' by atol + rtol |v'|, that
-    # is s atol on v_tau, and missed it: these rho were up to 9.7e-11 off (9, 2, 0.55)
+    # at these (n, m, rho) a shot at the default rtol 1e-11 is within 2e-11 of the same
+    # shot at rtol 1e-13 / atol 1e-15.  An inner phase in s bounded the error in v' by
+    # atol + rtol |v'|, that is s atol on v_tau, and missed it: up to 9.7e-11 at (9, 2, 0.55)
     for rho in rhos:
         lam = shoot_regular(n, m, rho, keep_profile=False).lam
         ref = shoot_regular(n, m, rho, rtol=1e-13, atol=1e-15, keep_profile=False).lam
